@@ -9,7 +9,7 @@
 //      timing-only estimator (what it does now), and their ratio — the
 //      cold-cache speedup the fast path delivers;
 //   2. pool cache behavior: wall-clock of a cold WarmBatchSizes sweep vs
-//      re-reading every entry warm (shared-lock hits);
+//      re-reading every entry warm (latency-table hits);
 //   3. end-to-end engine time: RunSyntheticServe under the mix with a fixed
 //      seed, reporting wall-clock, throughput, and tail latencies.
 // The contract check asserts estimator == functional (exact double
@@ -20,7 +20,8 @@
 // A fourth section measures the discrete-event core (docs/ENGINE.md):
 // heap schedule/fire throughput under a stationary event pattern — gated
 // at 10M events/s on optimized unsanitized builds, non-zero exit below —
-// plus the legacy-vs-event driver wall ratio on the same fixed-seed run.
+// plus the driver's end-to-end wall and arrival events/s on the same
+// fixed-seed run.
 //
 // A fifth section gates the observability overhead contract
 // (docs/OBSERVABILITY.md): the same fixed-seed mix run is timed with
@@ -314,29 +315,15 @@ int main(int argc, char** argv) {
               kEventGateEnforced ? "" : ", informational on this build",
               event_gate_ok ? "OK" : "FAIL");
 
-  // Old-vs-new driver wall: the same fixed-seed mix run under the
-  // preserved polling loop and the event driver (byte-identical output —
-  // tests/event_core_test.cpp proves it; here only wall-clock differs).
+  // Driver wall: the same fixed-seed mix run end to end, best of N — the
+  // event loop's arrival throughput.
   const int engine_rounds = smoke ? 3 : 5;
-  double legacy_wall_ms = 0.0;
   double event_wall_ms = 0.0;
   std::int64_t event_run_requests = 0;
   for (int round = 0; round < engine_rounds; ++round) {
-    serve::ServeOptions engine_options = options;
-    engine_options.engine = serve::ServeEngine::kLegacy;
-    auto start = Clock::now();
-    const serve::ServeReport legacy_run =
-        serve::RunSyntheticServe(registry, specs, mix, engine_options);
-    const double legacy_ms = ElapsedNs(start) / 1e6;
-    sink += static_cast<double>(legacy_run.summary.completed);
-    if (round == 0 || legacy_ms < legacy_wall_ms) {
-      legacy_wall_ms = legacy_ms;
-    }
-
-    engine_options.engine = serve::ServeEngine::kEvent;
-    start = Clock::now();
+    const auto start = Clock::now();
     const serve::ServeReport event_run =
-        serve::RunSyntheticServe(registry, specs, mix, engine_options);
+        serve::RunSyntheticServe(registry, specs, mix, options);
     const double event_ms = ElapsedNs(start) / 1e6;
     sink += static_cast<double>(event_run.summary.completed);
     event_run_requests = event_run.generated_requests;
@@ -344,13 +331,11 @@ int main(int argc, char** argv) {
       event_wall_ms = event_ms;
     }
   }
-  const double legacy_over_event = legacy_wall_ms / event_wall_ms;
   const double run_events_per_s =
       static_cast<double>(event_run_requests) / (event_wall_ms / 1e3);
-  std::printf("Engine wall (best of %d): legacy %.2f ms, event %.2f ms -> "
-              "%.2fx; %.0fk arrival events/s end-to-end\n",
-              engine_rounds, legacy_wall_ms, event_wall_ms, legacy_over_event,
-              run_events_per_s / 1e3);
+  std::printf("Engine wall (best of %d): %.2f ms; %.0fk arrival events/s "
+              "end-to-end\n",
+              engine_rounds, event_wall_ms, run_events_per_s / 1e3);
 
   // ------------------------------------------- observability overhead gate
   // Paired obs-off / obs-on runs of the same fixed-seed mix, best-of-N
@@ -448,9 +433,7 @@ int main(int argc, char** argv) {
   event_core["gate_events_per_s"] = Json(event_gate_per_s);
   event_core["gate_enforced"] = Json(kEventGateEnforced);
   event_core["ok"] = Json(event_gate_ok);
-  event_core["legacy_wall_ms"] = Json(legacy_wall_ms);
   event_core["event_wall_ms"] = Json(event_wall_ms);
-  event_core["legacy_over_event"] = Json(legacy_over_event);
   event_core["run_events_per_s"] = Json(run_events_per_s);
 
   JsonObject contract;

@@ -7,7 +7,7 @@
 // completed counts, cache hit/miss tallies, batch close reasons, latency
 // distributions. Instruments are created once by name (std::map keeps the
 // serialized order deterministic) and callers hold raw pointers afterwards,
-// so the steady-state publish path is an atomic add / a bucket increment
+// so the steady-state publish path is a plain add / a bucket increment
 // with no allocation and no map lookup.
 //
 // Histograms are HDR-style log-bucketed with a *pinned* bucket-boundary
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,30 +29,25 @@
 
 namespace nsflow::obs {
 
-/// Monotonically increasing event tally. Relaxed atomics: counters are
-/// published from the engine's consumer thread and read after the run (or
-/// at snapshot points on the same thread), so no ordering is needed.
+/// Monotonically increasing event tally. Plain integer: the engine's one
+/// thread publishes and snapshots it.
 class Counter {
  public:
-  void Increment(std::int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void Increment(std::int64_t delta = 1) { value_ += delta; }
+  std::int64_t value() const { return value_; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
 };
 
 /// Last-write-wins instantaneous value (active replicas, window rate).
 class Gauge {
  public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(double value) { value_ = value; }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Log-bucketed latency histogram with a pinned bucket-boundary schema.

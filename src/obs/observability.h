@@ -32,8 +32,8 @@ struct ObsOptions {
   bool enabled = false;
   /// Export expansion (recording cost is identical either way).
   TraceDetail detail = TraceDetail::kSpans;
-  /// > 0: per-shard ring buffers keeping only the newest records (long
-  /// runs); 0: unbounded pools.
+  /// > 0: ring buffers keeping only the newest records (long runs);
+  /// 0: unbounded pools.
   std::size_t ring_capacity = 0;
   /// Virtual-time cadence of metrics-timeline snapshots.
   double snapshot_interval_s = 0.25;

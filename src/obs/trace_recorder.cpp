@@ -1,80 +1,52 @@
 #include "obs/trace_recorder.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
-
-#include "common/error.h"
 
 namespace nsflow::obs {
 
-TraceRecorder::TraceRecorder(std::size_t ring_capacity, int shards)
-    : ring_capacity_(ring_capacity) {
-  NSF_CHECK_MSG(shards >= 1, "recorder needs at least one shard");
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-TraceRecorder::Shard& TraceRecorder::ShardForThisThread() {
-  const std::size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return *shards_[h % shards_.size()];
-}
-
 template <typename Record>
-void TraceRecorder::Push(Shard& shard, std::vector<Record>& pool,
-                         std::size_t& head, Record record) {
-  record.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+void TraceRecorder::Push(std::vector<Record>& pool, std::size_t& head,
+                         Record record) {
+  record.seq = next_seq_++;
   if (ring_capacity_ > 0 && pool.size() >= ring_capacity_) {
     pool[head] = std::move(record);  // Overwrite the oldest record.
     head = (head + 1) % ring_capacity_;
-    ++shard.dropped;
+    ++dropped_;
     return;
   }
   if (pool.capacity() == 0) {
-    // Reserve on a shard's first record, not at construction: the engine
-    // records from one consumer thread, so 7 of 8 shards stay empty and
-    // a short traced run never pays 8x the up-front allocation.
+    // Reserve on the first record, not at construction: a recorder that
+    // never sees a record kind never pays for its pool.
     pool.reserve(ring_capacity_ > 0 ? ring_capacity_ : kInitialReserve);
   }
   pool.push_back(std::move(record));
 }
 
 void TraceRecorder::RecordRequest(RequestSpan span) {
-  Shard& shard = ShardForThisThread();
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  Push(shard, shard.requests, shard.request_head, span);
+  Push(requests_, request_head_, span);
 }
 
 void TraceRecorder::RecordBatch(BatchSpan span) {
-  Shard& shard = ShardForThisThread();
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  Push(shard, shard.batches, shard.batch_head, span);
+  Push(batches_, batch_head_, span);
 }
 
 void TraceRecorder::RecordInstant(InstantEvent event) {
-  Shard& shard = ShardForThisThread();
-  const std::lock_guard<std::mutex> lock(shard.mu);
   // Control-plane events are never ring-evicted: they are rare and a
   // long-run trace must keep its reconfiguration history.
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  shard.instants.push_back(std::move(event));
+  event.seq = next_seq_++;
+  instants_.push_back(std::move(event));
 }
 
 void TraceRecorder::RecordCounter(CounterSample sample) {
-  Shard& shard = ShardForThisThread();
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  sample.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  shard.counters.push_back(sample);
+  sample.seq = next_seq_++;
+  counters_.push_back(sample);
 }
 
 namespace {
 
-/// (timestamp, seq) ordering; seq alone already orders records from one
-/// recording thread, but the timestamp leads so a multi-shard merge stays
-/// in virtual-time order.
+/// (timestamp, seq) ordering: the timestamp leads, record order breaks
+/// ties.
 template <typename Record>
 void SortByTime(std::vector<Record>& records, double Record::* stamp) {
   std::sort(records.begin(), records.end(),
@@ -90,32 +62,16 @@ void SortByTime(std::vector<Record>& records, double Record::* stamp) {
 
 TraceData TraceRecorder::Drain() const {
   TraceData data;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    data.requests.insert(data.requests.end(), shard->requests.begin(),
-                         shard->requests.end());
-    data.batches.insert(data.batches.end(), shard->batches.begin(),
-                        shard->batches.end());
-    data.instants.insert(data.instants.end(), shard->instants.begin(),
-                         shard->instants.end());
-    data.counters.insert(data.counters.end(), shard->counters.begin(),
-                         shard->counters.end());
-    data.dropped += shard->dropped;
-  }
+  data.requests = requests_;
+  data.batches = batches_;
+  data.instants = instants_;
+  data.counters = counters_;
+  data.dropped = dropped_;
   SortByTime(data.requests, &RequestSpan::complete_s);
   SortByTime(data.batches, &BatchSpan::start_s);
   SortByTime(data.instants, &InstantEvent::t_s);
   SortByTime(data.counters, &CounterSample::t_s);
   return data;
-}
-
-std::int64_t TraceRecorder::dropped() const {
-  std::int64_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->dropped;
-  }
-  return total;
 }
 
 }  // namespace nsflow::obs

@@ -1,34 +1,28 @@
-// TraceRecorder — pooled, lock-sharded capture of serve-path lifecycle
-// events on the virtual timeline (docs/OBSERVABILITY.md).
+// TraceRecorder — pooled capture of serve-path lifecycle events on the
+// virtual timeline (docs/OBSERVABILITY.md).
 //
 // Every record is stamped with virtual seconds (the serving timeline of
 // serve/request.h), never wall clock: a fixed arrival seed therefore pins
-// the recorded trace bit-exactly, whatever the thread interleaving — the
-// serve determinism contract extends to the trace itself.
+// the recorded trace bit-exactly — the serve determinism contract extends
+// to the trace itself.
 //
 // The hot-path records (RequestSpan, BatchSpan) are fixed-size PODs pushed
-// into per-shard vectors whose capacity is reserved on the shard's first
-// record (untouched shards allocate nothing), so the steady-state
-// recording cost is a mutex on an uncontended shard plus a bounds-checked
-// append — no allocation, no string building. Shards are
-// keyed by the recording thread's id, so concurrent recorders (a future
-// multi-queue engine) never serialize on one lock; today's engine records
-// from its single consumer thread and always hits the same shard. Rare
-// control-plane events (autoscaler decisions, replica transitions) carry a
-// human-readable detail string — they happen a handful of times per run,
-// outside the steady state.
+// into vectors whose capacity is reserved on the pool's first record (an
+// unused pool allocates nothing), so the steady-state recording cost is a
+// bounds-checked append — no lock, no allocation, no string building. The
+// engine's one thread is the only writer. Rare control-plane events
+// (autoscaler decisions, replica transitions) carry a human-readable
+// detail string — they happen a handful of times per run, outside the
+// steady state.
 //
-// `ring_capacity` > 0 bounds each record pool per shard: when full, the
-// oldest record in the shard is overwritten (ring buffer) and `dropped()`
-// counts the evictions — the long-run mode where a trace must not grow
-// with the request count. Drain() merges the shards into one deterministic
-// stream ordered by (timestamp, sequence number).
+// `ring_capacity` > 0 bounds each record pool: when full, the oldest record
+// is overwritten (ring buffer) and `dropped()` counts the evictions — the
+// long-run mode where a trace must not grow with the request count.
+// Drain() returns one deterministic stream ordered by (timestamp, sequence
+// number).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -115,9 +109,8 @@ struct CounterSample {
   std::int64_t seq = 0;
 };
 
-/// Everything one recorder captured, shard-merged and deterministically
-/// ordered by (timestamp, seq). The unit the exporters (chrome_trace.h)
-/// consume.
+/// Everything one recorder captured, deterministically ordered by
+/// (timestamp, seq). The unit the exporters (chrome_trace.h) consume.
 struct TraceData {
   std::vector<RequestSpan> requests;
   std::vector<BatchSpan> batches;
@@ -128,11 +121,11 @@ struct TraceData {
 
 class TraceRecorder {
  public:
-  /// `ring_capacity` == 0: unbounded pools (a shard reserves
-  /// kInitialReserve at its first record and grows geometrically —
-  /// amortized allocation-free). > 0: per-shard ring buffers of that many
-  /// records.
-  explicit TraceRecorder(std::size_t ring_capacity = 0, int shards = 8);
+  /// `ring_capacity` == 0: unbounded pools (each reserves kInitialReserve
+  /// at its first record and grows geometrically — amortized
+  /// allocation-free). > 0: ring buffers of that many records.
+  explicit TraceRecorder(std::size_t ring_capacity = 0)
+      : ring_capacity_(ring_capacity) {}
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -142,39 +135,30 @@ class TraceRecorder {
   void RecordInstant(InstantEvent event);
   void RecordCounter(CounterSample sample);
 
-  /// Merge every shard into one stream, ordered by (timestamp, seq). Seq
-  /// numbers are assigned at record time from one atomic counter; with the
-  /// engine's single recording thread the order is bit-deterministic.
+  /// Everything recorded, ordered by (timestamp, seq). Seq numbers are
+  /// assigned in record order, so the order is bit-deterministic.
   TraceData Drain() const;
 
-  std::int64_t dropped() const;
+  std::int64_t dropped() const { return dropped_; }
   std::size_t ring_capacity() const { return ring_capacity_; }
 
  private:
   static constexpr std::size_t kInitialReserve = 4096;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<RequestSpan> requests;
-    std::vector<BatchSpan> batches;
-    std::vector<InstantEvent> instants;
-    std::vector<CounterSample> counters;
-    // Ring write cursors (used only when ring_capacity_ > 0).
-    std::size_t request_head = 0;
-    std::size_t batch_head = 0;
-    std::int64_t dropped = 0;
-  };
-
-  Shard& ShardForThisThread();
-
   /// Append `record` to `pool`, wrapping at the ring capacity.
   template <typename Record>
-  void Push(Shard& shard, std::vector<Record>& pool, std::size_t& head,
-            Record record);
+  void Push(std::vector<Record>& pool, std::size_t& head, Record record);
 
   std::size_t ring_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::int64_t> next_seq_{0};
+  std::vector<RequestSpan> requests_;
+  std::vector<BatchSpan> batches_;
+  std::vector<InstantEvent> instants_;
+  std::vector<CounterSample> counters_;
+  // Ring write cursors (used only when ring_capacity_ > 0).
+  std::size_t request_head_ = 0;
+  std::size_t batch_head_ = 0;
+  std::int64_t dropped_ = 0;
+  std::int64_t next_seq_ = 0;
 };
 
 }  // namespace nsflow::obs

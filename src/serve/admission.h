@@ -3,7 +3,7 @@
 // shedding, a bounded retry/backoff path for shed standard requests, and
 // the accounting behind the graceful-drain shutdown (docs/ADMISSION.md).
 //
-// The controller sits between arrival generation and the request queue:
+// The controller sits between arrival generation and the batch former:
 // every generated arrival is *offered* to it, and only admitted requests
 // enter the forming lanes. Like everything else in serve/, it runs on the
 // virtual timeline — decisions are pure functions of the offer time, the

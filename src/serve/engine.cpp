@@ -8,14 +8,12 @@
 #include <map>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
 #include "serve/autoscaler.h"
 #include "serve/batch_former.h"
 #include "serve/event_core.h"
-#include "serve/request_queue.h"
 
 namespace nsflow::serve {
 
@@ -108,29 +106,22 @@ namespace {
 
 using event_core::EventClass;
 
-/// Shared pipeline state + event handlers (docs/ENGINE.md).
+/// Pipeline state + event handlers (docs/ENGINE.md).
 ///
-/// Two drivers advance the virtual clock over the same handler set:
-///
-///   * RunEventLoop — the discrete-event core (serve/event_core.h): one
-///     binary min-heap keyed (time, class, seq) schedules arrivals,
-///     adversity faults, autoscaler ticks, admission retries, and the
-///     drain; handlers fire in heap order. The default.
-///   * RunLegacyLoop — the pre-event-core polling interleave, preserved
-///     verbatim as the differential oracle (tests/event_core_test.cpp)
-///     and the bench's old-vs-new wall reference.
-///
-/// Both produce the identical call sequence into the former, pool,
-/// autoscaler, admission controller, stats, and trace recorder — the
-/// same-instant ordering contract (adversity < tick < retry < arrival <
-/// drain) is explicit in EventClass and was derived from, and is pinned
-/// against, the legacy interleave. Lane closes, dispatches, batch
-/// completions, admission sweeps, and metric snapshots are *not* heap
-/// events: the eager scheduler books batches onto replicas ahead of the
-/// clock (a dispatch at virtual time t is decided when forming closes the
-/// batch, which can be earlier than t), so those stay consequences inside
-/// the handlers — docs/ENGINE.md walks through why hoisting them into the
-/// heap would change observable ordering.
+/// One driver advances the virtual clock: RunEventLoop pops the
+/// discrete-event core's binary min-heap (serve/event_core.h), keyed
+/// (time, class, seq), which schedules arrivals, adversity faults,
+/// autoscaler ticks, admission retries, and the drain; handlers fire in
+/// heap order. The same-instant ordering contract (adversity < tick <
+/// retry < arrival < drain) is explicit in EventClass; the golden digests
+/// in tests/golden/ pin it against the polling interleave it replaced.
+/// Lane closes, dispatches, batch completions, admission sweeps, and
+/// metric snapshots are *not* heap events: the eager scheduler books
+/// batches onto replicas ahead of the clock (a dispatch at virtual time t
+/// is decided when forming closes the batch, which can be earlier than
+/// t), so those stay consequences inside the handlers — docs/ENGINE.md
+/// walks through why hoisting them into the heap would change observable
+/// ordering.
 struct PipelineContext {
   // ---- wiring (fixed for the run)
   ServerPool& pool;
@@ -196,11 +187,11 @@ struct PipelineContext {
   std::vector<PoolDelta> deltas;
   std::vector<double> busy_until;
 
-  // Event-driver state: null outside RunEventLoop. `retry_event_t` is the
+  // The timeline heap RunEventLoop drains. `retry_event_t` is the
   // earliest outstanding kAdmissionRetry event (+inf when none) — the
   // dedupe that keeps one live retry event per deadline; stale events
   // no-op through the NextRetryAt guard.
-  event_core::EventList* events = nullptr;
+  event_core::EventList events;
   double retry_event_t = std::numeric_limits<double>::infinity();
 
   PipelineContext(ServerPool& pool_in, ServeStats& stats_in,
@@ -267,7 +258,7 @@ struct PipelineContext {
       // Tier-priority dispatch: when several lanes close together (or
       // flush at drain), critical lanes preempt batch lanes (tier order ==
       // close order). Admission-off runs keep all-zero priorities — the
-      // legacy oldest-head-of-line order, bit-exactly.
+      // default oldest-head-of-line order, bit-exactly.
       for (int w = 0; w < pool.workloads(); ++w) {
         former.SetLanePriority(w, static_cast<int>(admission->TierOf(w)));
       }
@@ -782,30 +773,6 @@ struct PipelineContext {
     SyncTimeline();
   }
 
-  // Legacy polling driver only: everything scheduled at or before `t`
-  // fires in virtual-time order; environment events land before a control
-  // tick at the same instant (the world changes, then the control loop
-  // observes it) — the implicit ordering EventClass makes explicit.
-  void FireUntil(double t) {
-    while (true) {
-      const double env_t = env_next < env.size()
-                               ? env[env_next].t_s
-                               : std::numeric_limits<double>::infinity();
-      const double tick_t = autoscaler != nullptr
-                                ? autoscaler->next_tick_s()
-                                : std::numeric_limits<double>::infinity();
-      if (env_t > t && tick_t > t) {
-        break;
-      }
-      if (env_t <= tick_t) {
-        const AdversityEvent e = env[env_next++];
-        FireEnv(e);  // May splice paired end events after env_next.
-      } else {
-        FireTick();
-      }
-    }
-  }
-
   // ------------------------------------------------------ admission path
 
   // Feed one admitted request into the forming lanes — the pre-admission
@@ -861,28 +828,27 @@ struct PipelineContext {
     MaybeScheduleRetryEvent();
   }
 
-  // Event driver: keep one live kAdmissionRetry heap event at the earliest
-  // pending retry deadline. A shed during an offer can only schedule
-  // retries at or after the current instant, so pushing here (after every
-  // offer) covers every way the retry heap can gain an earlier head.
+  // Keep one live kAdmissionRetry heap event at the earliest pending retry
+  // deadline. A shed during an offer can only schedule retries at or
+  // after the current instant, so pushing here (after every offer) covers
+  // every way the retry heap can gain an earlier head.
   void MaybeScheduleRetryEvent() {
-    if (events == nullptr || admission == nullptr) {
+    if (admission == nullptr) {
       return;
     }
     const double next = admission->NextRetryAt();
     if (next < retry_event_t) {
-      events->Push(next, EventClass::kAdmissionRetry);
+      events.Push(next, EventClass::kAdmissionRetry);
       retry_event_t = next;
     }
   }
 
-  // Event driver's kAdmissionRetry handler: re-offer every retry due at or
-  // before `t`. Earlier-deadline retries always had their own event (see
+  // The kAdmissionRetry handler: re-offer every retry due at or before
+  // `t`. Earlier-deadline retries always had their own event (see
   // MaybeScheduleRetryEvent), so everything processed here is due exactly
   // now; a re-shed can chain another same-instant attempt — the loop
-  // re-checks, matching the legacy drain. Stale events (their retry
-  // already consumed by an earlier event at the same deadline) fall
-  // through the guard and no-op.
+  // re-checks. Stale events (their retry already consumed by an earlier
+  // event at the same deadline) fall through the guard and no-op.
   void ProcessRetriesAt(double t) {
     if (admission == nullptr) {
       return;
@@ -898,30 +864,9 @@ struct PipelineContext {
     }
   }
 
-  // Legacy polling driver: re-offer every scheduled retry due at or before
-  // `t`, interleaved with the tick/fault clocks in virtual-time order (a
-  // re-shed retry may schedule another attempt inside the same window —
-  // the loop re-checks).
-  void DrainRetries(double t) {
-    if (admission == nullptr) {
-      return;
-    }
-    while (admission->NextRetryAt() <= t) {
-      const double retry_t = admission->NextRetryAt();
-      FireUntil(retry_t);
-      Request retry = admission->PopRetry();
-      if (autoscaler != nullptr) {
-        stats.RecordArrival(retry.workload, retry_t);
-      }
-      SnapshotUntil(retry_t);
-      Offer(std::move(retry));
-    }
-  }
-
   // One arrival enters: the arrival record only exists to feed the
   // autoscaler's windowed rate samples; static runs skip the bookkeeping
-  // (hot path). Shared verbatim by both drivers — they differ only in how
-  // the events *preceding* the arrival were ordered.
+  // (hot path).
   void HandleArrival(const Request& request) {
     if (autoscaler != nullptr) {
       stats.RecordArrival(request.workload, request.arrival_s);
@@ -930,46 +875,43 @@ struct PipelineContext {
     Offer(request);
   }
 
-  // ---------------------------------------------------------- the drivers
+  // ----------------------------------------------------------- the driver
 
-  // The discrete-event driver: one min-heap orders arrivals, adversity
-  // faults, autoscaler ticks, admission retries, and the drain on the
-  // virtual timeline; same-instant ties resolve by EventClass then push
-  // seq. Arrivals and the env timeline ride cursors — one outstanding
-  // heap event each — so the heap stays shallow and, past the initial
-  // Reserve, steady-state scheduling never allocates.
+  // One min-heap orders arrivals, adversity faults, autoscaler ticks,
+  // admission retries, and the drain on the virtual timeline; same-instant
+  // ties resolve by EventClass then push seq. Arrivals and the env
+  // timeline ride cursors — one outstanding heap event each — so the heap
+  // stays shallow and, past the initial Reserve, steady-state scheduling
+  // never allocates.
   void RunEventLoop() {
-    event_core::EventList heap;
-    heap.Reserve(64);
-    events = &heap;
-    retry_event_t = std::numeric_limits<double>::infinity();
+    events.Reserve(64);
     // Arrivals normally end before the horizon; a replayed trace that
-    // overruns it still gets processed (the legacy loop consumed the whole
-    // queue), so the drain sits at whichever is later.
+    // overruns it is still served in full, so the drain sits at whichever
+    // is later.
     const double drain_t =
         arrivals.empty()
             ? options.duration_s
             : std::max(options.duration_s, arrivals.back().arrival_s);
     std::size_t next_arrival = 0;
     if (!arrivals.empty()) {
-      heap.Push(arrivals[0].arrival_s, EventClass::kArrival);
+      events.Push(arrivals[0].arrival_s, EventClass::kArrival);
     }
     if (env_next < env.size()) {
-      heap.Push(env[env_next].t_s, EventClass::kAdversity);
+      events.Push(env[env_next].t_s, EventClass::kAdversity);
     }
     if (autoscaler != nullptr && std::isfinite(autoscaler->next_tick_s())) {
-      heap.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
+      events.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
     }
-    heap.Push(drain_t, EventClass::kDrain);
+    events.Push(drain_t, EventClass::kDrain);
     bool running = true;
     while (running) {
-      const event_core::Event e = heap.Pop();
+      const event_core::Event e = events.Pop();
       switch (e.cls) {
         case EventClass::kAdversity: {
           const AdversityEvent env_event = env[env_next++];
           FireEnv(env_event);  // May splice paired end events.
           if (env_next < env.size()) {
-            heap.Push(env[env_next].t_s, EventClass::kAdversity);
+            events.Push(env[env_next].t_s, EventClass::kAdversity);
           }
           break;
         }
@@ -977,7 +919,7 @@ struct PipelineContext {
           FireTick();
           const double next_tick = autoscaler->next_tick_s();
           if (std::isfinite(next_tick)) {
-            heap.Push(next_tick, EventClass::kAutoscalerTick);
+            events.Push(next_tick, EventClass::kAutoscalerTick);
           }
           break;
         }
@@ -992,70 +934,26 @@ struct PipelineContext {
           HandleArrival(arrivals[next_arrival]);
           ++next_arrival;
           if (next_arrival < arrivals.size()) {
-            heap.Push(arrivals[next_arrival].arrival_s,
-                      EventClass::kArrival);
+            events.Push(arrivals[next_arrival].arrival_s,
+                        EventClass::kArrival);
           }
           break;
         }
         case EventClass::kDrain:
           // Everything at or before the horizon has fired (kDrain is the
           // highest class value, so same-instant work went first); the
-          // shared shutdown sequence runs back in Run().
+          // shutdown sequence runs back in Run().
           running = false;
           break;
         default:
           NSF_CHECK_MSG(false, "folded event class on the timeline heap");
       }
     }
-    events = nullptr;
-  }
-
-  // The preserved polling driver (the differential oracle): producer
-  // thread feeds the queue in arrival order; the consumer drains it into
-  // the batch former. FIFO + virtual timestamps keep the result
-  // independent of how the two threads interleave. The joiner makes the
-  // consumer exception-safe: an error thrown mid-pipeline (an autoscaler
-  // guard, a bad trace) must propagate to the caller, not hit the
-  // joinable-thread destructor and terminate the process.
-  void RunLegacyLoop() {
-    RequestQueue queue;
-    std::thread producer([&] {
-      for (const Request& request : arrivals) {
-        if (!queue.Push(request)) {
-          break;  // Queue closed under us — nothing left to feed.
-        }
-      }
-      queue.Close();
-    });
-    struct ProducerJoiner {
-      RequestQueue& queue;
-      std::thread& producer;
-      ~ProducerJoiner() {
-        queue.Close();  // Unblocks a producer still pushing.
-        if (producer.joinable()) {
-          producer.join();
-        }
-      }
-    } joiner{queue, producer};
-
-    while (auto request = queue.Pop()) {
-      // Control decisions, environment events, and retry re-offers
-      // scheduled at or before this arrival fire first — the tick clock,
-      // the fault timeline, the retry heap, and the arrival stamps share
-      // one virtual timeline.
-      DrainRetries(request->arrival_s);
-      FireUntil(request->arrival_s);
-      HandleArrival(*request);
-    }
-    // Run out the retry heap and the tick and fault clocks over the
-    // arrival-free tail (the event driver covers this from the heap).
-    DrainRetries(options.duration_s);
-    FireUntil(options.duration_s);
   }
 
   // ------------------------------------------------------------- shutdown
 
-  // Shared tail: flush the lanes, settle deferred commits, gracefully
+  // Run tail: flush the lanes, settle deferred commits, gracefully
   // drain an admission-run pool, and resolve the post-run replica spans.
   // Retries scheduled past the horizon never re-enter: shutdown finalizes
   // them as sheds (graceful drain admits nothing new).
@@ -1171,11 +1069,7 @@ struct PipelineContext {
   }
 
   ServeReport Run() {
-    if (options.engine == ServeEngine::kLegacy) {
-      RunLegacyLoop();
-    } else {
-      RunEventLoop();
-    }
+    RunEventLoop();
     FinishRun();
     return BuildReport();
   }
@@ -1187,8 +1081,7 @@ struct PipelineContext {
 /// lane, every replica capable). With `autoscaler` non-null, its control
 /// decisions interleave with the arrival stream on the virtual timeline:
 /// every tick at or before the next arrival fires first, so a fixed seed
-/// pins the whole (arrival, decision) sequence. `options.engine` selects
-/// the driver; both produce byte-identical runs (see PipelineContext).
+/// pins the whole (arrival, decision) sequence.
 ServeReport RunPipeline(ServerPool& pool, ServeStats& stats,
                         const std::vector<Request>& arrivals,
                         const ServeOptions& options,
@@ -1213,7 +1106,7 @@ ServeReport RunSyntheticServe(const DataflowGraph& dfg,
                 "clustering requires the multi-tenant engine — serve a "
                 "mix or a plan (docs/CLUSTER.md)");
   std::vector<Request> arrivals = SyntheticArrivals(options);
-  ServerPool pool(designs, dfg, options.worker_threads);
+  ServerPool pool(designs, dfg);
   ServeStats stats(pool.size());
   std::optional<AdmissionController> admission;
   if (options.admission.enabled()) {
@@ -1259,7 +1152,7 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
 
   std::vector<Request> arrivals =
       SyntheticArrivals(options, shares, registry.Names());
-  ServerPool pool(replicas, registry.Dataflows(), options.worker_threads);
+  ServerPool pool(replicas, registry.Dataflows());
   ServeStats stats(pool.size(), registry.size());
   for (WorkloadId w = 0; w < registry.size(); ++w) {
     stats.SetWorkloadName(w, registry.NameOf(w));

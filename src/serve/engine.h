@@ -1,13 +1,14 @@
 // NSFlow-Serve engine — the end-to-end serving loop.
 //
-//   Poisson arrival generator (producer thread, virtual timestamps,
-//   per-workload mix sampling)
-//     └─> RequestQueue (thread-safe FIFO handoff)
+//   Arrival generator (scenario patterns, virtual timestamps, per-workload
+//   mix sampling)
+//     └─> discrete-event core (serve/event_core.h: one min-heap orders
+//         arrivals, faults, autoscaler ticks, retries, and the drain)
 //           └─> BatchFormer / MultiBatchFormer (max-batch / max-wait
 //               coalescing, one lane per workload — batches never mix
 //               workloads)
 //                 └─> ServerPool (N accelerator replicas, per-replica
-//                     workload sets, worker threads)
+//                     workload sets, flat latency table)
 //                       └─> ServeStats (p50/p95/p99, throughput, util,
 //                           per-workload breakdown)
 //
@@ -18,7 +19,7 @@
 // multi-tenant run draws each arrival's workload from the requested QPS mix
 // with the same RNG stream as the inter-arrival times, so with a fixed seed
 // the whole run — single- or multi-workload — is bit-reproducible (see
-// request.h on virtual time).
+// request.h on virtual time). One thread drives the whole timeline.
 #pragma once
 
 #include <cstdint>
@@ -74,28 +75,12 @@ struct AutoscaleOptions {
   double dictionary_bytes = 512.0 * 1024.0;
 };
 
-/// Which pipeline driver runs the virtual timeline (docs/ENGINE.md).
-/// Both drivers share every handler — the batch former, pool, autoscaler,
-/// admission, adversity, and obs subscribers see the identical call
-/// sequence — so fixed-seed runs are byte-identical between them; the
-/// differential matrix in tests/event_core_test.cpp enforces it.
-enum class ServeEngine {
-  /// Discrete-event core (serve/event_core.h): one binary min-heap keyed
-  /// (virtual_time, class, seq) drives arrivals, adversity faults,
-  /// autoscaler ticks, admission retries, and the drain. The default.
-  kEvent = 0,
-  /// The pre-event-core polling interleave, kept as the differential
-  /// oracle and the bench's old-vs-new wall reference.
-  kLegacy = 1,
-};
-
 struct ServeOptions {
   double qps = 100.0;          // Open-loop offered load (Poisson arrivals).
   double duration_s = 1.0;     // Virtual length of the arrival trace.
   std::int64_t max_batch = 8;  // BatchFormer size cap.
   double max_wait_s = 5e-3;    // BatchFormer wait cap.
   std::uint64_t seed = 42;     // Arrival-process RNG seed.
-  int worker_threads = 0;      // 0 = hardware concurrency.
   /// Arrival pattern (scenario.h). The default stationary Poisson
   /// reproduces the pre-scenario arrival stream bit-for-bit.
   ScenarioSpec scenario;
@@ -142,10 +127,6 @@ struct ServeOptions {
   /// (empty = replica r on node r % nodes). `nsflow serve --plan` fills
   /// this from the plan's recorded placement.
   std::vector<int> cluster_nodes;
-  /// Pipeline driver selection — event-driven by default; `kLegacy` runs
-  /// the preserved polling loop (byte-identical output, used as the
-  /// differential oracle and for the bench's wall-clock ratio).
-  ServeEngine engine = ServeEngine::kEvent;
   /// Observability (docs/OBSERVABILITY.md): with `trace.enabled` the engine
   /// records every request/batch lifecycle span, autoscaler decision, and
   /// replica transition on the virtual timeline into `ServeReport::obs`,
@@ -222,8 +203,7 @@ std::vector<Request> SyntheticArrivals(const ServeOptions& options,
 double EffectiveOfferedRps(const ServeOptions& options,
                            std::int64_t generated_requests);
 
-/// Run the full pipeline: synthetic arrivals through queue, former, and
-/// pool. `designs` defines the pool (one replica per entry; `dfg` must
+/// Run the full pipeline: synthetic arrivals through former and pool. `designs` defines the pool (one replica per entry; `dfg` must
 /// outlive the call).
 ServeReport RunSyntheticServe(const DataflowGraph& dfg,
                               const std::vector<AcceleratorDesign>& designs,

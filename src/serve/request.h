@@ -1,13 +1,11 @@
 // Serving request/batch value types — the unit of work NSFlow-Serve moves
-// through its pipeline (arrival stream -> RequestQueue -> BatchFormer ->
-// ServerPool).
+// through its pipeline (arrival stream -> BatchFormer -> ServerPool).
 //
 // Timestamps are *virtual* seconds on the serving timeline: arrivals are
 // stamped by the open-loop generator, batch close times by the forming
 // policy, and completion times by the replica dispatch sweep. Keeping the
-// timeline virtual (while the expensive cycle-model evaluations run on real
-// worker threads) is what makes a serve run bit-reproducible under a fixed
-// RNG seed regardless of thread interleaving.
+// timeline virtual — never the host clock — is what makes a serve run
+// bit-reproducible under a fixed RNG seed.
 #pragma once
 
 #include <cstdint>

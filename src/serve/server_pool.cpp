@@ -1,10 +1,7 @@
 #include "serve/server_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <set>
-#include <thread>
 #include <utility>
 
 #include "arch/fastpath.h"
@@ -12,6 +9,10 @@
 #include "obs/metrics.h"
 
 namespace nsflow::serve {
+
+namespace {
+constexpr double kUnfilled = -1.0;  // Latency-table slot not derived yet.
+}  // namespace
 
 bool SameServingDesign(const AcceleratorDesign& a,
                        const AcceleratorDesign& b) {
@@ -55,8 +56,8 @@ AcceleratorDesign RefitDesign(AcceleratorDesign design,
 }
 
 ServerPool::ServerPool(std::vector<AcceleratorDesign> designs,
-                       const DataflowGraph& dfg, int worker_threads)
-    : dfgs_({&dfg}), worker_threads_(worker_threads) {
+                       const DataflowGraph& dfg)
+    : dfgs_({&dfg}) {
   std::vector<ReplicaSpec> specs;
   specs.reserve(designs.size());
   for (auto& design : designs) {
@@ -69,9 +70,8 @@ ServerPool::ServerPool(std::vector<AcceleratorDesign> designs,
 }
 
 ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
-                       std::vector<const DataflowGraph*> workload_dfgs,
-                       int worker_threads)
-    : dfgs_(std::move(workload_dfgs)), worker_threads_(worker_threads) {
+                       std::vector<const DataflowGraph*> workload_dfgs)
+    : dfgs_(std::move(workload_dfgs)) {
   NSF_CHECK_MSG(!dfgs_.empty(), "a pool needs at least one workload");
   for (const DataflowGraph* dfg : dfgs_) {
     NSF_CHECK_MSG(dfg != nullptr, "workload dataflow graph is null");
@@ -81,12 +81,7 @@ ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
 
 void ServerPool::Init(const std::vector<ReplicaSpec>& specs) {
   NSF_CHECK_MSG(!specs.empty(), "a pool needs at least one replica");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  worker_threads_ =
-      worker_threads_ > 0 ? worker_threads_ : static_cast<int>(hw);
-
   kind_.reserve(specs.size());
-  replicas_.reserve(specs.size());
   designs_.reserve(specs.size());
   serves_.reserve(specs.size());
   free_at_.reserve(specs.size());
@@ -120,6 +115,7 @@ int ServerPool::KindFor(const ReplicaSpec& spec) {
   }
   distinct_designs_.push_back(spec.design);
   kind_tuned_for_.push_back(spec.tuned_for);
+  latency_.resize(distinct_designs_.size() * dfgs_.size());
   return static_cast<int>(distinct_designs_.size()) - 1;
 }
 
@@ -137,29 +133,10 @@ std::vector<bool> ServerPool::BuildServes(const ReplicaSpec& spec) const {
   return serves;
 }
 
-std::unique_ptr<runtime::Accelerator> ServerPool::InstantiateReplica(
-    const ReplicaSpec& spec, const std::vector<bool>& serves) const {
-  // The long-lived replica accelerator is instantiated against the first
-  // workload it serves; cycle-model evaluation goes through the
-  // allocation-free fast path (BatchSeconds), so this instance only
-  // backs the `replica()` accessor and functional cross-checks.
-  std::size_t first = 0;
-  while (first < dfgs_.size() && !serves[first]) {
-    ++first;
-  }
-  NSF_CHECK_MSG(first < dfgs_.size(), "replica serves no workload at all");
-  const bool tuned =
-      IsTunedFor(spec.tuned_for, static_cast<WorkloadId>(first));
-  return std::make_unique<runtime::Accelerator>(
-      tuned ? spec.design : RefitDesign(spec.design, *dfgs_[first]),
-      *dfgs_[first]);
-}
-
 void ServerPool::AppendReplica(const ReplicaSpec& spec, double ready_s) {
   std::vector<bool> serves = BuildServes(spec);
   designs_.push_back(spec.design);
   kind_.push_back(KindFor(spec));
-  replicas_.push_back(InstantiateReplica(spec, serves));
   serves_.push_back(std::move(serves));
   free_at_.push_back(ready_s);
   draining_.push_back(false);
@@ -186,11 +163,6 @@ const AcceleratorDesign& ServerPool::design(int replica) const {
   return designs_[static_cast<std::size_t>(replica)];
 }
 
-runtime::Accelerator& ServerPool::replica(int index) {
-  NSF_CHECK(index >= 0 && index < size());
-  return *replicas_[static_cast<std::size_t>(index)];
-}
-
 bool ServerPool::CanServe(int replica, WorkloadId workload) const {
   NSF_CHECK(replica >= 0 && replica < size());
   NSF_CHECK(workload >= 0 && workload < workloads());
@@ -203,32 +175,50 @@ double ServerPool::BatchSeconds(int replica, WorkloadId workload,
   NSF_CHECK(replica >= 0 && replica < size());
   NSF_CHECK(workload >= 0 && workload < workloads());
   NSF_CHECK_MSG(batch_size >= 1, "batch size must be positive");
-  const Key key{kind_[static_cast<std::size_t>(replica)], workload,
-                batch_size};
-  {
-    // Warm path: concurrent replicas share the read lock — no
-    // serialization on cache hits.
-    std::shared_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = latency_cache_.find(key);
-    if (it != latency_cache_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  const int kind = kind_[static_cast<std::size_t>(replica)];
+  if (const double* hit = Cached(kind, workload, batch_size)) {
+    ++cache_hits_;
+    return *hit;
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  ++cache_misses_;
+  return Fill(kind, workload, batch_size);
+}
 
-  // Timing-only fast path: the cycle model is a pure function of
-  // (design, dfg, batch size), so no scratch Accelerator and no tensor
-  // data are needed. The expensive part — the loop equations — is
-  // memoized single-flight per (kind, workload) inside ServingModelFor
-  // (a double evaluation is impossible, not just benign); what remains
-  // here is an O(1) derivation two racing warmers may both perform, with
-  // bit-identical results.
-  const double seconds = ServingModelFor(key.kind, workload)
-                             .BatchSeconds(static_cast<int>(batch_size));
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  latency_cache_.emplace(key, seconds);  // Second racer's insert is a no-op.
-  return seconds;
+const double* ServerPool::Cached(int kind, WorkloadId workload,
+                                 std::int64_t batch_size) {
+  const std::vector<double>& seconds = Row(kind, workload).seconds;
+  const auto slot = static_cast<std::size_t>(batch_size - 1);
+  return slot < seconds.size() && seconds[slot] != kUnfilled ? &seconds[slot]
+                                                             : nullptr;
+}
+
+void ServerPool::Warm(int kind, WorkloadId workload,
+                      std::int64_t batch_size) {
+  if (Cached(kind, workload, batch_size) == nullptr) {
+    Fill(kind, workload, batch_size);
+  }
+}
+
+double ServerPool::Fill(int kind, WorkloadId workload,
+                        std::int64_t batch_size) {
+  LatencyRow& row = Row(kind, workload);
+  if (!row.model.has_value()) {
+    // Timing-only fast path: the cycle model is a pure function of
+    // (design, dfg, batch size), so no Accelerator and no tensor data are
+    // needed. Provenance decides the allocation: the workload the design
+    // was DSE'd for keeps its Phase II tuned nl/nv, every other tenant
+    // gets the RefitDesign schedule.
+    const auto k = static_cast<std::size_t>(kind);
+    row.model = arch::BuildServingModel(
+        distinct_designs_[k], *dfgs_[static_cast<std::size_t>(workload)],
+        IsTunedFor(kind_tuned_for_[k], workload));
+  }
+  if (row.seconds.size() < static_cast<std::size_t>(batch_size)) {
+    row.seconds.resize(static_cast<std::size_t>(batch_size), kUnfilled);
+  }
+  double& entry = row.seconds[static_cast<std::size_t>(batch_size - 1)];
+  entry = row.model->BatchSeconds(static_cast<int>(batch_size));
+  return entry;
 }
 
 void ServerPool::AttachMetrics(obs::MetricsRegistry* registry) {
@@ -246,67 +236,19 @@ void ServerPool::PublishCacheMetrics() {
   if (cache_hit_counter_ == nullptr || cache_miss_counter_ == nullptr) {
     return;
   }
-  const std::int64_t hits = cache_hits();
-  const std::int64_t misses = cache_misses();
-  cache_hit_counter_->Increment(hits - published_hits_);
-  cache_miss_counter_->Increment(misses - published_misses_);
-  published_hits_ = hits;
-  published_misses_ = misses;
+  cache_hit_counter_->Increment(cache_hits_ - published_hits_);
+  cache_miss_counter_->Increment(cache_misses_ - published_misses_);
+  published_hits_ = cache_hits_;
+  published_misses_ = cache_misses_;
 }
 
-arch::ServingModel ServerPool::ServingModelFor(int kind,
-                                               WorkloadId workload) {
-  const std::pair<int, WorkloadId> key{kind, workload};
-  {
-    std::shared_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = model_cache_.find(key);
-    if (it != model_cache_.end()) {
-      const std::shared_future<arch::ServingModel> hit = it->second;
-      lock.unlock();
-      return hit.get();
+bool ServerPool::KindServes(int kind, WorkloadId workload) const {
+  for (int r = 0; r < size(); ++r) {
+    if (kind_[static_cast<std::size_t>(r)] == kind && CanServe(r, workload)) {
+      return true;
     }
   }
-  std::promise<arch::ServingModel> promise;
-  {
-    std::unique_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = model_cache_.find(key);
-    if (it != model_cache_.end()) {
-      const std::shared_future<arch::ServingModel> hit = it->second;
-      lock.unlock();
-      return hit.get();
-    }
-    model_cache_.emplace(key, promise.get_future().share());
-  }
-  // Provenance decides the allocation: the workload the design was DSE'd
-  // for keeps its Phase II tuned nl/nv, every other tenant gets the
-  // RefitDesign schedule.
-  const DataflowGraph& dfg = *dfgs_[static_cast<std::size_t>(workload)];
-  const auto& hardware = distinct_designs_[static_cast<std::size_t>(kind)];
-  const bool tuned =
-      IsTunedFor(kind_tuned_for_[static_cast<std::size_t>(kind)], workload);
-  try {
-    const arch::ServingModel model =
-        arch::BuildServingModel(hardware, dfg, tuned);
-    promise.set_value(model);
-    return model;
-  } catch (...) {
-    {
-      std::unique_lock<std::shared_mutex> lock(cache_mu_);
-      model_cache_.erase(key);
-    }
-    promise.set_exception(std::current_exception());
-    throw;
-  }
-}
-
-void ServerPool::WarmLatencyCache(const std::vector<Batch>& batches) {
-  // Distinct (workload, size) work items: every capable replica kind must
-  // be able to serve every batch shape that occurs.
-  std::set<std::pair<WorkloadId, std::int64_t>> pairs;
-  for (const auto& batch : batches) {
-    pairs.insert({batch.workload, batch.size()});
-  }
-  WarmPairs({pairs.begin(), pairs.end()});
+  return false;
 }
 
 void ServerPool::WarmBatchSizes(std::int64_t max_batch) {
@@ -320,97 +262,16 @@ void ServerPool::WarmBatchSizes(std::int64_t max_batch) {
 void ServerPool::WarmBatchSizes(std::int64_t max_batch,
                                 const std::vector<WorkloadId>& only) {
   NSF_CHECK_MSG(max_batch >= 1, "max_batch must be positive");
-  // Built in (workload, size) order — already sorted and duplicate-free
-  // unless the caller listed a workload twice, which dedup below absorbs.
-  std::vector<std::pair<WorkloadId, std::int64_t>> pairs;
-  pairs.reserve(only.size() * static_cast<std::size_t>(max_batch));
   for (const WorkloadId w : only) {
     NSF_CHECK(w >= 0 && w < workloads());
-    for (std::int64_t s = 1; s <= max_batch; ++s) {
-      pairs.emplace_back(w, s);
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  WarmPairs(pairs);
-}
-
-void ServerPool::WarmPairs(
-    const std::vector<std::pair<WorkloadId, std::int64_t>>& pairs) {
-  // One work item per (kind, workload, size) where some replica of that
-  // kind is deployed for the workload; kind_replica routes the evaluation
-  // through BatchSeconds.
-  std::vector<Key> work;
-  std::vector<int> kind_replica;
-  for (std::size_t k = 0; k < distinct_designs_.size(); ++k) {
-    kind_replica.push_back(-1);
-    for (int r = 0; r < size(); ++r) {
-      if (kind_[static_cast<std::size_t>(r)] == static_cast<int>(k)) {
-        kind_replica.back() = r;
-        break;
+    for (int k = 0; k < static_cast<int>(distinct_designs_.size()); ++k) {
+      if (!KindServes(k, w)) {
+        continue;
+      }
+      for (std::int64_t s = 1; s <= max_batch; ++s) {
+        Warm(k, w, s);
       }
     }
-    for (const auto& [w, s] : pairs) {
-      bool capable = false;
-      for (int r = 0; r < size() && !capable; ++r) {
-        capable = kind_[static_cast<std::size_t>(r)] == static_cast<int>(k) &&
-                  CanServe(r, w);
-      }
-      if (capable) {
-        work.push_back(Key{static_cast<int>(k), w, s});
-      }
-    }
-  }
-  if (work.empty()) {
-    return;
-  }
-
-  // The fast-path estimator makes each evaluation sub-microsecond, so the
-  // worker pool only pays for itself on big sweeps; small warm-ups run
-  // inline — spawning even one thread would dominate the whole warm-up.
-  // The inline path exploits that `work` is grouped by (kind, workload):
-  // one model fetch per group, every batch size derived locally, and a
-  // single write-lock round publishing the whole fill.
-  constexpr std::size_t kParallelWarmThreshold = 1024;
-  if (work.size() < kParallelWarmThreshold) {
-    std::vector<std::pair<Key, double>> fill;
-    fill.reserve(work.size());
-    int model_kind = -1;
-    WorkloadId model_workload = kTunedForNone;
-    arch::ServingModel model;
-    for (const Key& item : work) {
-      if (item.kind != model_kind || item.workload != model_workload) {
-        model = ServingModelFor(item.kind, item.workload);
-        model_kind = item.kind;
-        model_workload = item.workload;
-      }
-      fill.emplace_back(item,
-                        model.BatchSeconds(static_cast<int>(item.batch_size)));
-    }
-    std::unique_lock<std::shared_mutex> lock(cache_mu_);
-    latency_cache_.reserve(latency_cache_.size() + fill.size());
-    for (auto& [key, seconds] : fill) {
-      latency_cache_.emplace(key, seconds);  // No-ops on already-warm keys.
-    }
-    return;
-  }
-
-  const int threads =
-      std::min<int>(worker_threads_, static_cast<int>(work.size()));
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < work.size();
-           i = next.fetch_add(1)) {
-        BatchSeconds(kind_replica[static_cast<std::size_t>(work[i].kind)],
-                     work[i].workload, work[i].batch_size);
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
   }
 }
 
@@ -545,7 +406,6 @@ void ServerPool::RefitInPlace(int replica, const ReplicaSpec& spec,
 
   designs_[r] = spec.design;
   kind_[r] = KindFor(spec);
-  replicas_[r] = InstantiateReplica(spec, serves);
   serves_[r] = std::move(serves);
   // The in-flight batch (if any) finishes on the old deployment before the
   // refit replica comes up.
@@ -781,7 +641,16 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
 
 std::vector<DispatchRecord> ServerPool::Dispatch(
     const std::vector<Batch>& batches, ServeStats* stats) {
-  WarmLatencyCache(batches);
+  // Fill every (capable kind, workload, size) the stream needs up front,
+  // so the dispatch loop below counts pure table hits. (An empty batch is
+  // left for Dispatch to reject.)
+  for (const Batch& batch : batches) {
+    for (int k = 0; k < static_cast<int>(distinct_designs_.size()); ++k) {
+      if (batch.size() > 0 && KindServes(k, batch.workload)) {
+        Warm(k, batch.workload, batch.size());
+      }
+    }
+  }
   ResetSchedule();
 
   // Backlog accounting: arrivals that have entered the system but whose

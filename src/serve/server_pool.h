@@ -1,48 +1,40 @@
 // ServerPool — N deployed accelerator replicas serving batches.
 //
-// The pool owns one `runtime::Accelerator` per replica. Replicas may share a
-// single `AcceleratorDesign` (homogeneous pool) or carry different designs
-// from the DSE pareto set (heterogeneous pool: a few large low-latency
-// replicas plus many small high-throughput ones). A pool is *multi-tenant*:
-// it serves one or more compiled workloads (dataflow graphs), each replica
-// is deployed for a declared workload set (empty = all), and batches route
-// only to replicas able to serve their workload.
+// Each replica is an `AcceleratorDesign` plus a declared workload set.
+// Replicas may share a single design (homogeneous pool) or carry different
+// designs from the DSE pareto set (heterogeneous pool: a few large
+// low-latency replicas plus many small high-throughput ones). A pool is
+// *multi-tenant*: it serves one or more compiled workloads (dataflow
+// graphs), each replica is deployed for a declared workload set (empty =
+// all), and batches route only to replicas able to serve their workload.
 //
 // Dispatch splits into two concerns:
 //   1. Cycle-model evaluation — one estimate per distinct (design kind,
-//      workload, batch size) triple, memoized under a reader/writer lock.
-//      Evaluation goes through the timing-only fast path
-//      (`arch::EstimateServingBatchSeconds`): no scratch `Accelerator`, no
-//      tensor movement, just the closed-form cycle equations, bit-matching
-//      what a functional `RunWorkloadBatch` on a deployed replica would
-//      report (tests/fastpath_test.cpp). Cold misses are single-flight —
-//      racing warmers share one computation through a `shared_future` —
-//      and warm hits take only a `shared_lock`, so concurrent replicas
-//      never serialize on the cache.
+//      workload, batch size) triple, held in a flat [kind][workload][batch]
+//      table. Each (kind, workload) row is filled from one
+//      `arch::ServingModel`: the loop equations run once per pair and every
+//      batch size derives from the model in O(1) flops. The model is the
+//      timing-only fast path — no `Accelerator`, no tensor movement —
+//      bit-matching what a functional `RunWorkloadBatch` on a deployed
+//      replica would report (tests/fastpath_test.cpp).
 //   2. A deterministic schedule assigns each formed batch to the
 //      earliest-available *capable* replica, ties broken by the lowest
 //      replica id, and stamps per-request completion times on the virtual
 //      timeline. The engine interleaves this with batch forming so
 //      `EarliestFree(workload)` can stretch the forming wait while every
 //      capable replica is busy.
-// Splitting model evaluation from assignment keeps results independent of
-// thread scheduling: same designs + same batch stream -> same dispatch.
+// Like the engine that drives it, the pool is single-threaded: same
+// designs + same batch stream -> same dispatch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <future>
-#include <map>
-#include <memory>
-#include <set>
-#include <shared_mutex>
-#include <unordered_map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "arch/fastpath.h"
 #include "graph/dataflow_graph.h"
 #include "model/accel_model.h"
-#include "runtime/host_runtime.h"
 #include "serve/request.h"
 #include "serve/serve_stats.h"
 
@@ -118,39 +110,36 @@ struct DispatchRecord {
 class ServerPool {
  public:
   /// Single-workload pool: one replica per design in `designs` (all
-  /// referencing `dfg`, which must outlive the pool). `worker_threads` == 0
-  /// picks the hardware concurrency.
-  ServerPool(std::vector<AcceleratorDesign> designs, const DataflowGraph& dfg,
-             int worker_threads = 0);
+  /// referencing `dfg`, which must outlive the pool).
+  ServerPool(std::vector<AcceleratorDesign> designs, const DataflowGraph& dfg);
 
   /// Multi-tenant pool: `workload_dfgs[w]` is workload `w`'s compiled
   /// dataflow graph (all must outlive the pool; a WorkloadRegistry's
   /// `Dataflows()` is the usual source). Every workload must be servable by
   /// at least one replica.
   ServerPool(const std::vector<ReplicaSpec>& specs,
-             std::vector<const DataflowGraph*> workload_dfgs,
-             int worker_threads = 0);
+             std::vector<const DataflowGraph*> workload_dfgs);
 
-  int size() const { return static_cast<int>(replicas_.size()); }
+  int size() const { return static_cast<int>(designs_.size()); }
   int workloads() const { return static_cast<int>(dfgs_.size()); }
   const AcceleratorDesign& design(int replica) const;
-  runtime::Accelerator& replica(int index);
   /// Whether `replica` is deployed for `workload`.
   bool CanServe(int replica, WorkloadId workload) const;
 
   /// Batched service seconds for `batch_size` requests of `workload` on
-  /// `replica` (memoized cycle-model evaluation).
+  /// `replica`: a table hit, or on a miss one O(1) derivation from the
+  /// (kind, workload) serving model. Counts one cache hit or miss.
   double BatchSeconds(int replica, std::int64_t batch_size) {
     return BatchSeconds(replica, 0, batch_size);
   }
   double BatchSeconds(int replica, WorkloadId workload,
                       std::int64_t batch_size);
 
-  /// Pre-evaluate every (replica kind, served workload, batch size <=
-  /// max_batch) triple on the worker-thread pool, so later dispatches are
-  /// pure cache hits. The restricted overload warms only the listed
-  /// workloads (e.g. the ones with traffic in the mix — idle tenants stay
-  /// lazily memoized).
+  /// Pre-fill every (replica kind, served workload, batch size <=
+  /// max_batch) entry, so later dispatches are pure table hits. A fill
+  /// counts no hits or misses. The restricted overload warms only the
+  /// listed workloads (e.g. the ones with traffic in the mix — idle
+  /// tenants fill lazily on first use).
   void WarmBatchSizes(std::int64_t max_batch);
   void WarmBatchSizes(std::int64_t max_batch,
                       const std::vector<WorkloadId>& only);
@@ -285,85 +274,59 @@ class ServerPool {
   std::vector<DispatchRecord> Dispatch(const std::vector<Batch>& batches,
                                        ServeStats* stats);
 
-  /// Publish the latency-cache hit/miss tallies into `registry`
+  /// Publish the latency-table hit/miss tallies into `registry`
   /// (`pool.cache_hits` / `pool.cache_misses`). Null detaches. The hot
-  /// BatchSeconds path only bumps local atomics; the counters are flushed
+  /// BatchSeconds path only bumps plain tallies; the counters are flushed
   /// here and on each PublishCacheMetrics call.
   void AttachMetrics(obs::MetricsRegistry* registry);
   /// Copy the current tallies into the attached counters (no-op when
-  /// detached). The engine calls this once post-run.
+  /// detached). The engine calls this at each metrics snapshot.
   void PublishCacheMetrics();
-  std::int64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  std::int64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
+  std::int64_t cache_hits() const { return cache_hits_; }
+  std::int64_t cache_misses() const { return cache_misses_; }
 
  private:
-  /// Replicas sharing a design share cache entries; kind_[r] indexes the
-  /// distinct-design table. The workload id completes the key because the
-  /// cycle model is a function of (design, dataflow graph, batch size).
-  struct Key {
-    int kind;
-    WorkloadId workload;
-    std::int64_t batch_size;
-    bool operator<(const Key& other) const {
-      if (kind != other.kind) return kind < other.kind;
-      if (workload != other.workload) return workload < other.workload;
-      return batch_size < other.batch_size;
-    }
-    bool operator==(const Key& other) const {
-      return kind == other.kind && workload == other.workload &&
-             batch_size == other.batch_size;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      // Kinds and workloads are small dense ids; batch sizes are small.
-      // Mixing by large odd constants spreads them over the table.
-      auto h = static_cast<std::size_t>(key.batch_size);
-      h = h * 0x9e3779b97f4a7c15ull + static_cast<std::size_t>(key.kind);
-      h = h * 0x9e3779b97f4a7c15ull +
-          static_cast<std::size_t>(key.workload);
-      return h;
-    }
+  /// One (kind, workload) row of the latency table. Replicas sharing a
+  /// design share rows; the workload completes the key because the cycle
+  /// model is a function of (design, dataflow graph, batch size).
+  struct LatencyRow {
+    std::optional<arch::ServingModel> model;  // Built on first fill.
+    std::vector<double> seconds;  // [batch_size - 1]; < 0 = not filled.
   };
 
   void Init(const std::vector<ReplicaSpec>& specs);
   /// Append one replica (shared by Init and AddReplica): design/kind
-  /// bookkeeping, workload-set expansion, and the backing accelerator.
+  /// bookkeeping and workload-set expansion.
   void AppendReplica(const ReplicaSpec& spec, double ready_s);
   /// Validate `spec` (tuned_for + workload ids) and expand its workload
   /// set into the per-workload coverage vector (empty set = all). Shared
   /// by AppendReplica and RefitInPlace.
   std::vector<bool> BuildServes(const ReplicaSpec& spec) const;
-  /// The backing functional accelerator for a replica deployed per `spec`
-  /// over coverage `serves`: instantiated against the first served
-  /// workload, tuned allocation iff the provenance applies to it.
-  std::unique_ptr<runtime::Accelerator> InstantiateReplica(
-      const ReplicaSpec& spec, const std::vector<bool>& serves) const;
   /// Throws when draining `replica` (or stripping `keep` of its workload
   /// set) would leave some workload without a non-draining capable replica.
   void CheckNoOrphans(int replica, const std::vector<bool>* keep) const;
-  /// Kind index for `spec` (dedup against existing kinds, else a new one).
+  /// Kind index for `spec` (dedup against existing kinds, else a new one
+  /// with an empty row per workload).
   int KindFor(const ReplicaSpec& spec);
   /// Whether a design with provenance `tuned_for` carries a tuned
   /// allocation for `workload` (same id, or two ids aliasing the same
   /// dataflow graph instance).
   bool IsTunedFor(WorkloadId tuned_for, WorkloadId workload) const;
-  /// Batch-size-independent serving model for one (design kind, workload),
-  /// memoized single-flight: the loop equations run once per pair, and
-  /// every batch size derives from the cached model in O(1) flops.
-  arch::ServingModel ServingModelFor(int kind, WorkloadId workload);
-  /// Evaluate every (kind, workload, batch size) triple `batches` needs, in
-  /// parallel.
-  void WarmLatencyCache(const std::vector<Batch>& batches);
-  /// Evaluate the given (workload, size) pairs — sorted, duplicate-free —
-  /// for every capable kind (inline for small sweeps, worker threads for
-  /// large ones).
-  void WarmPairs(
-      const std::vector<std::pair<WorkloadId, std::int64_t>>& pairs);
+  /// Whether some replica of `kind` is deployed for `workload`.
+  bool KindServes(int kind, WorkloadId workload) const;
+  LatencyRow& Row(int kind, WorkloadId workload) {
+    return latency_[static_cast<std::size_t>(kind) * dfgs_.size() +
+                    static_cast<std::size_t>(workload)];
+  }
+  /// The stored (kind, workload, batch_size) entry, or null before it is
+  /// filled.
+  const double* Cached(int kind, WorkloadId workload,
+                       std::int64_t batch_size);
+  /// Derive and store the (kind, workload, batch_size) entry, building the
+  /// row's serving model on first use. Counts nothing.
+  double Fill(int kind, WorkloadId workload, std::int64_t batch_size);
+  /// Fill the entry unless it is already stored. Counts nothing.
+  void Warm(int kind, WorkloadId workload, std::int64_t batch_size);
 
   std::vector<const DataflowGraph*> dfgs_;           // Per workload.
   std::vector<AcceleratorDesign> designs_;           // Per replica.
@@ -371,7 +334,7 @@ class ServerPool {
   std::vector<std::vector<bool>> serves_;            // [replica][workload].
   std::vector<AcceleratorDesign> distinct_designs_;  // Per kind.
   std::vector<WorkloadId> kind_tuned_for_;           // Per kind provenance.
-  std::vector<std::unique_ptr<runtime::Accelerator>> replicas_;
+  std::vector<LatencyRow> latency_;                  // [kind][workload].
   std::vector<double> free_at_;                      // Per replica schedule.
   std::vector<bool> draining_;                       // No new batches.
   std::vector<double> added_at_;                     // Provisioning time.
@@ -396,23 +359,10 @@ class ServerPool {
   std::vector<std::vector<DerateSpan>> derates_;     // Per replica.
   bool has_derates_ = false;
   std::int64_t dispatched_batches_ = 0;
-  int worker_threads_;
 
-  /// Reader/writer caches: warm hits share the lock, so concurrent
-  /// replicas never serialize. The model cache holds the batch-size-
-  /// independent loop-equation result per (kind, workload) behind a
-  /// single-flight `shared_future` — racing warmers wait on one evaluation
-  /// instead of re-running it. The latency cache then memoizes the O(1)
-  /// per-batch-size derivation as plain doubles (re-deriving a few flops
-  /// on a race is harmless; both writers produce the identical value).
-  mutable std::shared_mutex cache_mu_;
-  std::unordered_map<Key, double, KeyHash> latency_cache_;
-  std::map<std::pair<int, WorkloadId>, std::shared_future<arch::ServingModel>>
-      model_cache_;
-
-  /// Warm-path tallies (relaxed atomics — worker threads race on them).
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
+  /// BatchSeconds tallies (warm fills count neither).
+  std::int64_t cache_hits_ = 0;
+  std::int64_t cache_misses_ = 0;
   obs::Counter* cache_hit_counter_ = nullptr;     // Set by AttachMetrics.
   obs::Counter* cache_miss_counter_ = nullptr;
   std::int64_t published_hits_ = 0;    // Tally already flushed to the

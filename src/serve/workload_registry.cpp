@@ -25,35 +25,16 @@ std::uint64_t CompileCache::ContentHash(const OperatorGraph& graph) {
 std::shared_ptr<const CompiledDesign> CompileCache::GetOrCompile(
     const OperatorGraph& graph) {
   const std::uint64_t key = ContentHash(graph);
-  {
-    // Warm hits ride the reader lock — repeat registrations of known
-    // content proceed concurrently.
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  const auto it = cache_.find(key);
+  if (it != cache_.end()) {
+    ++hits_;
+    return it->second;
   }
-  // Compile outside the lock — the frontend (DSE included) is the expensive
-  // part and must not serialize unrelated registrations. A concurrent
-  // compile of the same content is wasted work, not a correctness problem:
-  // the first insert wins below.
-  auto compiled = std::make_shared<CompiledDesign>(
+  auto compiled = std::make_shared<const CompiledDesign>(
       compiler_.Compile(OperatorGraph(graph)));
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  const auto [it, inserted] = cache_.emplace(key, std::move(compiled));
-  if (inserted) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return it->second;
-}
-
-std::int64_t CompileCache::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return static_cast<std::int64_t>(cache_.size());
+  cache_.emplace(key, compiled);
+  ++misses_;
+  return compiled;
 }
 
 WorkloadId WorkloadRegistry::Register(const std::string& name,

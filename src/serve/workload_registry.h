@@ -4,7 +4,7 @@
 // compiled once through the full NSFlow frontend (`Compiler::Compile`) and
 // addressed afterwards by a dense `WorkloadId` — the id the serving pipeline
 // stamps on requests and batches. Registration is memoized by *trace content
-// hash* via a thread-safe `CompileCache`: two names whose operator graphs
+// hash* via a `CompileCache`: two names whose operator graphs
 // serialize to the same canonical JSON trace share one compiled design, so
 // re-registering a workload (or registering an alias) never pays the DSE
 // again.
@@ -15,11 +15,9 @@
 // per-workload priorities/SLOs hang their configuration off the same ids.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -31,9 +29,9 @@
 
 namespace nsflow::serve {
 
-/// Thread-safe memoization of `Compiler::Compile`, keyed by the content
-/// hash of the workload's canonical JSON trace. Identical trace content ->
-/// one frontend run (dataflow build + two-phase DSE + codegen), shared by
+/// Memoization of `Compiler::Compile`, keyed by the content hash of the
+/// workload's canonical JSON trace. Identical trace content -> one
+/// frontend run (dataflow build + two-phase DSE + codegen), shared by
 /// every caller.
 class CompileCache {
  public:
@@ -45,24 +43,21 @@ class CompileCache {
   static std::uint64_t ContentHash(const OperatorGraph& graph);
 
   /// Return the compiled design for `graph`, compiling at most once per
-  /// distinct content hash. Safe to call concurrently; warm hits take only
-  /// a shared (reader) lock, so concurrent registrations of already-known
-  /// content never serialize.
+  /// distinct content hash.
   std::shared_ptr<const CompiledDesign> GetOrCompile(
       const OperatorGraph& graph);
 
-  std::int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::int64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
+  std::int64_t hits() const { return hits_; }
+  std::int64_t misses() const { return misses_; }
+  std::int64_t size() const {
+    return static_cast<std::int64_t>(cache_.size());
   }
-  std::int64_t size() const;
 
  private:
   Compiler compiler_;
-  mutable std::shared_mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<const CompiledDesign>> cache_;
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
 };
 
 class WorkloadRegistry {

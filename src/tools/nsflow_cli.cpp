@@ -113,8 +113,6 @@ const std::vector<CommandSpec>& Commands() {
            {"--max-batch", "N", "8", "batch former size cap"},
            {"--max-wait-ms", "F", "5", "batch former wait cap, ms"},
            {"--seed", "N", "42", "arrival-trace RNG seed"},
-           {"--threads", "N", "0",
-            "cycle-model warm-up threads (0 = hardware concurrency)"},
            {"--heterogeneous", "", "off",
             "single-workload pools: replica designs from the DSE pareto"
             " frontier"},
@@ -136,10 +134,6 @@ const std::vector<CommandSpec>& Commands() {
             "multi-node serving: none | hash | least-loaded — replicas"
             " shard across nodes=N hosts and cross-node dispatch pays the"
             " modeled interconnect (hops, hop_us, gbps; docs/CLUSTER.md)"},
-           {"--engine", "NAME", "event",
-            "pipeline driver: event (discrete-event core) | legacy"
-            " (preserved polling loop) — byte-identical output"
-            " (docs/ENGINE.md)"},
            {"--tiers", "name=tier,...", "standard",
             "with --admission: SLA tier per workload, critical | standard |"
             " batch, e.g. mlp=critical,resnet18=batch (docs/ADMISSION.md)"},
@@ -193,7 +187,6 @@ const std::vector<CommandSpec>& Commands() {
            {"--max-replicas", "N", "16", "per-workload replica search bound"},
            {"--duration", "F", "1.0", "validation-run trace length, seconds"},
            {"--seed", "N", "42", "validation-run RNG seed"},
-           {"--threads", "N", "0", "validation-run warm-up threads"},
            {"--out", "FILE", "off", "write the PoolPlan JSON here"},
            {"--validate", "", "off",
             "run the planned pool and print predicted vs measured"},
@@ -378,8 +371,6 @@ CliArgs Parse(int argc, char** argv) {
       args.max_wait_set = true;
     } else if (flag == "--seed") {
       args.serve.seed = static_cast<std::uint64_t>(std::stoull(next()));
-    } else if (flag == "--threads") {
-      args.serve.worker_threads = static_cast<int>(std::stoll(next()));
     } else if (flag == "--heterogeneous") {
       args.heterogeneous = true;
     } else if (flag == "--mix") {
@@ -396,16 +387,6 @@ CliArgs Parse(int argc, char** argv) {
     } else if (flag == "--cluster") {
       args.serve.cluster = serve::ClusterSpec::Parse(next());
       args.cluster_set = true;
-    } else if (flag == "--engine") {
-      const std::string engine = next();
-      if (engine == "event") {
-        args.serve.engine = serve::ServeEngine::kEvent;
-      } else if (engine == "legacy") {
-        args.serve.engine = serve::ServeEngine::kLegacy;
-      } else {
-        throw Error("unknown --engine '" + engine +
-                    "' (expected event or legacy)");
-      }
     } else if (flag == "--tiers") {
       args.tiers = next();
     } else if (flag == "--plan") {

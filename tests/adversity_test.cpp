@@ -351,7 +351,7 @@ TEST(AdversityTest, FailureThatWouldOrphanAWorkloadIsSkipped) {
 TEST(AdversityTest, PoolDerateMultipliesServiceInsideTheWindow) {
   WorkloadRegistry registry;
   registry.RegisterBuiltin("mlp");
-  ServerPool pool(registry.ReplicaSpecs(2, false), registry.Dataflows(), 1);
+  ServerPool pool(registry.ReplicaSpecs(2, false), registry.Dataflows());
   Batch batch;
   batch.workload = 0;
   batch.formed_s = 0.0;

@@ -137,7 +137,7 @@ TEST(AutoscalerTest, DrainSafetyAtPoolLevel) {
       registry.compiled(0).design();
   const std::vector<ReplicaSpec> specs = {
       {design, {0}, 0}, {design, {0}, 0}};
-  ServerPool pool(specs, registry.Dataflows(), 1);
+  ServerPool pool(specs, registry.Dataflows());
 
   Batch batch;
   batch.workload = 0;

@@ -5,20 +5,22 @@
 //
 //   1. The differential matrix — golden digests recorded from the
 //      pre-rewrite polling build, which every matrix row must reproduce
-//      byte-for-byte with the event engine, plus an in-process
-//      legacy-vs-event comparison that holds on any toolchain.
+//      byte-for-byte (compared where the platform fingerprint matches),
+//      plus a trace-replay slice whose digests compare on any toolchain.
 //   2. Unit/property tests for the event-core primitives: (time, class,
 //      seq) tie-break stability, randomized equal-timestamp drain order,
 //      pooled-node reuse and the generation (ABA) guard.
 //   3. The allocation contract: a reserved EventList / grown NodePool
 //      never allocates in steady state (exact zero over a million-event
-//      window), and a whole event-engine serve run performs O(1) counted
+//      window), and a whole engine serve run performs O(1) counted
 //      allocations regardless of request count.
 //
-// Regenerate the goldens (only on a toolchain whose fingerprint matches,
-// and only intentionally) with:
+// Regenerate a golden file (only intentionally, and for the matrix only
+// on a toolchain whose fingerprint matches) by running its test with
+// NSFLOW_REGEN_GOLDEN=1 set, e.g.
 //
 //   NSFLOW_REGEN_GOLDEN=1 ./build/test_event_core_test
+//       --gtest_filter='EventCoreDifferential.TraceSliceMatchesGolden'
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -41,10 +43,8 @@ using event_core::EventClass;
 using event_core::EventList;
 using event_core::NodePool;
 
-std::string GoldenPath() {
-  const std::string self = __FILE__;
-  return self.substr(0, self.find_last_of('/')) +
-         "/golden/event_core_golden.txt";
+std::string GoldenPath(const std::string& name) {
+  return diff::GoldenDir() + "/" + name;
 }
 
 struct GoldenFile {
@@ -52,10 +52,10 @@ struct GoldenFile {
   std::map<std::string, std::pair<std::string, int>> rows;  // key -> digest.
 };
 
-GoldenFile LoadGolden() {
+GoldenFile LoadGolden(const std::string& path) {
   GoldenFile golden;
-  std::ifstream in(GoldenPath());
-  EXPECT_TRUE(in.good()) << "missing golden file: " << GoldenPath();
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing golden file: " << path;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') {
@@ -76,39 +76,23 @@ GoldenFile LoadGolden() {
   return golden;
 }
 
-// ------------------------------------------------- differential matrix
+bool Regenerating() { return std::getenv("NSFLOW_REGEN_GOLDEN") != nullptr; }
 
-TEST(EventCoreDifferential, MatrixMatchesPreRewriteGolden) {
-  const diff::DiffFixture fixture;
-  const std::string fingerprint = diff::PlatformFingerprint(fixture);
-  const bool regen = std::getenv("NSFLOW_REGEN_GOLDEN") != nullptr;
-
-  if (regen) {
-    std::ofstream out(GoldenPath());
-    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
-    out << "# Serve-engine differential digests (pre-rewrite polling "
-           "build).\n"
-        << "# One row per matrix config: key digest exit_code — see\n"
-        << "# tests/serve_differential.h for the serialization.\n"
-        << "fingerprint " << fingerprint << "\n";
-    for (const diff::DiffConfig& config : diff::MatrixConfigs()) {
-      const diff::RunResult result =
-          diff::RunConfig(fixture, diff::OptionsFor(config));
-      out << config.Key() << " " << diff::HexDigest(result.digest) << " "
-          << result.exit_code << "\n";
-    }
-    return;
+// Regeneration: one "key digest exit_code" row per config.
+void WriteRows(std::ofstream& out, const diff::DiffFixture& fixture,
+               const std::vector<diff::DiffConfig>& configs) {
+  for (const diff::DiffConfig& config : configs) {
+    const diff::RunResult result =
+        diff::RunConfig(fixture, diff::OptionsFor(config));
+    out << config.Key() << " " << diff::HexDigest(result.digest) << " "
+        << result.exit_code << "\n";
   }
+}
 
-  const GoldenFile golden = LoadGolden();
-  if (golden.fingerprint != fingerprint) {
-    GTEST_SKIP() << "platform fingerprint " << fingerprint
-                 << " != golden " << golden.fingerprint
-                 << " — libm/FP differences make the recorded digests "
-                    "incomparable on this toolchain (the "
-                    "EventAndLegacyEnginesAgree leg still ran)";
-  }
-  for (const diff::DiffConfig& config : diff::MatrixConfigs()) {
+void ExpectRowsMatch(const GoldenFile& golden,
+                     const diff::DiffFixture& fixture,
+                     const std::vector<diff::DiffConfig>& configs) {
+  for (const diff::DiffConfig& config : configs) {
     const auto row = golden.rows.find(config.Key());
     ASSERT_NE(row, golden.rows.end()) << "no golden row for "
                                       << config.Key();
@@ -121,23 +105,52 @@ TEST(EventCoreDifferential, MatrixMatchesPreRewriteGolden) {
   }
 }
 
-// The toolchain-independent leg: the preserved polling driver and the
-// event driver must produce byte-identical runs on every matrix row —
-// both digests come from this build, so no fingerprint gate applies.
-TEST(EventCoreDifferential, EventAndLegacyEnginesAgree) {
+// ------------------------------------------------- differential matrix
+
+TEST(EventCoreDifferential, MatrixMatchesPreRewriteGolden) {
   const diff::DiffFixture fixture;
-  for (const diff::DiffConfig& config : diff::MatrixConfigs()) {
-    ServeOptions options = diff::OptionsFor(config);
-    options.engine = ServeEngine::kEvent;
-    const diff::RunResult event_run = diff::RunConfig(fixture, options);
-    options.engine = ServeEngine::kLegacy;
-    const diff::RunResult legacy_run = diff::RunConfig(fixture, options);
-    EXPECT_EQ(diff::HexDigest(event_run.digest),
-              diff::HexDigest(legacy_run.digest))
-        << "engine divergence at " << config.Key();
-    EXPECT_EQ(event_run.exit_code, legacy_run.exit_code)
-        << "exit-code divergence at " << config.Key();
+  const std::string fingerprint = diff::PlatformFingerprint(fixture);
+  const std::string path = GoldenPath("event_core_golden.txt");
+
+  if (Regenerating()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << "# Serve-engine differential digests (pre-rewrite polling "
+           "build).\n"
+        << "# One row per matrix config: key digest exit_code — see\n"
+        << "# tests/serve_differential.h for the serialization.\n"
+        << "fingerprint " << fingerprint << "\n";
+    WriteRows(out, fixture, diff::MatrixConfigs());
+    return;
   }
+
+  const GoldenFile golden = LoadGolden(path);
+  if (golden.fingerprint != fingerprint) {
+    GTEST_SKIP() << "platform fingerprint " << fingerprint
+                 << " != golden " << golden.fingerprint
+                 << " — libm/FP differences make the recorded digests "
+                    "incomparable on this toolchain (the portable "
+                    "TraceSliceMatchesGolden leg still runs)";
+  }
+  ExpectRowsMatch(golden, fixture, diff::MatrixConfigs());
+}
+
+// The portable leg: every arrival comes from a checked-in trace, so the
+// recorded digests compare strictly on any toolchain — no fingerprint.
+TEST(EventCoreDifferential, TraceSliceMatchesGolden) {
+  const diff::DiffFixture fixture;
+  const std::string path = GoldenPath("trace_slice_golden.txt");
+
+  if (Regenerating()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << "# Serve-engine digests of the portable trace-replay slice.\n"
+        << "# One row per slice config: key digest exit_code — see\n"
+        << "# tests/serve_differential.h for the serialization.\n";
+    WriteRows(out, fixture, diff::SliceConfigs());
+    return;
+  }
+  ExpectRowsMatch(LoadGolden(path), fixture, diff::SliceConfigs());
 }
 
 // ---------------------------------------- same-instant ordering contract
@@ -145,42 +158,36 @@ TEST(EventCoreDifferential, EventAndLegacyEnginesAgree) {
 // The latent hazard the EventClass contract fixes: with an adversity
 // fault and an autoscaler tick landing on the same virtual instant, the
 // fault must fire first (the world changes, then the control loop
-// observes it). Previously that ordering fell out of code order in the
-// polling loop; now it is an explicit priority, pinned here for BOTH
-// drivers via the stats timeline's record order.
+// observes it). The polling loop the event core replaced got that order
+// from code order; now it is an explicit priority, pinned here via the
+// stats timeline's record order.
 TEST(EventCoreDifferential, SameInstantAdversityFiresBeforeTick) {
   const diff::DiffFixture fixture;
-  for (const ServeEngine engine :
-       {ServeEngine::kEvent, ServeEngine::kLegacy}) {
-    diff::DiffConfig config;
-    config.autoscale = true;  // First control tick at interval_s = 0.25.
-    ServeOptions options = diff::OptionsFor(config);
-    options.adversity =
-        AdversitySpec::Parse("straggler:at=0.25,duration=0.5,count=1");
-    options.engine = engine;
-    const ServeReport report = RunSyntheticServe(
-        fixture.registry, fixture.replicas, fixture.mix, options);
-    const std::vector<PoolEvent>& timeline = report.summary.timeline;
-    std::ptrdiff_t fault_at = -1;
-    std::ptrdiff_t sample_at = -1;
-    for (std::size_t i = 0; i < timeline.size(); ++i) {
-      if (timeline[i].t_s != 0.25) {
-        continue;
-      }
-      if (fault_at < 0 && timeline[i].kind == PoolEventKind::kFault) {
-        fault_at = static_cast<std::ptrdiff_t>(i);
-      }
-      if (sample_at < 0 && timeline[i].kind == PoolEventKind::kSample) {
-        sample_at = static_cast<std::ptrdiff_t>(i);
-      }
+  diff::DiffConfig config;
+  config.autoscale = true;  // First control tick at interval_s = 0.25.
+  ServeOptions options = diff::OptionsFor(config);
+  options.adversity =
+      AdversitySpec::Parse("straggler:at=0.25,duration=0.5,count=1");
+  const ServeReport report = RunSyntheticServe(
+      fixture.registry, fixture.replicas, fixture.mix, options);
+  const std::vector<PoolEvent>& timeline = report.summary.timeline;
+  std::ptrdiff_t fault_at = -1;
+  std::ptrdiff_t sample_at = -1;
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    if (timeline[i].t_s != 0.25) {
+      continue;
     }
-    ASSERT_GE(fault_at, 0) << "no fault event at t=0.25";
-    ASSERT_GE(sample_at, 0) << "no tick sample at t=0.25";
-    EXPECT_LT(fault_at, sample_at)
-        << "same-instant adversity must fire before the autoscaler tick ("
-        << (engine == ServeEngine::kEvent ? "event" : "legacy")
-        << " engine)";
+    if (fault_at < 0 && timeline[i].kind == PoolEventKind::kFault) {
+      fault_at = static_cast<std::ptrdiff_t>(i);
+    }
+    if (sample_at < 0 && timeline[i].kind == PoolEventKind::kSample) {
+      sample_at = static_cast<std::ptrdiff_t>(i);
+    }
   }
+  ASSERT_GE(fault_at, 0) << "no fault event at t=0.25";
+  ASSERT_GE(sample_at, 0) << "no tick sample at t=0.25";
+  EXPECT_LT(fault_at, sample_at)
+      << "same-instant adversity must fire before the autoscaler tick";
 }
 
 // --------------------------------------------------- EventList ordering
@@ -359,7 +366,6 @@ TEST(AllocationContract, EventEngineRunAllocationsAreConstant) {
   options.duration_s = 2.0;
   options.max_batch = 8;
   options.seed = 42;
-  options.engine = ServeEngine::kEvent;
   const std::int64_t before = event_core::allocation_count();
   const ServeReport report = RunSyntheticServe(
       fixture.registry, fixture.replicas, fixture.mix, options);

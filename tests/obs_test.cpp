@@ -192,7 +192,7 @@ TEST(ObsBinaryTraceTest, RejectsBadMagicAndTruncation) {
 // ---------------------------------------------------------------- recorder
 
 TEST(ObsRecorderTest, RingModeDropsOldestAndCounts) {
-  TraceRecorder recorder(/*ring_capacity=*/4, /*shards=*/1);
+  TraceRecorder recorder(/*ring_capacity=*/4);
   for (int i = 0; i < 10; ++i) {
     RequestSpan span;
     span.request_id = i;

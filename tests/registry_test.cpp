@@ -1,11 +1,13 @@
 // Tests for the multi-tenant serving path: CompileCache content-hash
 // memoization, per-workload batch purity and FIFO order in the
-// MultiBatchFormer, workload-set-aware dispatch, and fixed-seed determinism
+// MultiBatchFormer, workload-set-aware dispatch, the pool's latency table
+// (hit/miss accounting, reconfigured replicas), and fixed-seed determinism
 // of a 3-workload mixed serve run.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "arch/fastpath.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
 #include "serve/server_pool.h"
@@ -206,13 +208,69 @@ TEST(MultiTenantPoolTest, LatencyCacheIsKeyedByWorkload) {
   // size must yield per-workload service times (mlp is far lighter than
   // nvsa).
   const WorkloadId nvsa = registry.IdOf("nvsa");
+  const WorkloadId mlp = registry.IdOf("mlp");
   std::vector<ReplicaSpec> specs = {
       ReplicaSpec{registry.ProvisionDesign(nvsa), {}, nvsa}};
   ServerPool pool(specs, registry.Dataflows());
-  const double mlp_s = pool.BatchSeconds(0, registry.IdOf("mlp"), 4);
-  const double nvsa_s = pool.BatchSeconds(0, registry.IdOf("nvsa"), 4);
+  // A warm fill counts neither hits nor misses; its entries then hit.
+  pool.WarmBatchSizes(4, {mlp});
+  EXPECT_EQ(pool.cache_hits(), 0);
+  EXPECT_EQ(pool.cache_misses(), 0);
+  const double mlp_s = pool.BatchSeconds(0, mlp, 4);
+  EXPECT_EQ(pool.cache_hits(), 1);
+  EXPECT_EQ(pool.cache_misses(), 0);
+  // The first lookup of an unwarmed entry is one miss; repeats hit.
+  const double nvsa_s = pool.BatchSeconds(0, nvsa, 4);
+  EXPECT_EQ(pool.cache_misses(), 1);
+  EXPECT_EQ(pool.BatchSeconds(0, nvsa, 4), nvsa_s);
+  EXPECT_EQ(pool.BatchSeconds(0, nvsa, 4), nvsa_s);
+  EXPECT_EQ(pool.cache_hits(), 3);
+  EXPECT_EQ(pool.cache_misses(), 1);
+  // So is a batch size past the warmed cap.
+  pool.BatchSeconds(0, mlp, 5);
+  EXPECT_EQ(pool.cache_misses(), 2);
   EXPECT_GT(mlp_s, 0.0);
   EXPECT_GT(nvsa_s, mlp_s);
+}
+
+TEST(MultiTenantPoolTest, ReconfiguredReplicasMatchTheServingModel) {
+  WorkloadRegistry& registry = SharedRegistry();
+  const WorkloadId mlp = registry.IdOf("mlp");
+  const WorkloadId nvsa = registry.IdOf("nvsa");
+  // Partitioned: replica w serves only workload w.
+  ServerPool pool(registry.ReplicaSpecs(registry.size(), /*partitioned=*/true),
+                  registry.Dataflows());
+  pool.WarmBatchSizes(4);
+  const auto model_seconds = [&](const AcceleratorDesign& design,
+                                 WorkloadId w, bool tuned, int batch) {
+    return arch::BuildServingModel(design, registry.dataflow(w), tuned)
+        .BatchSeconds(batch);
+  };
+
+  // A warm add of a kind the pool has never seen (a slower clock), tuned
+  // for nvsa and serving every workload.
+  ReplicaSpec added{registry.ProvisionDesign(nvsa), {}, nvsa};
+  added.design.clock_hz *= 0.5;
+  const int r = pool.AddReplica(added, 0.0);
+  for (WorkloadId w = 0; w < registry.size(); ++w) {
+    for (const int batch : {1, 3, 8}) {
+      EXPECT_EQ(pool.BatchSeconds(r, w, batch),
+                model_seconds(added.design, w, w == nvsa, batch));
+    }
+  }
+  // Entries filled before the new kind grew the table are intact.
+  EXPECT_EQ(pool.BatchSeconds(mlp, mlp, 4),
+            model_seconds(registry.compiled(mlp).design(), mlp, true, 4));
+
+  // Refit mlp's replica to serve nvsa on mlp's design with memory
+  // provisioned for every tenant: tuned for mlp, so the refit allocation
+  // applies.
+  const ReplicaSpec refit{registry.ProvisionDesign(mlp), {nvsa}, mlp};
+  pool.RefitInPlace(mlp, refit, 0.0);
+  for (const int batch : {1, 3, 8}) {
+    EXPECT_EQ(pool.BatchSeconds(mlp, nvsa, batch),
+              model_seconds(refit.design, nvsa, false, batch));
+  }
 }
 
 // ----------------------------------------------------------- mixed serving

@@ -14,9 +14,10 @@
 // only portable across toolchains that evaluate libm (exp/log in the
 // arrival draws) identically. `PlatformFingerprint` digests the fixture's
 // arrival streams and cycle-model latencies; when it matches the recorded
-// one, golden rows are compared strictly, otherwise the golden leg is
-// skipped (the legacy-vs-event in-process comparison still runs — that one
-// is toolchain-independent by construction).
+// one, golden rows are compared strictly, otherwise the matrix leg is
+// skipped. The trace-replay slice (`SliceConfigs`) reads its arrivals from
+// checked-in files instead, so it compares strictly everywhere and no
+// toolchain is left without an oracle.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +57,22 @@ struct DiffConfig {
   bool admission = false;
   bool autoscale = false;
   std::uint64_t seed = 42;
+  /// Non-empty: replay this checked-in arrival trace (a file name under
+  /// tests/golden/) instead of generating `scenario`.
+  std::string trace;
 
   std::string Key() const {
-    return scenario + "|" + adversity + "|" +
-           (admission ? "adm" : "noadm") + "|" +
+    return (trace.empty() ? scenario : "trace:" + trace) + "|" + adversity +
+           "|" + (admission ? "adm" : "noadm") + "|" +
            (autoscale ? "as" : "noas") + "|s" + std::to_string(seed);
   }
 };
+
+/// tests/golden/, resolved next to this header.
+inline std::string GoldenDir() {
+  const std::string self = __FILE__;
+  return self.substr(0, self.find_last_of('/')) + "/golden";
+}
 
 /// The full differential matrix: {6 scenarios} x {4 adversity patterns} x
 /// {admission on/off} x {autoscale on/off} x {3 seeds} = 288 rows, plus an
@@ -76,14 +86,47 @@ inline std::vector<DiffConfig> MatrixConfigs() {
         for (const bool autoscale : {false, true}) {
           for (const std::uint64_t seed : MatrixSeeds()) {
             configs.push_back({scenario, adversity, admission, autoscale,
-                               seed});
+                               seed, ""});
           }
         }
       }
     }
     for (const bool admission : {false, true}) {
       for (const bool autoscale : {false, true}) {
-        configs.push_back({scenario, "none", admission, autoscale, 42});
+        configs.push_back({scenario, "none", admission, autoscale, 42, ""});
+      }
+    }
+  }
+  return configs;
+}
+
+/// The portable slice: checked-in arrival traces replayed through
+/// `trace:file=`, so no libm-drawn arrival enters the run. Each file was
+/// written once by EmitArrivalTraceJson over SyntheticArrivals for the
+/// fixture mix at 400 qps for 2 s (the scenario and seed are in its
+/// name), re-dumped as compact JSON. Only adversity patterns with fixed
+/// timelines compose (flash draws extra arrivals with std::log), and
+/// autoscaling stays out (its replan runs the planner's Erlang-C).
+inline const std::vector<std::string>& SliceTraces() {
+  static const std::vector<std::string> kTraces = {
+      "arrivals_poisson_s42.json", "arrivals_bursty_s7.json",
+      "arrivals_diurnal_s1234.json"};
+  return kTraces;
+}
+
+/// {3 traces} x {none, replica-fail, straggler, churn} x {admission
+/// on/off}, autoscale off = 24 rows (tests/golden/trace_slice_golden.txt).
+inline std::vector<DiffConfig> SliceConfigs() {
+  std::vector<DiffConfig> configs;
+  for (const std::string& trace : SliceTraces()) {
+    for (const std::string adversity :
+         {"none", "replica-fail", "straggler", "churn"}) {
+      for (const bool admission : {false, true}) {
+        DiffConfig config;
+        config.adversity = adversity;
+        config.admission = admission;
+        config.trace = trace;
+        configs.push_back(config);
       }
     }
   }
@@ -115,7 +158,9 @@ inline ServeOptions OptionsFor(const DiffConfig& config) {
   options.duration_s = 2.0;
   options.max_batch = 8;
   options.seed = config.seed;
-  options.scenario = ScenarioSpec::Parse(config.scenario);
+  options.scenario = ScenarioSpec::Parse(
+      config.trace.empty() ? config.scenario
+                           : "trace:file=" + GoldenDir() + "/" + config.trace);
   options.adversity = AdversitySpec::Parse(config.adversity);
   if (config.admission) {
     options.admission = AdmissionSpec::Parse("guard");

@@ -1,9 +1,7 @@
-// Tests for NSFlow-Serve: batch forming, queue FIFO semantics, stat
-// percentiles, batched cycle accounting, and multi-replica dispatch
-// determinism under a fixed RNG seed.
+// Tests for NSFlow-Serve: batch forming, stat percentiles, batched cycle
+// accounting, and multi-replica dispatch determinism under a fixed RNG
+// seed.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "common/rng.h"
 #include "dse/dse.h"
@@ -11,7 +9,6 @@
 #include "runtime/host_runtime.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
-#include "serve/request_queue.h"
 #include "serve/serve_stats.h"
 #include "serve/server_pool.h"
 #include "workloads/builders.h"
@@ -86,36 +83,6 @@ TEST(BatchFormerTest, FlushDrainsTail) {
   // Flush clamps to the wait deadline of the oldest request.
   EXPECT_DOUBLE_EQ(tail->formed_s, 0.105);
   EXPECT_FALSE(former.Flush(2.0).has_value());
-}
-
-// ----------------------------------------------------------------- queue
-
-TEST(RequestQueueTest, FifoAcrossThreads) {
-  RequestQueue queue;
-  constexpr int kCount = 1000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount; ++i) {
-      queue.Push(At(i, 1e-3 * i));
-    }
-    queue.Close();
-  });
-  std::int64_t expected = 0;
-  while (auto request = queue.Pop()) {
-    EXPECT_EQ(request->id, expected++);
-  }
-  producer.join();
-  EXPECT_EQ(expected, kCount);
-  EXPECT_TRUE(queue.closed());
-  EXPECT_GE(queue.max_depth(), 1u);
-}
-
-TEST(RequestQueueTest, PushAfterCloseIsDropped) {
-  RequestQueue queue;
-  queue.Push(At(0, 0.0));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(At(1, 0.1)));
-  EXPECT_TRUE(queue.Pop().has_value());
-  EXPECT_FALSE(queue.Pop().has_value());  // Closed and drained.
 }
 
 // ----------------------------------------------------------------- stats
