@@ -10,18 +10,17 @@
 #include <cstdio>
 
 #include "common/table.h"
-#include "nsflow/framework.h"
 #include "serve/engine.h"
-#include "workloads/builders.h"
+#include "serve/workload_registry.h"
 
 int main() {
   using namespace nsflow;
   std::printf("=== NSFlow-Serve: throughput sweep (batch x replicas) ===\n\n");
 
-  const Compiler compiler;
-  const CompiledDesign compiled =
-      compiler.Compile(workloads::MakeNvsa());
-  const DataflowGraph& dfg = *compiled.dataflow;
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("nvsa");
+  // Every replica runs the compiled design, tuned for workload 0.
+  const serve::ReplicaSpec replica{registry.compiled(0).design(), {}, 0};
 
   serve::ServeOptions base;
   base.duration_s = 1.0;
@@ -29,8 +28,8 @@ int main() {
   base.seed = 7;
 
   // Unbatched single-replica capacity anchors the speedup column.
-  serve::ServerPool probe({compiled.design()}, dfg);
-  const double single_s = probe.BatchSeconds(0, 1);
+  serve::ServerPool probe({replica}, registry.Dataflows());
+  const double single_s = probe.BatchSeconds(0, 0, 1);
   const double single_rps = 1.0 / single_s;
   std::printf("Single-request latency: %.3f ms (%.1f rps unbatched)\n\n",
               single_s * 1e3, single_rps);
@@ -46,10 +45,11 @@ int main() {
       // Saturate: offer ~4x the optimistic fully-batched capacity.
       options.qps = 4.0 * single_rps * replicas * static_cast<double>(max_batch);
 
-      const std::vector<AcceleratorDesign> designs(
-          static_cast<std::size_t>(replicas), compiled.design());
-      const serve::ServeReport report =
-          serve::RunSyntheticServe(dfg, designs, options);
+      const serve::ServeReport report = serve::RunSyntheticServe(
+          registry,
+          std::vector<serve::ReplicaSpec>(static_cast<std::size_t>(replicas),
+                                          replica),
+          {{"nvsa", 1.0}}, options);
 
       double util = 0.0;
       for (const double u : report.summary.replica_utilization) {

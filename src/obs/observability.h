@@ -5,8 +5,9 @@
 // constructs one `Observability` per traced run: the TraceRecorder takes
 // the lifecycle events, the MetricsRegistry takes the aggregate
 // instruments the components publish into (ServeStats latencies,
-// BatchFormer close reasons, ServerPool cache hits, Autoscaler decisions),
-// and `meta` collects what the Chrome exporter needs for track naming.
+// MultiBatchFormer close reasons, ServerPool cache hits, Autoscaler
+// decisions), and `meta` collects what the Chrome exporter needs for track
+// naming.
 // `ServeReport::obs` hands the bundle back to the caller, who exports with
 // ChromeTraceJson / BinaryTrace / MetricsJson.
 //

@@ -28,7 +28,7 @@
 
 namespace nsflow::obs {
 
-/// Reasons a formed batch closed (mirrors the BatchFormer policy).
+/// Reasons a formed batch closed (mirrors the MultiBatchFormer policy).
 enum class BatchClose : std::int32_t {
   kNone = 0,      // Not recorded (single-shot dispatch paths).
   kSizeCap = 1,   // Reached the lane's max_batch.

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <utility>
 
 #include "common/error.h"
+#include "common/number.h"
 #include "obs/metrics.h"
 
 namespace nsflow::serve {
@@ -132,12 +132,8 @@ AdmissionSpec AdmissionSpec::Parse(const std::string& text) {
                   "' has no parameter '" + key + "'" +
                   (keys.empty() ? "" : " (known: " + keys + ")"));
     }
-    try {
-      spec.params[key] = std::stod(value);
-    } catch (const std::exception&) {
-      throw Error("bad numeric value for admission parameter '" + key +
-                  "': '" + value + "'");
-    }
+    spec.params[key] =
+        ParseFiniteNumber(value, "admission parameter '" + key + "'");
     start = end + 1;
   }
 
@@ -181,20 +177,7 @@ std::string AdmissionSpec::ToString() const {
   for (const auto& [key, value] : params) {
     out += sep;
     sep = ',';
-    // Shortest form that parses back to the same double (same canonical
-    // printing as ScenarioSpec/AdversitySpec — report JSON records it).
-    char buf[64];
-    if (value == std::floor(value) && std::fabs(value) < 1e15) {
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-    } else {
-      for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-        if (std::strtod(buf, nullptr) == value) {
-          break;
-        }
-      }
-    }
-    out += key + "=" + buf;
+    out += key + "=" + ShortestNumber(value);
   }
   return out;
 }

@@ -9,61 +9,6 @@
 
 namespace nsflow::serve {
 
-BatchFormer::BatchFormer(BatchPolicy policy) : policy_(policy) {
-  NSF_CHECK_MSG(policy_.max_batch >= 1, "max_batch must be positive");
-  NSF_CHECK_MSG(policy_.max_wait_s >= 0.0, "max_wait_s must be non-negative");
-}
-
-Batch BatchFormer::CloseAt(double formed_s, BatchCloseReason reason) {
-  Batch batch;
-  batch.requests = std::move(pending_);
-  batch.formed_s = formed_s;
-  batch.close_reason = reason;
-  pending_.clear();
-  return batch;
-}
-
-std::optional<Batch> BatchFormer::Add(const Request& request,
-                                      double busy_until) {
-  std::optional<Batch> closed;
-  // The pending batch's wait clock may have expired before this arrival:
-  // close it at its effective deadline — stretched to `busy_until` while no
-  // server could take it anyway — so its requests are not delayed by a lull
-  // in the arrival process.
-  const double effective_deadline = std::max(Deadline(), busy_until);
-  if (!pending_.empty() && request.arrival_s >= effective_deadline) {
-    closed = CloseAt(effective_deadline, BatchCloseReason::kDeadline);
-  }
-  pending_.push_back(request);
-  if (static_cast<std::int64_t>(pending_.size()) >= policy_.max_batch) {
-    NSF_CHECK_MSG(!closed.has_value(),
-                  "a single arrival cannot close two batches");
-    return CloseAt(request.arrival_s, BatchCloseReason::kSizeCap);
-  }
-  return closed;
-}
-
-std::optional<Batch> BatchFormer::Flush(double now) {
-  if (pending_.empty()) {
-    return std::nullopt;
-  }
-  // Close no later than the wait deadline and no earlier than the newest
-  // pending arrival (a batch cannot form before its requests exist).
-  const double formed =
-      std::max(pending_.back().arrival_s, std::min(now, Deadline()));
-  return CloseAt(formed, BatchCloseReason::kFlush);
-}
-
-double BatchFormer::Deadline() const {
-  if (pending_.empty()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return pending_.front().arrival_s + policy_.max_wait_s;
-}
-
-// ---------------------------------------------------------------------------
-// MultiBatchFormer
-
 MultiBatchFormer::MultiBatchFormer(BatchPolicy policy, int workloads)
     : MultiBatchFormer(std::vector<BatchPolicy>(
           static_cast<std::size_t>(std::max(workloads, 1)), policy)) {
@@ -129,23 +74,24 @@ std::vector<WorkloadId> MultiBatchFormer::ExpiredLanes(
       expired.push_back(w);
     }
   }
+  SortByCloseOrder(&expired);
+  return expired;
+}
+
+void MultiBatchFormer::SortByCloseOrder(std::vector<WorkloadId>* lanes) const {
   // Lane priority first (critical preempts batch under admission tiers),
   // then oldest head-of-line; workload id breaks exact ties. With all
   // priorities at the default 0 this is the legacy fairness order.
-  std::sort(expired.begin(), expired.end(),
-            [this](WorkloadId a, WorkloadId b) {
-              const int pa = lane_priority_[static_cast<std::size_t>(a)];
-              const int pb = lane_priority_[static_cast<std::size_t>(b)];
-              if (pa != pb) {
-                return pa < pb;
-              }
-              const double ha = lanes_[static_cast<std::size_t>(a)].front()
-                                    .arrival_s;
-              const double hb = lanes_[static_cast<std::size_t>(b)].front()
-                                    .arrival_s;
-              return ha != hb ? ha < hb : a < b;
-            });
-  return expired;
+  std::sort(lanes->begin(), lanes->end(), [this](WorkloadId a, WorkloadId b) {
+    const int pa = lane_priority_[static_cast<std::size_t>(a)];
+    const int pb = lane_priority_[static_cast<std::size_t>(b)];
+    if (pa != pb) {
+      return pa < pb;
+    }
+    const double ha = lanes_[static_cast<std::size_t>(a)].front().arrival_s;
+    const double hb = lanes_[static_cast<std::size_t>(b)].front().arrival_s;
+    return ha != hb ? ha < hb : a < b;
+  });
 }
 
 std::vector<Batch> MultiBatchFormer::Add(
@@ -181,20 +127,11 @@ std::vector<Batch> MultiBatchFormer::Flush(double now) {
       order.push_back(w);
     }
   }
-  std::sort(order.begin(), order.end(), [this](WorkloadId a, WorkloadId b) {
-    const int pa = lane_priority_[static_cast<std::size_t>(a)];
-    const int pb = lane_priority_[static_cast<std::size_t>(b)];
-    if (pa != pb) {
-      return pa < pb;
-    }
-    const double ha = lanes_[static_cast<std::size_t>(a)].front().arrival_s;
-    const double hb = lanes_[static_cast<std::size_t>(b)].front().arrival_s;
-    return ha != hb ? ha < hb : a < b;
-  });
+  SortByCloseOrder(&order);
   std::vector<Batch> closed;
   for (const WorkloadId w : order) {
-    // Same clamp as BatchFormer::Flush: no later than the lane's deadline,
-    // no earlier than its newest pending arrival.
+    // No later than the lane's deadline, no earlier than its newest
+    // pending arrival.
     const double formed =
         std::max(lanes_[static_cast<std::size_t>(w)].back().arrival_s,
                  std::min(now, Deadline(w)));

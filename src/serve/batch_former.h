@@ -1,14 +1,15 @@
-// Batch forming policy: coalesce the FIFO request stream into batches under
-// a max-batch-size / max-wait contract.
+// Batch forming policy: coalesce the request stream into batches under a
+// max-batch-size / max-wait contract, one lane per workload.
 //
-// A batch closes when either
+// A lane's batch closes when either
 //   * it reaches `max_batch` requests (closed at the last arrival), or
-//   * the *oldest* request in it has waited `max_wait_s` AND a server is
-//     free (closed at that moment — the next arrival proves virtual time
-//     passed it). While every replica is busy (`busy_until` at Add time),
-//     waiting longer costs nothing, so the pending batch keeps absorbing
-//     backlog up to max_batch — this is what makes batching engage at
-//     saturation, where the amortization matters most.
+//   * the *oldest* request in it has waited `max_wait_s` AND a server able
+//     to serve the lane is free (closed at that moment — the next arrival,
+//     to any workload, proves virtual time passed it). While every such
+//     replica is busy (the lane's `busy_until` at Add time), waiting longer
+//     costs nothing, so the pending batch keeps absorbing backlog up to
+//     max_batch — this is what makes batching engage at saturation, where
+//     the amortization matters most.
 //
 // The former is a pure, single-threaded policy object operating on
 // arrival-stamped requests in arrival order; all latency/wait bookkeeping is
@@ -16,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "serve/request.h"
@@ -33,40 +33,11 @@ struct BatchPolicy {
   double max_wait_s = 5e-3;
 };
 
-class BatchFormer {
- public:
-  explicit BatchFormer(BatchPolicy policy);
-
-  /// Feed the next request (arrival order). Returns a closed batch when the
-  /// policy fires; the new request is never part of a batch closed by its
-  /// own arrival's deadline check (it arrived after the deadline).
-  /// `busy_until` is the earliest time any server frees up (0 when one is
-  /// already idle): the wait deadline stretches to it, growing batches from
-  /// backlog while dispatch would stall anyway.
-  std::optional<Batch> Add(const Request& request, double busy_until = 0.0);
-
-  /// Close the pending batch at `now` (stream drained / engine shutdown).
-  std::optional<Batch> Flush(double now);
-
-  /// Virtual deadline of the pending batch (+inf when nothing pends).
-  double Deadline() const;
-
-  std::int64_t pending() const {
-    return static_cast<std::int64_t>(pending_.size());
-  }
-  const BatchPolicy& policy() const { return policy_; }
-
- private:
-  Batch CloseAt(double formed_s, BatchCloseReason reason);
-
-  BatchPolicy policy_;
-  std::vector<Request> pending_;
-};
-
-/// Multi-tenant generalization of the BatchFormer: one pending lane per
-/// workload, identical close policy per lane, and a global notion of virtual
-/// time — *any* arrival can prove that another workload's pending batch
-/// passed its deadline and close it. Batches never mix workloads.
+/// One pending lane per workload, each closing under its own BatchPolicy,
+/// and a global notion of virtual time — *any* arrival can prove that
+/// another workload's pending batch passed its deadline and close it.
+/// Batches never mix workloads; within a batch, requests keep arrival
+/// (FIFO) order.
 ///
 /// Fairness: when several lanes are past their deadlines at the same
 /// arrival, they close oldest head-of-line first (the lane whose oldest
@@ -86,13 +57,18 @@ class MultiBatchFormer {
 
   /// Feed the next request (global arrival order). `busy_until[w]` is the
   /// earliest virtual time a replica able to serve workload `w` frees up
-  /// (0 when one is already idle); like the single-workload former, a
-  /// lane's wait deadline stretches to its busy horizon. Returns every
-  /// batch this arrival closed, in fairness order.
+  /// (0 when one is already idle): the lane's wait deadline stretches to
+  /// it, growing batches from backlog while dispatch would stall anyway.
+  /// Returns every batch this arrival closed, in fairness order; the new
+  /// request is never part of a batch closed by its own arrival's deadline
+  /// check (it arrived after the deadline).
   std::vector<Batch> Add(const Request& request,
                          const std::vector<double>& busy_until);
 
   /// Close all pending lanes at `now` (stream drained), fairness order.
+  /// Each closes no later than its wait deadline and no earlier than its
+  /// newest pending arrival (a batch cannot form before its requests
+  /// exist).
   std::vector<Batch> Flush(double now);
 
   /// Virtual deadline of workload `w`'s pending batch (+inf when empty).
@@ -114,7 +90,7 @@ class MultiBatchFormer {
   std::int64_t pending(WorkloadId w) const;
   std::int64_t total_pending() const;
   int workloads() const { return static_cast<int>(lanes_.size()); }
-  const BatchPolicy& policy(WorkloadId w = 0) const {
+  const BatchPolicy& policy(WorkloadId w) const {
     return policies_[static_cast<std::size_t>(w)];
   }
 
@@ -136,6 +112,9 @@ class MultiBatchFormer {
   std::vector<WorkloadId> ExpiredLanes(double now,
                                        const std::vector<double>& busy_until)
       const;
+  /// Sort non-empty `lanes` into close order: lane priority, then oldest
+  /// head-of-line, then workload id.
+  void SortByCloseOrder(std::vector<WorkloadId>* lanes) const;
 
   std::vector<BatchPolicy> policies_;        // One per lane.
   std::vector<std::vector<Request>> lanes_;  // Pending, one lane/workload.

@@ -11,15 +11,12 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/number.h"
 #include "serve/autoscaler.h"
 #include "serve/batch_former.h"
 #include "serve/event_core.h"
 
 namespace nsflow::serve {
-
-std::vector<Request> SyntheticArrivals(const ServeOptions& options) {
-  return SyntheticArrivals(options, {1.0});
-}
 
 double EffectiveOfferedRps(const ServeOptions& options,
                            std::int64_t generated_requests) {
@@ -42,8 +39,8 @@ std::vector<Request> SyntheticArrivals(
   NSF_CHECK_MSG(options.duration_s > 0.0, "duration must be positive");
   std::vector<Request> arrivals;
   if (options.scenario.kind == ScenarioKind::kTrace) {
-    // Replay: workload labels resolve through the registry's names; a
-    // single-workload caller passes {} and the labels are ignored.
+    // Replay: workload labels resolve through `workload_names`; with {}
+    // the labels are ignored.
     std::ifstream in(options.scenario.trace_path, std::ios::binary);
     if (!in) {
       throw Error("cannot open arrival trace: " + options.scenario.trace_path);
@@ -85,11 +82,8 @@ std::vector<WorkloadShare> ParseMix(const std::string& spec) {
     }
     WorkloadShare share;
     share.workload = entry.substr(0, eq);
-    try {
-      share.share = std::stod(entry.substr(eq + 1));
-    } catch (const std::exception&) {
-      throw Error("bad mix share in '" + entry + "'");
-    }
+    share.share = ParseFiniteNumber(entry.substr(eq + 1),
+                                    "mix share '" + share.workload + "'");
     if (share.share <= 0.0) {
       throw Error("mix share for '" + share.workload + "' must be positive");
     }
@@ -505,9 +499,8 @@ struct PipelineContext {
       }
       cluster->RecordDispatch(route);
     }
-    const double start = std::max(
-        batch.formed_s, node >= 0 ? pool.EarliestFree(batch.workload, node)
-                                  : pool.EarliestFree(batch.workload));
+    const double start =
+        std::max(batch.formed_s, pool.EarliestFree(batch.workload, node));
     if (admission != nullptr) {
       // Deadline-expiry sweep: a member whose start deadline already
       // passed is dropped here, before the dispatch — the
@@ -1037,9 +1030,6 @@ struct PipelineContext {
         }
       }
     }
-    report.single_request_s = report.single_request_by_workload.empty()
-                                  ? 0.0
-                                  : report.single_request_by_workload.front();
     report.dispatches = std::move(dispatches);
     report.deltas = std::move(deltas);
     if (admission != nullptr) {
@@ -1075,62 +1065,7 @@ struct PipelineContext {
   }
 };
 
-/// Shared forming + dispatch pipeline: stream `arrivals` into the
-/// multi-workload former, sending every closed batch to the earliest
-/// capable replica. Works unchanged for the single-workload path (one
-/// lane, every replica capable). With `autoscaler` non-null, its control
-/// decisions interleave with the arrival stream on the virtual timeline:
-/// every tick at or before the next arrival fires first, so a fixed seed
-/// pins the whole (arrival, decision) sequence.
-ServeReport RunPipeline(ServerPool& pool, ServeStats& stats,
-                        const std::vector<Request>& arrivals,
-                        const ServeOptions& options,
-                        Autoscaler* autoscaler = nullptr,
-                        AdmissionController* admission = nullptr,
-                        ClusterPool* cluster = nullptr,
-                        std::shared_ptr<obs::Observability> obs = nullptr) {
-  PipelineContext context(pool, stats, arrivals, options, autoscaler,
-                          admission, cluster, std::move(obs));
-  return context.Run();
-}
-
 }  // namespace
-
-ServeReport RunSyntheticServe(const DataflowGraph& dfg,
-                              const std::vector<AcceleratorDesign>& designs,
-                              const ServeOptions& options) {
-  NSF_CHECK_MSG(!options.autoscale,
-                "autoscaling requires the multi-tenant engine — serve a "
-                "mix or a plan (docs/AUTOSCALING.md)");
-  NSF_CHECK_MSG(!options.cluster.enabled(),
-                "clustering requires the multi-tenant engine — serve a "
-                "mix or a plan (docs/CLUSTER.md)");
-  std::vector<Request> arrivals = SyntheticArrivals(options);
-  ServerPool pool(designs, dfg);
-  ServeStats stats(pool.size());
-  std::optional<AdmissionController> admission;
-  if (options.admission.enabled()) {
-    NSF_CHECK_MSG(options.tiers.empty() || options.tiers.size() == 1,
-                  "tiers must have one entry per workload");
-    AdmissionController::TenantConfig tenant;
-    tenant.name = "workload 0";
-    tenant.tier =
-        options.tiers.empty() ? SlaTier::kStandard : options.tiers[0];
-    tenant.offered_rps = EffectiveOfferedRps(
-        options, static_cast<std::int64_t>(arrivals.size()));
-    stats.SetWorkloadTier(0, tenant.tier);
-    admission.emplace(options.admission,
-                      std::vector<AdmissionController::TenantConfig>{tenant});
-  }
-  std::shared_ptr<obs::Observability> obs;
-  if (options.trace.enabled) {
-    obs = std::make_shared<obs::Observability>(options.trace);
-    obs->meta.workload_names = {"workload 0"};
-  }
-  return RunPipeline(pool, stats, arrivals, options, nullptr,
-                     admission.has_value() ? &*admission : nullptr, nullptr,
-                     std::move(obs));
-}
 
 ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
                               const std::vector<ReplicaSpec>& replicas,
@@ -1150,8 +1085,11 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
     shares[static_cast<std::size_t>(id)] = entry.share;
   }
 
-  std::vector<Request> arrivals =
-      SyntheticArrivals(options, shares, registry.Names());
+  // A run serving one workload ignores arrival-trace labels (everything
+  // maps to workload 0, docs/SCENARIOS.md); several resolve them by name.
+  const std::vector<Request> arrivals = SyntheticArrivals(
+      options, shares,
+      registry.size() > 1 ? registry.Names() : std::vector<std::string>{});
   ServerPool pool(replicas, registry.Dataflows());
   ServeStats stats(pool.size(), registry.size());
   for (WorkloadId w = 0; w < registry.size(); ++w) {
@@ -1206,6 +1144,7 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
     obs = std::make_shared<obs::Observability>(options.trace);
     obs->meta.workload_names = registry.Names();
   }
+  std::optional<Autoscaler> autoscaler;
   if (options.autoscale) {
     for (const ReplicaSpec& spec : replicas) {
       NSF_CHECK_MSG(spec.workloads.size() == 1,
@@ -1213,15 +1152,15 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
                     "dedicated to exactly one workload) — `nsflow plan` "
                     "emits one, or pass --partition with --mix");
     }
-    Autoscaler autoscaler(registry, mix, pool, options);
+    autoscaler.emplace(registry, mix, pool, options);
     if (cluster_ptr != nullptr) {
-      autoscaler.SetCluster(cluster_ptr);
+      autoscaler->SetCluster(cluster_ptr);
     }
-    return RunPipeline(pool, stats, arrivals, options, &autoscaler,
-                       admission_ptr, cluster_ptr, std::move(obs));
   }
-  return RunPipeline(pool, stats, arrivals, options, nullptr, admission_ptr,
-                     cluster_ptr, std::move(obs));
+  PipelineContext context(pool, stats, arrivals, options,
+                          autoscaler.has_value() ? &*autoscaler : nullptr,
+                          admission_ptr, cluster_ptr, std::move(obs));
+  return context.Run();
 }
 
 }  // namespace nsflow::serve

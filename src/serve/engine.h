@@ -4,9 +4,8 @@
 //   mix sampling)
 //     └─> discrete-event core (serve/event_core.h: one min-heap orders
 //         arrivals, faults, autoscaler ticks, retries, and the drain)
-//           └─> BatchFormer / MultiBatchFormer (max-batch / max-wait
-//               coalescing, one lane per workload — batches never mix
-//               workloads)
+//           └─> MultiBatchFormer (max-batch / max-wait coalescing, one
+//               lane per workload — batches never mix workloads)
 //                 └─> ServerPool (N accelerator replicas, per-replica
 //                     workload sets, flat latency table)
 //                       └─> ServeStats (p50/p95/p99, throughput, util,
@@ -15,11 +14,12 @@
 // The engine turns the paper's one-shot `RunWorkload` accelerator into a
 // throughput-oriented service: an open-loop synthetic trace with exponential
 // inter-arrival times drives the pipeline for `duration_s` virtual seconds,
-// and the report captures tail latency and saturation behavior. A
-// multi-tenant run draws each arrival's workload from the requested QPS mix
-// with the same RNG stream as the inter-arrival times, so with a fixed seed
-// the whole run — single- or multi-workload — is bit-reproducible (see
-// request.h on virtual time). One thread drives the whole timeline.
+// and the report captures tail latency and saturation behavior. Every run
+// serves a `WorkloadRegistry`: each arrival draws its workload from the
+// requested QPS mix with the same RNG stream as the inter-arrival times, so
+// with a fixed seed the whole run is bit-reproducible (see request.h on
+// virtual time). A single-workload run is a one-entry registry and mix.
+// One thread drives the whole timeline.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,6 @@
 #include <vector>
 
 #include "dse/dse.h"
-#include "graph/dataflow_graph.h"
-#include "model/accel_model.h"
 #include "obs/observability.h"
 #include "serve/admission.h"
 #include "serve/adversity.h"
@@ -78,8 +76,8 @@ struct AutoscaleOptions {
 struct ServeOptions {
   double qps = 100.0;          // Open-loop offered load (Poisson arrivals).
   double duration_s = 1.0;     // Virtual length of the arrival trace.
-  std::int64_t max_batch = 8;  // BatchFormer size cap.
-  double max_wait_s = 5e-3;    // BatchFormer wait cap.
+  std::int64_t max_batch = 8;  // Forming-lane size cap.
+  double max_wait_s = 5e-3;    // Forming-lane wait cap.
   std::uint64_t seed = 42;     // Arrival-process RNG seed.
   /// Arrival pattern (scenario.h). The default stationary Poisson
   /// reproduces the pre-scenario arrival stream bit-for-bit.
@@ -90,8 +88,8 @@ struct ServeOptions {
   /// unbatched (cap 1 — batches close at their own arrival, no forming
   /// wait) next to a throughput tenant that keeps coalescing.
   std::vector<std::int64_t> per_workload_max_batch;
-  /// Elastic autoscaling (docs/AUTOSCALING.md): the multi-tenant engine
-  /// runs an online control loop that samples windowed arrival rates,
+  /// Elastic autoscaling (docs/AUTOSCALING.md): the engine runs an
+  /// online control loop that samples windowed arrival rates,
   /// replans against a cached DSE frontier, and applies PoolDeltas (warm
   /// add / drain-retire / refit / batch-cap change) mid-run. Requires a
   /// partitioned pool — every replica dedicated to exactly one workload.
@@ -116,7 +114,7 @@ struct ServeOptions {
   /// mlp=critical,resnet18=batch` into this.
   std::vector<SlaTier> tiers;
   /// Multi-node cluster serving (docs/CLUSTER.md): with an enabled spec the
-  /// multi-tenant engine shards the pool's replicas over N nodes, routes
+  /// engine shards the pool's replicas over N nodes, routes
   /// every formed batch through the cluster router, and prices cross-node
   /// dispatch with the modeled interconnect. The default `none` spec builds
   /// no cluster and leaves every run byte-identical to a build without the
@@ -151,11 +149,9 @@ struct ServeReport {
   StatsSummary summary;
   std::vector<DispatchRecord> dispatches;
   std::int64_t generated_requests = 0;
-  /// Single-request latency of workload 0 on a capable replica — the
-  /// no-batching baseline the throughput numbers are judged against.
-  double single_request_s = 0.0;
-  /// Same baseline per registered workload (one entry in single-workload
-  /// runs).
+  /// Single-request latency of each registered workload on its first
+  /// capable replica — the no-batching baseline the throughput numbers are
+  /// judged against.
   std::vector<double> single_request_by_workload;
   /// Autoscaler actions in decision order (empty when autoscaling is off).
   std::vector<PoolDelta> deltas;
@@ -183,14 +179,12 @@ struct ServeReport {
 /// `options.adversity`'s arrival-side patterns (churn masking, flash-crowd
 /// superimposition) are applied before returning: there is exactly one
 /// arrival path, so flash extras can never bypass per-tenant admission
-/// accounting. Exposed for
-/// tests and for replaying the same trace against different pools. The
-/// multi-workload overload additionally samples each arrival's workload id
-/// from `shares` (normalized weights indexed by workload id) with the same
-/// RNG stream; `workload_names` (indexed by id) resolves the labels of a
-/// replayed `trace:file=...` scenario — pass {} when not serving named
-/// workloads (labels are then ignored, everything maps to workload 0).
-std::vector<Request> SyntheticArrivals(const ServeOptions& options);
+/// accounting. Exposed for tests and for replaying the same trace against
+/// different pools. Each arrival's workload id is sampled from `shares`
+/// (normalized weights indexed by workload id) with the same RNG stream;
+/// `workload_names` (indexed by id) resolves the labels of a replayed
+/// `trace:file=...` scenario — pass {} to ignore the labels (everything
+/// then maps to workload 0), as a run serving one workload does.
 std::vector<Request> SyntheticArrivals(const ServeOptions& options,
                                        const std::vector<double>& shares,
                                        const std::vector<std::string>&
@@ -203,16 +197,12 @@ std::vector<Request> SyntheticArrivals(const ServeOptions& options,
 double EffectiveOfferedRps(const ServeOptions& options,
                            std::int64_t generated_requests);
 
-/// Run the full pipeline: synthetic arrivals through former and pool. `designs` defines the pool (one replica per entry; `dfg` must
-/// outlive the call).
-ServeReport RunSyntheticServe(const DataflowGraph& dfg,
-                              const std::vector<AcceleratorDesign>& designs,
-                              const ServeOptions& options);
-
-/// Multi-tenant pipeline: every arrival draws its workload from `mix`
+/// Run the full pipeline: every arrival draws its workload from `mix`
 /// (names resolved through `registry`, which must outlive the call), the
 /// former keeps one lane per workload, and each batch routes to an
-/// earliest-available replica deployed for its workload.
+/// earliest-available replica deployed for its workload. A single-workload
+/// run registers its one graph and passes one `ReplicaSpec{design, {}, 0}`
+/// per replica.
 ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
                               const std::vector<ReplicaSpec>& replicas,
                               const std::vector<WorkloadShare>& mix,

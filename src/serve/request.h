@@ -1,5 +1,5 @@
 // Serving request/batch value types — the unit of work NSFlow-Serve moves
-// through its pipeline (arrival stream -> BatchFormer -> ServerPool).
+// through its pipeline (arrival stream -> MultiBatchFormer -> ServerPool).
 //
 // Timestamps are *virtual* seconds on the serving timeline: arrivals are
 // stamped by the open-loop generator, batch close times by the forming
@@ -15,8 +15,7 @@
 
 namespace nsflow::serve {
 
-/// Dense index of a workload registered with a `WorkloadRegistry` (or 0 in
-/// a single-workload pipeline).
+/// Dense index of a workload registered with a `WorkloadRegistry`.
 using WorkloadId = int;
 
 /// SLA tier a request (and its tenant) belongs to. Ordered by protection:
@@ -48,7 +47,7 @@ struct Request {
   std::int32_t attempt = 0;   // 0 = first offer; bumped per admission retry.
 };
 
-/// Why the BatchFormer closed a batch — recorded on the batch so the
+/// Why the MultiBatchFormer closed a batch — recorded on the batch so the
 /// observability layer can attribute forming latency to the policy edge
 /// that fired (docs/OBSERVABILITY.md).
 enum class BatchCloseReason {
@@ -58,9 +57,9 @@ enum class BatchCloseReason {
   kFlush = 3,     // Stream drained; the engine flushed the lane.
 };
 
-/// A group of requests coalesced by the BatchFormer and dispatched to one
-/// accelerator replica as a single RunWorkloadBatch launch. Batches never
-/// mix workloads: one batch = one workload = one kernel launch.
+/// A group of requests coalesced by the MultiBatchFormer and dispatched to
+/// one accelerator replica as a single RunWorkloadBatch launch. Batches
+/// never mix workloads: one batch = one workload = one kernel launch.
 struct Batch {
   std::vector<Request> requests;
   double formed_s = 0.0;      // Virtual time the batch closed.

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <tuple>
 #include <utility>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/number.h"
 #include "common/rng.h"
 
 namespace nsflow::serve {
@@ -305,12 +304,8 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
                     "' has no parameter '" + key + "'" +
                     (keys.empty() ? "" : " (known: " + keys + ")"));
       }
-      try {
-        spec.params[key] = std::stod(value);
-      } catch (const std::exception&) {
-        throw Error("bad numeric value for scenario parameter '" + key +
-                    "': '" + value + "'");
-      }
+      spec.params[key] =
+          ParseFiniteNumber(value, "scenario parameter '" + key + "'");
     }
     start = end + 1;
   }
@@ -383,22 +378,9 @@ std::string ScenarioSpec::ToString() const {
   for (const auto& [key, value] : params) {
     out += sep;
     sep = ',';
-    // Shortest form that parses back to the same double — the canonical
-    // string must round-trip bit-exactly (plan JSON records it). Moderate
-    // integers print as integers ("100", not "1e+02").
-    char buf[64];
-    if (value == std::floor(value) && std::fabs(value) < 1e15) {
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(value));
-    } else {
-      for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-        if (std::strtod(buf, nullptr) == value) {
-          break;
-        }
-      }
-    }
-    out += key + "=" + buf;
+    // The canonical string must round-trip bit-exactly (plan JSON
+    // records it).
+    out += key + "=" + ShortestNumber(value);
   }
   return out;
 }

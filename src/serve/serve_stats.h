@@ -139,15 +139,11 @@ class ServeStats {
   /// allocation hint — recording behavior and output are unchanged.
   void Reserve(std::int64_t expected_requests);
 
-  /// One request finished: latency = complete - arrival (virtual seconds).
-  void RecordRequest(double arrival_s, double complete_s) {
-    RecordRequest(0, arrival_s, complete_s);
-  }
+  /// One request of `workload` finished: latency = complete - arrival
+  /// (virtual seconds).
   void RecordRequest(WorkloadId workload, double arrival_s, double complete_s);
-  /// One batch dispatched with `size` requests and the backlog it saw.
-  void RecordBatch(std::int64_t size, std::int64_t queue_depth) {
-    RecordBatch(0, size, queue_depth);
-  }
+  /// One batch of `workload` dispatched with `size` requests and the
+  /// backlog it saw.
   void RecordBatch(WorkloadId workload, std::int64_t size,
                    std::int64_t queue_depth);
   /// Replica `index` was busy for `busy_s` more virtual seconds.

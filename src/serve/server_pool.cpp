@@ -55,20 +55,6 @@ AcceleratorDesign RefitDesign(AcceleratorDesign design,
   return design;
 }
 
-ServerPool::ServerPool(std::vector<AcceleratorDesign> designs,
-                       const DataflowGraph& dfg)
-    : dfgs_({&dfg}) {
-  std::vector<ReplicaSpec> specs;
-  specs.reserve(designs.size());
-  for (auto& design : designs) {
-    // The single-workload constructor's designs are, by contract, produced
-    // for `dfg` (the compiled design or its pareto frontier): keep their
-    // tuned allocations.
-    specs.push_back(ReplicaSpec{std::move(design), {}, 0});
-  }
-  Init(specs);
-}
-
 ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
                        std::vector<const DataflowGraph*> workload_dfgs)
     : dfgs_(std::move(workload_dfgs)) {
@@ -76,10 +62,6 @@ ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
   for (const DataflowGraph* dfg : dfgs_) {
     NSF_CHECK_MSG(dfg != nullptr, "workload dataflow graph is null");
   }
-  Init(specs);
-}
-
-void ServerPool::Init(const std::vector<ReplicaSpec>& specs) {
   NSF_CHECK_MSG(!specs.empty(), "a pool needs at least one replica");
   kind_.reserve(specs.size());
   designs_.reserve(specs.size());
@@ -275,36 +257,12 @@ void ServerPool::WarmBatchSizes(std::int64_t max_batch,
   }
 }
 
-double ServerPool::EarliestFree() const {
-  double earliest = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)]) {
-      earliest = std::min(earliest, free_at_[static_cast<std::size_t>(r)]);
-    }
-  }
-  return earliest;
-}
-
-double ServerPool::EarliestFree(WorkloadId workload) const {
-  NSF_CHECK(workload >= 0 && workload < workloads());
-  double earliest = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)] &&
-        serves_[static_cast<std::size_t>(r)]
-               [static_cast<std::size_t>(workload)]) {
-      earliest =
-          std::min(earliest, free_at_[static_cast<std::size_t>(r)]);
-    }
-  }
-  return earliest;
-}
-
 double ServerPool::EarliestFree(WorkloadId workload, int node) const {
   NSF_CHECK(workload >= 0 && workload < workloads());
   double earliest = std::numeric_limits<double>::infinity();
   for (int r = 0; r < size(); ++r) {
     if (!draining_[static_cast<std::size_t>(r)] &&
-        node_of_[static_cast<std::size_t>(r)] == node &&
+        (node < 0 || node_of_[static_cast<std::size_t>(r)] == node) &&
         serves_[static_cast<std::size_t>(r)]
                [static_cast<std::size_t>(workload)]) {
       earliest =
@@ -352,8 +310,8 @@ int ServerPool::AddReplica(const ReplicaSpec& spec, double ready_s) {
   return size() - 1;
 }
 
-void ServerPool::CheckNoOrphans(int replica,
-                                const std::vector<bool>* keep) const {
+bool ServerPool::LossOrphans(int replica, const std::vector<bool>* keep,
+                             std::optional<double> live_at) const {
   const auto rs = static_cast<std::size_t>(replica);
   for (std::size_t w = 0; w < dfgs_.size(); ++w) {
     if (!serves_[rs][w] || (keep != nullptr && (*keep)[w])) {
@@ -363,19 +321,23 @@ void ServerPool::CheckNoOrphans(int replica,
     for (int other = 0; other < size() && !covered; ++other) {
       covered = other != replica &&
                 !draining_[static_cast<std::size_t>(other)] &&
+                !(live_at.has_value() && Failed(other, *live_at)) &&
                 serves_[static_cast<std::size_t>(other)][w];
     }
-    NSF_CHECK_MSG(covered,
-                  "reconfiguration would leave a workload with no replica "
-                  "able to serve it");
+    if (!covered) {
+      return true;
+    }
   }
+  return false;
 }
 
 void ServerPool::DrainReplica(int replica, double now_s) {
   NSF_CHECK(replica >= 0 && replica < size());
   const auto r = static_cast<std::size_t>(replica);
   NSF_CHECK_MSG(!draining_[r], "replica is already draining");
-  CheckNoOrphans(replica, nullptr);
+  NSF_CHECK_MSG(!LossOrphans(replica, nullptr, std::nullopt),
+                "reconfiguration would leave a workload with no replica "
+                "able to serve it");
   draining_[r] = true;
   // In-flight work finishes; an idle replica retires at the decision time.
   retired_at_[r] = std::max(now_s, free_at_[r]);
@@ -402,7 +364,9 @@ void ServerPool::RefitInPlace(int replica, const ReplicaSpec& spec,
   const auto r = static_cast<std::size_t>(replica);
   NSF_CHECK_MSG(!draining_[r], "cannot refit a draining replica");
   std::vector<bool> serves = BuildServes(spec);
-  CheckNoOrphans(replica, &serves);
+  NSF_CHECK_MSG(!LossOrphans(replica, &serves, std::nullopt),
+                "reconfiguration would leave a workload with no replica "
+                "able to serve it");
 
   designs_[r] = spec.design;
   kind_[r] = KindFor(spec);
@@ -469,21 +433,9 @@ void ServerPool::FailReplica(int replica, double fail_s, double recover_s,
                 "failure overlaps the previous outage's warm-up");
   // Never inject an unservable topology: every workload this replica
   // serves must survive on another live replica.
-  for (std::size_t w = 0; w < dfgs_.size(); ++w) {
-    if (!serves_[r][w]) {
-      continue;
-    }
-    bool covered = false;
-    for (int other = 0; other < size() && !covered; ++other) {
-      covered = other != replica &&
-                !draining_[static_cast<std::size_t>(other)] &&
-                !Failed(other, fail_s) &&
-                serves_[static_cast<std::size_t>(other)][w];
-    }
-    NSF_CHECK_MSG(covered,
-                  "replica failure would leave a workload with no live "
-                  "replica able to serve it");
-  }
+  NSF_CHECK_MSG(!LossOrphans(replica, nullptr, fail_s),
+                "replica failure would leave a workload with no live "
+                "replica able to serve it");
   dead_[r].push_back(DeadSpan{fail_s, recover_s, recover_s + warmup_s});
   // The schedule jumps past the outage: dispatch's argmin then routes
   // around the dark replica (or correctly books post-recovery work on it
@@ -546,30 +498,10 @@ int ServerPool::ResolveFaultTarget(int requested, double t,
                                    bool for_failure) const {
   const auto eligible = [&](int r) {
     const auto i = static_cast<std::size_t>(r);
-    if (draining_[i] || Failed(r, t) || added_at_[i] > t ||
-        retired_at_[i] <= t) {
-      return false;
-    }
-    if (for_failure) {
-      // Losing this replica must orphan no workload (mirrors the
-      // FailReplica check so a resolved target never throws there).
-      for (std::size_t w = 0; w < dfgs_.size(); ++w) {
-        if (!serves_[i][w]) {
-          continue;
-        }
-        bool covered = false;
-        for (int other = 0; other < size() && !covered; ++other) {
-          covered = other != r &&
-                    !draining_[static_cast<std::size_t>(other)] &&
-                    !Failed(other, t) &&
-                    serves_[static_cast<std::size_t>(other)][w];
-        }
-        if (!covered) {
-          return false;
-        }
-      }
-    }
-    return true;
+    // A failure target must orphan no workload (the FailReplica check, so
+    // a resolved target never throws there).
+    return !draining_[i] && !Failed(r, t) && added_at_[i] <= t &&
+           t < retired_at_[i] && !(for_failure && LossOrphans(r, nullptr, t));
   };
   if (requested >= 0) {
     return requested < size() && eligible(requested) ? requested : -1;
@@ -637,47 +569,6 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
     }
   }
   return record;
-}
-
-std::vector<DispatchRecord> ServerPool::Dispatch(
-    const std::vector<Batch>& batches, ServeStats* stats) {
-  // Fill every (capable kind, workload, size) the stream needs up front,
-  // so the dispatch loop below counts pure table hits. (An empty batch is
-  // left for Dispatch to reject.)
-  for (const Batch& batch : batches) {
-    for (int k = 0; k < static_cast<int>(distinct_designs_.size()); ++k) {
-      if (batch.size() > 0 && KindServes(k, batch.workload)) {
-        Warm(k, batch.workload, batch.size());
-      }
-    }
-  }
-  ResetSchedule();
-
-  // Backlog accounting: arrivals that have entered the system but whose
-  // batch has not yet started on a replica, sampled at each batch start.
-  std::vector<double> arrivals;
-  for (const auto& batch : batches) {
-    for (const auto& request : batch.requests) {
-      arrivals.push_back(request.arrival_s);
-    }
-  }
-  std::sort(arrivals.begin(), arrivals.end());
-
-  std::vector<DispatchRecord> records;
-  records.reserve(batches.size());
-  std::int64_t started = 0;  // Requests whose batch already started.
-  for (const Batch& batch : batches) {
-    // Start time is what Dispatch will compute: max(formed, earliest free
-    // among capable replicas).
-    const double start =
-        std::max(batch.formed_s, EarliestFree(batch.workload));
-    const auto arrived = static_cast<std::int64_t>(
-        std::upper_bound(arrivals.begin(), arrivals.end(), start) -
-        arrivals.begin());
-    records.push_back(Dispatch(batch, stats, arrived - started));
-    started += batch.size();
-  }
-  return records;
 }
 
 }  // namespace nsflow::serve

@@ -3,10 +3,11 @@
 // Each replica is an `AcceleratorDesign` plus a declared workload set.
 // Replicas may share a single design (homogeneous pool) or carry different
 // designs from the DSE pareto set (heterogeneous pool: a few large
-// low-latency replicas plus many small high-throughput ones). A pool is
-// *multi-tenant*: it serves one or more compiled workloads (dataflow
-// graphs), each replica is deployed for a declared workload set (empty =
-// all), and batches route only to replicas able to serve their workload.
+// low-latency replicas plus many small high-throughput ones). A pool serves
+// one or more compiled workloads (dataflow graphs, usually a
+// WorkloadRegistry's), each replica is deployed for a declared workload set
+// (empty = all), and batches route only to replicas able to serve their
+// workload.
 //
 // Dispatch splits into two concerns:
 //   1. Cycle-model evaluation — one estimate per distinct (design kind,
@@ -109,11 +110,7 @@ struct DispatchRecord {
 
 class ServerPool {
  public:
-  /// Single-workload pool: one replica per design in `designs` (all
-  /// referencing `dfg`, which must outlive the pool).
-  ServerPool(std::vector<AcceleratorDesign> designs, const DataflowGraph& dfg);
-
-  /// Multi-tenant pool: `workload_dfgs[w]` is workload `w`'s compiled
+  /// One replica per spec; `workload_dfgs[w]` is workload `w`'s compiled
   /// dataflow graph (all must outlive the pool; a WorkloadRegistry's
   /// `Dataflows()` is the usual source). Every workload must be servable by
   /// at least one replica.
@@ -129,9 +126,6 @@ class ServerPool {
   /// Batched service seconds for `batch_size` requests of `workload` on
   /// `replica`: a table hit, or on a miss one O(1) derivation from the
   /// (kind, workload) serving model. Counts one cache hit or miss.
-  double BatchSeconds(int replica, std::int64_t batch_size) {
-    return BatchSeconds(replica, 0, batch_size);
-  }
   double BatchSeconds(int replica, WorkloadId workload,
                       std::int64_t batch_size);
 
@@ -144,14 +138,11 @@ class ServerPool {
   void WarmBatchSizes(std::int64_t max_batch,
                       const std::vector<WorkloadId>& only);
 
-  /// Earliest virtual time any replica is free (0 while one is idle) under
-  /// the current schedule — the batch former's wait-extension signal.
-  double EarliestFree() const;
-  /// Same, restricted to replicas able to serve `workload`.
-  double EarliestFree(WorkloadId workload) const;
-  /// Same, further restricted to `workload`-capable replicas pinned to
-  /// cluster `node` (the cluster router's per-node schedule probe).
-  double EarliestFree(WorkloadId workload, int node) const;
+  /// Earliest virtual time a non-draining replica able to serve `workload`
+  /// is free under the current schedule — the batch former's
+  /// wait-extension signal. `node` >= 0 narrows it to replicas pinned to
+  /// that cluster node (the cluster router's per-node schedule probe).
+  double EarliestFree(WorkloadId workload, int node = -1) const;
 
   // ---- Cluster node tags (serve/cluster.h). Every replica belongs to
   // node 0 until a ClusterPool pins it elsewhere; the tags only narrow
@@ -268,12 +259,6 @@ class ServerPool {
                           std::int64_t queue_depth = 0, int node = -1,
                           double record_tail_s = 0.0);
 
-  /// Dispatch a whole batch stream (formation order) against a fresh
-  /// schedule, deriving backlog samples from the batches' own arrival
-  /// stamps. Deterministic for a fixed stream.
-  std::vector<DispatchRecord> Dispatch(const std::vector<Batch>& batches,
-                                       ServeStats* stats);
-
   /// Publish the latency-table hit/miss tallies into `registry`
   /// (`pool.cache_hits` / `pool.cache_misses`). Null detaches. The hot
   /// BatchSeconds path only bumps plain tallies; the counters are flushed
@@ -294,17 +279,18 @@ class ServerPool {
     std::vector<double> seconds;  // [batch_size - 1]; < 0 = not filled.
   };
 
-  void Init(const std::vector<ReplicaSpec>& specs);
-  /// Append one replica (shared by Init and AddReplica): design/kind
-  /// bookkeeping and workload-set expansion.
+  /// Append one replica (shared by the constructor and AddReplica):
+  /// design/kind bookkeeping and workload-set expansion.
   void AppendReplica(const ReplicaSpec& spec, double ready_s);
   /// Validate `spec` (tuned_for + workload ids) and expand its workload
   /// set into the per-workload coverage vector (empty set = all). Shared
   /// by AppendReplica and RefitInPlace.
   std::vector<bool> BuildServes(const ReplicaSpec& spec) const;
-  /// Throws when draining `replica` (or stripping `keep` of its workload
-  /// set) would leave some workload without a non-draining capable replica.
-  void CheckNoOrphans(int replica, const std::vector<bool>* keep) const;
+  /// Whether losing `replica` leaves some workload it serves (outside
+  /// `keep`, when given) without another non-draining capable replica.
+  /// With `live_at` set, replicas dark at that instant do not count.
+  bool LossOrphans(int replica, const std::vector<bool>* keep,
+                   std::optional<double> live_at) const;
   /// Kind index for `spec` (dedup against existing kinds, else a new one
   /// with an empty row per workload).
   int KindFor(const ReplicaSpec& spec);

@@ -1055,7 +1055,7 @@ int RunServe(const CliArgs& args) {
   }
   if (args.serve.autoscale) {
     throw Error(
-        "--autoscale needs the multi-tenant engine: serve a plan (--plan "
+        "--autoscale needs a partitioned pool: serve a plan (--plan "
         "plan.json) or a mix with --mix ... --partition "
         "(docs/AUTOSCALING.md)");
   }
@@ -1065,13 +1065,17 @@ int RunServe(const CliArgs& args) {
   const std::string workload_name = graph.workload_name();
   CompileOptions options;
   options.dse = args.dse;
-  const Compiler compiler(options);
-  const CompiledDesign compiled = compiler.Compile(std::move(graph));
+  // A single-workload run is a one-entry registry.
+  serve::WorkloadRegistry registry(options);
+  registry.Register(workload_name, std::move(graph));
 
   // Homogeneous pool: N copies of the DSE winner. Heterogeneous pool: walk
   // the (PEs, latency) pareto frontier so big low-latency replicas coexist
-  // with small area-efficient ones.
-  std::vector<AcceleratorDesign> designs;
+  // with small area-efficient ones. Either way every design was produced
+  // for this graph, so each replica keeps its tuned allocation.
+  std::vector<serve::ReplicaSpec> replicas(
+      static_cast<std::size_t>(args.replicas),
+      serve::ReplicaSpec{registry.compiled(0).design(), {}, /*tuned_for=*/0});
   if (args.heterogeneous) {
     // Mirror Compiler::Compile's option adjustment so the frontier designs
     // are provisioned for the same resident dictionaries as the compiled
@@ -1079,14 +1083,10 @@ int RunServe(const CliArgs& args) {
     DseOptions pareto_options = args.dse;
     pareto_options.dictionary_bytes = options.dictionary_bytes;
     const auto frontier =
-        ParetoDesigns(*compiled.dataflow, pareto_options, args.replicas);
-    for (int r = 0; r < args.replicas; ++r) {
-      designs.push_back(
-          frontier[static_cast<std::size_t>(r) % frontier.size()].design);
+        ParetoDesigns(registry.dataflow(0), pareto_options, args.replicas);
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+      replicas[r].design = frontier[r % frontier.size()].design;
     }
-  } else {
-    designs.assign(static_cast<std::size_t>(args.replicas),
-                   compiled.design());
   }
 
   std::printf(
@@ -1100,13 +1100,13 @@ int RunServe(const CliArgs& args) {
 
   serve::ServeOptions serve_options = args.serve;
   serve_options.tiers = ResolveTiers(args, {workload_name});
-  const serve::ServeReport report =
-      serve::RunSyntheticServe(*compiled.dataflow, designs, serve_options);
+  const serve::ServeReport report = serve::RunSyntheticServe(
+      registry, replicas, {{workload_name, 1.0}}, serve_options);
   std::printf("%s\n", serve::ServeStats::ToTable(report.summary).c_str());
+  const double single = report.single_request_by_workload.front();
   std::printf(
       "Single-request baseline: %.3f ms -> %.1f rps per unbatched replica\n",
-      report.single_request_s * 1e3,
-      report.single_request_s > 0.0 ? 1.0 / report.single_request_s : 0.0);
+      single * 1e3, single > 0.0 ? 1.0 / single : 0.0);
   const int admission_code = PrintAdmissionSummary(args, report);
   ExportObservability(args, report);
   return admission_code;

@@ -69,6 +69,8 @@ TEST(AdmissionTest, SpecRejectsUnknownAndOutOfRange) {
   EXPECT_THROW(AdmissionSpec::Parse("quota:rate"), Error);
   EXPECT_THROW(AdmissionSpec::Parse("quota:=1"), Error);
   EXPECT_THROW(AdmissionSpec::Parse("quota:rate=abc"), Error);
+  EXPECT_THROW(AdmissionSpec::Parse("slo:deadline=0.05s"), Error);
+  EXPECT_THROW(AdmissionSpec::Parse("quota:rate=inf"), Error);
   // Out-of-range values are rejected at parse, not at first use.
   EXPECT_THROW(AdmissionSpec::Parse("quota:rate=0"), Error);
   EXPECT_THROW(AdmissionSpec::Parse("quota:rate=-5"), Error);

@@ -435,12 +435,9 @@ TEST(AutoscalerTest, AutoscaleRequiresMultiTenantPartitionedPool) {
   registry.RegisterBuiltin("mlp");
   ServeOptions options;
   options.autoscale = true;
-  // Single-workload engine: no registry, no mix — rejected outright.
-  const AcceleratorDesign design = registry.compiled(0).design();
-  EXPECT_THROW(RunSyntheticServe(registry.dataflow(0), {design}, options),
-               std::exception);
-  // Shared (non-partitioned) replicas are rejected too.
-  const std::vector<ReplicaSpec> shared = {{design, {}, 0}};
+  // Shared (non-partitioned) replicas are rejected.
+  const std::vector<ReplicaSpec> shared = {
+      {registry.compiled(0).design(), {}, 0}};
   EXPECT_THROW(RunSyntheticServe(registry, shared, {{"mlp", 1.0}}, options),
                std::exception);
 }

@@ -55,6 +55,9 @@ TEST(ClusterSpecTest, RejectsUnknownNamesKeysAndBadRanges) {
   EXPECT_THROW(ClusterSpec::Parse("hash:gbps=0"), Error);
   EXPECT_THROW(ClusterSpec::Parse("hash:hop_us=-1"), Error);
   EXPECT_THROW(ClusterSpec::Parse("least-loaded:affinity=-0.1"), Error);
+  // A value must be one finite number, whole token.
+  EXPECT_THROW(ClusterSpec::Parse("hash:nodes=2junk"), Error);
+  EXPECT_THROW(ClusterSpec::Parse("hash:gbps=inf"), Error);
 }
 
 // ----------------------------------------------------- network cost model

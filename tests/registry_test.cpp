@@ -1,13 +1,15 @@
 // Tests for the multi-tenant serving path: CompileCache content-hash
-// memoization, per-workload batch purity and FIFO order in the
-// MultiBatchFormer, workload-set-aware dispatch, the pool's latency table
-// (hit/miss accounting, reconfigured replicas), and fixed-seed determinism
-// of a 3-workload mixed serve run.
+// memoization, the MultiBatchFormer's close policy (size cap, flush clamp,
+// per-workload batch purity and FIFO order), workload-set-aware dispatch,
+// the pool's latency table (hit/miss accounting, reconfigured replicas),
+// strict `--mix` parsing, and fixed-seed determinism of a 3-workload mixed
+// serve run.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "arch/fastpath.h"
+#include "common/error.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
 #include "serve/server_pool.h"
@@ -86,6 +88,32 @@ TEST(CompileCacheTest, UnknownNamesThrow) {
 }
 
 // ------------------------------------------------------------- multi former
+
+TEST(MultiBatchFormerTest, SizeCapClosesAtTheLastArrival) {
+  MultiBatchFormer former(BatchPolicy{3, 1.0}, 1);
+  const std::vector<double> idle(1, 0.0);
+  EXPECT_TRUE(former.Add(At(0, 0.00, 0), idle).empty());
+  EXPECT_TRUE(former.Add(At(1, 0.01, 0), idle).empty());
+  const std::vector<Batch> closed = former.Add(At(2, 0.02, 0), idle);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].size(), 3);
+  EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.02);
+  EXPECT_EQ(closed[0].close_reason, BatchCloseReason::kSizeCap);
+  EXPECT_EQ(former.pending(0), 0);
+}
+
+TEST(MultiBatchFormerTest, FlushClampsToTheOldestDeadline) {
+  MultiBatchFormer former(BatchPolicy{8, 0.005}, 1);
+  const std::vector<double> idle(1, 0.0);
+  former.Add(At(0, 0.100, 0), idle);
+  former.Add(At(1, 0.101, 0), idle);
+  const std::vector<Batch> tail = former.Flush(1.0);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].size(), 2);
+  EXPECT_DOUBLE_EQ(tail[0].formed_s, 0.105);
+  EXPECT_EQ(tail[0].close_reason, BatchCloseReason::kFlush);
+  EXPECT_TRUE(former.Flush(2.0).empty());
+}
 
 TEST(MultiBatchFormerTest, BatchesNeverMixWorkloads) {
   MultiBatchFormer former(BatchPolicy{4, 1.0}, 2);
@@ -325,6 +353,26 @@ TEST(MultiTenantServeTest, ThreeWorkloadMixIsDeterministicUnderFixedSeed) {
   const ServeReport other =
       RunSyntheticServe(registry, replicas, mix, options);
   EXPECT_NE(other.summary.p99_ms, first.summary.p99_ms);
+}
+
+TEST(MultiTenantServeTest, ParseMixIsStrict) {
+  const std::vector<WorkloadShare> mix = ParseMix("mlp=0.6,nvsa=2");
+  ASSERT_EQ(mix.size(), 2u);
+  EXPECT_EQ(mix[0].workload, "mlp");
+  EXPECT_EQ(mix[0].share, 0.6);
+  EXPECT_EQ(mix[1].workload, "nvsa");
+  EXPECT_EQ(mix[1].share, 2.0);
+  EXPECT_THROW(ParseMix(""), Error);
+  EXPECT_THROW(ParseMix("mlp"), Error);
+  EXPECT_THROW(ParseMix("=0.5"), Error);
+  EXPECT_THROW(ParseMix("mlp=abc"), Error);
+  EXPECT_THROW(ParseMix("mlp=0"), Error);
+  EXPECT_THROW(ParseMix("mlp=0.5,,nvsa=0.5"), Error);
+  // The whole token must be a finite number.
+  EXPECT_THROW(ParseMix("mlp=0.6abc"), Error);
+  EXPECT_THROW(ParseMix("mlp= 0.6"), Error);
+  EXPECT_THROW(ParseMix("mlp=inf,nvsa=1"), Error);
+  EXPECT_THROW(ParseMix("mlp=nan"), Error);
 }
 
 TEST(MultiTenantServeTest, ArrivalMixSamplingIsSeeded) {

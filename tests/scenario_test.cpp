@@ -1,6 +1,6 @@
 // Tests for the traffic-scenario suite (serve/scenario.h): fixed-seed
 // bit-determinism per pattern, rate envelopes against their closed forms,
-// JSON trace-replay round-trips, and spec parsing.
+// JSON trace-replay round-trips and label resolution, and spec parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "serve/adversity.h"
 #include "serve/engine.h"
 #include "serve/scenario.h"
+#include "serve_differential.h"
 
 namespace nsflow::serve {
 namespace {
@@ -246,6 +247,28 @@ TEST(ScenarioTest, TraceReplayDropsArrivalsPastTheHorizon) {
   EXPECT_EQ(replayed[1].arrival_s, 0.4);
 }
 
+TEST(ScenarioTest, EngineResolvesTraceLabelsOnlyForSeveralWorkloads) {
+  // The checked-in trace labels every arrival mlp or resnet18.
+  ServeOptions options;
+  options.duration_s = 2.0;
+  options.scenario = ScenarioSpec::Parse(
+      "trace:file=" + diff::GoldenDir() + "/arrivals_poisson_s42.json");
+  // Serving one workload ignores the labels: every arrival is served.
+  WorkloadRegistry one;
+  one.RegisterBuiltin("mlp");
+  const ServeReport report = RunSyntheticServe(
+      one, one.ReplicaSpecs(2, false), {{"mlp", 1.0}}, options);
+  EXPECT_GT(report.generated_requests, 0);
+  EXPECT_EQ(report.summary.completed, report.generated_requests);
+  // Several workloads resolve labels by name: a missing one throws.
+  WorkloadRegistry two;
+  two.RegisterBuiltin("mlp");
+  two.RegisterBuiltin("nvsa");
+  EXPECT_THROW(RunSyntheticServe(two, two.ReplicaSpecs(2, true),
+                                 {{"mlp", 0.5}, {"nvsa", 0.5}}, options),
+               Error);
+}
+
 TEST(ScenarioTest, TraceReplayValidates) {
   EXPECT_THROW(ParseArrivalTraceJson(
                    R"({"arrivals": [{"t_s": 0.4}, {"t_s": 0.1}]})", {}, 1.0),
@@ -289,6 +312,11 @@ TEST(ScenarioTest, SpecRejectsUnknownNamesAndParameters) {
   // Off-state alone exceeding the mean rate has no valid on-state rate —
   // rejected at parse time, and the peak-rate query agrees.
   EXPECT_THROW(ScenarioSpec::Parse("bursty:idle=7"), Error);
+  // A value must be one finite number, whole token.
+  EXPECT_THROW(ScenarioSpec::Parse("diurnal:depth=0.5x"), Error);
+  EXPECT_THROW(ScenarioSpec::Parse("diurnal:depth= 0.5"), Error);
+  EXPECT_THROW(ScenarioSpec::Parse("diurnal:period=inf"), Error);
+  EXPECT_THROW(ScenarioSpec::Parse("spike:mult=inf"), Error);
 
   // AdversitySpec shares the strict-parse contract (serve/adversity.h):
   // unknown patterns and keys, malformed k=v entries, and out-of-range
@@ -307,6 +335,9 @@ TEST(ScenarioTest, SpecRejectsUnknownNamesAndParameters) {
   EXPECT_THROW(AdversitySpec::Parse("churn:workload=-1"), Error);
   EXPECT_THROW(AdversitySpec::Parse("flash:mult=0.9"), Error);
   EXPECT_THROW(AdversitySpec::Parse("flash:width=-1"), Error);
+  EXPECT_THROW(AdversitySpec::Parse("replica-fail:at=1junk"), Error);
+  EXPECT_THROW(AdversitySpec::Parse("straggler:factor=inf"), Error);
+  EXPECT_THROW(AdversitySpec::Parse("flash:mult=inf"), Error);
 }
 
 TEST(ScenarioTest, ToStringRoundTripsHighPrecisionParams) {

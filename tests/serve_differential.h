@@ -219,7 +219,7 @@ inline std::string SerializeReport(const ServeReport& report) {
   out += "== stats\n";
   out += ServeStats::ToTable(report.summary);
   out += "generated=" + std::to_string(report.generated_requests) + "\n";
-  out += "single=" + Num(report.single_request_s) + "\n";
+  out += "single=" + Num(report.single_request_by_workload.front()) + "\n";
   for (const double s : report.single_request_by_workload) {
     out += "single_w=" + Num(s) + "\n";
   }

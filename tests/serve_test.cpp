@@ -1,89 +1,21 @@
-// Tests for NSFlow-Serve: batch forming, stat percentiles, batched cycle
-// accounting, and multi-replica dispatch determinism under a fixed RNG
-// seed.
+// Tests for NSFlow-Serve: stat percentiles, batched cycle accounting, and
+// multi-replica dispatch determinism under a fixed RNG seed.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "dse/dse.h"
 #include "nsflow/framework.h"
 #include "runtime/host_runtime.h"
-#include "serve/batch_former.h"
 #include "serve/engine.h"
 #include "serve/serve_stats.h"
 #include "serve/server_pool.h"
+#include "serve/workload_registry.h"
 #include "workloads/builders.h"
 
 namespace nsflow::serve {
 namespace {
 
 Request At(std::int64_t id, double arrival_s) { return Request{id, arrival_s}; }
-
-// ---------------------------------------------------------------- former
-
-TEST(BatchFormerTest, ClosesAtMaxBatchSize) {
-  BatchFormer former(BatchPolicy{3, 1.0});
-  EXPECT_FALSE(former.Add(At(0, 0.00)).has_value());
-  EXPECT_FALSE(former.Add(At(1, 0.01)).has_value());
-  const auto batch = former.Add(At(2, 0.02));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->size(), 3);
-  EXPECT_DOUBLE_EQ(batch->formed_s, 0.02);  // Closed by the last arrival.
-  EXPECT_EQ(former.pending(), 0);
-}
-
-TEST(BatchFormerTest, ClosesAtMaxWaitDeadline) {
-  BatchFormer former(BatchPolicy{8, 0.005});
-  EXPECT_FALSE(former.Add(At(0, 0.000)).has_value());
-  EXPECT_FALSE(former.Add(At(1, 0.001)).has_value());
-  // Arrival after the oldest request's deadline closes the pending batch at
-  // the deadline, not at the new arrival.
-  const auto batch = former.Add(At(2, 0.050));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->size(), 2);
-  EXPECT_DOUBLE_EQ(batch->formed_s, 0.005);
-  // The late request seeds the next batch.
-  EXPECT_EQ(former.pending(), 1);
-}
-
-TEST(BatchFormerTest, PreservesFifoOrderWithinBatch) {
-  BatchFormer former(BatchPolicy{4, 1.0});
-  former.Add(At(10, 0.0));
-  former.Add(At(11, 0.1));
-  former.Add(At(12, 0.2));
-  const auto batch = former.Add(At(13, 0.3));
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->size(), 4);
-  for (std::int64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(batch->requests[static_cast<std::size_t>(i)].id, 10 + i);
-  }
-}
-
-TEST(BatchFormerTest, BusyPoolStretchesWaitDeadline) {
-  BatchFormer former(BatchPolicy{8, 0.005});
-  former.Add(At(0, 0.000));
-  // Every replica is busy until t=0.100: arrivals past the nominal 5 ms
-  // deadline keep accumulating instead of closing a tiny batch.
-  EXPECT_FALSE(former.Add(At(1, 0.020), /*busy_until=*/0.100).has_value());
-  EXPECT_FALSE(former.Add(At(2, 0.050), /*busy_until=*/0.100).has_value());
-  // First arrival past the busy horizon closes the batch at that horizon.
-  const auto batch = former.Add(At(3, 0.120), /*busy_until=*/0.100);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->size(), 3);
-  EXPECT_DOUBLE_EQ(batch->formed_s, 0.100);
-  EXPECT_EQ(former.pending(), 1);
-}
-
-TEST(BatchFormerTest, FlushDrainsTail) {
-  BatchFormer former(BatchPolicy{8, 0.005});
-  former.Add(At(0, 0.100));
-  former.Add(At(1, 0.101));
-  const auto tail = former.Flush(1.0);
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->size(), 2);
-  // Flush clamps to the wait deadline of the oldest request.
-  EXPECT_DOUBLE_EQ(tail->formed_s, 0.105);
-  EXPECT_FALSE(former.Flush(2.0).has_value());
-}
 
 // ----------------------------------------------------------------- stats
 
@@ -102,11 +34,11 @@ TEST(ServeStatsTest, NearestRankPercentiles) {
 
 TEST(ServeStatsTest, SummarizesLatencyAndUtilization) {
   ServeStats stats(2);
-  stats.RecordRequest(0.0, 0.010);
-  stats.RecordRequest(0.0, 0.020);
-  stats.RecordRequest(0.0, 0.030);
-  stats.RecordRequest(0.0, 0.040);
-  stats.RecordBatch(4, 6);
+  stats.RecordRequest(0, 0.0, 0.010);
+  stats.RecordRequest(0, 0.0, 0.020);
+  stats.RecordRequest(0, 0.0, 0.030);
+  stats.RecordRequest(0, 0.0, 0.040);
+  stats.RecordBatch(0, 4, 6);
   stats.RecordReplicaBusy(0, 0.02);
   stats.RecordReplicaBusy(1, 0.01);
 
@@ -199,21 +131,38 @@ TEST(BatchedKernelTest, WorkloadBatchAmortizesWeightTraffic) {
 
 // -------------------------------------------------------------- dispatch
 
-std::vector<AcceleratorDesign> Pool(const Deployed& d, int replicas) {
-  return std::vector<AcceleratorDesign>(static_cast<std::size_t>(replicas),
-                                        d.dse.design);
+/// A single-workload pool is a one-entry registry, compiled once for the
+/// suite.
+const WorkloadRegistry& NvsaRegistry() {
+  static const WorkloadRegistry* registry = [] {
+    auto* r = new WorkloadRegistry();
+    r->RegisterBuiltin("nvsa");
+    return r;
+  }();
+  return *registry;
+}
+
+const std::vector<WorkloadShare> kNvsaOnly = {{"nvsa", 1.0}};
+
+/// `replicas` copies of the compiled design, each tuned for workload 0.
+std::vector<ReplicaSpec> Pool(int replicas) {
+  return std::vector<ReplicaSpec>(
+      static_cast<std::size_t>(replicas),
+      ReplicaSpec{NvsaRegistry().compiled(0).design(), {}, 0});
 }
 
 TEST(ServerPoolTest, DispatchIsDeterministicUnderFixedSeed) {
-  const Deployed d = CompileNvsa();
+  const WorkloadRegistry& registry = NvsaRegistry();
   ServeOptions options;
   options.qps = 150.0;
   options.duration_s = 0.5;
   options.max_batch = 8;
   options.seed = 1234;
 
-  const ServeReport first = RunSyntheticServe(*d.dfg, Pool(d, 4), options);
-  const ServeReport second = RunSyntheticServe(*d.dfg, Pool(d, 4), options);
+  const ServeReport first =
+      RunSyntheticServe(registry, Pool(4), kNvsaOnly, options);
+  const ServeReport second =
+      RunSyntheticServe(registry, Pool(4), kNvsaOnly, options);
 
   ASSERT_EQ(first.dispatches.size(), second.dispatches.size());
   for (std::size_t i = 0; i < first.dispatches.size(); ++i) {
@@ -230,32 +179,29 @@ TEST(ServerPoolTest, DispatchIsDeterministicUnderFixedSeed) {
 
   // A different seed produces a different arrival trace.
   options.seed = 99;
-  const ServeReport other = RunSyntheticServe(*d.dfg, Pool(d, 4), options);
+  const ServeReport other =
+      RunSyntheticServe(registry, Pool(4), kNvsaOnly, options);
   EXPECT_NE(other.generated_requests, 0);
   EXPECT_NE(other.summary.p99_ms, first.summary.p99_ms);
 }
 
 TEST(ServerPoolTest, EarliestAvailableDispatchBalancesReplicas) {
-  const Deployed d = CompileNvsa();
   // Four equal batches, all formed at t=0: each replica must take exactly
   // one (earliest-available with lowest-id tie-break = round robin here).
-  std::vector<Batch> batches(4);
-  for (int b = 0; b < 4; ++b) {
-    batches[static_cast<std::size_t>(b)].formed_s = 0.0;
-    batches[static_cast<std::size_t>(b)].requests = {At(b, 0.0)};
-  }
-  ServerPool pool(Pool(d, 4), *d.dfg);
+  ServerPool pool(Pool(4), NvsaRegistry().Dataflows());
   ServeStats stats(pool.size());
-  const auto records = pool.Dispatch(batches, &stats);
-  ASSERT_EQ(records.size(), 4u);
   for (int b = 0; b < 4; ++b) {
-    EXPECT_EQ(records[static_cast<std::size_t>(b)].replica, b);
-    EXPECT_DOUBLE_EQ(records[static_cast<std::size_t>(b)].start_s, 0.0);
+    Batch batch;
+    batch.formed_s = 0.0;
+    batch.requests = {At(b, 0.0)};
+    const DispatchRecord record = pool.Dispatch(batch, &stats);
+    EXPECT_EQ(record.replica, b);
+    EXPECT_DOUBLE_EQ(record.start_s, 0.0);
   }
 }
 
 TEST(ServerPoolTest, ReplicationScalesSaturatedThroughput) {
-  const Deployed d = CompileNvsa();
+  const WorkloadRegistry& registry = NvsaRegistry();
   ServeOptions options;
   options.duration_s = 1.0;
   options.max_batch = 8;
@@ -263,10 +209,10 @@ TEST(ServerPoolTest, ReplicationScalesSaturatedThroughput) {
   // Saturating load for even the largest pool.
   options.qps = 800.0;
 
-  const double one =
-      RunSyntheticServe(*d.dfg, Pool(d, 1), options).summary.throughput_rps;
-  const double four =
-      RunSyntheticServe(*d.dfg, Pool(d, 4), options).summary.throughput_rps;
+  const double one = RunSyntheticServe(registry, Pool(1), kNvsaOnly, options)
+                         .summary.throughput_rps;
+  const double four = RunSyntheticServe(registry, Pool(4), kNvsaOnly, options)
+                          .summary.throughput_rps;
   EXPECT_GT(one, 0.0);
   // Acceptance bar: 4 replicas at saturation >= 2x the single-replica
   // baseline (in practice close to 4x).
@@ -274,24 +220,25 @@ TEST(ServerPoolTest, ReplicationScalesSaturatedThroughput) {
 }
 
 TEST(ServerPoolTest, HeterogeneousParetoPoolServes) {
-  const Deployed d = CompileNvsa();
-  const auto frontier = ParetoDesigns(*d.dfg, DseOptions{}, 3);
+  const WorkloadRegistry& registry = NvsaRegistry();
+  const auto frontier = ParetoDesigns(registry.dataflow(0), DseOptions{}, 3);
   ASSERT_GE(frontier.size(), 1u);
   for (std::size_t i = 1; i < frontier.size(); ++i) {
     // Largest budget first, strictly shrinking area along the frontier.
     EXPECT_LT(frontier[i].pes, frontier[i - 1].pes);
   }
 
-  std::vector<AcceleratorDesign> designs;
-  for (int r = 0; r < 3; ++r) {
-    designs.push_back(frontier[static_cast<std::size_t>(r) % frontier.size()]
-                          .design);
+  std::vector<ReplicaSpec> replicas;
+  for (std::size_t r = 0; r < 3; ++r) {
+    replicas.push_back(
+        ReplicaSpec{frontier[r % frontier.size()].design, {}, 0});
   }
   ServeOptions options;
   options.qps = 120.0;
   options.duration_s = 0.5;
   options.seed = 5;
-  const ServeReport report = RunSyntheticServe(*d.dfg, designs, options);
+  const ServeReport report =
+      RunSyntheticServe(registry, replicas, kNvsaOnly, options);
   EXPECT_EQ(report.summary.completed, report.generated_requests);
   EXPECT_GT(report.summary.throughput_rps, 0.0);
   ASSERT_EQ(report.summary.replica_utilization.size(), 3u);
