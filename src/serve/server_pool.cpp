@@ -79,6 +79,7 @@ ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
     }
     NSF_CHECK_MSG(covered, "workload has no replica able to serve it");
   }
+  RebuildIndex();
 }
 
 int ServerPool::KindFor(const ReplicaSpec& spec) {
@@ -257,25 +258,88 @@ void ServerPool::WarmBatchSizes(std::int64_t max_batch,
   }
 }
 
-double ServerPool::EarliestFree(WorkloadId workload, int node) const {
-  NSF_CHECK(workload >= 0 && workload < workloads());
-  double earliest = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)] &&
-        (node < 0 || node_of_[static_cast<std::size_t>(r)] == node) &&
-        serves_[static_cast<std::size_t>(r)]
-               [static_cast<std::size_t>(workload)]) {
-      earliest =
-          std::min(earliest, free_at_[static_cast<std::size_t>(r)]);
+std::size_t ServerPool::Tree(WorkloadId workload, int node) const {
+  const auto per_workload =
+      static_cast<std::size_t>(index_nodes_ > 1 ? index_nodes_ + 1 : 1);
+  const auto slot =
+      static_cast<std::size_t>(node < 0 || index_nodes_ == 1 ? 0 : node + 1);
+  return (static_cast<std::size_t>(workload) * per_workload + slot) * 2 *
+         static_cast<std::size_t>(index_capacity_);
+}
+
+int ServerPool::IndexRoot(WorkloadId workload, int node) const {
+  return node < index_nodes_ ? index_[Tree(workload, node) + 1] : -1;
+}
+
+int ServerPool::Winner(int a, int b) const {
+  if (a < 0 || b < 0) {
+    return a < 0 ? b : a;
+  }
+  return free_at_[static_cast<std::size_t>(b)] <
+                 free_at_[static_cast<std::size_t>(a)]
+             ? b
+             : a;
+}
+
+void ServerPool::Reseat(int replica, bool seated) {
+  const auto r = static_cast<std::size_t>(replica);
+  if (draining_[r]) {
+    return;
+  }
+  const int leaf = seated ? replica : -1;
+  const auto capacity = static_cast<std::size_t>(index_capacity_);
+  const auto walk = [&](std::size_t base) {
+    int* tree = index_.data() + base;
+    tree[capacity + r] = leaf;
+    for (std::size_t pos = (capacity + r) / 2; pos > 0; pos /= 2) {
+      tree[pos] = Winner(tree[2 * pos], tree[2 * pos + 1]);
+    }
+  };
+  for (std::size_t w = 0; w < dfgs_.size(); ++w) {
+    if (!serves_[r][w]) {
+      continue;
+    }
+    const auto workload = static_cast<WorkloadId>(w);
+    walk(Tree(workload, -1));
+    if (index_nodes_ > 1) {
+      walk(Tree(workload, node_of_[r]));
     }
   }
-  return earliest;
+}
+
+void ServerPool::RebuildIndex() {
+  index_capacity_ = std::max(index_capacity_, 1);
+  while (index_capacity_ < size()) {
+    index_capacity_ *= 2;
+  }
+  index_nodes_ = 1 + *std::max_element(node_of_.begin(), node_of_.end());
+  // Tree(workloads(), -1) is the offset one past the last tree; assign()
+  // keeps the vector's storage whenever it is large enough.
+  index_.assign(Tree(workloads(), -1), -1);
+  for (int r = 0; r < size(); ++r) {
+    Reseat(r, /*seated=*/true);
+  }
+}
+
+double ServerPool::EarliestFree(WorkloadId workload, int node) const {
+  NSF_CHECK(workload >= 0 && workload < workloads());
+  const int earliest = IndexRoot(workload, node);
+  return earliest < 0 ? std::numeric_limits<double>::infinity()
+                      : free_at_[static_cast<std::size_t>(earliest)];
 }
 
 void ServerPool::SetReplicaNode(int replica, int node) {
   NSF_CHECK(replica >= 0 && replica < size());
   NSF_CHECK_MSG(node >= 0, "cluster node must be non-negative");
+  if (node >= index_nodes_) {
+    // A new node: the per-node trees gain a slot per workload.
+    node_of_[static_cast<std::size_t>(replica)] = node;
+    RebuildIndex();
+    return;
+  }
+  Reseat(replica, /*seated=*/false);
   node_of_[static_cast<std::size_t>(replica)] = node;
+  Reseat(replica, /*seated=*/true);
 }
 
 int ServerPool::NodeOf(int replica) const {
@@ -285,28 +349,17 @@ int ServerPool::NodeOf(int replica) const {
 
 bool ServerPool::NodeCanServe(WorkloadId workload, int node) const {
   NSF_CHECK(workload >= 0 && workload < workloads());
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)] &&
-        node_of_[static_cast<std::size_t>(r)] == node &&
-        serves_[static_cast<std::size_t>(r)]
-               [static_cast<std::size_t>(workload)]) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void ServerPool::ResetSchedule() {
-  // Replicas warm-added mid-run stay unavailable before their ready time.
-  for (std::size_t r = 0; r < free_at_.size(); ++r) {
-    free_at_[r] = added_at_[r];
-  }
-  dispatched_batches_ = 0;
+  return node >= 0 && IndexRoot(workload, node) >= 0;
 }
 
 int ServerPool::AddReplica(const ReplicaSpec& spec, double ready_s) {
   NSF_CHECK_MSG(ready_s >= 0.0, "replica ready time must be non-negative");
   AppendReplica(spec, ready_s);
+  if (size() > index_capacity_) {
+    RebuildIndex();
+  } else {
+    Reseat(size() - 1, /*seated=*/true);
+  }
   return size() - 1;
 }
 
@@ -338,6 +391,7 @@ void ServerPool::DrainReplica(int replica, double now_s) {
   NSF_CHECK_MSG(!LossOrphans(replica, nullptr, std::nullopt),
                 "reconfiguration would leave a workload with no replica "
                 "able to serve it");
+  Reseat(replica, /*seated=*/false);
   draining_[r] = true;
   // In-flight work finishes; an idle replica retires at the decision time.
   retired_at_[r] = std::max(now_s, free_at_[r]);
@@ -355,6 +409,7 @@ int ServerPool::DrainAll(double now_s) {
     retired_at_[i] = std::max(now_s, free_at_[i]);
     ++drained;
   }
+  RebuildIndex();  // Every tree is empty now.
   return drained;
 }
 
@@ -368,12 +423,14 @@ void ServerPool::RefitInPlace(int replica, const ReplicaSpec& spec,
                 "reconfiguration would leave a workload with no replica "
                 "able to serve it");
 
+  Reseat(replica, /*seated=*/false);
   designs_[r] = spec.design;
   kind_[r] = KindFor(spec);
   serves_[r] = std::move(serves);
   // The in-flight batch (if any) finishes on the old deployment before the
   // refit replica comes up.
   free_at_[r] = std::max(free_at_[r], ready_s);
+  Reseat(replica, /*seated=*/true);
 }
 
 bool ServerPool::draining(int replica) const {
@@ -441,6 +498,7 @@ void ServerPool::FailReplica(int replica, double fail_s, double recover_s,
   // around the dark replica (or correctly books post-recovery work on it
   // when every survivor is busier).
   free_at_[r] = std::max(free_at_[r], recover_s + warmup_s);
+  Reseat(replica, /*seated=*/true);
 }
 
 void ServerPool::SetDerate(int replica, double factor, double from_s,
@@ -521,22 +579,12 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
                                     std::int64_t queue_depth, int node,
                                     double record_tail_s) {
   NSF_CHECK_MSG(batch.size() > 0, "cannot dispatch an empty batch");
+  NSF_CHECK(batch.workload >= 0 && batch.workload < workloads());
   // Earliest-available replica among those deployed for the batch's
   // workload, ties to the lowest id. Draining replicas take no new work —
   // their in-flight batch is the last thing they run. A non-negative
   // `node` further narrows to that cluster node's replicas.
-  int choice = -1;
-  for (int r = 0; r < size(); ++r) {
-    if (!CanServe(r, batch.workload) ||
-        draining_[static_cast<std::size_t>(r)] ||
-        (node >= 0 && node_of_[static_cast<std::size_t>(r)] != node)) {
-      continue;
-    }
-    if (choice < 0 || free_at_[static_cast<std::size_t>(r)] <
-                          free_at_[static_cast<std::size_t>(choice)]) {
-      choice = r;
-    }
-  }
+  const int choice = IndexRoot(batch.workload, node);
   NSF_CHECK_MSG(choice >= 0, "no replica serves the batch's workload");
   DispatchRecord record;
   record.batch_index = dispatched_batches_++;
@@ -553,6 +601,7 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
   record.complete_s = record.start_s + service;
   record.size = batch.size();
   free_at_[static_cast<std::size_t>(choice)] = record.complete_s;
+  Reseat(choice, /*seated=*/true);
 
   if (stats != nullptr) {
     stats->RecordBatch(batch.workload, batch.size(), queue_depth);

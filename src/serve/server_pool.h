@@ -24,6 +24,20 @@
 //      timeline. The engine interleaves this with batch forming so
 //      `EarliestFree(workload)` can stretch the forming wait while every
 //      capable replica is busy.
+//      The argmin lives in a dispatch index: one tournament tree over
+//      `free_at` per workload for the whole pool and one per (workload,
+//      cluster node). A leaf is a replica slot, empty when the replica is
+//      draining, does not serve the workload, or sits on another node; an
+//      internal slot holds the smaller (free_at, replica id) of its two
+//      children, so `EarliestFree`, `NodeCanServe` and `Dispatch` each read
+//      one root in O(1) with the lowest-id tie-break exact. A dispatch or a
+//      failure re-walks only the trees of the workloads that replica
+//      serves, O(W log R); a refit, drain, add or `SetReplicaNode` re-seats
+//      that replica's leaves at the same cost. `DrainAll`, an add past the
+//      tree capacity (which then doubles, in place) and the first replica
+//      pinned to a new node rebuild every tree in O(W R (nodes + log R)).
+//      While every replica sits on node 0 the node-0 trees are the
+//      pool-wide ones, so a single-node pool keeps one tree per workload.
 // Like the engine that drives it, the pool is single-threaded: same
 // designs + same batch stream -> same dispatch.
 #pragma once
@@ -158,10 +172,6 @@ class ServerPool {
   /// carries the outage, so the least-loaded router prices them out while
   /// the hash router deliberately stays sticky through faults.)
   bool NodeCanServe(WorkloadId workload, int node) const;
-
-  /// Forget the schedule (every replica free at the time it was added, 0
-  /// for the initial pool). Cached latencies and drain marks keep.
-  void ResetSchedule();
 
   // ---- Warm reconfiguration (the autoscaler's PoolDelta surface). All
   // times are virtual seconds; every operation is safe mid-flight: batches
@@ -314,6 +324,27 @@ class ServerPool {
   /// Fill the entry unless it is already stored. Counts nothing.
   void Warm(int kind, WorkloadId workload, std::int64_t batch_size);
 
+  // ---- Dispatch index (dispatch concern 2 in the file comment).
+  /// Offset in `index_` of the tree answering (workload, node); node < 0,
+  /// or any node while the index spans one node, is the pool-wide tree.
+  std::size_t Tree(WorkloadId workload, int node) const;
+  /// The earliest-free eligible replica of the (workload, node) tree,
+  /// lowest id on ties; -1 when it has none.
+  int IndexRoot(WorkloadId workload, int node) const;
+  /// Tournament winner of two slots (-1 = empty): the smaller free_at,
+  /// the left (lower-id) slot on ties.
+  int Winner(int a, int b) const;
+  /// Write `replica`'s leaf in every tree it belongs to (itself when
+  /// `seated`, empty otherwise) and re-walk each to the root. Call with
+  /// seated = false before changing a replica's workload set, node or
+  /// drain mark and seated = true after; seated = true also re-sorts a
+  /// replica whose free_at changed. A draining replica holds no leaves.
+  void Reseat(int replica, bool seated);
+  /// Size the trees for the current pool (capacity doubles until it
+  /// covers every replica; node range from the tags) and seat every
+  /// replica.
+  void RebuildIndex();
+
   std::vector<const DataflowGraph*> dfgs_;           // Per workload.
   std::vector<AcceleratorDesign> designs_;           // Per replica.
   std::vector<int> kind_;                            // Per replica.
@@ -326,6 +357,13 @@ class ServerPool {
   std::vector<double> added_at_;                     // Provisioning time.
   std::vector<double> retired_at_;                   // +inf while active.
   std::vector<int> node_of_;                         // Cluster node tag.
+
+  /// Dispatch index storage: every tree is 2 * index_capacity_ slots of
+  /// replica ids (slot 1 the root, leaves from index_capacity_ on),
+  /// laid out [workload][pool-wide, node 0, node 1, ...].
+  std::vector<int> index_;
+  int index_capacity_ = 0;  // Leaves per tree: a power of two >= size().
+  int index_nodes_ = 1;     // Node tags covered: 1 + the largest tag.
 
   /// Environment-fault intervals (adversity engine). Time-ordered and
   /// non-overlapping per replica; empty vectors on healthy pools keep the

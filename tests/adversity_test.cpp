@@ -351,14 +351,24 @@ TEST(AdversityTest, FailureThatWouldOrphanAWorkloadIsSkipped) {
 TEST(AdversityTest, PoolDerateMultipliesServiceInsideTheWindow) {
   WorkloadRegistry registry;
   registry.RegisterBuiltin("mlp");
-  ServerPool pool(registry.ReplicaSpecs(2, false), registry.Dataflows());
-  Batch batch;
-  batch.workload = 0;
-  batch.formed_s = 0.0;
-  batch.requests = {Request{0, 0.0, 0}};
-  const double clean = pool.Dispatch(batch, nullptr).complete_s;
+  const std::vector<ReplicaSpec> specs = registry.ReplicaSpecs(2, false);
+  // Each dispatch is the first on a fresh pool whose replica 0 runs at half
+  // clock inside [1, 2): every replica is free, so replica 0 takes it.
+  const auto first_dispatch = [&](double formed_s) {
+    ServerPool pool(specs, registry.Dataflows());
+    pool.SetDerate(0, 2.0, 1.0, 2.0);
+    Batch batch;
+    batch.workload = 0;
+    batch.formed_s = formed_s;
+    batch.requests = {Request{0, 0.0, 0}};
+    return pool.Dispatch(batch, nullptr);
+  };
+  const DispatchRecord before = first_dispatch(0.0);
+  EXPECT_EQ(before.replica, 0);
+  const double clean = before.complete_s;
   ASSERT_GT(clean, 0.0);
 
+  ServerPool pool(specs, registry.Dataflows());
   pool.SetDerate(0, 2.0, 1.0, 2.0);
   EXPECT_DOUBLE_EQ(pool.DerateAt(0, 1.5), 2.0);
   EXPECT_DOUBLE_EQ(pool.DerateAt(0, 0.5), 1.0);
@@ -367,16 +377,13 @@ TEST(AdversityTest, PoolDerateMultipliesServiceInsideTheWindow) {
   EXPECT_EQ(pool.Health(0, 0.5), ServerPool::ReplicaHealth::kUp);
 
   // Inside the window the modeled service doubles; outside it is exact.
-  batch.formed_s = 1.2;
-  pool.ResetSchedule();
-  const DispatchRecord derated = pool.Dispatch(batch, nullptr);
+  const DispatchRecord derated = first_dispatch(1.2);
   EXPECT_EQ(derated.replica, 0);
   // complete - start loses a few ulps against the large start stamp.
   EXPECT_NEAR(derated.complete_s - derated.start_s, 2.0 * clean,
               1e-9 * clean);
-  batch.formed_s = 3.0;
-  pool.ResetSchedule();
-  const DispatchRecord after = pool.Dispatch(batch, nullptr);
+  const DispatchRecord after = first_dispatch(3.0);
+  EXPECT_EQ(after.replica, 0);
   EXPECT_NEAR(after.complete_s - after.start_s, clean, 1e-9 * clean);
 }
 

@@ -2,6 +2,11 @@
 // multi-replica dispatch determinism under a fixed RNG seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
+#include "common/error.h"
 #include "common/rng.h"
 #include "dse/dse.h"
 #include "nsflow/framework.h"
@@ -242,6 +247,153 @@ TEST(ServerPoolTest, HeterogeneousParetoPoolServes) {
   EXPECT_EQ(report.summary.completed, report.generated_requests);
   EXPECT_GT(report.summary.throughput_rps, 0.0);
   ASSERT_EQ(report.summary.replica_utilization.size(), 3u);
+}
+
+// -------------------------------------------------------- dispatch index
+
+/// The brute-force scan the dispatch index replaced, kept as its oracle:
+/// the earliest-free non-draining replica deployed for `workload` (on
+/// `node` when node >= 0), lowest id on ties; -1 when there is none.
+int ScanEarliest(const ServerPool& pool, WorkloadId workload, int node) {
+  int best = -1;
+  for (int r = 0; r < pool.size(); ++r) {
+    if (pool.draining(r) || !pool.CanServe(r, workload) ||
+        (node >= 0 && pool.NodeOf(r) != node)) {
+      continue;
+    }
+    if (best < 0 || pool.FreeAt(r) < pool.FreeAt(best)) {
+      best = r;
+    }
+  }
+  return best;
+}
+
+Batch OneRequestBatch(WorkloadId workload, double formed_s) {
+  Batch batch;
+  batch.workload = workload;
+  batch.formed_s = formed_s;
+  batch.requests = {Request{0, formed_s, workload}};
+  return batch;
+}
+
+/// Every index query against the scan, for every workload, the pool-wide
+/// view and each node up to `nodes` (one past the largest tag in use, so an
+/// empty node is probed too). Dispatch runs on a copy of the pool.
+void ExpectIndexMatchesScan(const ServerPool& pool, int nodes,
+                            const std::string& step) {
+  for (WorkloadId w = 0; w < pool.workloads(); ++w) {
+    for (int node = -1; node <= nodes; ++node) {
+      const int expected = ScanEarliest(pool, w, node);
+      const std::string where = step + " w=" + std::to_string(w) +
+                                " node=" + std::to_string(node);
+      EXPECT_EQ(pool.EarliestFree(w, node),
+                expected < 0 ? std::numeric_limits<double>::infinity()
+                             : pool.FreeAt(expected))
+          << where;
+      EXPECT_EQ(pool.NodeCanServe(w, node), node >= 0 && expected >= 0)
+          << where;
+      ServerPool probe = pool;
+      const Batch batch = OneRequestBatch(w, 0.0);
+      if (expected < 0) {
+        EXPECT_THROW(probe.Dispatch(batch, nullptr, 0, node), Error) << where;
+      } else {
+        EXPECT_EQ(probe.Dispatch(batch, nullptr, 0, node).replica, expected)
+            << where;
+      }
+    }
+  }
+}
+
+TEST(DispatchIndexTest, MatchesBruteForceScanUnderRandomReconfiguration) {
+  WorkloadRegistry registry;
+  for (const char* name : {"mlp", "resnet18", "nvsa"}) {
+    registry.RegisterBuiltin(name);
+  }
+  const int workloads = registry.size();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Rng rng(seed);
+    // A random workload set (empty = all) on a random tenant's design,
+    // provisioned for every tenant so any refit can serve any workload.
+    const auto random_spec = [&] {
+      ReplicaSpec spec;
+      const auto tenant =
+          static_cast<WorkloadId>(rng.UniformInt(0, workloads - 1));
+      spec.design = registry.ProvisionDesign(tenant);
+      spec.tuned_for = tenant;
+      for (WorkloadId w = 0; w < workloads; ++w) {
+        if (rng.Bernoulli(0.4)) {
+          spec.workloads.push_back(w);
+        }
+      }
+      return spec;
+    };
+    std::vector<ReplicaSpec> specs;
+    const int initial = static_cast<int>(rng.UniformInt(2, 9));
+    for (int r = 0; r < initial; ++r) {
+      specs.push_back(random_spec());
+    }
+    for (WorkloadId w = 0; w < workloads; ++w) {
+      specs[static_cast<std::size_t>(w % initial)].workloads.push_back(w);
+    }
+    ServerPool pool(specs, registry.Dataflows());
+    // Everything is free at t = 0 and the batch clock moves in coarse
+    // steps, so equal free_at values (ties) are everywhere.
+    const int cluster_nodes = static_cast<int>(rng.UniformInt(1, 4));
+    int nodes = 1;
+    const auto pin = [&](int replica, int node) {
+      pool.SetReplicaNode(replica, node);
+      nodes = std::max(nodes, node + 1);
+    };
+    for (int r = 0; r < pool.size(); ++r) {
+      pin(r, r % cluster_nodes);
+    }
+    double t = 0.0;
+    ExpectIndexMatchesScan(pool, nodes, "seed " + std::to_string(seed));
+    for (int step = 0; step < 120; ++step) {
+      const int op = static_cast<int>(rng.UniformInt(0, 99));
+      const int replica = static_cast<int>(rng.UniformInt(0, pool.size() - 1));
+      const std::string label = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step) + " op " +
+                                std::to_string(op);
+      if (rng.Bernoulli(0.3)) {
+        // Jump to a replica's free time: batches formed there start
+        // together with it.
+        t = std::max(t, pool.FreeAt(replica));
+      }
+      try {
+        if (op < 45) {
+          const auto w =
+              static_cast<WorkloadId>(rng.UniformInt(0, workloads - 1));
+          const int node = static_cast<int>(rng.UniformInt(-1, nodes - 1));
+          const int expected = ScanEarliest(pool, w, node);
+          if (expected >= 0) {
+            EXPECT_EQ(pool.Dispatch(OneRequestBatch(w, t), nullptr, 0, node)
+                          .replica,
+                      expected)
+                << label;
+          }
+        } else if (op < 55) {
+          pool.DrainReplica(replica, t);
+        } else if (op < 65) {
+          pool.FailReplica(replica, t, t + 0.01 * rng.UniformInt(1, 5),
+                           rng.Bernoulli(0.5) ? 0.0 : 0.01);
+        } else if (op < 75) {
+          pool.RefitInPlace(replica, random_spec(), t);
+        } else if (op < 87) {
+          pin(pool.AddReplica(random_spec(), t),
+              static_cast<int>(rng.UniformInt(0, cluster_nodes - 1)));
+        } else if (op < 99) {
+          pin(replica, static_cast<int>(rng.UniformInt(0, cluster_nodes)));
+        } else {
+          pool.DrainAll(t);
+        }
+      } catch (const Error&) {
+        // A refused reconfiguration (it would orphan a workload, the
+        // replica is draining or already dark) leaves the pool unchanged.
+      }
+      ExpectIndexMatchesScan(pool, nodes, label);
+    }
+  }
 }
 
 }  // namespace
