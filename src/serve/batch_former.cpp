@@ -59,9 +59,9 @@ Batch MultiBatchFormer::CloseLane(WorkloadId w, double formed_s,
   return batch;
 }
 
-std::vector<WorkloadId> MultiBatchFormer::ExpiredLanes(
-    double now, const std::vector<double>& busy_until) const {
-  std::vector<WorkloadId> expired;
+void MultiBatchFormer::ExpiredLanes(double now,
+                                    const std::vector<double>& busy_until) {
+  expired_.clear();
   for (int w = 0; w < workloads(); ++w) {
     const auto& lane = lanes_[static_cast<std::size_t>(w)];
     if (lane.empty()) {
@@ -71,11 +71,10 @@ std::vector<WorkloadId> MultiBatchFormer::ExpiredLanes(
                             ? busy_until[static_cast<std::size_t>(w)]
                             : 0.0;
     if (now >= std::max(Deadline(w), busy)) {
-      expired.push_back(w);
+      expired_.push_back(w);
     }
   }
-  SortByCloseOrder(&expired);
-  return expired;
+  SortByCloseOrder(&expired_);
 }
 
 void MultiBatchFormer::SortByCloseOrder(std::vector<WorkloadId>* lanes) const {
@@ -94,30 +93,31 @@ void MultiBatchFormer::SortByCloseOrder(std::vector<WorkloadId>* lanes) const {
   });
 }
 
-std::vector<Batch> MultiBatchFormer::Add(
-    const Request& request, const std::vector<double>& busy_until) {
+void MultiBatchFormer::Add(const Request& request,
+                           const std::vector<double>& busy_until,
+                           std::vector<Batch>* closed) {
   NSF_CHECK_MSG(request.workload >= 0 && request.workload < workloads(),
                 "request targets an unregistered workload lane");
-  std::vector<Batch> closed;
+  closed->clear();
   // This arrival proves virtual time reached `request.arrival_s`: every lane
   // whose effective deadline (stretched to its busy horizon) has passed
   // closes at that deadline, not at the arrival — a lull in one workload's
   // traffic must not delay another workload's formed batch.
-  for (const WorkloadId w : ExpiredLanes(request.arrival_s, busy_until)) {
+  ExpiredLanes(request.arrival_s, busy_until);
+  for (const WorkloadId w : expired_) {
     const double busy = static_cast<std::size_t>(w) < busy_until.size()
                             ? busy_until[static_cast<std::size_t>(w)]
                             : 0.0;
-    closed.push_back(CloseLane(w, std::max(Deadline(w), busy),
-                               BatchCloseReason::kDeadline));
+    closed->push_back(CloseLane(w, std::max(Deadline(w), busy),
+                                BatchCloseReason::kDeadline));
   }
   auto& lane = lanes_[static_cast<std::size_t>(request.workload)];
   lane.push_back(request);
   if (static_cast<std::int64_t>(lane.size()) >=
       policy(request.workload).max_batch) {
-    closed.push_back(CloseLane(request.workload, request.arrival_s,
-                               BatchCloseReason::kSizeCap));
+    closed->push_back(CloseLane(request.workload, request.arrival_s,
+                                BatchCloseReason::kSizeCap));
   }
-  return closed;
 }
 
 std::vector<Batch> MultiBatchFormer::Flush(double now) {

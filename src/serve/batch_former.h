@@ -59,11 +59,13 @@ class MultiBatchFormer {
   /// earliest virtual time a replica able to serve workload `w` frees up
   /// (0 when one is already idle): the lane's wait deadline stretches to
   /// it, growing batches from backlog while dispatch would stall anyway.
-  /// Returns every batch this arrival closed, in fairness order; the new
-  /// request is never part of a batch closed by its own arrival's deadline
-  /// check (it arrived after the deadline).
-  std::vector<Batch> Add(const Request& request,
-                         const std::vector<double>& busy_until);
+  /// Replaces `*closed` with every batch this arrival closed, in fairness
+  /// order; the new request is never part of a batch closed by its own
+  /// arrival's deadline check (it arrived after the deadline). `closed` is
+  /// the caller's scratch: reusing one vector across calls keeps forming
+  /// allocation-free (docs/ENGINE.md).
+  void Add(const Request& request, const std::vector<double>& busy_until,
+           std::vector<Batch>* closed);
 
   /// Close all pending lanes at `now` (stream drained), fairness order.
   /// Each closes no later than its wait deadline and no earlier than its
@@ -108,10 +110,9 @@ class MultiBatchFormer {
 
  private:
   Batch CloseLane(WorkloadId w, double formed_s, BatchCloseReason reason);
-  /// Lanes past their effective deadline at time `now`, fairness-ordered.
-  std::vector<WorkloadId> ExpiredLanes(double now,
-                                       const std::vector<double>& busy_until)
-      const;
+  /// Fill `expired_` with the lanes past their effective deadline at time
+  /// `now`, fairness-ordered.
+  void ExpiredLanes(double now, const std::vector<double>& busy_until);
   /// Sort non-empty `lanes` into close order: lane priority, then oldest
   /// head-of-line, then workload id.
   void SortByCloseOrder(std::vector<WorkloadId>* lanes) const;
@@ -120,6 +121,7 @@ class MultiBatchFormer {
   std::vector<std::vector<Request>> lanes_;  // Pending, one lane/workload.
   std::vector<int> lane_priority_;           // Close order key; default 0.
   std::vector<std::vector<Request>> spares_;  // Recycled lane storage.
+  std::vector<WorkloadId> expired_;  // ExpiredLanes scratch, reused by Add.
   // Resolved by AttachMetrics; null = metrics off.
   obs::Counter* close_size_cap_ = nullptr;
   obs::Counter* close_deadline_ = nullptr;

@@ -269,7 +269,7 @@ int ClusterPool::HomeNode(WorkloadId workload) const {
   return home_[static_cast<std::size_t>(workload)];
 }
 
-RouteDecision ClusterPool::Route(const Batch& batch) const {
+RouteDecision ClusterPool::Route(const Batch& batch) {
   RouteDecision route;
   route.home = HomeNode(batch.workload);
   route.node = route.home;
@@ -278,14 +278,13 @@ RouteDecision ClusterPool::Route(const Batch& batch) const {
     // right now (a fully failed/drained node drops out of the rotation).
     // No candidate at all — e.g. mid-outage — falls back to home, where
     // ServerPool's own schedule stretches the wait.
-    std::vector<int> capable;
-    capable.reserve(static_cast<std::size_t>(nodes_));
+    capable_.clear();
     for (int n = 0; n < nodes_; ++n) {
       if (pool_.NodeCanServe(batch.workload, n)) {
-        capable.push_back(n);
+        capable_.push_back(n);
       }
     }
-    if (!capable.empty()) {
+    if (!capable_.empty()) {
       if (spec_.policy == ClusterRouterPolicy::kHash) {
         // Sticky, schedule-oblivious spread over the capable nodes keyed
         // by (workload, lead request id) — the consistent-hash policy.
@@ -295,17 +294,17 @@ RouteDecision ClusterPool::Route(const Batch& batch) const {
                 : static_cast<std::uint64_t>(batch.requests.front().id);
         const std::uint64_t key =
             Mix64((static_cast<std::uint64_t>(batch.workload) << 32) ^ lead);
-        route.node = capable[key % capable.size()];
+        route.node = capable_[key % capable_.size()];
       } else {
         // Least-loaded: earliest projected start including the request
         // transfer a remote choice must wait for, plus the locality-
         // affinity penalty on leaving home. Ties to the lowest node id.
         const double in_s = network_.TransferSeconds(
             network_.RequestBytes(batch.workload, batch.size()));
-        int best = capable.front();
+        int best = capable_.front();
         double best_score = 0.0;
         bool first = true;
-        for (const int n : capable) {
+        for (const int n : capable_) {
           const bool remote = n != route.home;
           const double ready =
               batch.formed_s + (remote ? in_s : 0.0);

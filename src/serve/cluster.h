@@ -158,8 +158,9 @@ class ClusterPool {
   int HomeNode(WorkloadId workload) const;
 
   /// Route one formed batch (pure function of the batch and the pool's
-  /// current schedule — no RNG, no wall clock; docs/CLUSTER.md).
-  RouteDecision Route(const Batch& batch) const;
+  /// current schedule — no RNG, no wall clock; docs/CLUSTER.md). Not
+  /// const only because it reuses a member scratch vector.
+  RouteDecision Route(const Batch& batch);
 
   /// Account one dispatched batch against its routed node (and publish
   /// the attached cluster metrics).
@@ -192,6 +193,7 @@ class ClusterPool {
   std::vector<int> home_;  // Per workload id.
   std::vector<NodeSummary> accounts_;  // Per node (replica counts filled
                                        // fresh in Snapshot()).
+  std::vector<int> capable_;  // Route scratch: the batch's capable nodes.
 
   // Resolved by AttachMetrics; null = metrics off.
   obs::Counter* local_counter_ = nullptr;

@@ -179,7 +179,11 @@ struct PipelineContext {
   double snapshot_interval_s = 0.0;
   double next_snapshot_s = 0.0;
   std::vector<PoolDelta> deltas;
+  // Per-arrival scratch, reused so forming never allocates in steady
+  // state (docs/ENGINE.md): each lane's busy horizon and the batches the
+  // arrival closed.
   std::vector<double> busy_until;
+  std::vector<Batch> closed;
 
   // The timeline heap RunEventLoop drains. `retry_event_t` is the
   // earliest outstanding kAdmissionRetry event (+inf when none) — the
@@ -774,7 +778,8 @@ struct PipelineContext {
     for (int w = 0; w < pool.workloads(); ++w) {
       busy_until[static_cast<std::size_t>(w)] = pool.EarliestFree(w);
     }
-    for (Batch& batch : former.Add(r, busy_until)) {
+    former.Add(r, busy_until, &closed);
+    for (Batch& batch : closed) {
       Dispatch(std::move(batch));
     }
   }

@@ -215,8 +215,11 @@ TEST(AdmissionTest, CriticalLanesPreemptBatchLanesAtDispatch) {
     b.workload = 1;
     b.arrival_s = 0.0005;
     const std::vector<double> idle = {0.0, 0.0};
-    EXPECT_TRUE(former->Add(a, idle).empty());
-    EXPECT_TRUE(former->Add(b, idle).empty());
+    std::vector<Batch> closed;
+    former->Add(a, idle, &closed);
+    EXPECT_TRUE(closed.empty());
+    former->Add(b, idle, &closed);
+    EXPECT_TRUE(closed.empty());
     return former->Flush(0.01);
   };
 

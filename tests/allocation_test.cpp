@@ -1,0 +1,90 @@
+// The serve path's zero-steady-state-allocation contract (docs/ENGINE.md),
+// measured from outside the library: this binary replaces the global
+// operator new with a counting one, and doubling a fault-free run's length
+// may add only the handful of allocations that amortized vector growth
+// needs (arrivals, stats samples, dispatch records), not one per batch.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "serve/cluster.h"
+#include "serve/engine.h"
+#include "serve/workload_registry.h"
+
+namespace {
+std::atomic<std::int64_t> g_allocations{0};
+}  // namespace
+
+// Every replacement stays out of line, so GCC never pairs an inlined
+// malloc() or free() with the other side of a new-expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace nsflow::serve {
+namespace {
+
+/// Allocations one RunSyntheticServe call makes (arrival generation, set-up
+/// and the event loop; the report's own storage included).
+std::int64_t ServeAllocations(const WorkloadRegistry& registry,
+                              const std::vector<ReplicaSpec>& replicas,
+                              const std::vector<WorkloadShare>& mix,
+                              const ServeOptions& options) {
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  const ServeReport report =
+      RunSyntheticServe(registry, replicas, mix, options);
+  EXPECT_EQ(report.summary.completed, report.generated_requests);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  const std::vector<ReplicaSpec> replicas =
+      registry.ReplicaSpecs(48, /*partitioned=*/false);
+  for (const std::string cluster : {"", "least-loaded:nodes=2"}) {
+    ServeOptions options;
+    options.qps = 8000.0;
+    if (!cluster.empty()) {
+      options.cluster = ClusterSpec::Parse(cluster);
+    }
+    options.duration_s = 25.0;
+    const std::int64_t base =
+        ServeAllocations(registry, replicas, mix, options);
+    options.duration_s = 50.0;
+    const std::int64_t doubled =
+        ServeAllocations(registry, replicas, mix, options);
+    // 200k more requests (~25k more batches) may cost a few vector
+    // doublings, never an allocation per batch or per request.
+    EXPECT_LT(doubled - base, 64)
+        << (cluster.empty() ? "plain" : cluster) << ": " << base << " -> "
+        << doubled;
+  }
+}
+
+}  // namespace
+}  // namespace nsflow::serve

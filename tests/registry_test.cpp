@@ -92,21 +92,28 @@ TEST(CompileCacheTest, UnknownNamesThrow) {
 TEST(MultiBatchFormerTest, SizeCapClosesAtTheLastArrival) {
   MultiBatchFormer former(BatchPolicy{3, 1.0}, 1);
   const std::vector<double> idle(1, 0.0);
-  EXPECT_TRUE(former.Add(At(0, 0.00, 0), idle).empty());
-  EXPECT_TRUE(former.Add(At(1, 0.01, 0), idle).empty());
-  const std::vector<Batch> closed = former.Add(At(2, 0.02, 0), idle);
+  std::vector<Batch> closed;
+  former.Add(At(0, 0.00, 0), idle, &closed);
+  EXPECT_TRUE(closed.empty());
+  former.Add(At(1, 0.01, 0), idle, &closed);
+  EXPECT_TRUE(closed.empty());
+  former.Add(At(2, 0.02, 0), idle, &closed);
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].size(), 3);
   EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.02);
   EXPECT_EQ(closed[0].close_reason, BatchCloseReason::kSizeCap);
   EXPECT_EQ(former.pending(0), 0);
+  // The next arrival replaces the caller's scratch contents.
+  former.Add(At(3, 0.03, 0), idle, &closed);
+  EXPECT_TRUE(closed.empty());
 }
 
 TEST(MultiBatchFormerTest, FlushClampsToTheOldestDeadline) {
   MultiBatchFormer former(BatchPolicy{8, 0.005}, 1);
   const std::vector<double> idle(1, 0.0);
-  former.Add(At(0, 0.100, 0), idle);
-  former.Add(At(1, 0.101, 0), idle);
+  std::vector<Batch> closed;
+  former.Add(At(0, 0.100, 0), idle, &closed);
+  former.Add(At(1, 0.101, 0), idle, &closed);
   const std::vector<Batch> tail = former.Flush(1.0);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].size(), 2);
@@ -118,12 +125,13 @@ TEST(MultiBatchFormerTest, FlushClampsToTheOldestDeadline) {
 TEST(MultiBatchFormerTest, BatchesNeverMixWorkloads) {
   MultiBatchFormer former(BatchPolicy{4, 1.0}, 2);
   const std::vector<double> idle(2, 0.0);
+  std::vector<Batch> step;
   std::vector<Batch> closed;
   // Interleaved arrivals: w0, w1, w0, w1, ... Each lane fills to 4 on its
   // own; every closed batch must be single-workload.
   for (int i = 0; i < 16; ++i) {
-    for (Batch& batch :
-         former.Add(At(i, 0.001 * i, static_cast<WorkloadId>(i % 2)), idle)) {
+    former.Add(At(i, 0.001 * i, static_cast<WorkloadId>(i % 2)), idle, &step);
+    for (Batch& batch : step) {
       closed.push_back(std::move(batch));
     }
   }
@@ -139,11 +147,12 @@ TEST(MultiBatchFormerTest, BatchesNeverMixWorkloads) {
 TEST(MultiBatchFormerTest, FifoOrderWithinWorkload) {
   MultiBatchFormer former(BatchPolicy{8, 0.005}, 3);
   const std::vector<double> idle(3, 0.0);
+  std::vector<Batch> step;
   std::vector<Batch> closed;
   // Round-robin arrivals across 3 workloads, then flush.
   for (int i = 0; i < 12; ++i) {
-    for (Batch& batch :
-         former.Add(At(i, 1e-4 * i, static_cast<WorkloadId>(i % 3)), idle)) {
+    former.Add(At(i, 1e-4 * i, static_cast<WorkloadId>(i % 3)), idle, &step);
+    for (Batch& batch : step) {
       closed.push_back(std::move(batch));
     }
   }
@@ -164,11 +173,14 @@ TEST(MultiBatchFormerTest, FifoOrderWithinWorkload) {
 TEST(MultiBatchFormerTest, ExpiredLanesCloseOldestHeadOfLineFirst) {
   MultiBatchFormer former(BatchPolicy{8, 0.005}, 3);
   const std::vector<double> idle(3, 0.0);
+  std::vector<Batch> closed;
   // Lane 2's head arrives first, then lane 0's: both wait past their
   // deadlines; a late arrival on lane 1 must close lane 2 before lane 0.
-  EXPECT_TRUE(former.Add(At(0, 0.000, 2), idle).empty());
-  EXPECT_TRUE(former.Add(At(1, 0.002, 0), idle).empty());
-  const std::vector<Batch> closed = former.Add(At(2, 0.100, 1), idle);
+  former.Add(At(0, 0.000, 2), idle, &closed);
+  EXPECT_TRUE(closed.empty());
+  former.Add(At(1, 0.002, 0), idle, &closed);
+  EXPECT_TRUE(closed.empty());
+  former.Add(At(2, 0.100, 1), idle, &closed);
   ASSERT_EQ(closed.size(), 2u);
   EXPECT_EQ(closed[0].workload, 2);
   EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.005);  // Its own deadline.
@@ -181,19 +193,22 @@ TEST(MultiBatchFormerTest, BusyHorizonStretchesPerWorkload) {
   MultiBatchFormer former(BatchPolicy{8, 0.005}, 2);
   // Workload 0's replicas are busy until t=0.1; workload 1's are idle.
   const std::vector<double> busy = {0.100, 0.0};
-  EXPECT_TRUE(former.Add(At(0, 0.000, 0), busy).empty());
-  EXPECT_TRUE(former.Add(At(1, 0.001, 1), busy).empty());
+  std::vector<Batch> closed;
+  former.Add(At(0, 0.000, 0), busy, &closed);
+  EXPECT_TRUE(closed.empty());
+  former.Add(At(1, 0.001, 1), busy, &closed);
+  EXPECT_TRUE(closed.empty());
   // t=0.050: lane 1 is past its (unstretched) deadline and closes; lane 0
   // keeps absorbing backlog until its busy horizon.
-  const std::vector<Batch> closed = former.Add(At(2, 0.050, 0), busy);
+  former.Add(At(2, 0.050, 0), busy, &closed);
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].workload, 1);
   EXPECT_EQ(former.pending(0), 2);
   // t=0.120 passes the stretched horizon: lane 0 closes at it.
-  const std::vector<Batch> after = former.Add(At(3, 0.120, 1), busy);
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(after[0].workload, 0);
-  EXPECT_DOUBLE_EQ(after[0].formed_s, 0.100);
+  former.Add(At(3, 0.120, 1), busy, &closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].workload, 0);
+  EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.100);
 }
 
 // ------------------------------------------------------------ pool routing
