@@ -796,24 +796,12 @@ struct PipelineContext {
       return;
     }
     const double t = r.arrival_s;
-    const int provisioned = pool.ActiveReplicas(t);
-    int failed = 0;
-    for (int rep = 0; rep < pool.size(); ++rep) {
-      if (pool.Failed(rep, t)) {
-        ++failed;
-      }
-    }
-    const double live_fraction =
-        provisioned > 0
-            ? static_cast<double>(std::max(0, provisioned - failed)) /
-                  static_cast<double>(provisioned)
-            : 1.0;
     while (!scheduled_starts.empty() && scheduled_starts.Top().t_s <= t) {
       scheduled_backlog -= scheduled_starts.Pop().payload;
     }
     const std::int64_t removed_before = admission->removed();
     if (!admission->Offer(&r, former.total_pending() + scheduled_backlog,
-                          live_fraction)) {
+                          pool.LiveFraction(t))) {
       const bool final_shed = admission->removed() > removed_before;
       AdmissionInstant(t,
                        final_shed ? obs::InstantKind::kAdmissionShed

@@ -459,6 +459,21 @@ int ServerPool::ActiveReplicas(double t) const {
   return active;
 }
 
+double ServerPool::LiveFraction(double t) const {
+  int provisioned = 0;
+  int live = 0;
+  for (int r = 0; r < size(); ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (added_at_[i] <= t && t < retired_at_[i]) {
+      ++provisioned;
+      live += Failed(r, t) ? 0 : 1;
+    }
+  }
+  return provisioned > 0
+             ? static_cast<double>(live) / static_cast<double>(provisioned)
+             : 1.0;
+}
+
 double ServerPool::ReplicaSeconds(double horizon_s) const {
   double total = 0.0;
   for (int r = 0; r < size(); ++r) {

@@ -211,8 +211,13 @@ class ServerPool {
   double AddedAt(int replica) const;
   /// When `replica` retired (+inf while active).
   double RetiredAt(int replica) const;
-  /// Replicas provisioned at virtual time `t` (added and not yet retired).
+  /// Replicas provisioned and live at virtual time `t`: added, not yet
+  /// retired, and not dark inside a failure window.
   int ActiveReplicas(double t) const;
+  /// Share of the replicas provisioned at `t` (added <= t < retired) that
+  /// are live there (not dark) — admission's capacity signal. 1 when none
+  /// are provisioned.
+  double LiveFraction(double t) const;
   /// FPGA time the pool consumed over [0, horizon_s): the integral of the
   /// active-replica count — the elastic-vs-static efficiency metric
   /// (docs/AUTOSCALING.md).

@@ -20,6 +20,7 @@
 #include "serve/adversity.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
+#include "serve/server_pool.h"
 #include "serve/workload_registry.h"
 
 namespace nsflow::serve {
@@ -341,6 +342,43 @@ TEST(AdmissionTest, GracefulDrainAccountsForEveryOfferedRequest) {
                event.event.find("graceful drain") != std::string::npos);
   }
   EXPECT_TRUE(drained);
+}
+
+TEST(AdmissionTest, ADarkReplicaCountsOnceAgainstTheLiveFraction) {
+  // One of four replicas dark is a live fraction of 3/4. Subtracting the
+  // failed replicas from ActiveReplicas, which already leaves them out,
+  // read 2/3 and shed batch-tier traffic under `live=0.7` that the three
+  // survivors carry.
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  const std::vector<ReplicaSpec> replicas = registry.ReplicaSpecs(4, true);
+  ServerPool pool(replicas, registry.Dataflows());
+  pool.FailReplica(1, 1.0, 2.0);
+  EXPECT_EQ(pool.ActiveReplicas(1.5), 3);
+  EXPECT_DOUBLE_EQ(pool.LiveFraction(1.5), 0.75);
+  EXPECT_DOUBLE_EQ(pool.LiveFraction(0.5), 1.0);
+  EXPECT_DOUBLE_EQ(pool.LiveFraction(2.0), 1.0);
+
+  // nsflow serve --mix mlp=0.5,resnet18=0.5 --replicas 4 --partition
+  //   --qps 300 --duration 4 --seed 7 --adversity replica-fail
+  //   --admission overload:live=0.7,depth=100000
+  //   --tiers mlp=critical,resnet18=batch
+  // shed 143 of 569 batch-tier offers while the double count stood.
+  const std::vector<WorkloadShare> mix = {{"mlp", 0.5}, {"resnet18", 0.5}};
+  ServeOptions options;
+  options.qps = 300.0;
+  options.duration_s = 4.0;
+  options.seed = 7;
+  options.adversity = AdversitySpec::Parse("replica-fail");
+  options.admission = AdmissionSpec::Parse("overload:live=0.7,depth=100000");
+  options.tiers = {SlaTier::kCritical, SlaTier::kBatch};
+  const ServeReport report =
+      RunSyntheticServe(registry, replicas, mix, options);
+  ASSERT_EQ(report.admission.size(), 2u);
+  EXPECT_GT(report.admission[1].offered, 0);
+  EXPECT_EQ(report.admission[1].shed(), 0);
+  EXPECT_EQ(report.summary.completed, report.generated_requests);
 }
 
 // ------------------------------------------------- determinism + compose
