@@ -34,10 +34,11 @@
 //      failure re-walks only the trees of the workloads that replica
 //      serves, O(W log R); a refit, drain, add or `SetReplicaNode` re-seats
 //      that replica's leaves at the same cost. `DrainAll`, an add past the
-//      tree capacity (which then doubles, in place) and the first replica
-//      pinned to a new node rebuild every tree in O(W R (nodes + log R)).
-//      While every replica sits on node 0 the node-0 trees are the
-//      pool-wide ones, so a single-node pool keeps one tree per workload.
+//      tree capacity (which then doubles; all trees share one vector) and
+//      the first replica pinned to a new node rebuild every tree in
+//      O(W R (nodes + log R)). While every replica sits on node 0 the
+//      node-0 trees are the pool-wide ones, so a single-node pool keeps
+//      one tree per workload.
 // Like the engine that drives it, the pool is single-threaded: same
 // designs + same batch stream -> same dispatch.
 #pragma once
@@ -342,8 +343,8 @@ class ServerPool {
   /// Write `replica`'s leaf in every tree it belongs to (itself when
   /// `seated`, empty otherwise) and re-walk each to the root. Call with
   /// seated = false before changing a replica's workload set, node or
-  /// drain mark and seated = true after; seated = true also re-sorts a
-  /// replica whose free_at changed. A draining replica holds no leaves.
+  /// drain mark and seated = true after, or with seated = true alone after
+  /// its free_at changed. A draining replica holds no leaves.
   void Reseat(int replica, bool seated);
   /// Size the trees for the current pool (capacity doubles until it
   /// covers every replica; node range from the tags) and seat every
@@ -365,7 +366,8 @@ class ServerPool {
 
   /// Dispatch index storage: every tree is 2 * index_capacity_ slots of
   /// replica ids (slot 1 the root, leaves from index_capacity_ on),
-  /// laid out [workload][pool-wide, node 0, node 1, ...].
+  /// laid out [workload][pool-wide, node 0, node 1, ...] — W * (nodes + 1)
+  /// trees once replicas span several nodes, W trees before.
   std::vector<int> index_;
   int index_capacity_ = 0;  // Leaves per tree: a power of two >= size().
   int index_nodes_ = 1;     // Node tags covered: 1 + the largest tag.

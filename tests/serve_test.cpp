@@ -1,5 +1,6 @@
-// Tests for NSFlow-Serve: stat percentiles, batched cycle accounting, and
-// multi-replica dispatch determinism under a fixed RNG seed.
+// Tests for NSFlow-Serve: stat percentiles, batched cycle accounting,
+// multi-replica dispatch determinism under a fixed RNG seed, and the
+// dispatch index against the brute-force replica scan it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
