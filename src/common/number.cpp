@@ -1,9 +1,12 @@
 #include "common/number.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "common/error.h"
@@ -27,6 +30,30 @@ double ParseFiniteNumber(const std::string& text, const std::string& what) {
   }
   return value;
 }
+
+template <typename Int>
+Int ParseInteger(const std::string& text, const std::string& what) {
+  Int value = 0;
+  const char* end = text.data() + text.size();
+  // std::from_chars takes no leading space or '+', and reports overflow
+  // instead of wrapping; only a fully used token is accepted.
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw Error("bad integer value for " + what + ": '" + text +
+                "' (expected a whole number in [" +
+                std::to_string(std::numeric_limits<Int>::min()) + ", " +
+                std::to_string(std::numeric_limits<Int>::max()) + "])");
+  }
+  return value;
+}
+
+template int ParseInteger<int>(const std::string&, const std::string&);
+template std::int64_t ParseInteger<std::int64_t>(const std::string&,
+                                                 const std::string&);
+template std::uint64_t ParseInteger<std::uint64_t>(const std::string&,
+                                                   const std::string&);
+
+bool IsWholeNumber(double value) { return value == std::floor(value); }
 
 std::string ShortestNumber(double value) {
   char buf[64];

@@ -36,9 +36,10 @@ struct ObsOptions {
   /// > 0: ring buffers keeping only the newest records (long runs);
   /// 0: unbounded pools.
   std::size_t ring_capacity = 0;
-  /// Virtual-time cadence of metrics-timeline snapshots.
-  double snapshot_interval_s = 0.25;
 };
+
+/// Virtual-time cadence of metrics-timeline snapshots, seconds.
+inline constexpr double kSnapshotIntervalS = 0.25;
 
 struct Observability {
   explicit Observability(const ObsOptions& opts)

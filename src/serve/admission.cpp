@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -35,156 +34,84 @@ SlaTier TierFromName(const std::string& name) {
               "' (known: critical, standard, batch)");
 }
 
+std::vector<SlaTier> ParseTiers(const std::string& text,
+                                const std::vector<std::string>& workloads) {
+  std::vector<SlaTier> tiers(workloads.size(), SlaTier::kStandard);
+  const std::string shape = "name=tier, e.g. mlp=critical";
+  ForEachSpecEntry(
+      text, "--tiers entry", shape,
+      [&](const std::string& name, const std::string& tier) {
+        if (tier.empty()) {
+          throw Error("bad --tiers entry '" + name + "=' (expected " + shape +
+                      ")");
+        }
+        const SlaTier parsed = TierFromName(tier);
+        const auto it = std::find(workloads.begin(), workloads.end(), name);
+        if (it == workloads.end()) {
+          std::string served;
+          for (const std::string& w : workloads) {
+            served += (served.empty() ? "" : ", ") + w;
+          }
+          throw Error("--tiers names unknown workload '" + name +
+                      "' (this run serves: " + served + ")");
+        }
+        tiers[static_cast<std::size_t>(it - workloads.begin())] = parsed;
+      });
+  return tiers;
+}
+
 namespace {
 
-struct KindInfo {
-  AdmissionKind kind;
-  const char* name;
-  // Parameter keys this policy accepts (nullptr-terminated).
-  const char* keys[8];
+// Indexed by AdmissionKind.
+constexpr SpecName kKinds[] = {
+    {"none", {}, {}},
+    {"quota", {"rate", "burst", "retry", "backoff"}, {}},
+    {"slo", {"deadline", "retry", "backoff"}, {}},
+    {"overload", {"depth", "live", "retry", "backoff"}, {}},
+    {"guard",
+     {"rate", "burst", "deadline", "depth", "live", "retry", "backoff"},
+     {}},
 };
 
-constexpr KindInfo kKinds[] = {
-    {AdmissionKind::kNone, "none", {nullptr}},
-    {AdmissionKind::kQuota,
-     "quota",
-     {"rate", "burst", "retry", "backoff", nullptr}},
-    {AdmissionKind::kSlo, "slo", {"deadline", "retry", "backoff", nullptr}},
-    {AdmissionKind::kOverload,
-     "overload",
-     {"depth", "live", "retry", "backoff", nullptr}},
-    {AdmissionKind::kGuard,
-     "guard",
-     {"rate", "burst", "deadline", "depth", "live", "retry", "backoff",
-      nullptr}},
-};
-
-const KindInfo& InfoFor(AdmissionKind kind) {
-  for (const KindInfo& info : kKinds) {
-    if (info.kind == kind) {
-      return info;
-    }
-  }
-  throw Error("unknown admission kind");
-}
-
-std::string KnownPolicyNames() {
-  std::string names;
-  for (const KindInfo& info : kKinds) {
-    names += (names.empty() ? "" : ", ") + std::string(info.name);
-  }
-  return names;
-}
-
-bool IsIntegral(double value) { return value == std::floor(value); }
-
-bool HasKey(const KindInfo& info, const char* key) {
-  for (const char* const* k = info.keys; *k != nullptr; ++k) {
-    if (std::strcmp(key, *k) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
+constexpr SpecGrammar kGrammar{"admission", "admission policy", kKinds};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
 AdmissionSpec AdmissionSpec::Parse(const std::string& text) {
-  AdmissionSpec spec;
-  const std::size_t colon = text.find(':');
-  const std::string name = text.substr(0, colon);
-  bool known = false;
-  for (const KindInfo& info : kKinds) {
-    if (name == info.name) {
-      spec.kind = info.kind;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    throw Error("unknown admission policy '" + name +
-                "' (known: " + KnownPolicyNames() + ")");
-  }
-
-  std::size_t start = colon == std::string::npos ? text.size() : colon + 1;
-  while (start < text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string entry = text.substr(start, end - start);
-    const std::size_t eq = entry.find('=');
-    if (entry.empty() || eq == std::string::npos || eq == 0) {
-      throw Error("bad admission parameter '" + entry +
-                  "' (expected key=value)");
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    const KindInfo& info = InfoFor(spec.kind);
-    if (!HasKey(info, key.c_str())) {
-      std::string keys;
-      for (const char* const* k = info.keys; *k != nullptr; ++k) {
-        keys += (keys.empty() ? "" : ", ") + std::string(*k);
-      }
-      throw Error("admission policy '" + std::string(info.name) +
-                  "' has no parameter '" + key + "'" +
-                  (keys.empty() ? "" : " (known: " + keys + ")"));
-    }
-    spec.params[key] =
-        ParseFiniteNumber(value, "admission parameter '" + key + "'");
-    start = end + 1;
-  }
+  ParsedSpec parsed = kGrammar.Parse(text);
+  const AdmissionSpec spec{static_cast<AdmissionKind>(parsed.name),
+                           std::move(parsed.params)};
 
   // Range validation of the provided parameters (defaults are always
-  // valid; the tenant-relative rate default resolves at construction).
+  // valid; the tenant-relative rate default resolves at construction). A
+  // policy only holds the keys it accepts, so the others read their
+  // fallbacks here and pass.
   const auto require = [&](bool ok, const char* message) {
-    if (!ok) {
-      throw Error("admission '" + spec.Name() + "': " + message);
-    }
+    kGrammar.Require(ok, parsed.name, message);
   };
-  const KindInfo& info = InfoFor(spec.kind);
-  if (HasKey(info, "rate")) {
-    require(spec.Param("rate", 1.0) > 0.0, "rate must be positive");
-    require(spec.Param("burst", 1.0) >= 1.0, "burst must be >= 1");
-  }
-  if (HasKey(info, "deadline")) {
-    require(spec.Param("deadline", 1.0) > 0.0, "deadline must be positive");
-  }
-  if (HasKey(info, "depth")) {
-    require(spec.Param("depth", 1.0) >= 1.0 &&
-                IsIntegral(spec.Param("depth", 1.0)),
-            "depth must be a positive integer");
-    require(spec.Param("live", 0.5) >= 0.0 && spec.Param("live", 0.5) <= 1.0,
-            "live must be a fraction in [0, 1]");
-  }
-  if (spec.kind != AdmissionKind::kNone) {
-    require(spec.Param("retry", 0.0) >= 0.0 &&
-                IsIntegral(spec.Param("retry", 0.0)),
-            "retry must be a non-negative integer");
-    require(spec.Param("backoff", 0.0) >= 0.0,
-            "backoff must be non-negative");
-  }
+  require(spec.Param("rate", 1.0) > 0.0, "rate must be positive");
+  require(spec.Param("burst", 1.0) >= 1.0, "burst must be >= 1");
+  require(spec.Param("deadline", 1.0) > 0.0, "deadline must be positive");
+  require(spec.Param("depth", 1.0) >= 1.0 &&
+              IsWholeNumber(spec.Param("depth", 1.0)),
+          "depth must be a positive integer");
+  require(spec.Param("live", 0.5) >= 0.0 && spec.Param("live", 0.5) <= 1.0,
+          "live must be a fraction in [0, 1]");
+  require(spec.Param("retry", 0.0) >= 0.0 &&
+              IsWholeNumber(spec.Param("retry", 0.0)),
+          "retry must be a non-negative integer");
+  require(spec.Param("backoff", 0.0) >= 0.0, "backoff must be non-negative");
   return spec;
 }
 
-std::string AdmissionSpec::Name() const { return InfoFor(kind).name; }
-
-std::string AdmissionSpec::ToString() const {
-  std::string out = Name();
-  char sep = ':';
-  for (const auto& [key, value] : params) {
-    out += sep;
-    sep = ',';
-    out += key + "=" + ShortestNumber(value);
-  }
-  return out;
+std::string AdmissionSpec::Name() const {
+  return std::string(kKinds[static_cast<std::size_t>(kind)].name);
 }
 
-double AdmissionSpec::Param(const std::string& key, double fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
+std::string AdmissionSpec::ToString() const {
+  return kGrammar.Format(static_cast<std::size_t>(kind), params);
 }
 
 AdmissionController::AdmissionController(const AdmissionSpec& spec,

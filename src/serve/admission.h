@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
 #include "serve/request.h"
 
 namespace nsflow::obs {
@@ -36,9 +37,8 @@ enum class AdmissionKind {
   kGuard = 4,     // All mechanisms together (the production shape).
 };
 
-/// Strict-parse admission policy spec: `name` or `name:key=value,...`.
-/// Unknown names, unknown keys, and out-of-range values are errors — the
-/// same contract as `ScenarioSpec` / `AdversitySpec`.
+/// Admission policy spec, `name[:key=value,...]` in the spec grammar
+/// (common/spec.h); Parse range-checks the values given.
 ///
 /// Parameters (each only where its mechanism is active; defaults resolved
 /// by the controller at construction):
@@ -62,13 +62,23 @@ struct AdmissionSpec {
   static AdmissionSpec Parse(const std::string& text);
   std::string ToString() const;  // Canonical round-trippable form.
   std::string Name() const;
-  double Param(const std::string& key, double fallback) const;
+  double Param(const std::string& key, double fallback) const {
+    return SpecParam(params, key, fallback);
+  }
   bool enabled() const { return kind != AdmissionKind::kNone; }
 
   bool operator==(const AdmissionSpec& other) const {
     return kind == other.kind && params == other.params;
   }
 };
+
+/// Parse `--tiers` text ("mlp=critical,resnet18=batch") against the run's
+/// workload names into a per-WorkloadId tier vector; unlisted workloads
+/// stay `standard`. The entries follow the spec grammar (common/spec.h):
+/// a malformed or repeated entry, an unknown tier and an unknown workload
+/// all throw `Error`.
+std::vector<SlaTier> ParseTiers(const std::string& text,
+                                const std::vector<std::string>& workloads);
 
 /// Per-tenant admission accounting, one row per workload (tenant), carried
 /// on `ServeReport::admission` and printed as the CLI epilogue table.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 #include <utility>
 
@@ -13,105 +12,30 @@
 namespace nsflow::serve {
 namespace {
 
-struct KindInfo {
-  AdversityKind kind;
-  const char* name;
-  // Parameter keys this pattern accepts (nullptr-terminated).
-  const char* keys[7];
+// Indexed by AdversityKind.
+constexpr SpecName kKinds[] = {
+    {"none", {}, {}},
+    {"replica-fail",
+     {"at", "down", "replica", "count", "warmup", "node"},
+     {}},
+    {"straggler", {"at", "duration", "factor", "replica", "count"}, {}},
+    {"churn", {"at", "down", "workload"}, {}},
+    {"flash", {"at", "width", "mult"}, {}},
 };
 
-constexpr KindInfo kKinds[] = {
-    {AdversityKind::kNone, "none", {nullptr}},
-    {AdversityKind::kReplicaFail,
-     "replica-fail",
-     {"at", "down", "replica", "count", "warmup", "node", nullptr}},
-    {AdversityKind::kStraggler,
-     "straggler",
-     {"at", "duration", "factor", "replica", "count", nullptr}},
-    {AdversityKind::kChurn, "churn", {"at", "down", "workload", nullptr}},
-    {AdversityKind::kFlash, "flash", {"at", "width", "mult", nullptr}},
-};
-
-const KindInfo& InfoFor(AdversityKind kind) {
-  for (const KindInfo& info : kKinds) {
-    if (info.kind == kind) {
-      return info;
-    }
-  }
-  throw Error("unknown adversity kind");
-}
-
-std::string KnownPatternNames() {
-  std::string names;
-  for (const KindInfo& info : kKinds) {
-    names += (names.empty() ? "" : ", ") + std::string(info.name);
-  }
-  return names;
-}
-
-bool IsIntegral(double value) { return value == std::floor(value); }
+constexpr SpecGrammar kGrammar{"adversity", "adversity pattern", kKinds};
 
 }  // namespace
 
 AdversitySpec AdversitySpec::Parse(const std::string& text) {
-  AdversitySpec spec;
-  const std::size_t colon = text.find(':');
-  const std::string name = text.substr(0, colon);
-  bool known = false;
-  for (const KindInfo& info : kKinds) {
-    if (name == info.name) {
-      spec.kind = info.kind;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    throw Error("unknown adversity pattern '" + name +
-                "' (known: " + KnownPatternNames() + ")");
-  }
-
-  std::size_t start = colon == std::string::npos ? text.size() : colon + 1;
-  while (start < text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string entry = text.substr(start, end - start);
-    const std::size_t eq = entry.find('=');
-    if (entry.empty() || eq == std::string::npos || eq == 0) {
-      throw Error("bad adversity parameter '" + entry +
-                  "' (expected key=value)");
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    const KindInfo& info = InfoFor(spec.kind);
-    bool accepted = false;
-    for (const char* const* k = info.keys; *k != nullptr; ++k) {
-      if (key == *k) {
-        accepted = true;
-        break;
-      }
-    }
-    if (!accepted) {
-      std::string keys;
-      for (const char* const* k = info.keys; *k != nullptr; ++k) {
-        keys += (keys.empty() ? "" : ", ") + std::string(*k);
-      }
-      throw Error("adversity pattern '" + std::string(info.name) +
-                  "' has no parameter '" + key + "'" +
-                  (keys.empty() ? "" : " (known: " + keys + ")"));
-    }
-    spec.params[key] =
-        ParseFiniteNumber(value, "adversity parameter '" + key + "'");
-    start = end + 1;
-  }
+  ParsedSpec parsed = kGrammar.Parse(text);
+  const AdversitySpec spec{static_cast<AdversityKind>(parsed.name),
+                           std::move(parsed.params)};
 
   // Range validation of the provided parameters (defaults are always
   // valid; duration-relative defaults are resolved at timeline build time).
   const auto require = [&](bool ok, const char* message) {
-    if (!ok) {
-      throw Error("adversity '" + spec.Name() + "': " + message);
-    }
+    kGrammar.Require(ok, parsed.name, message);
   };
   switch (spec.kind) {
     case AdversityKind::kReplicaFail:
@@ -120,13 +44,13 @@ AdversitySpec AdversitySpec::Parse(const std::string& text) {
       require(spec.Param("warmup", 0.0) >= 0.0,
               "warmup must be non-negative");
       require(spec.Param("count", 1.0) >= 1.0 &&
-                  IsIntegral(spec.Param("count", 1.0)),
+                  IsWholeNumber(spec.Param("count", 1.0)),
               "count must be a positive integer");
       require(spec.Param("replica", -1.0) >= -1.0 &&
-                  IsIntegral(spec.Param("replica", -1.0)),
+                  IsWholeNumber(spec.Param("replica", -1.0)),
               "replica must be an integer >= -1 (-1 picks the busiest)");
       require(spec.Param("node", -1.0) >= -1.0 &&
-                  IsIntegral(spec.Param("node", -1.0)),
+                  IsWholeNumber(spec.Param("node", -1.0)),
               "node must be an integer >= -1 (-1 targets replicas, not a "
               "cluster node)");
       break;
@@ -137,17 +61,17 @@ AdversitySpec AdversitySpec::Parse(const std::string& text) {
       require(spec.Param("factor", 2.0) >= 1.0,
               "factor must be >= 1 (a clock derate slows, never speeds up)");
       require(spec.Param("count", 1.0) >= 1.0 &&
-                  IsIntegral(spec.Param("count", 1.0)),
+                  IsWholeNumber(spec.Param("count", 1.0)),
               "count must be a positive integer");
       require(spec.Param("replica", -1.0) >= -1.0 &&
-                  IsIntegral(spec.Param("replica", -1.0)),
+                  IsWholeNumber(spec.Param("replica", -1.0)),
               "replica must be an integer >= -1 (-1 picks the busiest)");
       break;
     case AdversityKind::kChurn:
       require(spec.Param("at", 0.0) >= 0.0, "at must be non-negative");
       require(spec.Param("down", 1.0) > 0.0, "down must be positive");
       require(spec.Param("workload", 0.0) >= 0.0 &&
-                  IsIntegral(spec.Param("workload", 0.0)),
+                  IsWholeNumber(spec.Param("workload", 0.0)),
               "workload must be a non-negative integer id");
       break;
     case AdversityKind::kFlash:
@@ -161,22 +85,12 @@ AdversitySpec AdversitySpec::Parse(const std::string& text) {
   return spec;
 }
 
-std::string AdversitySpec::Name() const { return InfoFor(kind).name; }
-
-std::string AdversitySpec::ToString() const {
-  std::string out = Name();
-  char sep = ':';
-  for (const auto& [key, value] : params) {
-    out += sep;
-    sep = ',';
-    out += key + "=" + ShortestNumber(value);
-  }
-  return out;
+std::string AdversitySpec::Name() const {
+  return std::string(kKinds[static_cast<std::size_t>(kind)].name);
 }
 
-double AdversitySpec::Param(const std::string& key, double fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
+std::string AdversitySpec::ToString() const {
+  return kGrammar.Format(static_cast<std::size_t>(kind), params);
 }
 
 std::vector<AdversityEvent> BuildAdversityTimeline(const AdversitySpec& spec,

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
 #include "serve/request.h"
 
 namespace nsflow::serve {
@@ -53,28 +54,28 @@ enum class AdversityKind {
 };
 
 /// A parsed `--adversity` value: the fault pattern plus its numeric
-/// parameters. Same strict-parse conventions as `ScenarioSpec`: unknown
-/// names and unknown parameter keys throw (typos must not silently fall
-/// back to defaults), and provided values are range-checked. Defaults not
-/// listed in the spec are documented in docs/SCENARIOS.md; time-like
-/// defaults are duration-relative and resolved in BuildAdversityTimeline.
+/// parameters, in the spec grammar (common/spec.h). Defaults not listed in
+/// the spec are documented in docs/SCENARIOS.md; time-like defaults are
+/// duration-relative and resolved in BuildAdversityTimeline.
 struct AdversitySpec {
   AdversityKind kind = AdversityKind::kNone;
   std::map<std::string, double> params;  // Deterministic iteration order.
 
   /// Parse "name" or "name:key=value,key=value" (e.g.
-  /// "replica-fail:at=4,down=2", "straggler:factor=2,count=1"). Throws on
-  /// unknown pattern names and unknown parameter keys.
+  /// "replica-fail:at=4,down=2", "straggler:factor=2,count=1") and
+  /// range-check the values given. Throws `Error` on malformed input.
   static AdversitySpec Parse(const std::string& text);
 
-  /// Canonical round-trippable form ("replica-fail:at=4,down=2").
+  /// Canonical form ("replica-fail:at=4,down=2"):
   /// Parse(ToString()) == *this.
   std::string ToString() const;
 
   /// The pattern's name without parameters ("replica-fail").
   std::string Name() const;
 
-  double Param(const std::string& key, double fallback) const;
+  double Param(const std::string& key, double fallback) const {
+    return SpecParam(params, key, fallback);
+  }
   bool enabled() const { return kind != AdversityKind::kNone; }
   bool operator==(const AdversitySpec& other) const {
     return kind == other.kind && params == other.params;

@@ -14,6 +14,11 @@
 namespace nsflow::serve {
 namespace {
 
+// Control-loop timing, virtual seconds (docs/AUTOSCALING.md).
+constexpr double kIntervalS = 0.25;  // Decision cadence.
+constexpr double kWindowS = 1.0;     // Trailing rate-observation window.
+constexpr double kReconfigS = 0.02;  // Warm add/refit readiness delay.
+
 std::string Rps(double rate) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", rate);
@@ -39,8 +44,6 @@ Autoscaler::Autoscaler(const WorkloadRegistry& registry,
       opts_(options.autoscale_opts),
       serve_(options) {
   NSF_CHECK_MSG(!mix.empty(), "autoscaler needs a workload mix");
-  NSF_CHECK_MSG(opts_.interval_s > 0.0, "autoscale interval must be positive");
-  NSF_CHECK_MSG(opts_.window_s > 0.0, "autoscale window must be positive");
   NSF_CHECK_MSG(opts_.headroom > 0.0, "autoscale headroom must be positive");
   NSF_CHECK_MSG(opts_.down_band > 0.0 && opts_.down_band < opts_.up_band,
                 "hysteresis bands need 0 < down_band < up_band");
@@ -49,8 +52,6 @@ Autoscaler::Autoscaler(const WorkloadRegistry& registry,
                 "dead band can exceed the provisioned capacity "
                 "(docs/AUTOSCALING.md)");
   NSF_CHECK_MSG(opts_.cooldown_s >= 0.0, "cool-down must be non-negative");
-  NSF_CHECK_MSG(opts_.reconfig_s >= 0.0,
-                "reconfiguration delay must be non-negative");
   NSF_CHECK_MSG(opts_.min_replicas >= 1 &&
                     opts_.min_replicas <= opts_.max_replicas,
                 "need 1 <= min_replicas <= max_replicas");
@@ -59,7 +60,6 @@ Autoscaler::Autoscaler(const WorkloadRegistry& registry,
   PlanOptions frontier_options;
   frontier_options.device = opts_.device;
   frontier_options.devices = opts_.devices;
-  frontier_options.frontier_points = opts_.frontier_points;
   frontier_options.dse = opts_.dse;
   frontier_options.dictionary_bytes = opts_.dictionary_bytes;
   frontier_ = BuildPlanFrontier(registry, mix, frontier_options);
@@ -154,7 +154,7 @@ Autoscaler::Autoscaler(const WorkloadRegistry& registry,
     }
   }
 
-  next_tick_s_ = opts_.interval_s;
+  next_tick_s_ = kIntervalS;
 }
 
 bool Autoscaler::FitsBudget(const ResourceReport& report) const {
@@ -204,7 +204,6 @@ Autoscaler::Target Autoscaler::ReplanGroup(int group_index,
   replan.device = opts_.device;
   replan.devices = opts_.devices;
   replan.max_replicas_per_workload = opts_.max_replicas;
-  replan.max_utilization = opts_.max_utilization;
   replan.max_batch = serve_.max_batch;
   replan.max_wait_s = serve_.max_wait_s;
 
@@ -324,8 +323,8 @@ int Autoscaler::LiveMembers(const Group& group, double t) const {
 std::vector<PoolDelta> Autoscaler::Tick(MultiBatchFormer& former,
                                         ServeStats& stats) {
   const double t = next_tick_s_;
-  next_tick_s_ += opts_.interval_s;
-  const double window = std::min(opts_.window_s, t);
+  next_tick_s_ += kIntervalS;
+  const double window = std::min(kWindowS, t);
   if (tick_counter_ != nullptr) {
     tick_counter_->Increment();
   }
@@ -355,7 +354,7 @@ std::vector<PoolDelta> Autoscaler::Tick(MultiBatchFormer& former,
     total_rate += rate;
     // Backlog folds into demand as "drain it within one window".
     const double demand =
-        rate + static_cast<double>(former.pending(group.id)) / opts_.window_s;
+        rate + static_cast<double>(former.pending(group.id)) / kWindowS;
     const double target_rate = demand * (1.0 + opts_.headroom);
     // Lost capacity is demand pressure: a dark member serves nothing, so
     // the hysteresis bands center on the surviving share of the
@@ -482,7 +481,7 @@ std::vector<PoolDelta> Autoscaler::Tick(MultiBatchFormer& former,
             "refit replica " + std::to_string(from.replica) + " from '" +
             groups_[static_cast<std::size_t>(from.group)].workload +
             "': " + target.trigger;
-        pool_.RefitInPlace(from.replica, delta.spec, t + opts_.reconfig_s);
+        pool_.RefitInPlace(from.replica, delta.spec, t + kReconfigS);
         group.members.insert(
             std::lower_bound(group.members.begin(), group.members.end(),
                              from.replica),
@@ -528,7 +527,7 @@ std::vector<PoolDelta> Autoscaler::Tick(MultiBatchFormer& former,
         const bool multi_node = cluster_ != nullptr && cluster_->nodes() > 1;
         const int add_node =
             multi_node ? cluster_->LeastPopulatedNode() : -1;
-        delta.replica = pool_.AddReplica(delta.spec, t + opts_.reconfig_s);
+        delta.replica = pool_.AddReplica(delta.spec, t + kReconfigS);
         if (multi_node) {
           cluster_->AssignReplica(delta.replica, add_node);
           delta.node = add_node;

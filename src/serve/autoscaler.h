@@ -5,7 +5,7 @@
 // peak rate, which wastes most of the FPGA budget through the troughs of
 // the very diurnal/spike/bursty patterns the scenario suite models. The
 // autoscaler is the runtime counterpart: a control loop that, every
-// `interval_s` of virtual time,
+// 0.25 s of virtual time,
 //
 //   1. samples each workload's trailing-window arrival rate and forming
 //      backlog from `ServeStats`,

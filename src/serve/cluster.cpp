@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "common/error.h"
@@ -13,41 +12,14 @@
 namespace nsflow::serve {
 namespace {
 
-struct PolicyInfo {
-  ClusterRouterPolicy policy;
-  const char* name;
-  // Parameter keys this policy accepts (nullptr-terminated).
-  const char* keys[6];
+// Indexed by ClusterRouterPolicy.
+constexpr SpecName kPolicies[] = {
+    {"none", {}, {}},
+    {"hash", {"nodes", "hops", "hop_us", "gbps"}, {}},
+    {"least-loaded", {"nodes", "hops", "hop_us", "gbps", "affinity"}, {}},
 };
 
-constexpr PolicyInfo kPolicies[] = {
-    {ClusterRouterPolicy::kNone, "none", {nullptr}},
-    {ClusterRouterPolicy::kHash,
-     "hash",
-     {"nodes", "hops", "hop_us", "gbps", nullptr}},
-    {ClusterRouterPolicy::kLeastLoaded,
-     "least-loaded",
-     {"nodes", "hops", "hop_us", "gbps", "affinity", nullptr}},
-};
-
-const PolicyInfo& InfoFor(ClusterRouterPolicy policy) {
-  for (const PolicyInfo& info : kPolicies) {
-    if (info.policy == policy) {
-      return info;
-    }
-  }
-  throw Error("unknown cluster router policy");
-}
-
-std::string KnownPolicyNames() {
-  std::string names;
-  for (const PolicyInfo& info : kPolicies) {
-    names += (names.empty() ? "" : ", ") + std::string(info.name);
-  }
-  return names;
-}
-
-bool IsIntegral(double value) { return value == std::floor(value); }
+constexpr SpecGrammar kGrammar{"cluster", "cluster router", kPolicies};
 
 /// SplitMix64 — the router's stateless mixer. Strong enough to spread
 /// (workload, lead id) pairs uniformly over the capable nodes, and a pure
@@ -62,96 +34,34 @@ std::uint64_t Mix64(std::uint64_t x) {
 }  // namespace
 
 ClusterSpec ClusterSpec::Parse(const std::string& text) {
-  ClusterSpec spec;
-  const std::size_t colon = text.find(':');
-  const std::string name = text.substr(0, colon);
-  bool known = false;
-  for (const PolicyInfo& info : kPolicies) {
-    if (name == info.name) {
-      spec.policy = info.policy;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    throw Error("unknown cluster router '" + name +
-                "' (known: " + KnownPolicyNames() + ")");
-  }
+  ParsedSpec parsed = kGrammar.Parse(text);
+  const ClusterSpec spec{static_cast<ClusterRouterPolicy>(parsed.name),
+                         std::move(parsed.params)};
 
-  std::size_t start = colon == std::string::npos ? text.size() : colon + 1;
-  while (start < text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string entry = text.substr(start, end - start);
-    const std::size_t eq = entry.find('=');
-    if (entry.empty() || eq == std::string::npos || eq == 0) {
-      throw Error("bad cluster parameter '" + entry +
-                  "' (expected key=value)");
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    const PolicyInfo& info = InfoFor(spec.policy);
-    bool accepted = false;
-    for (const char* const* k = info.keys; *k != nullptr; ++k) {
-      if (key == *k) {
-        accepted = true;
-        break;
-      }
-    }
-    if (!accepted) {
-      std::string keys;
-      for (const char* const* k = info.keys; *k != nullptr; ++k) {
-        keys += (keys.empty() ? "" : ", ") + std::string(*k);
-      }
-      throw Error("cluster router '" + std::string(info.name) +
-                  "' has no parameter '" + key + "'" +
-                  (keys.empty() ? "" : " (known: " + keys + ")"));
-    }
-    spec.params[key] =
-        ParseFiniteNumber(value, "cluster parameter '" + key + "'");
-    start = end + 1;
-  }
-
-  // Range validation of the provided parameters (defaults are always valid).
+  // Range validation of the provided parameters (defaults are always valid,
+  // so `none`, which takes no keys, always passes).
   const auto require = [&](bool ok, const char* message) {
-    if (!ok) {
-      throw Error("cluster '" + spec.Name() + "': " + message);
-    }
+    kGrammar.Require(ok, parsed.name, message);
   };
-  if (spec.enabled()) {
-    require(spec.Param("nodes", 2.0) >= 1.0 &&
-                IsIntegral(spec.Param("nodes", 2.0)),
-            "nodes must be a positive integer");
-    require(spec.Param("hops", 1.0) >= 0.0 &&
-                IsIntegral(spec.Param("hops", 1.0)),
-            "hops must be a non-negative integer");
-    require(spec.Param("hop_us", 5.0) >= 0.0,
-            "hop_us must be non-negative");
-    require(spec.Param("gbps", 100.0) > 0.0, "gbps must be positive");
-    require(spec.Param("affinity", 1.0) >= 0.0,
-            "affinity must be non-negative");
-  }
+  require(spec.Param("nodes", 2.0) >= 1.0 &&
+              IsWholeNumber(spec.Param("nodes", 2.0)),
+          "nodes must be a positive integer");
+  require(spec.Param("hops", 1.0) >= 0.0 &&
+              IsWholeNumber(spec.Param("hops", 1.0)),
+          "hops must be a non-negative integer");
+  require(spec.Param("hop_us", 5.0) >= 0.0, "hop_us must be non-negative");
+  require(spec.Param("gbps", 100.0) > 0.0, "gbps must be positive");
+  require(spec.Param("affinity", 1.0) >= 0.0,
+          "affinity must be non-negative");
   return spec;
 }
 
-std::string ClusterSpec::Name() const { return InfoFor(policy).name; }
-
-std::string ClusterSpec::ToString() const {
-  std::string out = Name();
-  char sep = ':';
-  for (const auto& [key, value] : params) {
-    out += sep;
-    sep = ',';
-    out += key + "=" + ShortestNumber(value);
-  }
-  return out;
+std::string ClusterSpec::Name() const {
+  return std::string(kPolicies[static_cast<std::size_t>(policy)].name);
 }
 
-double ClusterSpec::Param(const std::string& key, double fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
+std::string ClusterSpec::ToString() const {
+  return kGrammar.Format(static_cast<std::size_t>(policy), params);
 }
 
 NetworkModel::NetworkModel(const ClusterSpec& spec,

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
 #include "graph/dataflow_graph.h"
 #include "serve/request.h"
 #include "serve/serve_stats.h"
@@ -50,9 +51,8 @@ enum class ClusterRouterPolicy {
                      // a locality-affinity penalty on leaving home.
 };
 
-/// Strict-parse cluster spec, `name[:k=v,...]` — same grammar family as
-/// ScenarioSpec / AdversitySpec / AdmissionSpec (docs/CLUSTER.md). Unknown
-/// names and keys are errors, never silently ignored.
+/// Cluster spec, `name[:k=v,...]` in the spec grammar (common/spec.h;
+/// docs/CLUSTER.md); Parse range-checks the values given.
 ///
 /// Names: `none` | `hash` | `least-loaded`. Parameters (both routers):
 ///   nodes=N      node count (default 2, >= 1)
@@ -71,7 +71,9 @@ struct ClusterSpec {
   std::string Name() const;
   /// Canonical spec string that parses back to *this (report JSON, docs).
   std::string ToString() const;
-  double Param(const std::string& key, double fallback) const;
+  double Param(const std::string& key, double fallback) const {
+    return SpecParam(params, key, fallback);
+  }
 
   bool enabled() const { return policy != ClusterRouterPolicy::kNone; }
   int nodes() const { return static_cast<int>(Param("nodes", 2.0)); }

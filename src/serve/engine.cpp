@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/number.h"
+#include "common/spec.h"
 #include "serve/autoscaler.h"
 #include "serve/batch_former.h"
 #include "serve/event_core.h"
@@ -67,32 +68,20 @@ std::vector<Request> SyntheticArrivals(
 }
 
 std::vector<WorkloadShare> ParseMix(const std::string& spec) {
-  std::vector<WorkloadShare> mix;
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t end = spec.find(',', start);
-    if (end == std::string::npos) {
-      end = spec.size();
-    }
-    const std::string entry = spec.substr(start, end - start);
-    const std::size_t eq = entry.find('=');
-    if (entry.empty() || eq == std::string::npos || eq == 0) {
-      throw Error("bad mix entry '" + entry +
-                  "' (expected name=share, e.g. mlp=0.6)");
-    }
-    WorkloadShare share;
-    share.workload = entry.substr(0, eq);
-    share.share = ParseFiniteNumber(entry.substr(eq + 1),
-                                    "mix share '" + share.workload + "'");
-    if (share.share <= 0.0) {
-      throw Error("mix share for '" + share.workload + "' must be positive");
-    }
-    mix.push_back(std::move(share));
-    start = end + 1;
-  }
-  if (mix.empty()) {
+  if (spec.empty()) {
     throw Error("empty workload mix");
   }
+  std::vector<WorkloadShare> mix;
+  ForEachSpecEntry(
+      spec, "mix entry", "name=share, e.g. mlp=0.6",
+      [&](const std::string& workload, const std::string& value) {
+        const double share =
+            ParseFiniteNumber(value, "mix share '" + workload + "'");
+        if (share <= 0.0) {
+          throw Error("mix share for '" + workload + "' must be positive");
+        }
+        mix.push_back(WorkloadShare{workload, share});
+      });
   return mix;
 }
 
@@ -176,8 +165,7 @@ struct PipelineContext {
   std::vector<PendingCommit*> pending;
 
   std::size_t timeline_seen = 0;
-  double snapshot_interval_s = 0.0;
-  double next_snapshot_s = 0.0;
+  double next_snapshot_s = obs::kSnapshotIntervalS;
   std::vector<PoolDelta> deltas;
   // Per-arrival scratch, reused so forming never allocates in steady
   // state (docs/ENGINE.md): each lane's busy horizon and the batches the
@@ -265,13 +253,6 @@ struct PipelineContext {
 
     env = BuildAdversityTimeline(options.adversity, options.duration_s);
     defer_commits = options.adversity.kind == AdversityKind::kReplicaFail;
-
-    // Virtual-time metrics-snapshot clock (obs on): one timeline point
-    // every snapshot_interval_s, fired between arrivals like the
-    // autoscaler tick.
-    snapshot_interval_s =
-        obs != nullptr ? obs->options.snapshot_interval_s : 0.0;
-    next_snapshot_s = snapshot_interval_s;
 
     busy_until.assign(static_cast<std::size_t>(pool.workloads()), 0.0);
   }
@@ -424,14 +405,17 @@ struct PipelineContext {
     recorder->RecordInstant(std::move(transition));
   }
 
+  // Virtual-time metrics-snapshot clock (obs on): one timeline point every
+  // obs::kSnapshotIntervalS, fired between arrivals like the autoscaler
+  // tick.
   void SnapshotUntil(double t) {
-    if (obs == nullptr || snapshot_interval_s <= 0.0) {
+    if (obs == nullptr) {
       return;
     }
     while (next_snapshot_s <= t) {
       pool.PublishCacheMetrics();
       obs->metrics.TakeSnapshot(next_snapshot_s);
-      next_snapshot_s += snapshot_interval_s;
+      next_snapshot_s += obs::kSnapshotIntervalS;
     }
   }
 

@@ -48,9 +48,8 @@ namespace nsflow::serve {
 /// at the observed rate; when serving a PoolPlan, the CLI copies these
 /// from the plan.
 struct AutoscaleOptions {
-  // Control loop.
-  double interval_s = 0.25;  // Decision cadence.
-  double window_s = 1.0;     // Trailing rate-observation window.
+  // Control loop (its cadence, window and reconfiguration delay are fixed;
+  // see autoscaler.cpp).
   double headroom = 0.25;    // Provision for observed * (1 + headroom).
   // Hysteresis bands around each group's provisioned (headroom-inclusive)
   // rate: replan up above up_band x provisioned, down below down_band x
@@ -60,15 +59,13 @@ struct AutoscaleOptions {
   double down_band = 0.60;
   double cooldown_s = 2.0;     // Min gap after any delta before a group
                                // may scale *down* (ups are never delayed).
-  double reconfig_s = 0.02;    // Warm add/refit readiness delay.
   int min_replicas = 1;        // Per-workload floor.
   int max_replicas = 16;       // Per-workload ceiling (replan bound).
-  // Replan target (PlanCapacity re-run per decision).
+  // Replan target (PlanCapacity re-run per decision; the utilization cap
+  // and frontier size stay at the PlanOptions defaults).
   double p99_slo_s = 50e-3;
   std::string device = "u250";
   int devices = 16;
-  double max_utilization = 0.85;
-  int frontier_points = 4;
   DseOptions dse;              // Frontier build only (one DSE, up front).
   double dictionary_bytes = 512.0 * 1024.0;
 };
@@ -129,7 +126,7 @@ struct ServeOptions {
   /// records every request/batch lifecycle span, autoscaler decision, and
   /// replica transition on the virtual timeline into `ServeReport::obs`,
   /// and the components publish aggregate metrics snapshotted every
-  /// `trace.snapshot_interval_s`. Off by default: the pipeline then pays
+  /// `obs::kSnapshotIntervalS`. Off by default: the pipeline then pays
   /// only a null check per record site.
   obs::ObsOptions trace;
 };

@@ -41,29 +41,18 @@ namespace nsflow::serve::event_core {
 ///   4. new arrivals enter,
 ///   5. shutdown runs strictly last.
 ///
-/// kLaneDeadline..kSnapshot are the taxonomy's folded classes: lane
-/// closes, dispatches, batch completions, admission sweeps, and metric
-/// snapshots are *consequences* computed inside the handlers above (the
-/// eager scheduler books batches ahead of the clock), so they never sit in
-/// the heap as top-level timeline events — but they keep explicit class
-/// values for bookkeeping heaps (the dispatched-start backlog tracker) and
-/// for the bench's event accounting.
+/// kDispatch keys the engine's dispatched-start backlog heap, a second
+/// EventList that holds nothing else. Lane closes, batch completions,
+/// admission sweeps and metric snapshots have no class: they are computed
+/// inside the handlers above and never sit in a heap.
 enum class EventClass : std::uint8_t {
   kAdversity = 0,
   kAutoscalerTick = 1,
   kAdmissionRetry = 2,
   kArrival = 3,
-  kLaneDeadline = 4,
-  kDispatch = 5,
-  kBatchComplete = 6,
-  kAdmissionSweep = 7,
-  kSnapshot = 8,
-  kDrain = 9,
+  kDispatch = 4,
+  kDrain = 5,
 };
-
-/// Stable lowercase name for logs, the bench's event accounting, and
-/// docs/ENGINE.md's taxonomy table.
-const char* EventClassName(EventClass cls);
 
 /// One heap record. Plain data, 32 bytes: the payload words mean whatever
 /// the scheduling site wants (an arrival index, a batch size) — handlers

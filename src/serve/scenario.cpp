@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 #include <utility>
 
 #include "common/error.h"
 #include "common/json.h"
-#include "common/number.h"
 #include "common/rng.h"
 
 namespace nsflow::serve {
@@ -16,41 +14,18 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-struct KindInfo {
-  ScenarioKind kind;
-  const char* name;
-  // Parameter keys this kind accepts (nullptr-terminated).
-  const char* keys[5];
+// Indexed by ScenarioKind.
+constexpr SpecName kKinds[] = {
+    {"poisson", {}, {}},
+    {"diurnal", {"period", "depth", "phase"}, {}},
+    {"bursty", {"on", "off", "idle"}, {}},
+    {"ramp", {"from", "to"}, {}},
+    {"spike", {"at", "width", "mult"}, {}},
+    {"closed", {"clients", "think_ms", "service_ms"}, {}},
+    {"trace", {"file"}, "file"},
 };
 
-constexpr KindInfo kKinds[] = {
-    {ScenarioKind::kPoisson, "poisson", {nullptr}},
-    {ScenarioKind::kDiurnal, "diurnal", {"period", "depth", "phase", nullptr}},
-    {ScenarioKind::kBursty, "bursty", {"on", "off", "idle", nullptr}},
-    {ScenarioKind::kRamp, "ramp", {"from", "to", nullptr}},
-    {ScenarioKind::kSpike, "spike", {"at", "width", "mult", nullptr}},
-    {ScenarioKind::kClosedLoop,
-     "closed",
-     {"clients", "think_ms", "service_ms", nullptr}},
-    {ScenarioKind::kTrace, "trace", {nullptr}},  // "file" handled separately.
-};
-
-const KindInfo& InfoFor(ScenarioKind kind) {
-  for (const KindInfo& info : kKinds) {
-    if (info.kind == kind) {
-      return info;
-    }
-  }
-  throw Error("unknown scenario kind");
-}
-
-std::string KnownScenarioNames() {
-  std::string names;
-  for (const KindInfo& info : kKinds) {
-    names += (names.empty() ? "" : ", ") + std::string(info.name);
-  }
-  return names;
-}
+constexpr SpecGrammar kGrammar{"scenario", "scenario", kKinds};
 
 /// The workload draw shared by every generator: same distribution, same
 /// fallback rule as the original engine sampler (see engine.cpp history) —
@@ -251,64 +226,9 @@ std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
 }  // namespace
 
 ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
-  ScenarioSpec spec;
-  const std::size_t colon = text.find(':');
-  const std::string name = text.substr(0, colon);
-  bool known = false;
-  for (const KindInfo& info : kKinds) {
-    if (name == info.name) {
-      spec.kind = info.kind;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    throw Error("unknown scenario '" + name +
-                "' (known: " + KnownScenarioNames() + ")");
-  }
-
-  std::size_t start = colon == std::string::npos ? text.size() : colon + 1;
-  while (start < text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string entry = text.substr(start, end - start);
-    const std::size_t eq = entry.find('=');
-    if (entry.empty() || eq == std::string::npos || eq == 0) {
-      throw Error("bad scenario parameter '" + entry +
-                  "' (expected key=value)");
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (spec.kind == ScenarioKind::kTrace && key == "file") {
-      spec.trace_path = value;
-    } else {
-      const KindInfo& info = InfoFor(spec.kind);
-      bool accepted = false;
-      for (const char* const* k = info.keys; *k != nullptr; ++k) {
-        if (key == *k) {
-          accepted = true;
-          break;
-        }
-      }
-      if (!accepted) {
-        std::string keys;
-        for (const char* const* k = info.keys; *k != nullptr; ++k) {
-          keys += (keys.empty() ? "" : ", ") + std::string(*k);
-        }
-        if (spec.kind == ScenarioKind::kTrace) {
-          keys = "file";
-        }
-        throw Error("scenario '" + std::string(info.name) +
-                    "' has no parameter '" + key + "'" +
-                    (keys.empty() ? "" : " (known: " + keys + ")"));
-      }
-      spec.params[key] =
-          ParseFiniteNumber(value, "scenario parameter '" + key + "'");
-    }
-    start = end + 1;
-  }
+  ParsedSpec parsed = kGrammar.Parse(text);
+  const ScenarioSpec spec{static_cast<ScenarioKind>(parsed.name),
+                          std::move(parsed.params), std::move(parsed.text)};
   if (spec.kind == ScenarioKind::kTrace && spec.trace_path.empty()) {
     throw Error("trace scenario needs file=<path> (e.g. "
                 "trace:file=arrivals.json)");
@@ -317,9 +237,7 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
   // Range validation of the provided parameters (defaults are always
   // valid; duration-relative defaults are resolved at generation time).
   const auto require = [&](bool ok, const char* message) {
-    if (!ok) {
-      throw Error("scenario '" + spec.Name() + "': " + message);
-    }
+    kGrammar.Require(ok, parsed.name, message);
   };
   switch (spec.kind) {
     case ScenarioKind::kDiurnal: {
@@ -365,29 +283,14 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
   return spec;
 }
 
-std::string ScenarioSpec::Name() const { return InfoFor(kind).name; }
-
-std::string ScenarioSpec::ToString() const {
-  std::string out = Name();
-  char sep = ':';
-  if (!trace_path.empty()) {
-    out += sep;
-    out += "file=" + trace_path;
-    sep = ',';
-  }
-  for (const auto& [key, value] : params) {
-    out += sep;
-    sep = ',';
-    // The canonical string must round-trip bit-exactly (plan JSON
-    // records it).
-    out += key + "=" + ShortestNumber(value);
-  }
-  return out;
+std::string ScenarioSpec::Name() const {
+  return std::string(kKinds[static_cast<std::size_t>(kind)].name);
 }
 
-double ScenarioSpec::Param(const std::string& key, double fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
+std::string ScenarioSpec::ToString() const {
+  // The canonical string must round-trip bit-exactly (plan JSON records
+  // it).
+  return kGrammar.Format(static_cast<std::size_t>(kind), params, trace_path);
 }
 
 double ScenarioRate(const ScenarioSpec& spec, double qps, double duration_s,

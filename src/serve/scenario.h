@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.h"
 #include "serve/request.h"
 
 namespace nsflow::serve {
@@ -47,28 +48,29 @@ enum class ScenarioKind {
   kTrace,
 };
 
-/// A parsed `--scenario` value: the pattern plus its numeric parameters.
-/// Parameters not listed in the spec keep the defaults documented in
-/// docs/SCENARIOS.md; unknown names are an error (typos must not silently
-/// fall back to defaults).
+/// A parsed `--scenario` value: the pattern plus its numeric parameters,
+/// in the spec grammar (common/spec.h). Parameters not listed in the spec
+/// keep the defaults documented in docs/SCENARIOS.md.
 struct ScenarioSpec {
   ScenarioKind kind = ScenarioKind::kPoisson;
   std::map<std::string, double> params;  // Deterministic iteration order.
   std::string trace_path;                // kTrace only.
 
   /// Parse "name" or "name:key=value,key=value" (e.g.
-  /// "diurnal:period=0.5,depth=0.8", "trace:file=arrivals.json"). Throws on
-  /// unknown scenario names and unknown parameter keys.
+  /// "diurnal:period=0.5,depth=0.8", "trace:file=arrivals.json") and
+  /// range-check the values given. Throws `Error` on malformed input.
   static ScenarioSpec Parse(const std::string& text);
 
-  /// Canonical round-trippable form ("diurnal:depth=0.8,period=0.5").
+  /// Canonical form ("diurnal:depth=0.8,period=0.5"):
   /// Parse(ToString()) == *this.
   std::string ToString() const;
 
   /// The scenario's name without parameters ("diurnal").
   std::string Name() const;
 
-  double Param(const std::string& key, double fallback) const;
+  double Param(const std::string& key, double fallback) const {
+    return SpecParam(params, key, fallback);
+  }
   bool operator==(const ScenarioSpec& other) const {
     return kind == other.kind && params == other.params &&
            trace_path == other.trace_path;

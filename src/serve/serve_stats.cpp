@@ -37,8 +37,6 @@ void ServeStats::Reserve(std::int64_t expected_requests) {
   }
   const auto n = static_cast<std::size_t>(expected_requests);
   latencies_s_.reserve(n);
-  arrivals_s_.reserve(n);
-  completions_s_.reserve(n);
   arrival_stamps_.reserve(n);
 }
 
@@ -69,8 +67,7 @@ void ServeStats::RecordRequest(WorkloadId workload, double arrival_s,
   NSF_CHECK_MSG(workload >= 0 &&
                     workload < static_cast<int>(workload_latencies_s_.size()),
                 "workload index out of range");
-  arrivals_s_.push_back(arrival_s);
-  completions_s_.push_back(complete_s);
+  last_completion_s_ = std::max(last_completion_s_, complete_s);
   latencies_s_.push_back(complete_s - arrival_s);
   workload_latencies_s_[static_cast<std::size_t>(workload)].push_back(
       complete_s - arrival_s);
@@ -221,11 +218,7 @@ StatsSummary ServeStats::Summarize(double offered_qps,
   s.completed = completed();
   s.batches = static_cast<std::int64_t>(batch_sizes_.size());
   s.offered_qps = offered_qps;
-  double last_completion = 0.0;
-  for (const double c : completions_s_) {
-    last_completion = std::max(last_completion, c);
-  }
-  s.horizon_s = std::max(run_duration_s, last_completion);
+  s.horizon_s = std::max(run_duration_s, last_completion_s_);
   if (s.horizon_s > 0.0 && s.completed > 0) {
     s.throughput_rps = static_cast<double>(s.completed) / s.horizon_s;
   }

@@ -201,8 +201,7 @@ class ServeStats {
 
  private:
   std::vector<double> latencies_s_;
-  std::vector<double> arrivals_s_;
-  std::vector<double> completions_s_;
+  double last_completion_s_ = 0.0;  // Latest RecordRequest completion.
   std::vector<std::int64_t> batch_sizes_;
   std::vector<std::int64_t> depth_samples_;
   std::vector<double> replica_busy_s_;

@@ -14,16 +14,19 @@
 // unknown one) is an error with a non-zero exit, never silently ignored.
 // tools/check_doc_links.py cross-checks these tables against the docs.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/number.h"
 #include "common/table.h"
 #include "fpga/device.h"
 #include "graph/trace.h"
@@ -54,6 +57,24 @@ void WriteFile(const std::string& path, const std::string& contents) {
     throw Error("cannot write file: " + path);
   }
   out << contents;
+}
+
+/// Parses `flag`'s value with `parse`. An error that does not name the flag
+/// yet gets it as a prefix, so every bad value points at its flag; a failed
+/// internal check passes through as it is.
+template <typename Parse>
+auto ParseFlag(const std::string& flag, const std::string& value,
+               const Parse& parse) {
+  try {
+    return parse(value);
+  } catch (const CheckError&) {
+    throw;
+  } catch (const Error& e) {
+    if (std::string_view(e.what()).find(flag) != std::string_view::npos) {
+      throw;
+    }
+    throw Error(flag + ": " + e.what());
+  }
 }
 
 // ---------------------------------------------------------------- flag spec
@@ -345,10 +366,10 @@ CliArgs Parse(int argc, char** argv) {
     if (flag == "--out-dir") {
       args.out_dir = next();
     } else if (flag == "--max-pes") {
-      args.dse.max_pes = std::stoll(next());
+      args.dse.max_pes = ParseInteger<std::int64_t>(next(), flag);
       args.dse_set = true;
     } else if (flag == "--clock-mhz") {
-      args.dse.clock_hz = std::stod(next()) * 1e6;
+      args.dse.clock_hz = ParseFiniteNumber(next(), flag) * 1e6;
       args.dse_set = true;
     } else if (flag == "--no-phase2") {
       args.dse.enable_phase2 = false;
@@ -356,21 +377,21 @@ CliArgs Parse(int argc, char** argv) {
     } else if (flag == "--device") {
       args.device = next();
     } else if (flag == "--qps") {
-      args.serve.qps = std::stod(next());
+      args.serve.qps = ParseFiniteNumber(next(), flag);
       args.qps_set = true;
     } else if (flag == "--duration") {
-      args.serve.duration_s = std::stod(next());
+      args.serve.duration_s = ParseFiniteNumber(next(), flag);
     } else if (flag == "--replicas") {
-      args.replicas = static_cast<int>(std::stoll(next()));
+      args.replicas = ParseInteger<int>(next(), flag);
       args.replicas_set = true;
     } else if (flag == "--max-batch") {
-      args.serve.max_batch = std::stoll(next());
+      args.serve.max_batch = ParseInteger<std::int64_t>(next(), flag);
       args.max_batch_set = true;
     } else if (flag == "--max-wait-ms") {
-      args.serve.max_wait_s = std::stod(next()) * 1e-3;
+      args.serve.max_wait_s = ParseFiniteNumber(next(), flag) * 1e-3;
       args.max_wait_set = true;
     } else if (flag == "--seed") {
-      args.serve.seed = static_cast<std::uint64_t>(std::stoull(next()));
+      args.serve.seed = ParseInteger<std::uint64_t>(next(), flag);
     } else if (flag == "--heterogeneous") {
       args.heterogeneous = true;
     } else if (flag == "--mix") {
@@ -378,14 +399,17 @@ CliArgs Parse(int argc, char** argv) {
     } else if (flag == "--partition") {
       args.partition = true;
     } else if (flag == "--scenario") {
-      args.serve.scenario = serve::ScenarioSpec::Parse(next());
+      args.serve.scenario =
+          ParseFlag(flag, next(), serve::ScenarioSpec::Parse);
       args.scenario_set = true;
     } else if (flag == "--adversity") {
-      args.serve.adversity = serve::AdversitySpec::Parse(next());
+      args.serve.adversity =
+          ParseFlag(flag, next(), serve::AdversitySpec::Parse);
     } else if (flag == "--admission") {
-      args.serve.admission = serve::AdmissionSpec::Parse(next());
+      args.serve.admission =
+          ParseFlag(flag, next(), serve::AdmissionSpec::Parse);
     } else if (flag == "--cluster") {
-      args.serve.cluster = serve::ClusterSpec::Parse(next());
+      args.serve.cluster = ParseFlag(flag, next(), serve::ClusterSpec::Parse);
       args.cluster_set = true;
     } else if (flag == "--tiers") {
       args.tiers = next();
@@ -411,29 +435,28 @@ CliArgs Parse(int argc, char** argv) {
       args.serve.autoscale = true;
     } else if (flag == "--headroom") {
       auto& autoscale = args.serve.autoscale_opts;
-      autoscale.headroom = std::stod(next());
+      autoscale.headroom = ParseFiniteNumber(next(), flag);
       // The SLO invariant needs up_band < 1 + headroom; the CLI exposes
       // only --headroom, so tighten the default band to fit small values
       // instead of tripping the autoscaler's internal check.
       autoscale.up_band =
           std::min(autoscale.up_band, 1.0 + 0.9 * autoscale.headroom);
     } else if (flag == "--cooldown-s") {
-      args.serve.autoscale_opts.cooldown_s = std::stod(next());
+      args.serve.autoscale_opts.cooldown_s = ParseFiniteNumber(next(), flag);
     } else if (flag == "--min-replicas") {
-      args.serve.autoscale_opts.min_replicas =
-          static_cast<int>(std::stoll(next()));
+      args.serve.autoscale_opts.min_replicas = ParseInteger<int>(next(), flag);
     } else if (flag == "--p99-ms") {
-      args.p99_ms = std::stod(next());
+      args.p99_ms = ParseFiniteNumber(next(), flag);
     } else if (flag == "--budget") {
       args.budget = next();
     } else if (flag == "--devices") {
-      args.devices = static_cast<int>(std::stoll(next()));
+      args.devices = ParseInteger<int>(next(), flag);
     } else if (flag == "--nodes") {
-      args.nodes = static_cast<int>(std::stoll(next()));
+      args.nodes = ParseInteger<int>(next(), flag);
     } else if (flag == "--max-replicas") {
       // `plan`'s search bound and `serve --autoscale`'s replan ceiling —
       // only the owning command accepts the flag, so set both.
-      args.max_replicas = static_cast<int>(std::stoll(next()));
+      args.max_replicas = ParseInteger<int>(next(), flag);
       args.serve.autoscale_opts.max_replicas = args.max_replicas;
     } else if (flag == "--out") {
       args.plan_out = next();
@@ -658,21 +681,31 @@ serve::ServeOptions ValidationOptions(const CliArgs& args,
   return options;
 }
 
+/// Registers each mix workload the registry does not hold yet as a
+/// built-in; a name that is neither is a --mix error.
+void RegisterMix(const std::vector<serve::WorkloadShare>& mix,
+                 serve::WorkloadRegistry& registry) {
+  for (const serve::WorkloadShare& entry : mix) {
+    if (!registry.Contains(entry.workload)) {
+      ParseFlag("--mix", entry.workload, [&](const std::string& name) {
+        return registry.RegisterBuiltin(name);
+      });
+    }
+  }
+}
+
 int RunPlanCommand(const CliArgs& args) {
   if (args.mix.empty()) {
     throw Error("nsflow plan needs --mix name=share,... (the workloads the "
                 "pool must serve)");
   }
-  const std::vector<serve::WorkloadShare> mix = serve::ParseMix(args.mix);
+  const std::vector<serve::WorkloadShare> mix =
+      ParseFlag("--mix", args.mix, serve::ParseMix);
 
   CompileOptions options;
   options.dse = args.dse;
   serve::WorkloadRegistry registry(options);
-  for (const serve::WorkloadShare& entry : mix) {
-    if (!registry.Contains(entry.workload)) {
-      registry.RegisterBuiltin(entry.workload);
-    }
-  }
+  RegisterMix(mix, registry);
 
   serve::PlanOptions plan_options;
   plan_options.qps = args.serve.qps;
@@ -790,9 +823,8 @@ void ExportObservability(const CliArgs& args,
   }
 }
 
-/// Resolve the --tiers text ("mlp=critical,resnet18=batch") against the
-/// run's workload names into a per-WorkloadId tier vector. Unlisted
-/// workloads stay `standard`; empty text means no tier overrides at all.
+/// Resolve the --tiers text against the run's workload names
+/// (serve::ParseTiers); empty text means no tier overrides at all.
 std::vector<serve::SlaTier> ResolveTiers(const CliArgs& args,
                                          const std::vector<std::string>&
                                              names) {
@@ -804,36 +836,9 @@ std::vector<serve::SlaTier> ResolveTiers(const CliArgs& args,
         "--tiers needs an admission frontend: add --admission "
         "(docs/ADMISSION.md)");
   }
-  std::vector<serve::SlaTier> tiers(names.size(), serve::SlaTier::kStandard);
-  const std::string& text = args.tiers;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string entry = text.substr(start, end - start);
-    const std::size_t eq = entry.find('=');
-    if (entry.empty() || eq == 0 || eq == std::string::npos ||
-        eq + 1 >= entry.size()) {
-      throw Error("bad --tiers entry '" + entry +
-                  "' (expected name=tier, e.g. mlp=critical)");
-    }
-    const std::string name = entry.substr(0, eq);
-    const serve::SlaTier tier = serve::TierFromName(entry.substr(eq + 1));
-    const auto it = std::find(names.begin(), names.end(), name);
-    if (it == names.end()) {
-      std::string served;
-      for (const std::string& n : names) {
-        served += (served.empty() ? "" : ", ") + n;
-      }
-      throw Error("--tiers names unknown workload '" + name +
-                  "' (this run serves: " + served + ")");
-    }
-    tiers[static_cast<std::size_t>(it - names.begin())] = tier;
-    start = end + 1;
-  }
-  return tiers;
+  return ParseFlag("--tiers", args.tiers, [&](const std::string& text) {
+    return serve::ParseTiers(text, names);
+  });
 }
 
 /// Admission epilogue: the per-tenant accounting table, plus the run's exit
@@ -948,7 +953,8 @@ int RunServePlan(const CliArgs& args) {
 /// deploy one shared (or partitioned) pool over all of them, and print the
 /// per-workload breakdown next to the aggregate table.
 int RunServeMix(const CliArgs& args) {
-  const std::vector<serve::WorkloadShare> mix = serve::ParseMix(args.mix);
+  const std::vector<serve::WorkloadShare> mix =
+      ParseFlag("--mix", args.mix, serve::ParseMix);
 
   CompileOptions options;
   options.dse = args.dse;
@@ -959,11 +965,7 @@ int RunServeMix(const CliArgs& args) {
     const OperatorGraph traced = ParseJsonTrace(ReadFile(args.trace_path));
     registry.Register(traced.workload_name(), OperatorGraph(traced));
   }
-  for (const serve::WorkloadShare& entry : mix) {
-    if (!registry.Contains(entry.workload)) {
-      registry.RegisterBuiltin(entry.workload);
-    }
-  }
+  RegisterMix(mix, registry);
 
   if (args.partition && args.replicas < registry.size()) {
     throw Error("--partition needs at least one replica per workload (" +

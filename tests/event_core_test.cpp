@@ -164,7 +164,7 @@ TEST(EventCoreDifferential, TraceSliceMatchesGolden) {
 TEST(EventCoreDifferential, SameInstantAdversityFiresBeforeTick) {
   const diff::DiffFixture fixture;
   diff::DiffConfig config;
-  config.autoscale = true;  // First control tick at interval_s = 0.25.
+  config.autoscale = true;  // First control tick at 0.25 s.
   ServeOptions options = diff::OptionsFor(config);
   options.adversity =
       AdversitySpec::Parse("straggler:at=0.25,duration=0.5,count=1");

@@ -168,7 +168,6 @@ inline ServeOptions OptionsFor(const DiffConfig& config) {
   }
   options.autoscale = config.autoscale;
   options.trace.enabled = true;
-  options.trace.snapshot_interval_s = 0.25;
   return options;
 }
 
