@@ -21,6 +21,7 @@
 //
 //   NSFLOW_REGEN_GOLDEN=1 ./build/test_event_core_test
 //       --gtest_filter='EventCoreDifferential.TraceSliceMatchesGolden'
+
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -78,27 +79,32 @@ GoldenFile LoadGolden(const std::string& path) {
 
 bool Regenerating() { return std::getenv("NSFLOW_REGEN_GOLDEN") != nullptr; }
 
+// Which digest of a run a golden file pins.
+using DigestField = std::uint64_t diff::RunResult::*;
+
 // Regeneration: one "key digest exit_code" row per config.
 void WriteRows(std::ofstream& out, const diff::DiffFixture& fixture,
-               const std::vector<diff::DiffConfig>& configs) {
+               const std::vector<diff::DiffConfig>& configs,
+               DigestField digest = &diff::RunResult::digest) {
   for (const diff::DiffConfig& config : configs) {
     const diff::RunResult result =
         diff::RunConfig(fixture, diff::OptionsFor(config));
-    out << config.Key() << " " << diff::HexDigest(result.digest) << " "
+    out << config.Key() << " " << diff::HexDigest(result.*digest) << " "
         << result.exit_code << "\n";
   }
 }
 
 void ExpectRowsMatch(const GoldenFile& golden,
                      const diff::DiffFixture& fixture,
-                     const std::vector<diff::DiffConfig>& configs) {
+                     const std::vector<diff::DiffConfig>& configs,
+                     DigestField digest = &diff::RunResult::digest) {
   for (const diff::DiffConfig& config : configs) {
     const auto row = golden.rows.find(config.Key());
     ASSERT_NE(row, golden.rows.end()) << "no golden row for "
                                       << config.Key();
     const diff::RunResult result =
         diff::RunConfig(fixture, diff::OptionsFor(config));
-    EXPECT_EQ(diff::HexDigest(result.digest), row->second.first)
+    EXPECT_EQ(diff::HexDigest(result.*digest), row->second.first)
         << "digest drift at " << config.Key();
     EXPECT_EQ(result.exit_code, row->second.second)
         << "exit-code drift at " << config.Key();
@@ -151,6 +157,27 @@ TEST(EventCoreDifferential, TraceSliceMatchesGolden) {
     return;
   }
   ExpectRowsMatch(LoadGolden(path), fixture, diff::SliceConfigs());
+}
+
+// The slice's NSFT bytes on their own: the Chrome digest above does not
+// cover the binary export, whose records carry every span's seq.
+TEST(EventCoreDifferential, TraceSliceNsftMatchesGolden) {
+  const diff::DiffFixture fixture;
+  const std::string path = GoldenPath("trace_slice_nsft_golden.txt");
+
+  if (Regenerating()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << "# NSFT (BinaryTrace) digests of the portable trace-replay "
+           "slice.\n"
+        << "# One row per slice config: key digest exit_code — see\n"
+        << "# tests/serve_differential.h for the configs.\n";
+    WriteRows(out, fixture, diff::SliceConfigs(),
+              &diff::RunResult::nsft_digest);
+    return;
+  }
+  ExpectRowsMatch(LoadGolden(path), fixture, diff::SliceConfigs(),
+                  &diff::RunResult::nsft_digest);
 }
 
 // ---------------------------------------- same-instant ordering contract

@@ -260,11 +260,12 @@ inline std::string SerializeReport(const ServeReport& report) {
 
 struct RunResult {
   std::uint64_t digest = 0;
+  std::uint64_t nsft_digest = 0;  // The run's BinaryTrace() bytes alone.
   int exit_code = 0;
 };
 
 /// Runs one matrix row through the public engine entry point and reduces
-/// it to (digest, exit code).
+/// it to (digests, exit code).
 inline RunResult RunConfig(const DiffFixture& fixture,
                            const ServeOptions& options) {
   const ServeReport report = RunSyntheticServe(fixture.registry,
@@ -272,6 +273,9 @@ inline RunResult RunConfig(const DiffFixture& fixture,
                                                options);
   RunResult result;
   result.digest = Fnv(SerializeReport(report));
+  if (report.obs != nullptr) {
+    result.nsft_digest = Fnv(report.obs->BinaryTrace());
+  }
   result.exit_code = AdmissionExitCodeOf(report);
   return result;
 }
