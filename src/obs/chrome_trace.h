@@ -78,9 +78,8 @@ std::string SerializeChromeTrace(const std::vector<ChromeEvent>& events);
 std::vector<ChromeEvent> ParseChromeTrace(std::string_view text);
 
 // ---- Compact binary encoding ("NSFT"): fixed-size little-endian records,
-// doubles bit-copied, strings length-prefixed. The ring-buffer companion:
-// a long run records into a bounded TraceRecorder and serializes the
-// retained window here at a fraction of the JSON size.
+// doubles bit-copied, strings length-prefixed, at a fraction of the JSON
+// size.
 
 /// Encode a drained TraceData (magic "NSFT", version 1).
 std::string SerializeBinaryTrace(const TraceData& data);

@@ -3,11 +3,11 @@
 //
 // `ObsOptions` rides inside `ServeOptions` (engine.h) and the engine
 // constructs one `Observability` per traced run: the TraceRecorder takes
-// the lifecycle events, the MetricsRegistry takes the aggregate
-// instruments the components publish into (ServeStats latencies,
-// MultiBatchFormer close reasons, ServerPool cache hits, Autoscaler
-// decisions), and `meta` collects what the Chrome exporter needs for track
-// naming.
+// the control-plane events and reads the spans off the run's
+// CompletionLog, the MetricsRegistry takes the aggregate instruments the
+// components publish into (ServeStats latencies, MultiBatchFormer close
+// reasons, ServerPool cache hits, Autoscaler decisions), and `meta`
+// collects what the Chrome exporter needs for track naming.
 // `ServeReport::obs` hands the bundle back to the caller, who exports with
 // ChromeTraceJson / BinaryTrace / MetricsJson.
 //
@@ -18,8 +18,9 @@
 // seed must serialize bit-identical traces.
 #pragma once
 
-#include <cstddef>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -33,17 +34,15 @@ struct ObsOptions {
   bool enabled = false;
   /// Export expansion (recording cost is identical either way).
   TraceDetail detail = TraceDetail::kSpans;
-  /// > 0: ring buffers keeping only the newest records (long runs);
-  /// 0: unbounded pools.
-  std::size_t ring_capacity = 0;
 };
 
 /// Virtual-time cadence of metrics-timeline snapshots, seconds.
 inline constexpr double kSnapshotIntervalS = 0.25;
 
 struct Observability {
-  explicit Observability(const ObsOptions& opts)
-      : options(opts), recorder(opts.ring_capacity) {}
+  Observability(const ObsOptions& opts,
+                std::shared_ptr<const CompletionLog> log)
+      : options(opts), recorder(std::move(log)) {}
 
   ObsOptions options;
   TraceRecorder recorder;

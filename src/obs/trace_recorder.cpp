@@ -5,35 +5,7 @@
 
 namespace nsflow::obs {
 
-template <typename Record>
-void TraceRecorder::Push(std::vector<Record>& pool, std::size_t& head,
-                         Record record) {
-  record.seq = next_seq_++;
-  if (ring_capacity_ > 0 && pool.size() >= ring_capacity_) {
-    pool[head] = std::move(record);  // Overwrite the oldest record.
-    head = (head + 1) % ring_capacity_;
-    ++dropped_;
-    return;
-  }
-  if (pool.capacity() == 0) {
-    // Reserve on the first record, not at construction: a recorder that
-    // never sees a record kind never pays for its pool.
-    pool.reserve(ring_capacity_ > 0 ? ring_capacity_ : kInitialReserve);
-  }
-  pool.push_back(std::move(record));
-}
-
-void TraceRecorder::RecordRequest(RequestSpan span) {
-  Push(requests_, request_head_, span);
-}
-
-void TraceRecorder::RecordBatch(BatchSpan span) {
-  Push(batches_, batch_head_, span);
-}
-
 void TraceRecorder::RecordInstant(InstantEvent event) {
-  // Control-plane events are never ring-evicted: they are rare and a
-  // long-run trace must keep its reconfiguration history.
   event.seq = next_seq_++;
   instants_.push_back(std::move(event));
 }
@@ -62,11 +34,30 @@ void SortByTime(std::vector<Record>& records, double Record::* stamp) {
 
 TraceData TraceRecorder::Drain() const {
   TraceData data;
-  data.requests = requests_;
-  data.batches = batches_;
+  if (log_ != nullptr) {
+    data.batches = log_->batches;
+    data.requests.reserve(log_->requests.size());
+    auto request = log_->requests.begin();
+    for (const BatchSpan& batch : log_->batches) {
+      for (std::int64_t i = 0; i < batch.size; ++i, ++request) {
+        RequestSpan span;
+        span.request_id = request->id;
+        span.workload = batch.workload;
+        span.close = batch.close;
+        span.arrival_s = request->arrival_s;
+        span.formed_s = batch.formed_s;
+        span.start_s = batch.start_s;
+        span.complete_s = batch.complete_s;
+        span.batch_index = batch.batch_index;
+        span.replica = batch.replica;
+        span.batch_size = static_cast<std::int32_t>(batch.size);
+        span.seq = batch.seq + 1 + i;
+        data.requests.push_back(span);
+      }
+    }
+  }
   data.instants = instants_;
   data.counters = counters_;
-  data.dropped = dropped_;
   SortByTime(data.requests, &RequestSpan::complete_s);
   SortByTime(data.batches, &BatchSpan::start_s);
   SortByTime(data.instants, &InstantEvent::t_s);

@@ -1,44 +1,34 @@
-// TraceRecorder — pooled capture of serve-path lifecycle events on the
-// virtual timeline (docs/OBSERVABILITY.md).
+// TraceRecorder — the serve trace on the virtual timeline
+// (docs/OBSERVABILITY.md).
 //
 // Every record is stamped with virtual seconds (the serving timeline of
 // serve/request.h), never wall clock: a fixed arrival seed therefore pins
 // the recorded trace bit-exactly — the serve determinism contract extends
 // to the trace itself.
 //
-// The hot-path records (RequestSpan, BatchSpan) are fixed-size PODs pushed
-// into vectors whose capacity is reserved on the pool's first record (an
-// unused pool allocates nothing), so the steady-state recording cost is a
-// bounds-checked append — no lock, no allocation, no string building. The
-// engine's one thread is the only writer. Rare control-plane events
-// (autoscaler decisions, replica transitions) carry a human-readable
-// detail string — they happen a handful of times per run, outside the
-// steady state.
-//
-// `ring_capacity` > 0 bounds each record pool: when full, the oldest record
-// is overwritten (ring buffer) and `dropped()` counts the evictions — the
-// long-run mode where a trace must not grow with the request count.
-// Drain() returns one deterministic stream ordered by (timestamp, sequence
-// number).
+// Request and batch spans are not recorded here: they are views over the
+// run's CompletionLog (completion_log.h), built at Drain(). The recorder
+// itself keeps only the rare control-plane records (autoscaler decisions,
+// replica transitions, counter samples), which carry a human-readable
+// detail string, and the seq counter every record draws from: a committed
+// batch takes 1 + size numbers, so Drain() orders spans and instants
+// exactly as if each had been recorded one by one. The engine's one
+// thread is the only writer. Drain() returns one deterministic stream
+// ordered by (timestamp, sequence number).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/completion_log.h"
 
 namespace nsflow::obs {
 
-/// Reasons a formed batch closed (mirrors the MultiBatchFormer policy).
-enum class BatchClose : std::int32_t {
-  kNone = 0,      // Not recorded (single-shot dispatch paths).
-  kSizeCap = 1,   // Reached the lane's max_batch.
-  kDeadline = 2,  // Oldest request hit max_wait (stretched to busy horizon).
-  kFlush = 3,     // Stream drained; engine flushed the lane.
-};
-
-/// One request's full lifecycle on the virtual timeline. Written once,
-/// fully resolved, at dispatch time (the engine knows every phase stamp by
-/// then), so recording never revisits a partially filled span.
+/// One request's full lifecycle on the virtual timeline: its log record
+/// joined with its batch's.
 struct RequestSpan {
   std::int64_t request_id = 0;
   std::int32_t workload = 0;
@@ -50,20 +40,7 @@ struct RequestSpan {
   std::int64_t batch_index = 0;
   std::int32_t replica = 0;
   std::int32_t batch_size = 0;
-  std::int64_t seq = 0;     // Global record order (assigned by the recorder).
-};
-
-/// One dispatched batch's execution on a replica track.
-struct BatchSpan {
-  std::int64_t batch_index = 0;
-  std::int32_t workload = 0;
-  std::int32_t replica = 0;
-  BatchClose close = BatchClose::kNone;
-  double formed_s = 0.0;
-  double start_s = 0.0;
-  double complete_s = 0.0;
-  std::int64_t size = 0;
-  std::int64_t seq = 0;
+  std::int64_t seq = 0;     // Global record order.
 };
 
 /// Control-plane instants: autoscaler decisions and replica lifecycle
@@ -116,48 +93,35 @@ struct TraceData {
   std::vector<BatchSpan> batches;
   std::vector<InstantEvent> instants;
   std::vector<CounterSample> counters;
-  std::int64_t dropped = 0;  // Ring-mode evictions across all pools.
+  std::int64_t dropped = 0;  // Always 0; kept for the NSFT layout.
 };
 
 class TraceRecorder {
  public:
-  /// `ring_capacity` == 0: unbounded pools (each reserves kInitialReserve
-  /// at its first record and grows geometrically — amortized
-  /// allocation-free). > 0: ring buffers of that many records.
-  explicit TraceRecorder(std::size_t ring_capacity = 0)
-      : ring_capacity_(ring_capacity) {}
+  /// `log` is the run's completion log (null: no spans).
+  explicit TraceRecorder(std::shared_ptr<const CompletionLog> log = nullptr)
+      : log_(std::move(log)) {}
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  void RecordRequest(RequestSpan span);
-  void RecordBatch(BatchSpan span);
   void RecordInstant(InstantEvent event);
   void RecordCounter(CounterSample sample);
+  /// Reserve `n` consecutive seq numbers and return the first.
+  std::int64_t TakeSeq(std::int64_t n) {
+    const std::int64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
 
   /// Everything recorded, ordered by (timestamp, seq). Seq numbers are
   /// assigned in record order, so the order is bit-deterministic.
   TraceData Drain() const;
 
-  std::int64_t dropped() const { return dropped_; }
-  std::size_t ring_capacity() const { return ring_capacity_; }
-
  private:
-  static constexpr std::size_t kInitialReserve = 4096;
-
-  /// Append `record` to `pool`, wrapping at the ring capacity.
-  template <typename Record>
-  void Push(std::vector<Record>& pool, std::size_t& head, Record record);
-
-  std::size_t ring_capacity_;
-  std::vector<RequestSpan> requests_;
-  std::vector<BatchSpan> batches_;
+  std::shared_ptr<const CompletionLog> log_;
   std::vector<InstantEvent> instants_;
   std::vector<CounterSample> counters_;
-  // Ring write cursors (used only when ring_capacity_ > 0).
-  std::size_t request_head_ = 0;
-  std::size_t batch_head_ = 0;
-  std::int64_t dropped_ = 0;
   std::int64_t next_seq_ = 0;
 };
 

@@ -109,6 +109,7 @@ struct PipelineContext {
   // ---- wiring (fixed for the run)
   ServerPool& pool;
   ServeStats& stats;
+  obs::CompletionLog& log;
   const std::vector<Request>& arrivals;
   const ServeOptions& options;
   Autoscaler* autoscaler = nullptr;
@@ -119,7 +120,6 @@ struct PipelineContext {
 
   // ---- mutable run state
   MultiBatchFormer former;
-  std::vector<DispatchRecord> dispatches;
   std::int64_t started = 0;  // Requests whose batch already dispatched.
   std::int64_t expired_dispatched = 0;  // Defensive; the sweep keeps it 0.
 
@@ -144,17 +144,15 @@ struct PipelineContext {
   // deferral: the eager scheduler books batches onto replicas ahead of the
   // virtual clock, so a failure must be able to *abort* everything the
   // schedule had placed on the dead replica past the failure instant and
-  // re-enqueue it. In deferred mode each dispatched batch's stats/spans
-  // are held until the clock provably passes its completion; fault-free
-  // runs commit inline — the exact pre-adversity path, bit-identical.
+  // re-enqueue it. In deferred mode each dispatched batch's commit is held
+  // until the clock provably passes its completion; fault-free runs commit
+  // at dispatch.
   std::vector<AdversityEvent> env;
   std::size_t env_next = 0;
   bool defer_commits = false;
   struct PendingCommit {
     DispatchRecord record;
     Batch batch;
-    std::int64_t depth = 0;
-    double tail_s = 0.0;  // Cluster response-transfer latency tail.
   };
   // Deferred commits ride pooled intrusive nodes (event_core::NodePool): a
   // fault run churns through thousands of pending records, and the LIFO
@@ -181,12 +179,14 @@ struct PipelineContext {
   double retry_event_t = std::numeric_limits<double>::infinity();
 
   PipelineContext(ServerPool& pool_in, ServeStats& stats_in,
+                  obs::CompletionLog& log_in,
                   const std::vector<Request>& arrivals_in,
                   const ServeOptions& options_in, Autoscaler* autoscaler_in,
                   AdmissionController* admission_in, ClusterPool* cluster_in,
                   std::shared_ptr<obs::Observability> obs_in)
       : pool(pool_in),
         stats(stats_in),
+        log(log_in),
         arrivals(arrivals_in),
         options(options_in),
         autoscaler(autoscaler_in),
@@ -217,6 +217,7 @@ struct PipelineContext {
       }
     }
     stats.Reserve(static_cast<std::int64_t>(arrivals.size()));
+    log.requests.reserve(arrivals.size());
 
     // Parallel cycle-model warm-up, restricted to workloads that actually
     // have traffic — idle tenants stay lazily memoized (their unbatched
@@ -292,39 +293,6 @@ struct PipelineContext {
   }
 
   // ------------------------------------------------------------- recording
-
-  void WriteSpans(const DispatchRecord& dr, const Batch& batch) {
-    if (recorder == nullptr) {
-      return;
-    }
-    // Every phase stamp is resolved by dispatch time (enqueue == arrival
-    // on the virtual timeline), so the spans are written once, complete.
-    const auto close = static_cast<obs::BatchClose>(batch.close_reason);
-    obs::BatchSpan bspan;
-    bspan.batch_index = dr.batch_index;
-    bspan.workload = dr.workload;
-    bspan.replica = dr.replica;
-    bspan.close = close;
-    bspan.formed_s = batch.formed_s;
-    bspan.start_s = dr.start_s;
-    bspan.complete_s = dr.complete_s;
-    bspan.size = dr.size;
-    recorder->RecordBatch(bspan);
-    for (const Request& r : batch.requests) {
-      obs::RequestSpan span;
-      span.request_id = r.id;
-      span.workload = r.workload;
-      span.close = close;
-      span.arrival_s = r.arrival_s;
-      span.formed_s = batch.formed_s;
-      span.start_s = dr.start_s;
-      span.complete_s = dr.complete_s;
-      span.batch_index = dr.batch_index;
-      span.replica = dr.replica;
-      span.batch_size = static_cast<std::int32_t>(dr.size);
-      recorder->RecordRequest(span);
-    }
-  }
 
   void AdmissionInstant(double t, obs::InstantKind kind, WorkloadId workload,
                         std::string detail) {
@@ -414,6 +382,7 @@ struct PipelineContext {
     }
     while (next_snapshot_s <= t) {
       pool.PublishCacheMetrics();
+      stats.PublishMetrics(log);
       obs->metrics.TakeSnapshot(next_snapshot_s);
       next_snapshot_s += obs::kSnapshotIntervalS;
     }
@@ -471,7 +440,7 @@ struct PipelineContext {
 
   void Dispatch(Batch&& batch) {
     int node = -1;
-    double tail_s = 0.0;
+    double egress_s = 0.0;
     if (cluster != nullptr) {
       const RouteDecision route = cluster->Route(batch);
       node = route.node;
@@ -479,11 +448,11 @@ struct PipelineContext {
         // Cross-node dispatch is priced, never free: the request transfer
         // must land on the routed node before the batch can start there
         // (formed_s shifts by the ingress), and the response transfer
-        // stretches only the recorded client latency (the record_tail_s
-        // below — the replica frees at compute completion).
+        // stretches only the client latency (the record's egress_s — the
+        // replica frees at compute completion).
         ClusterInstant(batch.formed_s, route, batch.workload);
         batch.formed_s += route.ingress_s;
-        tail_s = route.egress_s;
+        egress_s = route.egress_s;
       }
       cluster->RecordDispatch(route);
     }
@@ -523,48 +492,40 @@ struct PipelineContext {
     const std::int64_t depth =
         arrived - started -
         (admission != nullptr ? admission->removed() : 0);
-    if (defer_commits) {
-      const DispatchRecord dr = pool.Dispatch(batch, nullptr, depth, node);
-      started += batch.size();
-      if (admission != nullptr) {
-        scheduled_starts.Push(dr.start_s, EventClass::kDispatch,
-                              batch.size());
-        scheduled_backlog += batch.size();
-      }
-      pending.push_back(pending_pool.Acquire(
-          PendingCommit{dr, std::move(batch), depth, tail_s}));
-      return;
-    }
-    const DispatchRecord dr = pool.Dispatch(batch, &stats, depth, node,
-                                            tail_s);
-    dispatches.push_back(dr);
+    DispatchRecord record = pool.Dispatch(batch, node);
+    record.close = static_cast<obs::BatchClose>(batch.close_reason);
+    record.formed_s = batch.formed_s;
+    record.egress_s = egress_s;
+    record.queue_depth = depth;
     started += batch.size();
     if (admission != nullptr) {
-      scheduled_starts.Push(dr.start_s, EventClass::kDispatch, batch.size());
+      scheduled_starts.Push(record.start_s, EventClass::kDispatch,
+                            batch.size());
       scheduled_backlog += batch.size();
     }
-    WriteSpans(dr, batch);
-    former.Recycle(std::move(batch.requests));
+    if (defer_commits) {
+      pending.push_back(
+          pending_pool.Acquire(PendingCommit{record, std::move(batch)}));
+      return;
+    }
+    Commit(record, batch);
   }
 
-  // Deferred-mode settlement: commit every pending batch completed by
-  // virtual time `t`, ordered by (completion, dispatch order) — a pure
-  // function of the schedule, so the stats stream (and with it the
-  // record-order latency mean) stays pinned by the seed.
-  void Commit(PendingCommit& p) {
-    stats.RecordBatch(p.batch.workload, p.batch.size(), p.depth);
-    stats.RecordReplicaBusy(p.record.replica,
-                            p.record.complete_s - p.record.start_s);
-    // Cluster response-transfer tail: same != 0.0 guard as pool.Dispatch,
-    // so tail-free runs record bit-identical latencies.
-    const double observed = p.tail_s != 0.0 ? p.record.complete_s + p.tail_s
-                                            : p.record.complete_s;
-    for (const Request& r : p.batch.requests) {
-      stats.RecordRequest(p.batch.workload, r.arrival_s, observed);
+  // The one commit: append a dispatched batch and its members to the
+  // completion log. Fault-free runs commit at dispatch; replica-fail runs
+  // at settlement (CommitUntil), in (completion, dispatch order) order —
+  // a pure function of the schedule, so the log, and with it the
+  // log-order latency means, stays pinned by the seed. A traced commit
+  // takes 1 + size trace seq numbers: the batch span's, then its members'.
+  void Commit(DispatchRecord record, Batch& batch) {
+    if (recorder != nullptr) {
+      record.seq = recorder->TakeSeq(1 + record.size);
     }
-    dispatches.push_back(p.record);
-    WriteSpans(p.record, p.batch);
-    former.Recycle(std::move(p.batch.requests));
+    log.batches.push_back(record);
+    for (const Request& r : batch.requests) {
+      log.requests.push_back({r.id, r.arrival_s});
+    }
+    former.Recycle(std::move(batch.requests));
   }
 
   void CommitUntil(double t) {
@@ -574,7 +535,7 @@ struct PipelineContext {
                      });
     std::size_t done = 0;
     while (done < pending.size() && pending[done]->record.complete_s <= t) {
-      Commit(*pending[done]);
+      Commit(pending[done]->record, pending[done]->batch);
       pending_pool.Release(pending[done]);
       ++done;
     }
@@ -1007,14 +968,13 @@ struct PipelineContext {
         }
       }
     }
-    report.dispatches = std::move(dispatches);
     report.deltas = std::move(deltas);
     if (admission != nullptr) {
       report.admission = admission->Summaries();
       report.expired_dispatched = expired_dispatched;
     }
     report.summary = stats.Summarize(
-        EffectiveOfferedRps(options, report.generated_requests),
+        log, EffectiveOfferedRps(options, report.generated_requests),
         options.duration_s);
     // Per-node slices only for real multi-node clusters: a one-node
     // cluster leaves the summary (and its table) byte-identical to a
@@ -1027,6 +987,7 @@ struct PipelineContext {
       // Final metrics point at the true horizon, then hand the bundle back
       // for export.
       pool.PublishCacheMetrics();
+      stats.PublishMetrics(log);
       obs->metrics.TakeSnapshot(report.summary.horizon_s);
       obs->meta.replicas = pool.size();
       obs->meta.duration_s = options.duration_s;
@@ -1069,6 +1030,7 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
       registry.size() > 1 ? registry.Names() : std::vector<std::string>{});
   ServerPool pool(replicas, registry.Dataflows());
   ServeStats stats(pool.size(), registry.size());
+  const auto log = std::make_shared<obs::CompletionLog>();
   for (WorkloadId w = 0; w < registry.size(); ++w) {
     stats.SetWorkloadName(w, registry.NameOf(w));
   }
@@ -1118,7 +1080,7 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
   ClusterPool* cluster_ptr = cluster.has_value() ? &*cluster : nullptr;
   std::shared_ptr<obs::Observability> obs;
   if (options.trace.enabled) {
-    obs = std::make_shared<obs::Observability>(options.trace);
+    obs = std::make_shared<obs::Observability>(options.trace, log);
     obs->meta.workload_names = registry.Names();
   }
   std::optional<Autoscaler> autoscaler;
@@ -1134,10 +1096,13 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
       autoscaler->SetCluster(cluster_ptr);
     }
   }
-  PipelineContext context(pool, stats, arrivals, options,
+  PipelineContext context(pool, stats, *log, arrivals, options,
                           autoscaler.has_value() ? &*autoscaler : nullptr,
                           admission_ptr, cluster_ptr, std::move(obs));
-  return context.Run();
+  ServeReport report = context.Run();
+  report.log = log;
+  report.dispatches = log->batches;
+  return report;
 }
 
 }  // namespace nsflow::serve

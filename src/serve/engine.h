@@ -8,8 +8,9 @@
 //               lane per workload — batches never mix workloads)
 //                 └─> ServerPool (N accelerator replicas, per-replica
 //                     workload sets, flat latency table)
-//                       └─> ServeStats (p50/p95/p99, throughput, util,
-//                           per-workload breakdown)
+//                       └─> CompletionLog (one record per committed batch
+//                           and request; ServeStats' p50/p95/p99,
+//                           throughput, util and the trace read it)
 //
 // The engine turns the paper's one-shot `RunWorkload` accelerator into a
 // throughput-oriented service: an open-loop synthetic trace with exponential
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -144,7 +146,12 @@ std::vector<WorkloadShare> ParseMix(const std::string& spec);
 
 struct ServeReport {
   StatsSummary summary;
-  std::vector<DispatchRecord> dispatches;
+  /// The run's completion log (obs/completion_log.h): every committed
+  /// batch and request, in commit order. The summary, the metrics and the
+  /// trace spans are all views over it.
+  std::shared_ptr<const obs::CompletionLog> log;
+  /// The log's batch records.
+  std::span<const DispatchRecord> dispatches;
   std::int64_t generated_requests = 0;
   /// Single-request latency of each registered workload on its first
   /// capable replica — the no-batching baseline the throughput numbers are

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/table.h"
@@ -15,7 +15,6 @@ namespace nsflow::serve {
 ServeStats::ServeStats(int replicas, int workloads) {
   NSF_CHECK_MSG(replicas >= 1, "a serve pool needs at least one replica");
   NSF_CHECK_MSG(workloads >= 1, "stats need at least one workload slice");
-  replica_busy_s_.assign(static_cast<std::size_t>(replicas), 0.0);
   replica_spans_.assign(
       static_cast<std::size_t>(replicas),
       {0.0, std::numeric_limits<double>::infinity()});
@@ -25,8 +24,6 @@ ServeStats::ServeStats(int replicas, int workloads) {
     workload_names_[static_cast<std::size_t>(w)] =
         "workload " + std::to_string(w);
   }
-  workload_latencies_s_.resize(static_cast<std::size_t>(workloads));
-  workload_batches_.resize(static_cast<std::size_t>(workloads));
   workload_tiers_.assign(static_cast<std::size_t>(workloads),
                          SlaTier::kStandard);
 }
@@ -35,9 +32,7 @@ void ServeStats::Reserve(std::int64_t expected_requests) {
   if (expected_requests <= 0) {
     return;
   }
-  const auto n = static_cast<std::size_t>(expected_requests);
-  latencies_s_.reserve(n);
-  arrival_stamps_.reserve(n);
+  arrival_stamps_.reserve(static_cast<std::size_t>(expected_requests));
 }
 
 void ServeStats::SetWorkloadName(WorkloadId w, std::string name) {
@@ -58,53 +53,6 @@ void ServeStats::SetWorkloadTier(WorkloadId w, SlaTier tier) {
           TierName(static_cast<SlaTier>(t)));
     }
   }
-}
-
-void ServeStats::RecordRequest(WorkloadId workload, double arrival_s,
-                               double complete_s) {
-  NSF_CHECK_MSG(complete_s >= arrival_s,
-                "completion cannot precede arrival");
-  NSF_CHECK_MSG(workload >= 0 &&
-                    workload < static_cast<int>(workload_latencies_s_.size()),
-                "workload index out of range");
-  last_completion_s_ = std::max(last_completion_s_, complete_s);
-  latencies_s_.push_back(complete_s - arrival_s);
-  workload_latencies_s_[static_cast<std::size_t>(workload)].push_back(
-      complete_s - arrival_s);
-  if (latency_hist_ != nullptr) {
-    latency_hist_->Observe(complete_s - arrival_s);
-  }
-  if (tiers_set_) {
-    obs::Histogram* hist = tier_hists_[static_cast<int>(
-        workload_tiers_[static_cast<std::size_t>(workload)])];
-    if (hist != nullptr) {
-      hist->Observe(complete_s - arrival_s);
-    }
-  }
-  if (completed_counter_ != nullptr) {
-    completed_counter_->Increment();
-  }
-}
-
-void ServeStats::RecordBatch(WorkloadId workload, std::int64_t size,
-                             std::int64_t queue_depth) {
-  NSF_CHECK_MSG(size >= 1, "batches are non-empty");
-  NSF_CHECK_MSG(workload >= 0 &&
-                    workload < static_cast<int>(workload_batches_.size()),
-                "workload index out of range");
-  batch_sizes_.push_back(size);
-  depth_samples_.push_back(std::max<std::int64_t>(0, queue_depth));
-  workload_batches_[static_cast<std::size_t>(workload)].push_back(size);
-  if (batch_counter_ != nullptr) {
-    batch_counter_->Increment();
-  }
-}
-
-void ServeStats::RecordReplicaBusy(int index, double busy_s) {
-  NSF_CHECK_MSG(index >= 0 &&
-                    index < static_cast<int>(replica_busy_s_.size()),
-                "replica index out of range");
-  replica_busy_s_[static_cast<std::size_t>(index)] += busy_s;
 }
 
 void ServeStats::RecordArrival(WorkloadId workload, double arrival_s) {
@@ -151,7 +99,6 @@ void ServeStats::RecordPoolEvent(PoolEvent event) {
 }
 
 void ServeStats::AddReplicaSlot() {
-  replica_busy_s_.push_back(0.0);
   replica_spans_.push_back({0.0, std::numeric_limits<double>::infinity()});
 }
 
@@ -198,65 +145,135 @@ void ServeStats::AttachMetrics(obs::MetricsRegistry* registry) {
   }
 }
 
+namespace {
+
+/// Index of the nearest-rank p-th percentile in an ascending population of
+/// `n` >= 1: the smallest value with at least p% of the population at or
+/// below it.
+std::size_t NearestRankIndex(double p, std::size_t n) {
+  NSF_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(n));
+  const std::size_t index = static_cast<std::size_t>(std::max(1.0, rank)) - 1;
+  return std::min(index, n - 1);
+}
+
+struct Ranks {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+};
+
+/// Nearest-rank p50/p95/p99/max of [first, last) by selection; reorders
+/// the range. Each std::nth_element starts one past the previous rank:
+/// everything up to that rank is already no larger.
+Ranks SelectRanks(std::vector<double>::iterator first,
+                  std::vector<double>::iterator last) {
+  Ranks out;
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n == 0) {
+    return out;
+  }
+  std::size_t from = 0;
+  for (const auto& [p, value] :
+       {std::pair{50.0, &out.p50}, std::pair{95.0, &out.p95},
+        std::pair{99.0, &out.p99}, std::pair{100.0, &out.max}}) {
+    const std::size_t rank = NearestRankIndex(p, n);
+    if (rank >= from) {
+      std::nth_element(first + static_cast<std::ptrdiff_t>(from),
+                       first + static_cast<std::ptrdiff_t>(rank), last);
+      from = rank + 1;
+    }
+    *value = first[static_cast<std::ptrdiff_t>(rank)];
+  }
+  return out;
+}
+
+/// When a batch's responses reach the client: compute completion plus the
+/// cluster response transfer (+0.0 on a local batch leaves the stamp
+/// bit-identical).
+double ResponseS(const obs::BatchSpan& batch) {
+  return batch.complete_s + batch.egress_s;
+}
+
+}  // namespace
+
 double ServeStats::PercentileSorted(const std::vector<double>& sorted,
                                     double p) {
   if (sorted.empty()) {
     return 0.0;
   }
-  NSF_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
-  // Nearest-rank: smallest value with at least p% of the population at or
-  // below it.
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-  const std::size_t index =
-      static_cast<std::size_t>(std::max(1.0, rank)) - 1;
-  return sorted[std::min(index, sorted.size() - 1)];
+  return sorted[NearestRankIndex(p, sorted.size())];
 }
 
-StatsSummary ServeStats::Summarize(double offered_qps,
+void ServeStats::PublishMetrics(const obs::CompletionLog& log) {
+  if (registry_ == nullptr) {
+    return;
+  }
+  for (; published_batches_ < log.batches.size(); ++published_batches_) {
+    const obs::BatchSpan& batch = log.batches[published_batches_];
+    obs::Histogram* tier_hist =
+        tiers_set_ ? tier_hists_[static_cast<int>(
+                         workload_tiers_[static_cast<std::size_t>(
+                             batch.workload)])]
+                   : nullptr;
+    for (std::int64_t i = 0; i < batch.size; ++i) {
+      const double latency =
+          ResponseS(batch) - log.requests[published_requests_++].arrival_s;
+      latency_hist_->Observe(latency);
+      if (tier_hist != nullptr) {
+        tier_hist->Observe(latency);
+      }
+    }
+    completed_counter_->Increment(batch.size);
+    batch_counter_->Increment();
+  }
+}
+
+StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
+                                   double offered_qps,
                                    double run_duration_s) const {
+  const std::size_t workloads = workload_names_.size();
   StatsSummary s;
-  s.completed = completed();
-  s.batches = static_cast<std::int64_t>(batch_sizes_.size());
+  s.completed = static_cast<std::int64_t>(log.requests.size());
+  s.batches = static_cast<std::int64_t>(log.batches.size());
   s.offered_qps = offered_qps;
-  s.horizon_s = std::max(run_duration_s, last_completion_s_);
+  s.per_workload.resize(workloads);
+  for (std::size_t w = 0; w < workloads; ++w) {
+    s.per_workload[w].name = workload_names_[w];
+  }
+
+  // Batch pass: slice sizes, backlog samples, busy time and the horizon.
+  std::vector<double> busy_s(replica_spans_.size(), 0.0);
+  double last_response_s = 0.0;
+  std::int64_t depth_sum = 0;
+  for (const obs::BatchSpan& batch : log.batches) {
+    NSF_CHECK_MSG(batch.workload >= 0 &&
+                      static_cast<std::size_t>(batch.workload) < workloads,
+                  "workload index out of range");
+    WorkloadSummary& slice =
+        s.per_workload[static_cast<std::size_t>(batch.workload)];
+    slice.completed += batch.size;
+    slice.batches += 1;
+    const std::int64_t depth = std::max<std::int64_t>(0, batch.queue_depth);
+    depth_sum += depth;
+    s.max_queue_depth = std::max(s.max_queue_depth, depth);
+    busy_s.at(static_cast<std::size_t>(batch.replica)) +=
+        batch.complete_s - batch.start_s;
+    last_response_s = std::max(last_response_s, ResponseS(batch));
+  }
+  s.horizon_s = std::max(run_duration_s, last_response_s);
   if (s.horizon_s > 0.0 && s.completed > 0) {
     s.throughput_rps = static_cast<double>(s.completed) / s.horizon_s;
   }
-
-  // One sorted copy serves all three percentiles plus the max — not three
-  // copy-and-sort passes through Percentile(). The mean stays on the
-  // record-order vector: float summation is order-sensitive and the summary
-  // must be bit-identical to what the unsorted accumulation reports.
-  std::vector<double> sorted = latencies_s_;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50_ms = PercentileSorted(sorted, 50.0) * 1e3;
-  s.p95_ms = PercentileSorted(sorted, 95.0) * 1e3;
-  s.p99_ms = PercentileSorted(sorted, 99.0) * 1e3;
-  if (!sorted.empty()) {
-    s.mean_ms = std::accumulate(latencies_s_.begin(), latencies_s_.end(), 0.0) /
-                static_cast<double>(latencies_s_.size()) * 1e3;
-    s.max_ms = sorted.back() * 1e3;
+  if (s.batches > 0) {
+    s.mean_batch = static_cast<double>(s.completed) /
+                   static_cast<double>(s.batches);
+    s.mean_queue_depth = static_cast<double>(depth_sum) /
+                         static_cast<double>(s.batches);
   }
-
-  if (!batch_sizes_.empty()) {
-    s.mean_batch =
-        static_cast<double>(std::accumulate(batch_sizes_.begin(),
-                                            batch_sizes_.end(),
-                                            std::int64_t{0})) /
-        static_cast<double>(batch_sizes_.size());
-  }
-  if (!depth_samples_.empty()) {
-    s.mean_queue_depth =
-        static_cast<double>(std::accumulate(depth_samples_.begin(),
-                                            depth_samples_.end(),
-                                            std::int64_t{0})) /
-        static_cast<double>(depth_samples_.size());
-    s.max_queue_depth =
-        *std::max_element(depth_samples_.begin(), depth_samples_.end());
-  }
-
-  s.replica_utilization.reserve(replica_busy_s_.size());
-  for (std::size_t r = 0; r < replica_busy_s_.size(); ++r) {
+  s.replica_utilization.reserve(busy_s.size());
+  for (std::size_t r = 0; r < busy_s.size(); ++r) {
     // Busy share of the replica's *active span* within the horizon: a
     // warm-added or drained replica is judged against the time it was
     // actually provisioned, not the whole run (spans default to the full
@@ -264,79 +281,99 @@ StatsSummary ServeStats::Summarize(double offered_qps,
     const double span =
         std::min(replica_spans_[r].second, s.horizon_s) -
         std::min(replica_spans_[r].first, s.horizon_s);
-    s.replica_utilization.push_back(
-        span > 0.0 ? replica_busy_s_[r] / span : 0.0);
+    s.replica_utilization.push_back(span > 0.0 ? busy_s[r] / span : 0.0);
   }
   s.timeline = timeline_;
 
-  s.per_workload.reserve(workload_names_.size());
-  std::vector<double> scratch;  // Reused sort buffer across slices.
-  for (std::size_t w = 0; w < workload_names_.size(); ++w) {
-    WorkloadSummary slice;
-    slice.name = workload_names_[w];
-    const auto& latencies = workload_latencies_s_[w];
-    slice.completed = static_cast<std::int64_t>(latencies.size());
+  // One latency buffer, grouped by tier and then workload id, so every
+  // population the summary reads — a workload, a tier, the run — is one
+  // contiguous range. Tier t spans [tier_begin[t], tier_begin[t + 1]).
+  std::vector<std::size_t> begin(workloads);
+  std::size_t tier_begin[4] = {0, 0, 0, 0};
+  bool tier_used[3] = {false, false, false};
+  std::size_t offset = 0;
+  for (int t = 0; t < 3; ++t) {
+    tier_begin[t] = offset;
+    for (std::size_t w = 0; w < workloads; ++w) {
+      if (static_cast<int>(workload_tiers_[w]) == t) {
+        tier_used[t] = true;
+        begin[w] = offset;
+        offset += static_cast<std::size_t>(s.per_workload[w].completed);
+      }
+    }
+  }
+  tier_begin[3] = offset;
+  std::vector<std::size_t> cursor = begin;
+
+  // Request pass. The means keep the log-order running sums: float
+  // summation is order-sensitive.
+  std::vector<double> latencies(log.requests.size());
+  std::vector<double> workload_sum_s(workloads, 0.0);
+  double sum_s = 0.0;
+  auto request = log.requests.begin();
+  for (const obs::BatchSpan& batch : log.batches) {
+    const auto w = static_cast<std::size_t>(batch.workload);
+    for (std::int64_t i = 0; i < batch.size; ++i, ++request) {
+      const double latency = ResponseS(batch) - request->arrival_s;
+      NSF_CHECK_MSG(latency >= 0.0, "completion cannot precede arrival");
+      sum_s += latency;
+      workload_sum_s[w] += latency;
+      latencies[cursor[w]++] = latency;
+    }
+  }
+
+  // Selections nest: each workload's range, then each tier's (the union
+  // of its workloads' ranges), then the whole run.
+  for (std::size_t w = 0; w < workloads; ++w) {
+    WorkloadSummary& slice = s.per_workload[w];
+    const auto first = latencies.begin() +
+                       static_cast<std::ptrdiff_t>(begin[w]);
+    const Ranks ranks = SelectRanks(first, first + slice.completed);
+    slice.p50_ms = ranks.p50 * 1e3;
+    slice.p95_ms = ranks.p95 * 1e3;
+    slice.p99_ms = ranks.p99 * 1e3;
+    if (slice.completed > 0) {
+      slice.mean_ms = workload_sum_s[w] /
+                      static_cast<double>(slice.completed) * 1e3;
+      slice.max_ms = ranks.max * 1e3;
+      slice.mean_batch = static_cast<double>(slice.completed) /
+                         static_cast<double>(slice.batches);
+    }
     if (s.horizon_s > 0.0 && slice.completed > 0) {
       slice.throughput_rps =
           static_cast<double>(slice.completed) / s.horizon_s;
     }
-    // Single-workload runs: slice 0's population *is* the aggregate — reuse
-    // the sorted copy above instead of sorting it again. Multi-workload
-    // runs reuse one scratch buffer's allocation across slices.
-    const std::vector<double>* slice_sorted = &sorted;
-    if (workload_names_.size() > 1) {
-      scratch.assign(latencies.begin(), latencies.end());
-      std::sort(scratch.begin(), scratch.end());
-      slice_sorted = &scratch;
-    }
-    slice.p50_ms = PercentileSorted(*slice_sorted, 50.0) * 1e3;
-    slice.p95_ms = PercentileSorted(*slice_sorted, 95.0) * 1e3;
-    slice.p99_ms = PercentileSorted(*slice_sorted, 99.0) * 1e3;
-    if (!slice_sorted->empty()) {
-      slice.mean_ms = std::accumulate(latencies.begin(), latencies.end(), 0.0) /
-                      static_cast<double>(latencies.size()) * 1e3;
-      slice.max_ms = slice_sorted->back() * 1e3;
-    }
-    const auto& batches = workload_batches_[w];
-    slice.batches = static_cast<std::int64_t>(batches.size());
-    if (!batches.empty()) {
-      slice.mean_batch =
-          static_cast<double>(std::accumulate(batches.begin(), batches.end(),
-                                              std::int64_t{0})) /
-          static_cast<double>(batches.size());
-    }
-    s.per_workload.push_back(std::move(slice));
   }
 
   // Tier slices (admission-tiered runs): each tier's percentiles over its
   // own population, so batch-tier latencies cannot dilute the critical
-  // tier's p99. Workloads concatenate in workload-id order before the sort
-  // — a deterministic population regardless of completion interleaving.
+  // tier's p99. A tier with no tenant mapped to it gets no slice row.
   if (tiers_set_) {
     for (int t = 0; t < 3; ++t) {
-      const SlaTier tier = static_cast<SlaTier>(t);
-      scratch.clear();
-      bool any = false;
-      for (std::size_t w = 0; w < workload_tiers_.size(); ++w) {
-        if (workload_tiers_[w] != tier) {
-          continue;
-        }
-        any = true;
-        scratch.insert(scratch.end(), workload_latencies_s_[w].begin(),
-                       workload_latencies_s_[w].end());
+      if (!tier_used[t]) {
+        continue;
       }
-      if (!any) {
-        continue;  // No tenant mapped to this tier: no slice row.
-      }
-      std::sort(scratch.begin(), scratch.end());
       TierSummary slice;
-      slice.name = TierName(tier);
-      slice.tier = tier;
-      slice.completed = static_cast<std::int64_t>(scratch.size());
-      slice.p50_ms = PercentileSorted(scratch, 50.0) * 1e3;
-      slice.p99_ms = PercentileSorted(scratch, 99.0) * 1e3;
+      slice.tier = static_cast<SlaTier>(t);
+      slice.name = TierName(slice.tier);
+      slice.completed =
+          static_cast<std::int64_t>(tier_begin[t + 1] - tier_begin[t]);
+      const Ranks ranks = SelectRanks(
+          latencies.begin() + static_cast<std::ptrdiff_t>(tier_begin[t]),
+          latencies.begin() + static_cast<std::ptrdiff_t>(tier_begin[t + 1]));
+      slice.p50_ms = ranks.p50 * 1e3;
+      slice.p99_ms = ranks.p99 * 1e3;
       s.per_tier.push_back(std::move(slice));
     }
+  }
+
+  const Ranks ranks = SelectRanks(latencies.begin(), latencies.end());
+  s.p50_ms = ranks.p50 * 1e3;
+  s.p95_ms = ranks.p95 * 1e3;
+  s.p99_ms = ranks.p99 * 1e3;
+  if (s.completed > 0) {
+    s.mean_ms = sum_s / static_cast<double>(s.completed) * 1e3;
+    s.max_ms = ranks.max * 1e3;
   }
   return s;
 }

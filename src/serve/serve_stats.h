@@ -1,10 +1,12 @@
-// ServeStats — latency/throughput/utilization collector for NSFlow-Serve.
+// ServeStats — latency/throughput/utilization views for NSFlow-Serve.
 //
-// Accumulates per-request latencies, batch sizes, backlog samples, and
-// per-replica busy time during a serve run, then summarizes them into the
-// operator-facing table: p50/p95/p99 latency, sustained throughput, queue
-// depth, and replica utilization. Percentiles use the nearest-rank method on
-// the full latency population (no reservoir sampling — runs are bounded).
+// A serve run's completions live in one obs::CompletionLog; ServeStats
+// reads it. Summarize turns the log into the operator-facing table: p50/
+// p95/p99 latency, sustained throughput, queue depth, and replica
+// utilization. Percentiles use the nearest-rank method on the full latency
+// population (no reservoir sampling — runs are bounded). ServeStats itself
+// keeps only what the log does not hold: workload names and tiers, the
+// autoscaler's arrival record and timeline, and replica active spans.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/completion_log.h"
 #include "serve/request.h"
 
 namespace nsflow::obs {
@@ -133,21 +136,11 @@ class ServeStats {
   /// runs never see either (their output stays byte-identical).
   void SetWorkloadTier(WorkloadId w, SlaTier tier);
 
-  /// Pre-size the per-request populations for an `expected_requests`-sized
-  /// run, so steady-state recording never reallocates mid-stream (part of
-  /// the serve path's allocation contract, docs/ENGINE.md). Purely an
+  /// Pre-size the arrival record for an `expected_requests`-sized run, so
+  /// steady-state recording never reallocates mid-stream (part of the
+  /// serve path's allocation contract, docs/ENGINE.md). Purely an
   /// allocation hint — recording behavior and output are unchanged.
   void Reserve(std::int64_t expected_requests);
-
-  /// One request of `workload` finished: latency = complete - arrival
-  /// (virtual seconds).
-  void RecordRequest(WorkloadId workload, double arrival_s, double complete_s);
-  /// One batch of `workload` dispatched with `size` requests and the
-  /// backlog it saw.
-  void RecordBatch(WorkloadId workload, std::int64_t size,
-                   std::int64_t queue_depth);
-  /// Replica `index` was busy for `busy_s` more virtual seconds.
-  void RecordReplicaBusy(int index, double busy_s);
 
   /// One request entered the system at `arrival_s` (recorded in arrival
   /// order — the autoscaler's windowed-rate source).
@@ -181,14 +174,14 @@ class ServeStats {
   /// Nearest-rank percentile over an already ascending-sorted vector.
   static double PercentileSorted(const std::vector<double>& sorted, double p);
 
-  StatsSummary Summarize(double offered_qps, double run_duration_s) const;
+  /// The run's summary, read off `log` in one pass over its requests.
+  /// Percentiles select ranks (std::nth_element) instead of sorting;
+  /// means sum in log order.
+  StatsSummary Summarize(const obs::CompletionLog& log, double offered_qps,
+                         double run_duration_s) const;
 
   /// Render a summary as the operator-facing ASCII table.
   static std::string ToTable(const StatsSummary& summary);
-
-  std::int64_t completed() const {
-    return static_cast<std::int64_t>(latencies_s_.size());
-  }
 
   /// Timeline recorded so far (the engine reads the tail after each
   /// autoscaler tick to mirror new PoolEvents into the trace).
@@ -196,23 +189,20 @@ class ServeStats {
 
   /// Publish per-request latency (`serve.latency_s` histogram) and
   /// completed/batch tallies into `registry`. Null detaches. Pointers are
-  /// resolved once here so the record path stays lookup-free.
+  /// resolved once here so the fold stays lookup-free.
   void AttachMetrics(obs::MetricsRegistry* registry);
+  /// Fold the records `log` gained since the last call into the attached
+  /// instruments, in log order (no-op when detached). The engine calls
+  /// this just before each metrics snapshot.
+  void PublishMetrics(const obs::CompletionLog& log);
 
  private:
-  std::vector<double> latencies_s_;
-  double last_completion_s_ = 0.0;  // Latest RecordRequest completion.
-  std::vector<std::int64_t> batch_sizes_;
-  std::vector<std::int64_t> depth_samples_;
-  std::vector<double> replica_busy_s_;
   std::vector<std::pair<double, double>> replica_spans_;  // [added, retired).
   std::vector<PoolEvent> timeline_;
   std::vector<double> arrival_stamps_;                    // All workloads.
   std::vector<std::vector<double>> workload_arrivals_s_;  // Per workload.
 
   std::vector<std::string> workload_names_;
-  std::vector<std::vector<double>> workload_latencies_s_;    // Per workload.
-  std::vector<std::vector<std::int64_t>> workload_batches_;  // Batch sizes.
   std::vector<SlaTier> workload_tiers_;  // Meaningful iff tiers_set_.
   bool tiers_set_ = false;
 
@@ -224,6 +214,9 @@ class ServeStats {
   obs::MetricsRegistry* registry_ = nullptr;  // Kept so a SetWorkloadTier
                                               // after AttachMetrics can
                                               // still register tier hists.
+  // Log records already folded by PublishMetrics.
+  std::size_t published_batches_ = 0;
+  std::size_t published_requests_ = 0;
 };
 
 }  // namespace nsflow::serve

@@ -590,9 +590,7 @@ int ServerPool::ResolveFaultTarget(int requested, double t,
   return choice;
 }
 
-DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
-                                    std::int64_t queue_depth, int node,
-                                    double record_tail_s) {
+DispatchRecord ServerPool::Dispatch(const Batch& batch, int node) {
   NSF_CHECK_MSG(batch.size() > 0, "cannot dispatch an empty batch");
   NSF_CHECK(batch.workload >= 0 && batch.workload < workloads());
   // Earliest-available replica among those deployed for the batch's
@@ -617,21 +615,6 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
   record.size = batch.size();
   free_at_[static_cast<std::size_t>(choice)] = record.complete_s;
   Reseat(choice, /*seated=*/true);
-
-  if (stats != nullptr) {
-    stats->RecordBatch(batch.workload, batch.size(), queue_depth);
-    stats->RecordReplicaBusy(choice, service);
-    // The response-transfer tail extends only the client-observed latency
-    // (the replica freed at complete_s; the interconnect carries the
-    // reply). The != 0.0 guard keeps tail-free runs bit-identical — no
-    // `+ 0.0` is ever applied.
-    const double observed = record_tail_s != 0.0
-                                ? record.complete_s + record_tail_s
-                                : record.complete_s;
-    for (const auto& request : batch.requests) {
-      stats->RecordRequest(batch.workload, request.arrival_s, observed);
-    }
-  }
   return record;
 }
 

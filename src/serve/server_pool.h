@@ -51,8 +51,8 @@
 #include "arch/fastpath.h"
 #include "graph/dataflow_graph.h"
 #include "model/accel_model.h"
+#include "obs/completion_log.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 
 namespace nsflow::obs {
 class Counter;
@@ -113,15 +113,10 @@ struct PoolDeltaCounts {
 };
 PoolDeltaCounts CountDeltas(const std::vector<PoolDelta>& deltas);
 
-/// Where one batch executed on the virtual timeline.
-struct DispatchRecord {
-  std::int64_t batch_index = 0;
-  int replica = 0;
-  WorkloadId workload = 0;
-  double start_s = 0.0;     // max(batch formed, replica free).
-  double complete_s = 0.0;  // start + batched service time.
-  std::int64_t size = 0;
-};
+/// Where one batch executed on the virtual timeline: the completion log's
+/// batch record. ServerPool::Dispatch fills the schedule fields; the
+/// engine fills the rest at commit.
+using DispatchRecord = obs::BatchSpan;
 
 class ServerPool {
  public:
@@ -264,16 +259,11 @@ class ServerPool {
 
   /// Dispatch one formed batch to the earliest-available replica able to
   /// serve its workload (ties to the lowest id), advancing the schedule.
-  /// Fills per-request latencies, the batch/backlog sample (`queue_depth`
-  /// is the caller-observed backlog at dispatch), and replica busy time
-  /// into `stats` when non-null. `node` >= 0 narrows the candidate set to
-  /// that cluster node's replicas; `record_tail_s` extends the *recorded*
-  /// per-request latency (the cluster's response-transfer pricing) without
-  /// touching the replica schedule — the replica frees at compute
-  /// completion, the interconnect carries the reply.
-  DispatchRecord Dispatch(const Batch& batch, ServeStats* stats,
-                          std::int64_t queue_depth = 0, int node = -1,
-                          double record_tail_s = 0.0);
+  /// `node` >= 0 narrows the candidate set to that cluster node's
+  /// replicas. Only schedules: the record carries the batch index,
+  /// replica, workload, start, completion and size, and recording it is
+  /// the caller's commit.
+  DispatchRecord Dispatch(const Batch& batch, int node = -1);
 
   /// Publish the latency-table hit/miss tallies into `registry`
   /// (`pool.cache_hits` / `pool.cache_misses`). Null detaches. The hot

@@ -816,11 +816,6 @@ void ExportObservability(const CliArgs& args,
     WriteFile(args.metrics_out, report.obs->MetricsJson() + "\n");
     std::printf("Metrics timeline written to %s\n", args.metrics_out.c_str());
   }
-  if (report.obs->recorder.dropped() > 0) {
-    std::printf("Trace ring dropped %lld oldest record(s) (raise the ring "
-                "capacity for full coverage)\n",
-                static_cast<long long>(report.obs->recorder.dropped()));
-  }
 }
 
 /// Resolve the --tiers text against the run's workload names

@@ -361,7 +361,7 @@ TEST(AdversityTest, PoolDerateMultipliesServiceInsideTheWindow) {
     batch.workload = 0;
     batch.formed_s = formed_s;
     batch.requests = {Request{0, 0.0, 0}};
-    return pool.Dispatch(batch, nullptr);
+    return pool.Dispatch(batch);
   };
   const DispatchRecord before = first_dispatch(0.0);
   EXPECT_EQ(before.replica, 0);

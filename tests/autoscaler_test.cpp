@@ -143,7 +143,7 @@ TEST(AutoscalerTest, DrainSafetyAtPoolLevel) {
   batch.workload = 0;
   batch.formed_s = 0.0;
   batch.requests = {Request{0, 0.0, 0}};
-  const DispatchRecord first = pool.Dispatch(batch, nullptr);
+  const DispatchRecord first = pool.Dispatch(batch);
   EXPECT_EQ(first.replica, 0);
 
   // Drain replica 0 while its batch is in flight: the batch completes on
@@ -153,7 +153,7 @@ TEST(AutoscalerTest, DrainSafetyAtPoolLevel) {
   EXPECT_DOUBLE_EQ(pool.RetiredAt(0), first.complete_s);
   for (int i = 1; i <= 4; ++i) {
     batch.requests = {Request{i, 0.0, 0}};
-    EXPECT_EQ(pool.Dispatch(batch, nullptr).replica, 1);
+    EXPECT_EQ(pool.Dispatch(batch).replica, 1);
   }
   // Draining the last capable replica would orphan the workload.
   EXPECT_THROW(pool.DrainReplica(1, 0.0), std::exception);
@@ -163,7 +163,7 @@ TEST(AutoscalerTest, DrainSafetyAtPoolLevel) {
   EXPECT_EQ(added, 2);
   EXPECT_DOUBLE_EQ(pool.AddedAt(added), 100.0);
   batch.requests = {Request{9, 0.0, 0}};
-  EXPECT_EQ(pool.Dispatch(batch, nullptr).replica, 1);
+  EXPECT_EQ(pool.Dispatch(batch).replica, 1);
 
   // Accounting: replica 0 active [0, first.complete_s), 1 active the whole
   // horizon, 2 active from t=100.

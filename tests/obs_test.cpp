@@ -1,6 +1,6 @@
 // Observability tests (docs/OBSERVABILITY.md): pinned histogram bucket
-// boundaries, bit-exact Chrome/binary trace round trips, ring-buffer
-// eviction accounting, fixed-seed trace determinism of an autoscaled
+// boundaries, bit-exact Chrome/binary trace round trips, spans drained
+// from a completion log, fixed-seed trace determinism of an autoscaled
 // diurnal run, request/batch span invariants, and the structured logger's
 // sink injection + level filter.
 #include <gtest/gtest.h>
@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "obs/chrome_trace.h"
+#include "obs/completion_log.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "serve/engine.h"
@@ -191,42 +193,46 @@ TEST(ObsBinaryTraceTest, RejectsBadMagicAndTruncation) {
 
 // ---------------------------------------------------------------- recorder
 
-TEST(ObsRecorderTest, RingModeDropsOldestAndCounts) {
-  TraceRecorder recorder(/*ring_capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    RequestSpan span;
-    span.request_id = i;
-    span.complete_s = static_cast<double>(i);
-    recorder.RecordRequest(span);
-  }
-  const TraceData data = recorder.Drain();
-  ASSERT_EQ(data.requests.size(), 4u);
-  EXPECT_EQ(recorder.dropped(), 6);
-  EXPECT_EQ(data.dropped, 6);
-  // The retained window is the newest records, in time order.
-  EXPECT_EQ(data.requests.front().request_id, 6);
-  EXPECT_EQ(data.requests.back().request_id, 9);
-  // Control-plane instants are never ring-evicted.
-  for (int i = 0; i < 10; ++i) {
-    InstantEvent event;
-    event.t_s = static_cast<double>(i);
-    recorder.RecordInstant(event);
-  }
-  EXPECT_EQ(recorder.Drain().instants.size(), 10u);
-}
-
 TEST(ObsRecorderTest, DrainOrdersByTimestampThenSeq) {
-  TraceRecorder recorder;
+  // Spans are views over the completion log: three one-request batches
+  // committed as the engine commits them, each taking 1 + size seq
+  // numbers.
+  auto log = std::make_shared<CompletionLog>();
+  TraceRecorder recorder(log);
   for (int i = 0; i < 3; ++i) {
     BatchSpan span;
     span.batch_index = i;
+    span.replica = i;
     span.start_s = 0.5;  // Identical stamps: seq breaks the tie.
-    recorder.RecordBatch(span);
+    span.complete_s = 1.0 - 0.25 * i;  // Later commits complete earlier.
+    span.size = 1;
+    span.seq = recorder.TakeSeq(1 + span.size);
+    log->batches.push_back(span);
+    log->requests.push_back({100 + i, 0.25});
   }
+  InstantEvent instant;
+  instant.t_s = 0.5;
+  recorder.RecordInstant(instant);
+
   const TraceData data = recorder.Drain();
   ASSERT_EQ(data.batches.size(), 3u);
-  EXPECT_LT(data.batches[0].seq, data.batches[1].seq);
-  EXPECT_LT(data.batches[1].seq, data.batches[2].seq);
+  ASSERT_EQ(data.requests.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(data.batches[i].batch_index, i);
+    EXPECT_EQ(data.batches[i].seq, 2 * i);
+    // The timestamp leads: request spans come out in completion order.
+    const RequestSpan& span = data.requests[2 - i];
+    EXPECT_EQ(span.request_id, 100 + i);
+    EXPECT_EQ(span.seq, 2 * i + 1);  // Its batch's seq + 1.
+    EXPECT_EQ(span.batch_index, i);
+    EXPECT_EQ(span.replica, i);
+    EXPECT_EQ(span.batch_size, 1);
+    EXPECT_EQ(span.arrival_s, 0.25);
+    EXPECT_EQ(span.complete_s, 1.0 - 0.25 * i);
+  }
+  ASSERT_EQ(data.instants.size(), 1u);
+  EXPECT_EQ(data.instants[0].seq, 6);
+  EXPECT_EQ(data.dropped, 0);
 }
 
 // ------------------------------------------------- traced serve invariants

@@ -225,13 +225,12 @@ TEST(MultiTenantPoolTest, PartitionedDispatchRespectsWorkloadSets) {
     }
   }
 
-  ServeStats stats(pool.size(), pool.workloads());
   for (int i = 0; i < 6; ++i) {
     Batch batch;
     batch.workload = static_cast<WorkloadId>(i % 3);
     batch.formed_s = 0.0;
     batch.requests = {At(i, 0.0, batch.workload)};
-    const DispatchRecord record = pool.Dispatch(batch, &stats);
+    const DispatchRecord record = pool.Dispatch(batch);
     EXPECT_EQ(record.replica, batch.workload);  // Only capable replica.
     EXPECT_EQ(record.workload, batch.workload);
   }

@@ -38,23 +38,41 @@ TEST(ServeStatsTest, NearestRankPercentiles) {
   EXPECT_DOUBLE_EQ(ServeStats::Percentile({}, 50.0), 0.0);
 }
 
+/// One committed batch of `arrivals` on `replica`, appended to `log`.
+void Commit(obs::CompletionLog* log, WorkloadId workload, int replica,
+            double start_s, double complete_s, std::int64_t queue_depth,
+            const std::vector<double>& arrivals, double egress_s = 0.0) {
+  obs::BatchSpan batch;
+  batch.batch_index = static_cast<std::int64_t>(log->batches.size());
+  batch.workload = workload;
+  batch.replica = replica;
+  batch.start_s = start_s;
+  batch.complete_s = complete_s;
+  batch.egress_s = egress_s;
+  batch.size = static_cast<std::int64_t>(arrivals.size());
+  batch.queue_depth = queue_depth;
+  log->batches.push_back(batch);
+  for (const double arrival_s : arrivals) {
+    log->requests.push_back(
+        {static_cast<std::int64_t>(log->requests.size()), arrival_s});
+  }
+}
+
 TEST(ServeStatsTest, SummarizesLatencyAndUtilization) {
   ServeStats stats(2);
-  stats.RecordRequest(0, 0.0, 0.010);
-  stats.RecordRequest(0, 0.0, 0.020);
-  stats.RecordRequest(0, 0.0, 0.030);
-  stats.RecordRequest(0, 0.0, 0.040);
-  stats.RecordBatch(0, 4, 6);
-  stats.RecordReplicaBusy(0, 0.02);
-  stats.RecordReplicaBusy(1, 0.01);
+  obs::CompletionLog log;
+  Commit(&log, 0, 0, 0.020, 0.040, 6, {0.030, 0.020, 0.010});
+  Commit(&log, 0, 1, 0.030, 0.040, 2, {0.0});
 
-  const StatsSummary s = stats.Summarize(100.0, 0.04);
+  const StatsSummary s = stats.Summarize(log, 100.0, 0.04);
   EXPECT_EQ(s.completed, 4);
+  EXPECT_EQ(s.batches, 2);
   EXPECT_DOUBLE_EQ(s.p50_ms, 20.0);
   EXPECT_DOUBLE_EQ(s.p99_ms, 40.0);
   EXPECT_DOUBLE_EQ(s.mean_ms, 25.0);
   EXPECT_DOUBLE_EQ(s.throughput_rps, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean_batch, 4.0);
+  EXPECT_DOUBLE_EQ(s.mean_batch, 2.0);
+  EXPECT_DOUBLE_EQ(s.mean_queue_depth, 4.0);
   EXPECT_EQ(s.max_queue_depth, 6);
   ASSERT_EQ(s.replica_utilization.size(), 2u);
   EXPECT_DOUBLE_EQ(s.replica_utilization[0], 0.5);
@@ -63,6 +81,121 @@ TEST(ServeStatsTest, SummarizesLatencyAndUtilization) {
   const std::string table = ServeStats::ToTable(s);
   EXPECT_NE(table.find("latency p99"), std::string::npos);
   EXPECT_NE(table.find("throughput"), std::string::npos);
+}
+
+// Summarize selects ranks in one grouped buffer instead of sorting each
+// population. On random logs — tied latencies, empty and one-request
+// workloads, random tier maps — every percentile it reports must equal
+// PercentileInPlace over the same population.
+TEST(ServeStatsTest, SelectedPercentilesMatchSortedPopulations) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int workloads = 1 + trial % 5;
+    const bool tiered = trial % 2 == 1;
+    ServeStats stats(3, workloads);
+    std::vector<SlaTier> tier_of(static_cast<std::size_t>(workloads),
+                                 SlaTier::kStandard);
+    if (tiered) {
+      for (WorkloadId w = 0; w < workloads; ++w) {
+        tier_of[static_cast<std::size_t>(w)] =
+            static_cast<SlaTier>(rng.UniformInt(0, 2));
+        stats.SetWorkloadTier(w, tier_of[static_cast<std::size_t>(w)]);
+      }
+    }
+    // Each workload gets 0, 1 or up to 300 requests, in random batches.
+    std::vector<std::int64_t> left(static_cast<std::size_t>(workloads));
+    for (std::int64_t& n : left) {
+      const std::int64_t shape = rng.UniformInt(0, 3);
+      n = shape == 0 ? 0 : shape == 1 ? 1 : rng.UniformInt(2, 300);
+    }
+    std::vector<std::vector<double>> by_workload(left.size());
+    obs::CompletionLog log;
+    for (bool any = true; any;) {
+      any = false;
+      for (WorkloadId w = 0; w < workloads; ++w) {
+        std::int64_t& n = left[static_cast<std::size_t>(w)];
+        if (n == 0) {
+          continue;
+        }
+        any = true;
+        const std::int64_t size = std::min(n, rng.UniformInt(1, 8));
+        n -= size;
+        // Millisecond grids make ties common.
+        const double complete_s = 0.001 * static_cast<double>(
+                                              rng.UniformInt(20, 60));
+        const double egress_s = rng.Bernoulli(0.2) ? 0.0005 : 0.0;
+        std::vector<double> arrivals;
+        for (std::int64_t i = 0; i < size; ++i) {
+          arrivals.push_back(0.001 *
+                             static_cast<double>(rng.UniformInt(0, 20)));
+          by_workload[static_cast<std::size_t>(w)].push_back(
+              complete_s + egress_s - arrivals.back());
+        }
+        Commit(&log, w, static_cast<int>(rng.UniformInt(0, 2)), 0.02,
+               complete_s, 0, arrivals, egress_s);
+      }
+    }
+
+    const StatsSummary s = stats.Summarize(log, 0.0, 1.0);
+    const auto expect_ranks = [](std::vector<double> population, double p50,
+                                 double p95, double p99, double max,
+                                 const std::string& where) {
+      EXPECT_EQ(p50, ServeStats::PercentileInPlace(&population, 50.0) * 1e3)
+          << where;
+      EXPECT_EQ(p95, ServeStats::PercentileInPlace(&population, 95.0) * 1e3)
+          << where;
+      EXPECT_EQ(p99, ServeStats::PercentileInPlace(&population, 99.0) * 1e3)
+          << where;
+      EXPECT_EQ(max, ServeStats::PercentileInPlace(&population, 100.0) * 1e3)
+          << where;
+    };
+    std::vector<double> all;
+    std::vector<double> by_tier[3];
+    for (WorkloadId w = 0; w < workloads; ++w) {
+      const auto& population = by_workload[static_cast<std::size_t>(w)];
+      const WorkloadSummary& slice =
+          s.per_workload[static_cast<std::size_t>(w)];
+      const std::string where =
+          "trial " + std::to_string(trial) + " workload " + std::to_string(w);
+      EXPECT_EQ(slice.completed, static_cast<std::int64_t>(population.size()))
+          << where;
+      expect_ranks(population, slice.p50_ms, slice.p95_ms, slice.p99_ms,
+                   slice.max_ms, where);
+      all.insert(all.end(), population.begin(), population.end());
+      const SlaTier tier = tier_of[static_cast<std::size_t>(w)];
+      by_tier[static_cast<int>(tier)].insert(
+          by_tier[static_cast<int>(tier)].end(), population.begin(),
+          population.end());
+    }
+    expect_ranks(all, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms,
+                 "trial " + std::to_string(trial));
+    if (!tiered) {
+      EXPECT_TRUE(s.per_tier.empty());
+      continue;
+    }
+    // One slice per tier that some workload maps to, empty or not.
+    std::size_t mapped = 0;
+    for (int t = 0; t < 3; ++t) {
+      mapped += std::count(tier_of.begin(), tier_of.end(),
+                           static_cast<SlaTier>(t)) > 0
+                    ? 1
+                    : 0;
+    }
+    EXPECT_EQ(s.per_tier.size(), mapped) << "trial " << trial;
+    for (const TierSummary& slice : s.per_tier) {
+      std::vector<double> population = by_tier[static_cast<int>(slice.tier)];
+      const std::string where = "trial " + std::to_string(trial) + " tier " +
+                                slice.name;
+      EXPECT_EQ(slice.completed, static_cast<std::int64_t>(population.size()))
+          << where;
+      EXPECT_EQ(slice.p50_ms,
+                ServeStats::PercentileInPlace(&population, 50.0) * 1e3)
+          << where;
+      EXPECT_EQ(slice.p99_ms,
+                ServeStats::PercentileInPlace(&population, 99.0) * 1e3)
+          << where;
+    }
+  }
 }
 
 // ------------------------------------------------------- batched kernels
@@ -195,12 +328,11 @@ TEST(ServerPoolTest, EarliestAvailableDispatchBalancesReplicas) {
   // Four equal batches, all formed at t=0: each replica must take exactly
   // one (earliest-available with lowest-id tie-break = round robin here).
   ServerPool pool(Pool(4), NvsaRegistry().Dataflows());
-  ServeStats stats(pool.size());
   for (int b = 0; b < 4; ++b) {
     Batch batch;
     batch.formed_s = 0.0;
     batch.requests = {At(b, 0.0)};
-    const DispatchRecord record = pool.Dispatch(batch, &stats);
+    const DispatchRecord record = pool.Dispatch(batch);
     EXPECT_EQ(record.replica, b);
     EXPECT_DOUBLE_EQ(record.start_s, 0.0);
   }
@@ -296,9 +428,9 @@ void ExpectIndexMatchesScan(const ServerPool& pool, int nodes,
       ServerPool probe = pool;
       const Batch batch = OneRequestBatch(w, 0.0);
       if (expected < 0) {
-        EXPECT_THROW(probe.Dispatch(batch, nullptr, 0, node), Error) << where;
+        EXPECT_THROW(probe.Dispatch(batch, node), Error) << where;
       } else {
-        EXPECT_EQ(probe.Dispatch(batch, nullptr, 0, node).replica, expected)
+        EXPECT_EQ(probe.Dispatch(batch, node).replica, expected)
             << where;
       }
     }
@@ -368,8 +500,7 @@ TEST(DispatchIndexTest, MatchesBruteForceScanUnderRandomReconfiguration) {
           const int node = static_cast<int>(rng.UniformInt(-1, nodes - 1));
           const int expected = ScanEarliest(pool, w, node);
           if (expected >= 0) {
-            EXPECT_EQ(pool.Dispatch(OneRequestBatch(w, t), nullptr, 0, node)
-                          .replica,
+            EXPECT_EQ(pool.Dispatch(OneRequestBatch(w, t), node).replica,
                       expected)
                 << label;
           }
