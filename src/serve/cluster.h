@@ -164,8 +164,9 @@ class ClusterPool {
   /// const only because it reuses a member scratch vector.
   RouteDecision Route(const Batch& batch);
 
-  /// Account one dispatched batch against its routed node (and publish
-  /// the attached cluster metrics).
+  /// Account one committed batch against its routed node (and publish
+  /// the attached cluster metrics). The engine calls this at commit, so
+  /// batches swept empty or aborted by a failure never count.
   void RecordDispatch(const RouteDecision& route);
 
   /// Pin `replica` (e.g. one the autoscaler just warm-added) to `node`.

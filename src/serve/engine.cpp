@@ -153,6 +153,7 @@ struct PipelineContext {
   struct PendingCommit {
     DispatchRecord record;
     Batch batch;
+    RouteDecision route;  // Cluster runs: tallied at commit.
   };
   // Deferred commits ride pooled intrusive nodes (event_core::NodePool): a
   // fault run churns through thousands of pending records, and the LIFO
@@ -441,8 +442,9 @@ struct PipelineContext {
   void Dispatch(Batch&& batch) {
     int node = -1;
     double egress_s = 0.0;
+    RouteDecision route;
     if (cluster != nullptr) {
-      const RouteDecision route = cluster->Route(batch);
+      route = cluster->Route(batch);
       node = route.node;
       if (route.remote) {
         // Cross-node dispatch is priced, never free: the request transfer
@@ -454,7 +456,6 @@ struct PipelineContext {
         batch.formed_s += route.ingress_s;
         egress_s = route.egress_s;
       }
-      cluster->RecordDispatch(route);
     }
     const double start =
         std::max(batch.formed_s, pool.EarliestFree(batch.workload, node));
@@ -504,11 +505,11 @@ struct PipelineContext {
       scheduled_backlog += batch.size();
     }
     if (defer_commits) {
-      pending.push_back(
-          pending_pool.Acquire(PendingCommit{record, std::move(batch)}));
+      pending.push_back(pending_pool.Acquire(
+          PendingCommit{record, std::move(batch), route}));
       return;
     }
-    Commit(record, batch);
+    Commit(record, batch, route);
   }
 
   // The one commit: append a dispatched batch and its members to the
@@ -517,7 +518,13 @@ struct PipelineContext {
   // a pure function of the schedule, so the log, and with it the
   // log-order latency means, stays pinned by the seed. A traced commit
   // takes 1 + size trace seq numbers: the batch span's, then its members'.
-  void Commit(DispatchRecord record, Batch& batch) {
+  // The cluster tallies the batch against its node here too, so a batch
+  // that a failure aborted and re-dispatched counts once, where it ran.
+  void Commit(DispatchRecord record, Batch& batch,
+              const RouteDecision& route) {
+    if (cluster != nullptr) {
+      cluster->RecordDispatch(route);
+    }
     if (recorder != nullptr) {
       record.seq = recorder->TakeSeq(1 + record.size);
     }
@@ -535,7 +542,8 @@ struct PipelineContext {
                      });
     std::size_t done = 0;
     while (done < pending.size() && pending[done]->record.complete_s <= t) {
-      Commit(pending[done]->record, pending[done]->batch);
+      Commit(pending[done]->record, pending[done]->batch,
+             pending[done]->route);
       pending_pool.Release(pending[done]);
       ++done;
     }

@@ -257,6 +257,42 @@ TEST(ClusterServeTest, NodeFailureDarkensEveryReplicaOnTheNode) {
   EXPECT_TRUE(r3_failed);
 }
 
+// The node table counts batches that ran: the engine tallies a batch
+// against its node when it commits it, not when it routes it. Routing
+// happens before the admission expiry sweep and again when a node outage
+// re-dispatches an aborted batch, so counting there would also count
+// batches that never executed. This is the CI cluster run (4 nodes,
+// node-1 outage, guard admission, seed 7).
+TEST(ClusterServeTest, NodeTableCountsCommittedBatches) {
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  const std::vector<ReplicaSpec> replicas = registry.ReplicaSpecs(24, true);
+  ServeOptions options;
+  options.qps = 20000.0;
+  options.duration_s = 4.0;
+  options.seed = 7;
+  options.scenario = ScenarioSpec::Parse("spike");
+  options.cluster = ClusterSpec::Parse("least-loaded:nodes=4");
+  options.autoscale = true;
+  options.autoscale_opts.max_replicas = 96;
+  options.adversity = AdversitySpec::Parse("replica-fail:node=1");
+  options.admission = AdmissionSpec::Parse("guard");
+  options.tiers = {SlaTier::kCritical, SlaTier::kStandard, SlaTier::kBatch};
+  const ServeReport report =
+      RunSyntheticServe(registry, replicas, mix, options);
+  ASSERT_EQ(report.summary.per_node.size(), 4u);
+  std::int64_t node_batches = 0;
+  for (const NodeSummary& node : report.summary.per_node) {
+    node_batches += node.batches;
+  }
+  EXPECT_GT(report.summary.batches, 0);
+  EXPECT_EQ(node_batches, report.summary.batches);
+}
+
 TEST(ClusterServeTest, NodeFailureWithoutClusterIsSkippedLoudly) {
   WorkloadRegistry registry;
   registry.RegisterBuiltin("mlp");
