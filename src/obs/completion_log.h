@@ -1,16 +1,10 @@
 // CompletionLog — the one record of what a serve run completed
-// (docs/OBSERVABILITY.md).
-//
-// The engine appends to it at one commit site, in commit order: one
-// BatchSpan per committed batch, and one CompletedRequest per member
-// request, contiguous per batch (batch i's members follow batch i-1's).
-// Nothing else records completions. Every consumer is a view over these
-// two vectors: ServeStats::Summarize, the latency histograms and
-// completion counters (folded before each metrics snapshot), the
-// TraceRecorder's request and batch spans, and ServeReport::dispatches.
-//
-// The log lives in obs/ because serve/ and obs/ both read it, and nothing
-// may depend on serve/ (docs/ARCHITECTURE.md).
+// (docs/OBSERVABILITY.md). The engine appends to it at one commit site,
+// in commit order: one BatchSpan per committed batch and one
+// CompletedRequest per member, contiguous per batch. Stats, metrics,
+// trace spans and ServeReport::dispatches are views over it. It lives in
+// obs/ because serve/ and obs/ both read it, and nothing may depend on
+// serve/ (docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>

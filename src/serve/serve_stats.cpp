@@ -116,12 +116,6 @@ double ServeStats::Percentile(std::vector<double> values, double p) {
   return PercentileInPlace(&values, p);
 }
 
-double ServeStats::PercentileInPlace(std::vector<double>* values, double p) {
-  NSF_CHECK(values != nullptr);
-  std::sort(values->begin(), values->end());
-  return PercentileSorted(*values, p);
-}
-
 void ServeStats::AttachMetrics(obs::MetricsRegistry* registry) {
   registry_ = registry;
   if (registry == nullptr) {
@@ -198,12 +192,11 @@ double ResponseS(const obs::BatchSpan& batch) {
 
 }  // namespace
 
-double ServeStats::PercentileSorted(const std::vector<double>& sorted,
-                                    double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  return sorted[NearestRankIndex(p, sorted.size())];
+double ServeStats::PercentileInPlace(std::vector<double>* values, double p) {
+  NSF_CHECK(values != nullptr);
+  std::sort(values->begin(), values->end());
+  return values->empty() ? 0.0
+                         : (*values)[NearestRankIndex(p, values->size())];
 }
 
 void ServeStats::PublishMetrics(const obs::CompletionLog& log) {
@@ -338,10 +331,10 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
       slice.max_ms = ranks.max * 1e3;
       slice.mean_batch = static_cast<double>(slice.completed) /
                          static_cast<double>(slice.batches);
-    }
-    if (s.horizon_s > 0.0 && slice.completed > 0) {
-      slice.throughput_rps =
-          static_cast<double>(slice.completed) / s.horizon_s;
+      if (s.horizon_s > 0.0) {
+        slice.throughput_rps =
+            static_cast<double>(slice.completed) / s.horizon_s;
+      }
     }
   }
 

@@ -162,17 +162,13 @@ class ServeStats {
   void SetReplicaSpan(int index, double added_s, double retired_s);
 
   /// Nearest-rank percentile, p in [0, 100]. Exposed for tests. Copies and
-  /// sorts; prefer PercentileInPlace when the caller owns the buffer, or
-  /// PercentileSorted when it is already sorted.
+  /// sorts; prefer PercentileInPlace when the caller owns the buffer.
   static double Percentile(std::vector<double> values, double p);
 
   /// Non-copying variant: sorts `*values` ascending in place and evaluates
   /// the percentile on it. The buffer stays sorted afterwards, so repeated
   /// percentile queries on the same population pay one sort total.
   static double PercentileInPlace(std::vector<double>* values, double p);
-
-  /// Nearest-rank percentile over an already ascending-sorted vector.
-  static double PercentileSorted(const std::vector<double>& sorted, double p);
 
   /// The run's summary, read off `log` in one pass over its requests.
   /// Percentiles select ranks (std::nth_element) instead of sorting;
