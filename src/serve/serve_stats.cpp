@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "common/table.h"
+#include "obs/completion_log.h"
 #include "obs/metrics.h"
 
 namespace nsflow::serve {

@@ -14,10 +14,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/completion_log.h"
 #include "serve/request.h"
 
 namespace nsflow::obs {
+struct CompletionLog;
 class Counter;
 class Histogram;
 class MetricsRegistry;
