@@ -90,6 +90,73 @@ std::int64_t SizeSimd(double total_elems, double array_cycles,
   return sorted.back();
 }
 
+std::vector<ArrayConfig> Phase1Geometries(const DseOptions& options) {
+  if (!options.enable_phase1) {
+    NSF_CHECK_MSG(options.forced_array.has_value(),
+                  "Phase I disabled: a forced array config is required");
+    return {*options.forced_array};
+  }
+  std::vector<ArrayConfig> geometries;
+  for (const auto h : options.range_h) {
+    for (const auto w : options.range_w) {
+      // Aspect-ratio pruning (Table II): 1/4 <= H/W <= 16.
+      const double aspect = static_cast<double>(h) / static_cast<double>(w);
+      if (aspect < 0.25 || aspect > 16.0) {
+        continue;
+      }
+      std::int64_t n = options.max_pes / (h * w);  // Line 3.
+      // BRAM banking prune: N x W columns must fit the port budget.
+      if (options.max_columns > 0) {
+        n = std::min(n, options.max_columns / w);
+      }
+      if (n < 1) {
+        continue;
+      }
+      geometries.push_back(ArrayConfig{h, w, n});
+    }
+  }
+  return geometries;
+}
+
+ShapeCounts CountShapes(const DataflowGraph& dfg) {
+  ShapeCounts shapes;
+  const auto tally = [](auto& counts, const auto& shape) {
+    for (auto& [seen, count] : counts) {
+      if (seen == shape) {
+        ++count;
+        return;
+      }
+    }
+    counts.emplace_back(shape, 1);
+  };
+  for (const LayerNode& layer : dfg.layers()) {
+    tally(shapes.layers, layer.gemm);
+  }
+  for (const VsaNode& node : dfg.vsa_ops()) {
+    tally(shapes.vsa, node.vsa);
+  }
+  return shapes;
+}
+
+double StaticParallelCycles(const ArrayConfig& cfg, const ShapeCounts& shapes,
+                            std::int64_t nl, std::int64_t nv) {
+  // Every term is an integer-valued double and every partial sum stays far
+  // below 2^53 cycles (about a year at 272 MHz), so regrouping the node
+  // sums by shape is exact: this equals ParallelCycles' node-by-node sums
+  // bit for bit.
+  double t_nn = 0.0;
+  for (const auto& [gemm, count] : shapes.layers) {
+    t_nn += static_cast<double>(count) * LayerCycles(cfg, nl, gemm);
+  }
+  double temporal = 0.0;
+  double spatial = 0.0;
+  for (const auto& [vsa, count] : shapes.vsa) {
+    temporal += static_cast<double>(count) * VsaTemporalCycles(cfg, nv, vsa);
+    spatial += static_cast<double>(count) * VsaSpatialCycles(cfg, nv, vsa);
+  }
+  return std::max(t_nn, std::min(temporal, spatial));
+}
+
 }  // namespace dse_internal
 
 namespace {
@@ -123,33 +190,9 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
   double best_seq = 0.0;
   std::optional<ArrayConfig> best_seq_array;
 
-  std::vector<ArrayConfig> geometries;
-  if (options.enable_phase1) {
-    for (const auto h : options.range_h) {
-      for (const auto w : options.range_w) {
-        // Aspect-ratio pruning (Table II): 1/4 <= H/W <= 16.
-        const double aspect = static_cast<double>(h) / static_cast<double>(w);
-        if (aspect < 0.25 || aspect > 16.0) {
-          continue;
-        }
-        std::int64_t n = options.max_pes / (h * w);  // Line 3.
-        // BRAM banking prune: N x W columns must fit the port budget.
-        if (options.max_columns > 0) {
-          n = std::min(n, options.max_columns / w);
-        }
-        if (n < 1) {
-          continue;
-        }
-        geometries.push_back(ArrayConfig{h, w, n});
-      }
-    }
-  } else {
-    NSF_CHECK_MSG(options.forced_array.has_value(),
-                  "Phase I disabled: a forced array config is required");
-    geometries.push_back(*options.forced_array);
-  }
-
-  for (const auto& cfg : geometries) {
+  // Phase I prices each split by shape, not node by node.
+  const dse_internal::ShapeCounts shapes = dse_internal::CountShapes(dfg);
+  for (const auto& cfg : dse_internal::Phase1Geometries(options)) {
     // Sequential mode runtime for this geometry (Algorithm 1, line 12).
     const double t_seq = SequentialCycles(cfg, layers, vsa);
     ++result.evaluated_points;
@@ -164,9 +207,8 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
       continue;
     }
     for (std::int64_t static_nl = 1; static_nl < cfg.count; ++static_nl) {
-      const std::vector<std::int64_t> nl(layers.size(), static_nl);
-      const std::vector<std::int64_t> nv(vsa.size(), cfg.count - static_nl);
-      const double t_para = ParallelCycles(cfg, layers, vsa, nl, nv);
+      const double t_para = dse_internal::StaticParallelCycles(
+          cfg, shapes, static_nl, cfg.count - static_nl);
       ++result.evaluated_points;
       if (!best_para.has_value() || t_para < best_para->t_para) {
         best_para = Phase1Candidate{cfg, static_nl, t_para};

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/dataflow_graph.h"
@@ -98,6 +99,28 @@ MemoryConfig SizeMemory(const DataflowGraph& dfg, const ArrayConfig& array,
 /// `array_cycles`; falls back to the largest width if none does.
 std::int64_t SizeSimd(double total_elems, double array_cycles,
                       const std::vector<std::int64_t>& widths);
+
+/// Phase I's candidate geometries: the (H, W) grid pruned by aspect ratio,
+/// N = ⌊M/(H·W)⌋ capped by the BRAM column budget, N >= 1 (Algorithm 1,
+/// line 3) — or the forced array alone when Phase I is disabled.
+std::vector<ArrayConfig> Phase1Geometries(const DseOptions& options);
+
+/// A dataflow graph's distinct layer GEMM shapes and VSA node shapes, each
+/// with how many nodes share it, in first-seen order. A static partition
+/// gives every layer one sub-array count and every VSA node another, so
+/// nodes of equal shape cost the same.
+struct ShapeCounts {
+  std::vector<std::pair<GemmDims, std::int64_t>> layers;
+  std::vector<std::pair<VsaDims, std::int64_t>> vsa;
+};
+ShapeCounts CountShapes(const DataflowGraph& dfg);
+
+/// Phase I's static-partition runtime — ParallelCycles with every layer
+/// on `nl` sub-arrays and every VSA node on `nv` — summed as
+/// Σ multiplicity × per-shape cycles. Bit-equal to ParallelCycles with
+/// uniform allocation vectors (see the comment at the sum).
+double StaticParallelCycles(const ArrayConfig& cfg, const ShapeCounts& shapes,
+                            std::int64_t nl, std::int64_t nv);
 
 }  // namespace dse_internal
 }  // namespace nsflow

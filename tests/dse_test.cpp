@@ -177,6 +177,46 @@ TEST(SimdSizingTest, SmallestWidthThatHides) {
   EXPECT_EQ(dse_internal::SizeSimd(1e9, 10.0, widths), 256);
 }
 
+// Phase I sums over shape multiplicities instead of node by node; the
+// regrouped sum must equal ParallelCycles with uniform allocation vectors
+// at every (geometry, split) of the default grid, on every built-in.
+TEST(StaticParallelCyclesTest, EqualsParallelCyclesOnTheDefaultGrid) {
+  const std::vector<OperatorGraph> graphs = {
+      workloads::MakeMlp(),   workloads::MakeResnet18Classifier(),
+      workloads::MakeNvsa(),  workloads::MakeMimonet(),
+      workloads::MakeLvrf(),  workloads::MakePrae()};
+  for (const OperatorGraph& graph : graphs) {
+    const DataflowGraph dfg(graph);
+    const auto shapes = dse_internal::CountShapes(dfg);
+    std::int64_t layers = 0;
+    for (const auto& entry : shapes.layers) {
+      layers += entry.second;
+    }
+    std::int64_t nodes = 0;
+    for (const auto& entry : shapes.vsa) {
+      nodes += entry.second;
+    }
+    ASSERT_EQ(layers, static_cast<std::int64_t>(dfg.layers().size()));
+    ASSERT_EQ(nodes, static_cast<std::int64_t>(dfg.vsa_ops().size()));
+    int splits = 0;
+    for (const ArrayConfig& cfg : dse_internal::Phase1Geometries({})) {
+      for (std::int64_t nl = 1; nl < cfg.count; ++nl) {
+        const std::vector<std::int64_t> nls(dfg.layers().size(), nl);
+        const std::vector<std::int64_t> nvs(dfg.vsa_ops().size(),
+                                            cfg.count - nl);
+        // Exact double equality: the contract is bit-identity.
+        ASSERT_EQ(dse_internal::StaticParallelCycles(cfg, shapes, nl,
+                                                     cfg.count - nl),
+                  ParallelCycles(cfg, dfg.layers(), dfg.vsa_ops(), nls, nvs))
+            << graph.workload_name() << " at " << cfg.height << "x" << cfg.width
+            << "x" << cfg.count << " nl=" << nl;
+        ++splits;
+      }
+    }
+    EXPECT_GT(splits, 1000) << graph.workload_name();
+  }
+}
+
 TEST(DesignConfigTest, JsonRoundTrip) {
   const OperatorGraph graph = workloads::MakeNvsa();
   const DataflowGraph dfg(graph);
