@@ -128,6 +128,7 @@ void ServerPool::AppendReplica(const ReplicaSpec& spec, double ready_s) {
   node_of_.push_back(0);
   dead_.emplace_back();
   derates_.emplace_back();
+  live_memo_ = {};
 }
 
 bool ServerPool::IsTunedFor(WorkloadId tuned_for, WorkloadId workload) const {
@@ -395,6 +396,7 @@ void ServerPool::DrainReplica(int replica, double now_s) {
   draining_[r] = true;
   // In-flight work finishes; an idle replica retires at the decision time.
   retired_at_[r] = std::max(now_s, free_at_[r]);
+  live_memo_ = {};
 }
 
 int ServerPool::DrainAll(double now_s) {
@@ -409,6 +411,7 @@ int ServerPool::DrainAll(double now_s) {
     retired_at_[i] = std::max(now_s, free_at_[i]);
     ++drained;
   }
+  live_memo_ = {};
   RebuildIndex();  // Every tree is empty now.
   return drained;
 }
@@ -460,18 +463,45 @@ int ServerPool::ActiveReplicas(double t) const {
 }
 
 double ServerPool::LiveFraction(double t) const {
+  if (live_memo_.from_s <= t && t < live_memo_.until_s) {
+    return live_memo_.value;
+  }
+  // Every term below is a half-open [begin, end) test, so the fraction is
+  // constant between consecutive breakpoints: the same pass brackets `t`
+  // with the nearest breakpoints around it, and queries inside that
+  // interval reuse the value.
+  LiveMemo memo;
+  memo.from_s = -std::numeric_limits<double>::infinity();
+  memo.until_s = std::numeric_limits<double>::infinity();
+  const auto bracket = [&](double breakpoint) {
+    if (breakpoint <= t) {
+      memo.from_s = std::max(memo.from_s, breakpoint);
+    } else {
+      memo.until_s = std::min(memo.until_s, breakpoint);
+    }
+  };
   int provisioned = 0;
   int live = 0;
   for (int r = 0; r < size(); ++r) {
     const auto i = static_cast<std::size_t>(r);
+    bracket(added_at_[i]);
+    bracket(retired_at_[i]);
+    bool dark = false;
+    for (const DeadSpan& span : dead_[i]) {
+      bracket(span.fail_s);
+      bracket(span.recover_s);
+      dark = dark || (t >= span.fail_s && t < span.recover_s);
+    }
     if (added_at_[i] <= t && t < retired_at_[i]) {
       ++provisioned;
-      live += Failed(r, t) ? 0 : 1;
+      live += dark ? 0 : 1;
     }
   }
-  return provisioned > 0
-             ? static_cast<double>(live) / static_cast<double>(provisioned)
-             : 1.0;
+  memo.value = provisioned > 0 ? static_cast<double>(live) /
+                                     static_cast<double>(provisioned)
+                               : 1.0;
+  live_memo_ = memo;
+  return memo.value;
 }
 
 double ServerPool::ReplicaSeconds(double horizon_s) const {
@@ -509,6 +539,7 @@ void ServerPool::FailReplica(int replica, double fail_s, double recover_s,
                 "replica failure would leave a workload with no live "
                 "replica able to serve it");
   dead_[r].push_back(DeadSpan{fail_s, recover_s, recover_s + warmup_s});
+  live_memo_ = {};
   // The schedule jumps past the outage: dispatch's argmin then routes
   // around the dark replica (or correctly books post-recovery work on it
   // when every survivor is busier).

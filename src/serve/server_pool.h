@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -212,7 +213,9 @@ class ServerPool {
   int ActiveReplicas(double t) const;
   /// Share of the replicas provisioned at `t` (added <= t < retired) that
   /// are live there (not dark) — admission's capacity signal. 1 when none
-  /// are provisioned.
+  /// are provisioned. Memoized: the value only changes at added, retired,
+  /// fail and recover instants, so it is reused for every query between
+  /// the two breakpoints around the last O(R) evaluation.
   double LiveFraction(double t) const;
   /// FPGA time the pool consumed over [0, horizon_s): the integral of the
   /// active-replica count — the elastic-vs-static efficiency metric
@@ -378,6 +381,15 @@ class ServerPool {
   };
   std::vector<std::vector<DeadSpan>> dead_;          // Per replica.
   std::vector<std::vector<DerateSpan>> derates_;     // Per replica.
+  /// LiveFraction's last value, valid for queries in [from_s, until_s).
+  /// The default interval is empty; every change to an added, retired or
+  /// dead-span instant resets it.
+  struct LiveMemo {
+    double from_s = std::numeric_limits<double>::infinity();
+    double until_s = -std::numeric_limits<double>::infinity();
+    double value = 1.0;
+  };
+  mutable LiveMemo live_memo_;
   bool has_derates_ = false;
   std::int64_t dispatched_batches_ = 0;
 

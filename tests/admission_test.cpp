@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -379,6 +382,81 @@ TEST(AdmissionTest, ADarkReplicaCountsOnceAgainstTheLiveFraction) {
   EXPECT_GT(report.admission[1].offered, 0);
   EXPECT_EQ(report.admission[1].shed(), 0);
   EXPECT_EQ(report.summary.completed, report.generated_requests);
+}
+
+TEST(AdmissionTest, MemoizedLiveFractionMatchesABruteForceScan) {
+  // LiveFraction reuses its last value between the breakpoints around it.
+  // Random future-dated adds, drains, whole-pool drains and failures, each
+  // followed by a few queries that mostly step forward and sometimes jump
+  // back in time, must never let a stale value through: every query is
+  // checked against a scan of the public accessors.
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  const std::vector<ReplicaSpec> replicas = registry.ReplicaSpecs(4, false);
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    ServerPool pool(replicas, registry.Dataflows());
+    std::mt19937_64 rng(seed);
+    const auto uniform = [&](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const auto brute_force = [&](double t) {
+      int provisioned = 0;
+      int live = 0;
+      for (int r = 0; r < pool.size(); ++r) {
+        if (pool.AddedAt(r) <= t && t < pool.RetiredAt(r)) {
+          ++provisioned;
+          live += pool.Failed(r, t) ? 0 : 1;
+        }
+      }
+      return provisioned > 0 ? static_cast<double>(live) / provisioned : 1.0;
+    };
+    // A failure may not overlap the replica's previous outage or warm-up.
+    std::vector<double> up_at(replicas.size(), 0.0);
+    double now = 0.0;  // The last query instant; pool changes date ahead.
+    for (int op = 0; op < 200; ++op) {
+      const double pick = uniform(0.0, 1.0);
+      const int r = static_cast<int>(rng() % static_cast<std::uint64_t>(
+                                                  pool.size()));
+      const double at = now + uniform(0.0, 0.2);
+      // A drain or failure must leave another non-draining replica (and,
+      // for a failure, one live at the failure instant).
+      const auto others_left = [&](std::optional<double> live_at) {
+        for (int o = 0; o < pool.size(); ++o) {
+          if (o != r && !pool.draining(o) &&
+              !(live_at.has_value() && pool.Failed(o, *live_at))) {
+            return true;
+          }
+        }
+        return false;
+      };
+      if (pick < 0.3) {
+        pool.AddReplica(replicas[0], at);
+        up_at.push_back(0.0);
+      } else if (pick < 0.55) {
+        if (!pool.draining(r) && others_left(std::nullopt)) {
+          pool.DrainReplica(r, at);
+        }
+      } else if (pick < 0.95) {
+        const double recover = at + uniform(2.0, 6.0);
+        if (!pool.draining(r) && !pool.Failed(r, at) &&
+            at >= up_at[static_cast<std::size_t>(r)] && others_left(at)) {
+          const double warmup = uniform(0.0, 0.5);
+          pool.FailReplica(r, at, recover, warmup);
+          up_at[static_cast<std::size_t>(r)] = recover + warmup;
+        }
+      } else {
+        pool.DrainAll(now + uniform(0.0, 0.05));
+      }
+      const int queries = 1 + static_cast<int>(rng() % 3);
+      for (int q = 0; q < queries; ++q) {
+        const double t = uniform(0.0, 1.0) < 0.95 ? now + uniform(0.0, 0.2)
+                                                  : uniform(0.0, now + 0.2);
+        ASSERT_EQ(pool.LiveFraction(t), brute_force(t))
+            << "seed " << seed << " op " << op << " t " << t;
+        now = t;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- determinism + compose
