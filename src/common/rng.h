@@ -6,6 +6,7 @@
 // bit-reproducible run to run.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -24,9 +25,17 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Uniform real in [lo, hi).
+  /// Uniform real in [lo, hi): one engine word scaled by 2^-64 and clamped
+  /// below 1, then mapped onto the range. That is libstdc++'s
+  /// generate_canonical for a 64-bit engine, so the draws equal
+  /// std::uniform_real_distribution's bit for bit (tests/common_test.cpp)
+  /// without building a distribution per call.
   double Uniform(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    double unit = static_cast<double>(engine_()) * 0x1p-64;
+    if (unit >= 1.0) {
+      unit = std::nextafter(1.0, 0.0);
+    }
+    return unit * (hi - lo) + lo;
   }
 
   /// Standard normal scaled by `stddev` around `mean`.

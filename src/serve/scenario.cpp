@@ -84,12 +84,21 @@ double CheckedTotalShare(const std::vector<double>& shares) {
   return total;
 }
 
+/// Room for a Poisson count with mean `mean` plus four standard
+/// deviations of slack, so the arrival vector almost never regrows.
+std::size_t ArrivalCapacity(double mean) {
+  return mean > 0.0 ? static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) +
+                                                16.0)
+                    : 0;
+}
+
 /// Stationary Poisson at `qps` — bit-identical to the original PR 1/2
 /// generator: one uniform per gap, one per workload draw (when mixing).
 std::vector<Request> GeneratePoisson(double qps, double duration_s, Rng& rng,
                                      const std::vector<double>& shares,
                                      double total_share) {
   std::vector<Request> arrivals;
+  arrivals.reserve(ArrivalCapacity(qps * duration_s));
   double now = 0.0;
   std::int64_t next_id = 0;
   while (true) {
@@ -109,12 +118,13 @@ std::vector<Request> GeneratePoisson(double qps, double duration_s, Rng& rng,
 /// the workload draw per accepted arrival — a fixed order, so the (seed,
 /// spec) pair pins the trace.
 template <typename RateFn>
-std::vector<Request> GenerateThinned(double rate_max, double duration_s,
-                                     Rng& rng,
+std::vector<Request> GenerateThinned(double rate_max, double mean_rate,
+                                     double duration_s, Rng& rng,
                                      const std::vector<double>& shares,
                                      double total_share, const RateFn& rate) {
   NSF_CHECK_MSG(rate_max > 0.0, "scenario rate ceiling must be positive");
   std::vector<Request> arrivals;
+  arrivals.reserve(ArrivalCapacity(mean_rate * duration_s));
   double now = 0.0;
   std::int64_t next_id = 0;
   while (true) {
@@ -223,6 +233,73 @@ std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
   return arrivals;
 }
 
+/// An open-loop scenario's deterministic rate function with its parameters
+/// read once: the thinning generators evaluate it for every candidate
+/// arrival, and ScenarioRate is the same function at a single instant.
+struct RateFunction {
+  RateFunction(const ScenarioSpec& spec, double qps_in, double duration_in)
+      : kind(spec.kind), qps(qps_in), duration_s(duration_in) {
+    switch (kind) {
+      case ScenarioKind::kPoisson:
+        break;
+      case ScenarioKind::kDiurnal:
+        period = spec.Param("period", duration_s);
+        depth = spec.Param("depth", 0.8);
+        phase = spec.Param("phase", 0.0);
+        NSF_CHECK_MSG(period > 0.0, "diurnal period must be positive");
+        NSF_CHECK_MSG(depth >= 0.0 && depth < 1.0,
+                      "diurnal depth must be in [0, 1)");
+        break;
+      case ScenarioKind::kBursty:
+        throw Error(
+            "bursty is stochastic-rate (MMPP); it has no deterministic rate "
+            "function — use ScenarioMeanRate");
+      case ScenarioKind::kRamp:
+        from = spec.Param("from", 0.0);
+        to = spec.Param("to", 2.0);
+        NSF_CHECK_MSG(from >= 0.0 && to >= 0.0,
+                      "ramp endpoints must be non-negative");
+        break;
+      case ScenarioKind::kSpike:
+        at = spec.Param("at", 0.4 * duration_s);
+        width = spec.Param("width", 0.1 * duration_s);
+        mult = spec.Param("mult", 5.0);
+        NSF_CHECK_MSG(width >= 0.0, "spike width must be non-negative");
+        NSF_CHECK_MSG(mult >= 0.0, "spike mult must be non-negative");
+        break;
+      case ScenarioKind::kClosedLoop:
+      case ScenarioKind::kTrace:
+        throw Error("scenario '" + spec.Name() +
+                    "' has no open-loop rate function");
+    }
+  }
+
+  double operator()(double t) const {
+    switch (kind) {
+      case ScenarioKind::kDiurnal:
+        return qps * (1.0 + depth * std::sin(kTwoPi * (t / period + phase)));
+      case ScenarioKind::kRamp:
+        return qps * (from + (to - from) * t / duration_s);
+      case ScenarioKind::kSpike:
+        return (t >= at && t < at + width) ? qps * mult : qps;
+      default:
+        return qps;
+    }
+  }
+
+  ScenarioKind kind;
+  double qps;
+  double duration_s;
+  double period = 0.0;  // diurnal
+  double depth = 0.0;
+  double phase = 0.0;
+  double from = 0.0;  // ramp
+  double to = 0.0;
+  double at = 0.0;  // spike
+  double width = 0.0;
+  double mult = 0.0;
+};
+
 }  // namespace
 
 ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
@@ -295,43 +372,7 @@ std::string ScenarioSpec::ToString() const {
 
 double ScenarioRate(const ScenarioSpec& spec, double qps, double duration_s,
                     double t) {
-  switch (spec.kind) {
-    case ScenarioKind::kPoisson:
-      return qps;
-    case ScenarioKind::kDiurnal: {
-      const double period = spec.Param("period", duration_s);
-      const double depth = spec.Param("depth", 0.8);
-      const double phase = spec.Param("phase", 0.0);
-      NSF_CHECK_MSG(period > 0.0, "diurnal period must be positive");
-      NSF_CHECK_MSG(depth >= 0.0 && depth < 1.0,
-                    "diurnal depth must be in [0, 1)");
-      return qps * (1.0 + depth * std::sin(kTwoPi * (t / period + phase)));
-    }
-    case ScenarioKind::kBursty:
-      throw Error(
-          "bursty is stochastic-rate (MMPP); it has no deterministic rate "
-          "function — use ScenarioMeanRate");
-    case ScenarioKind::kRamp: {
-      const double from = spec.Param("from", 0.0);
-      const double to = spec.Param("to", 2.0);
-      NSF_CHECK_MSG(from >= 0.0 && to >= 0.0,
-                    "ramp endpoints must be non-negative");
-      return qps * (from + (to - from) * t / duration_s);
-    }
-    case ScenarioKind::kSpike: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 5.0);
-      NSF_CHECK_MSG(width >= 0.0, "spike width must be non-negative");
-      NSF_CHECK_MSG(mult >= 0.0, "spike mult must be non-negative");
-      return (t >= at && t < at + width) ? qps * mult : qps;
-    }
-    case ScenarioKind::kClosedLoop:
-    case ScenarioKind::kTrace:
-      throw Error("scenario '" + spec.Name() +
-                  "' has no open-loop rate function");
-  }
-  throw Error("unknown scenario kind");
+  return RateFunction(spec, qps, duration_s)(t);
 }
 
 double ScenarioMeanRate(const ScenarioSpec& spec, double qps,
@@ -454,31 +495,17 @@ std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
   switch (spec.kind) {
     case ScenarioKind::kPoisson:
       return GeneratePoisson(qps, duration_s, rng, shares, total_share);
-    case ScenarioKind::kDiurnal: {
-      const double depth = spec.Param("depth", 0.8);
-      const double ceiling = qps * (1.0 + depth);
-      return GenerateThinned(ceiling, duration_s, rng, shares, total_share,
-                             [&](double t) {
-                               return ScenarioRate(spec, qps, duration_s, t);
-                             });
-    }
     case ScenarioKind::kBursty:
       return GenerateBursty(spec, qps, duration_s, rng, shares, total_share);
-    case ScenarioKind::kRamp: {
-      const double ceiling =
-          qps * std::max(spec.Param("from", 0.0), spec.Param("to", 2.0));
-      return GenerateThinned(ceiling, duration_s, rng, shares, total_share,
-                             [&](double t) {
-                               return ScenarioRate(spec, qps, duration_s, t);
-                             });
-    }
-    case ScenarioKind::kSpike: {
-      const double ceiling = qps * std::max(1.0, spec.Param("mult", 5.0));
-      return GenerateThinned(ceiling, duration_s, rng, shares, total_share,
-                             [&](double t) {
-                               return ScenarioRate(spec, qps, duration_s, t);
-                             });
-    }
+    case ScenarioKind::kDiurnal:
+    case ScenarioKind::kRamp:
+    case ScenarioKind::kSpike:
+      // Thinning against the peak rate; the candidate test reads the
+      // resolved rate function, not the spec's parameter map.
+      return GenerateThinned(ScenarioPeakRate(spec, qps, duration_s),
+                             ScenarioMeanRate(spec, qps, duration_s),
+                             duration_s, rng, shares, total_share,
+                             RateFunction(spec, qps, duration_s));
     case ScenarioKind::kClosedLoop:
       return GenerateClosedLoop(spec, duration_s, rng, shares, total_share);
     case ScenarioKind::kTrace:

@@ -1,6 +1,9 @@
 // Unit tests for src/common: errors, math helpers, RNG, table, tensor.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -78,6 +81,22 @@ TEST(RngTest, UniformIntRespectsBounds) {
     const auto v = rng.UniformInt(-5, 5);
     EXPECT_GE(v, -5);
     EXPECT_LE(v, 5);
+  }
+}
+
+TEST(RngTest, UniformMatchesTheStandardDistribution) {
+  // Uniform converts one engine word directly; it must return the doubles
+  // std::uniform_real_distribution returns from the same engine state,
+  // because every seeded arrival stream is pinned by its draws.
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {-3.5, 7.25}, {1e-9, 2e-9}, {-1e6, 1e6}, {5.0, 5.0}};
+  Rng rng(2024);
+  std::mt19937_64 reference = rng.engine();
+  for (int i = 0; i < 1'000'000; ++i) {
+    const auto& [lo, hi] = ranges[i % 5];
+    const double expected =
+        std::uniform_real_distribution<double>(lo, hi)(reference);
+    ASSERT_EQ(rng.Uniform(lo, hi), expected) << "draw " << i;
   }
 }
 
