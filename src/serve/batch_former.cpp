@@ -182,12 +182,11 @@ void MultiBatchFormer::Recycle(std::vector<Request>&& storage) {
   if (storage.capacity() == 0) {
     return;
   }
-  // Bound the stash at one spare per lane — enough to cover the worst
-  // case of every lane closing at one arrival, without hoarding capacity
-  // from a transient burst forever.
-  if (spares_.size() >= lanes_.size()) {
-    return;
-  }
+  // No cap: a deferred-commit run can hold many batches in flight, and
+  // each one's storage must find a spare when it settles. Every spare was
+  // a lane or an in-flight batch's vector, so the stash never outgrows the
+  // peak number of batches in flight, and keeping them costs no memory
+  // beyond that peak.
   storage.clear();
   spares_.push_back(std::move(storage));
 }

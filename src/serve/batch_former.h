@@ -105,7 +105,9 @@ class MultiBatchFormer {
   /// Returns a settled batch's request storage so the next lane close
   /// reuses its capacity instead of growing a fresh vector — part of the
   /// serve path's zero-steady-state-allocation contract (docs/ENGINE.md).
-  /// Purely an allocation optimization: forming behavior is unchanged.
+  /// The stash holds as many spares as batches were in flight at the
+  /// peak. Purely an allocation optimization: forming behavior is
+  /// unchanged.
   void Recycle(std::vector<Request>&& storage);
 
  private:

@@ -144,9 +144,10 @@ struct PipelineContext {
   // deferral: the eager scheduler books batches onto replicas ahead of the
   // virtual clock, so a failure must be able to *abort* everything the
   // schedule had placed on the dead replica past the failure instant and
-  // re-enqueue it. In deferred mode each dispatched batch's commit is held
-  // until the clock provably passes its completion; fault-free runs commit
-  // at dispatch.
+  // re-enqueue it. In deferred mode each dispatched batch waits in
+  // `pending` until it settles: after every arrival at the watermark
+  // (Watermark), at a failure instant, and at the end of the run.
+  // Fault-free runs commit at dispatch.
   std::vector<AdversityEvent> env;
   std::size_t env_next = 0;
   bool defer_commits = false;
@@ -155,13 +156,18 @@ struct PipelineContext {
     Batch batch;
     RouteDecision route;  // Cluster runs: tallied at commit.
   };
-  // Deferred commits ride pooled intrusive nodes (event_core::NodePool): a
-  // fault run churns through thousands of pending records, and the LIFO
-  // freelist keeps that churn allocation-free once the first arena block
-  // exists (the zero-allocation contract, docs/ENGINE.md). Only the
-  // pointers are sorted at settlement — the records never move.
+  // Deferred commits ride pooled intrusive nodes (event_core::NodePool), so
+  // the churn of pending records stays allocation-free once the arena holds
+  // the peak in flight (the zero-allocation contract, docs/ENGINE.md).
+  // `pending` is a min-heap of pointers on (completion, dispatch order) —
+  // the settlement order; the records never move.
   event_core::NodePool<PendingCommit> pending_pool;
   std::vector<PendingCommit*> pending;
+  static bool SettlesAfter(const PendingCommit* a, const PendingCommit* b) {
+    return a->record.complete_s != b->record.complete_s
+               ? a->record.complete_s > b->record.complete_s
+               : a->record.batch_index > b->record.batch_index;
+  }
 
   std::size_t timeline_seen = 0;
   double next_snapshot_s = obs::kSnapshotIntervalS;
@@ -507,6 +513,7 @@ struct PipelineContext {
     if (defer_commits) {
       pending.push_back(pending_pool.Acquire(
           PendingCommit{record, std::move(batch), route}));
+      std::push_heap(pending.begin(), pending.end(), SettlesAfter);
       return;
     }
     Commit(record, batch, route);
@@ -535,20 +542,35 @@ struct PipelineContext {
     former.Recycle(std::move(batch.requests));
   }
 
+  // Commit every pending batch that completes at or before `t`, in
+  // settlement order.
   void CommitUntil(double t) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const PendingCommit* a, const PendingCommit* b) {
-                       return a->record.complete_s < b->record.complete_s;
-                     });
-    std::size_t done = 0;
-    while (done < pending.size() && pending[done]->record.complete_s <= t) {
-      Commit(pending[done]->record, pending[done]->batch,
-             pending[done]->route);
-      pending_pool.Release(pending[done]);
-      ++done;
+    while (!pending.empty() && pending.front()->record.complete_s <= t) {
+      std::pop_heap(pending.begin(), pending.end(), SettlesAfter);
+      PendingCommit* settled = pending.back();
+      pending.pop_back();
+      Commit(settled->record, settled->batch, settled->route);
+      pending_pool.Release(settled);
     }
-    pending.erase(pending.begin(),
-                  pending.begin() + static_cast<std::ptrdiff_t>(done));
+  }
+
+  // The settlement watermark at virtual time `now` (docs/ENGINE.md): no
+  // batch dispatched from here on forms before it. A size-cap close forms
+  // at an arrival, at or after `now`; a deadline close at or after its
+  // lane's unstretched deadline (a warm add can pull a busy-stretched
+  // close back to it, and lanes opened later have later deadlines); the
+  // end-of-run flush at or after min(flush instant, deadline); a failure
+  // re-dispatches at the failure instant; cluster ingress only adds time.
+  // A later batch therefore completes at or after the watermark and sorts
+  // after every batch already settled, so committing up to it keeps the
+  // settlement order exact. The flush instant matters only for a replayed
+  // trace that runs past the horizon.
+  double Watermark(double now) const {
+    double watermark = std::min(now, options.duration_s + options.max_wait_s);
+    for (int w = 0; w < former.workloads(); ++w) {
+      watermark = std::min(watermark, former.Deadline(w));
+    }
+    return watermark;
   }
 
   // ----------------------------------------------------- adversity events
@@ -582,16 +604,13 @@ struct PipelineContext {
     // Settle history, then abort everything the schedule had placed on
     // the dead replica past the failure instant.
     CommitUntil(e.t_s);
-    std::vector<PendingCommit> aborted;
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i]->record.replica == target) {
-        aborted.push_back(std::move(*pending[i]));
-        pending_pool.Release(pending[i]);
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
+    const auto survivors_end = std::partition(
+        pending.begin(), pending.end(), [target](const PendingCommit* p) {
+          return p->record.replica != target;
+        });
+    std::vector<PendingCommit*> aborted(survivors_end, pending.end());
+    pending.erase(survivors_end, pending.end());
+    std::make_heap(pending.begin(), pending.end(), SettlesAfter);
     pool.FailReplica(target, e.t_s, e.until_s, e.warmup_s);
     FaultEvent(e.t_s, "replica " + std::to_string(target) +
                           " failed: dark until " + Seconds(e.until_s) +
@@ -603,12 +622,13 @@ struct PipelineContext {
     // pipeline at the failure instant and reroute to survivors (FIFO
     // within each batch is untouched — composition is preserved).
     std::sort(aborted.begin(), aborted.end(),
-              [](const PendingCommit& a, const PendingCommit& b) {
-                return a.record.batch_index < b.record.batch_index;
+              [](const PendingCommit* a, const PendingCommit* b) {
+                return a->record.batch_index < b->record.batch_index;
               });
-    for (PendingCommit& p : aborted) {
-      started -= p.batch.size();
-      Batch batch = std::move(p.batch);
+    for (PendingCommit* p : aborted) {
+      started -= p->batch.size();
+      Batch batch = std::move(p->batch);
+      pending_pool.Release(p);
       batch.formed_s = e.t_s;
       Dispatch(std::move(batch));
     }
@@ -805,13 +825,16 @@ struct PipelineContext {
 
   // One arrival enters: the arrival record only exists to feed the
   // autoscaler's windowed rate samples; static runs skip the bookkeeping
-  // (hot path).
+  // (hot path). A deferred-commit run then settles up to the watermark.
   void HandleArrival(const Request& request) {
     if (autoscaler != nullptr) {
       stats.RecordArrival(request.workload, request.arrival_s);
     }
     SnapshotUntil(request.arrival_s);
     Offer(request);
+    if (defer_commits) {
+      CommitUntil(Watermark(request.arrival_s));
+    }
   }
 
   // ----------------------------------------------------------- the driver

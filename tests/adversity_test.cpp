@@ -14,9 +14,11 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "obs/observability.h"
 #include "serve/adversity.h"
 #include "serve/capacity_planner.h"
@@ -320,6 +322,61 @@ TEST(AdversityTest, ReplicaFailureReEnqueuesInFlightWorkSafely) {
       RunSyntheticServe(registry, replicas, mix, options);
   ASSERT_NE(again.obs, nullptr);
   EXPECT_EQ(report.obs->ChromeTraceJson(), again.obs->ChromeTraceJson());
+}
+
+TEST(AdversityTest, ReplicaFailTimelineCountsCompletionsAsTheySettle) {
+  // A replica-fail run settles its held batches at the watermark after
+  // every arrival, so the metrics timeline counts completions as they
+  // happen: serve.completed never falls, is positive before the failure,
+  // keeps rising between the failure and the end, and ends at the
+  // summary's count. (Settling only at failure instants and at the end
+  // read 0 until the failure and then stayed flat until the last
+  // snapshot.)
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  const std::vector<ReplicaSpec> replicas = registry.ReplicaSpecs(4, false);
+  const std::vector<WorkloadShare> mix = {{"mlp", 0.6}, {"resnet18", 0.4}};
+  const double fail_s = 2.0;
+  ServeOptions options;
+  options.qps = 400.0;
+  options.duration_s = 4.0;
+  options.seed = 7;
+  options.adversity = AdversitySpec::Parse("replica-fail:at=2,down=1");
+  options.trace.enabled = true;
+  const ServeReport report =
+      RunSyntheticServe(registry, replicas, mix, options);
+  ASSERT_NE(report.obs, nullptr);
+  ASSERT_GT(report.summary.completed, 0);
+
+  const Json metrics = Json::Parse(report.obs->MetricsJson());
+  std::vector<std::pair<double, std::int64_t>> completed;
+  for (const Json& snapshot : metrics.At("snapshots").AsArray()) {
+    completed.emplace_back(snapshot.At("t_s").AsDouble(),
+                           snapshot.At("values")
+                               .At("counters")
+                               .At("serve.completed")
+                               .AsInt());
+  }
+  ASSERT_GE(completed.size(), 4u);
+  std::int64_t before_failure = -1;
+  std::int64_t first_after_failure = -1;
+  for (std::size_t i = 0; i < completed.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GE(completed[i].second, completed[i - 1].second)
+          << "serve.completed fell at t=" << completed[i].first;
+    }
+    if (completed[i].first < fail_s) {
+      before_failure = completed[i].second;
+    } else if (completed[i].first > fail_s && first_after_failure < 0) {
+      first_after_failure = completed[i].second;
+    }
+  }
+  EXPECT_GT(before_failure, 0) << "nothing counted before the failure";
+  // The last snapshot before the final one still sits inside the run.
+  EXPECT_GT(completed[completed.size() - 2].second, first_after_failure)
+      << "serve.completed stayed flat after the failure";
+  EXPECT_EQ(completed.back().second, report.summary.completed);
 }
 
 TEST(AdversityTest, FailureThatWouldOrphanAWorkloadIsSkipped) {

@@ -1,8 +1,10 @@
 // The serve path's zero-steady-state-allocation contract (docs/ENGINE.md),
 // measured from outside the library: this binary replaces the global
-// operator new with a counting one, and doubling a fault-free run's length
-// may add only the handful of allocations that amortized vector growth
-// needs (arrivals, stats samples, dispatch records), not one per batch.
+// operator new with a counting one, and doubling a run's length may add
+// only the handful of allocations that amortized vector growth needs
+// (arrivals, stats samples, dispatch records), not one per batch. Fault
+// runs keep the contract too: settlement at the watermark holds only the
+// batches in flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/adversity.h"
 #include "serve/cluster.h"
 #include "serve/engine.h"
 #include "serve/workload_registry.h"
@@ -57,7 +60,10 @@ std::int64_t ServeAllocations(const WorkloadRegistry& registry,
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
+/// Serves the 48-replica, 8,000 qps run for 25 s and for 50 s, plainly and
+/// under `least-loaded:nodes=2`, and checks that doubling the run adds
+/// fewer than 64 allocations.
+void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
   WorkloadRegistry registry;
   const std::vector<WorkloadShare> mix =
       ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
@@ -69,6 +75,7 @@ TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
   for (const std::string cluster : {"", "least-loaded:nodes=2"}) {
     ServeOptions options;
     options.qps = 8000.0;
+    options.adversity = AdversitySpec::Parse(adversity);
     if (!cluster.empty()) {
       options.cluster = ClusterSpec::Parse(cluster);
     }
@@ -81,9 +88,17 @@ TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
     // 200k more requests (~25k more batches) may cost a few vector
     // doublings, never an allocation per batch or per request.
     EXPECT_LT(doubled - base, 64)
-        << (cluster.empty() ? "plain" : cluster) << ": " << base << " -> "
-        << doubled;
+        << adversity << (cluster.empty() ? " plain" : " " + cluster) << ": "
+        << base << " -> " << doubled;
   }
+}
+
+TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
+  ExpectDoublingAddsAlmostNoAllocations("none");
+}
+
+TEST(AllocationContract, DoublingAReplicaFailRunAddsAlmostNoAllocations) {
+  ExpectDoublingAddsAlmostNoAllocations("replica-fail");
 }
 
 }  // namespace
