@@ -329,9 +329,9 @@ TEST(AdversityTest, ReplicaFailTimelineCountsCompletionsAsTheySettle) {
   // every arrival, so the metrics timeline counts completions as they
   // happen: serve.completed never falls, is positive before the failure,
   // keeps rising between the failure and the end, and ends at the
-  // summary's count. (Settling only at failure instants and at the end
-  // read 0 until the failure and then stayed flat until the last
-  // snapshot.)
+  // summary's count. An engine that settles only at failure instants and
+  // at the end reads 0 until the failure and then stays flat, and fails
+  // here.
   WorkloadRegistry registry;
   registry.RegisterBuiltin("mlp");
   registry.RegisterBuiltin("resnet18");
