@@ -24,16 +24,35 @@ std::atomic<std::int64_t> g_allocations{0};
 }  // namespace
 
 // Every replacement stays out of line, so GCC never pairs an inlined
-// malloc() or free() with the other side of a new-expression.
-[[gnu::noinline]] void* operator new(std::size_t size) {
+// malloc() or free() with the other side of a new-expression. The nothrow
+// forms are replaced too (std::stable_sort's temporary buffer uses them):
+// left to the toolchain, a sanitizer's nothrow new would be paired with
+// the free() below.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) {
     return p;
   }
   throw std::bad_alloc();
 }
 [[gnu::noinline]] void* operator new[](std::size_t size) {
   return operator new(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
 }
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
