@@ -341,32 +341,61 @@ constexpr std::uint32_t kMagic = 'N' | ('S' << 8) | ('F' << 16) |
                                  (static_cast<std::uint32_t>('T') << 24);
 constexpr std::uint32_t kVersion = 1;
 
+// Encoded sizes: the header and each fixed-size record; an instant adds
+// its detail's length.
+constexpr std::size_t kHeaderBytes = 48;
+constexpr std::size_t kRequestBytes = 72;
+constexpr std::size_t kBatchBytes = 60;
+constexpr std::size_t kInstantBytes = 32;
+constexpr std::size_t kCounterBytes = 36;
+
+std::size_t EncodedSize(const TraceData& data) {
+  std::size_t size = kHeaderBytes + kRequestBytes * data.requests.size() +
+                     kBatchBytes * data.batches.size() +
+                     kInstantBytes * data.instants.size() +
+                     kCounterBytes * data.counters.size();
+  for (const InstantEvent& e : data.instants) {
+    size += e.detail.size();
+  }
+  return size;
+}
+
+/// A cursor over an output allocated once at its exact encoded size. The
+/// shift loops keep the bytes little-endian on any host; the compiler folds
+/// each into a single store.
 class Writer {
  public:
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void I64(std::int64_t v) {
-    const auto u = static_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-    }
-  }
+  explicit Writer(std::string& out)
+      : cursor_(out.data()), end_(out.data() + out.size()) {}
+
+  void U32(std::uint32_t v) { Put<4>(v); }
+  void I64(std::int64_t v) { Put<8>(static_cast<std::uint64_t>(v)); }
   void F64(double v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof bits);
-    I64(static_cast<std::int64_t>(bits));
+    Put<8>(bits);
   }
   void Str(const std::string& s) {
     U32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
+    std::memcpy(cursor_, s.data(), s.size());
+    cursor_ += s.size();
   }
-  std::string Take() { return std::move(out_); }
+  /// Throws unless the writes filled the output exactly.
+  void Finish() const { NSF_CHECK(cursor_ == end_); }
 
  private:
-  std::string out_;
+  template <int kBytes>
+  void Put(std::uint64_t v) {
+    unsigned char bytes[kBytes] = {};
+    for (int i = 0; i < kBytes; ++i) {
+      bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    std::memcpy(cursor_, bytes, kBytes);
+    cursor_ += kBytes;
+  }
+
+  char* cursor_;
+  char* end_;
 };
 
 class Reader {
@@ -409,6 +438,12 @@ class Reader {
     return s;
   }
   bool AtEnd() const { return pos_ == bytes_.size(); }
+  /// Throws unless `count` records of at least `record_bytes` each fit in
+  /// the bytes left, so a header's count is checked before it is reserved.
+  void NeedRecords(std::size_t count, std::size_t record_bytes) const {
+    NSF_CHECK_MSG(count <= (bytes_.size() - pos_) / record_bytes,
+                  "binary trace header declares more records than it holds");
+  }
 
  private:
   void Need(std::size_t n) {
@@ -421,7 +456,8 @@ class Reader {
 }  // namespace
 
 std::string SerializeBinaryTrace(const TraceData& data) {
-  Writer w;
+  std::string out(EncodedSize(data), '\0');
+  Writer w(out);
   w.U32(kMagic);
   w.U32(kVersion);
   w.I64(static_cast<std::int64_t>(data.requests.size()));
@@ -468,7 +504,8 @@ std::string SerializeBinaryTrace(const TraceData& data) {
     w.I64(c.queue_depth);
     w.I64(c.seq);
   }
-  return w.Take();
+  w.Finish();
+  return out;
 }
 
 TraceData ParseBinaryTrace(std::string_view bytes) {
@@ -484,6 +521,7 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
   const auto instants = static_cast<std::size_t>(r.I64());
   const auto counters = static_cast<std::size_t>(r.I64());
   data.dropped = r.I64();
+  r.NeedRecords(requests, kRequestBytes);
   data.requests.reserve(requests);
   for (std::size_t i = 0; i < requests; ++i) {
     RequestSpan s;
@@ -500,6 +538,7 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
     s.seq = r.I64();
     data.requests.push_back(s);
   }
+  r.NeedRecords(batches, kBatchBytes);
   data.batches.reserve(batches);
   for (std::size_t i = 0; i < batches; ++i) {
     BatchSpan b;
@@ -514,6 +553,7 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
     b.seq = r.I64();
     data.batches.push_back(b);
   }
+  r.NeedRecords(instants, kInstantBytes);
   data.instants.reserve(instants);
   for (std::size_t i = 0; i < instants; ++i) {
     InstantEvent e;
@@ -525,6 +565,7 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
     e.seq = r.I64();
     data.instants.push_back(std::move(e));
   }
+  r.NeedRecords(counters, kCounterBytes);
   data.counters.reserve(counters);
   for (std::size_t i = 0; i < counters; ++i) {
     CounterSample c;

@@ -17,15 +17,25 @@ int Histogram::BucketFor(double value_s) {
   if (value_s < kBase) {
     return -1;
   }
-  // floor(log2(v / base) * buckets_per_octave), nudged down when the value
-  // sits exactly on a boundary that floating point rounded up past.
-  int i = static_cast<int>(std::floor(std::log2(value_s / kBase) *
-                                      static_cast<double>(kBucketsPerOctave)));
-  i = std::clamp(i, 0, kBucketCount - 1);
-  while (i > 0 && value_s < Boundary(i)) {
+  static const std::array<double, kBucketCount + 1> kBoundaries = [] {
+    std::array<double, kBucketCount + 1> boundaries{};
+    for (int i = 0; i <= kBucketCount; ++i) {
+      boundaries[static_cast<std::size_t>(i)] = Boundary(i);
+    }
+    return boundaries;
+  }();
+  // Start at the first bucket of v's octave (v / base in [2^(e-1), 2^e)),
+  // then nudge to the unique i with Boundary(i) <= v < Boundary(i + 1):
+  // the table holds the boundaries themselves, so the bucket is the same
+  // wherever the search starts.
+  int exponent = 0;
+  std::frexp(value_s / kBase, &exponent);
+  int i = std::clamp((exponent - 1) * kBucketsPerOctave, 0, kBucketCount - 1);
+  while (i > 0 && value_s < kBoundaries[static_cast<std::size_t>(i)]) {
     --i;
   }
-  while (i + 1 < kBucketCount && value_s >= Boundary(i + 1)) {
+  while (i + 1 < kBucketCount &&
+         value_s >= kBoundaries[static_cast<std::size_t>(i + 1)]) {
     ++i;
   }
   return i;

@@ -18,16 +18,20 @@ void TraceRecorder::RecordCounter(CounterSample sample) {
 namespace {
 
 /// (timestamp, seq) ordering: the timestamp leads, record order breaks
-/// ties.
+/// ties. Seqs are unique, so the order is total and a sequence that is
+/// already in it is left as it is: a replica-fail log commits in
+/// (completion, dispatch order), which puts its request spans in order.
 template <typename Record>
 void SortByTime(std::vector<Record>& records, double Record::* stamp) {
-  std::sort(records.begin(), records.end(),
-            [stamp](const Record& a, const Record& b) {
-              if (a.*stamp != b.*stamp) {
-                return a.*stamp < b.*stamp;
-              }
-              return a.seq < b.seq;
-            });
+  const auto by_time = [stamp](const Record& a, const Record& b) {
+    if (a.*stamp != b.*stamp) {
+      return a.*stamp < b.*stamp;
+    }
+    return a.seq < b.seq;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_time)) {
+    std::sort(records.begin(), records.end(), by_time);
+  }
 }
 
 }  // namespace

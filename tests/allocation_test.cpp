@@ -4,7 +4,8 @@
 // only the handful of allocations that amortized vector growth needs
 // (arrivals, stats samples, dispatch records), not one per batch. Fault
 // runs keep the contract too: settlement at the watermark holds only the
-// batches in flight.
+// batches in flight. The NSFT export allocates its output once, at its
+// exact size.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/chrome_trace.h"
 #include "serve/adversity.h"
 #include "serve/cluster.h"
 #include "serve/engine.h"
@@ -118,6 +120,31 @@ TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
 
 TEST(AllocationContract, DoublingAReplicaFailRunAddsAlmostNoAllocations) {
   ExpectDoublingAddsAlmostNoAllocations("replica-fail");
+}
+
+TEST(AllocationContract, BinaryTraceExportAllocatesOnce) {
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  ServeOptions options;
+  options.qps = 8000.0;
+  options.duration_s = 5.0;
+  options.adversity = AdversitySpec::Parse("replica-fail");
+  options.cluster = ClusterSpec::Parse("least-loaded:nodes=2");
+  options.trace.enabled = true;
+  const ServeReport report = RunSyntheticServe(
+      registry, registry.ReplicaSpecs(48, /*partitioned=*/false), mix,
+      options);
+  const obs::TraceData data = report.obs->recorder.Drain();
+  ASSERT_GT(data.instants.size(), 0u);
+
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::string bytes = obs::SerializeBinaryTrace(data);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 1);
+  EXPECT_GT(bytes.size(), 72 * data.requests.size());
 }
 
 }  // namespace

@@ -1,22 +1,28 @@
 // Observability tests (docs/OBSERVABILITY.md): pinned histogram bucket
-// boundaries, bit-exact Chrome/binary trace round trips, spans drained
-// from a completion log, fixed-seed trace determinism of an autoscaled
+// boundaries and lookup, bit-exact Chrome/binary trace round trips, the
+// NSFT encoded size and hostile headers, spans drained from a completion
+// log in (stamp, seq) order, fixed-seed trace determinism of an autoscaled
 // diurnal run, request/batch span invariants, and the structured logger's
 // sink injection + level filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/logging.h"
 #include "obs/chrome_trace.h"
 #include "obs/completion_log.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
+#include "serve/adversity.h"
 #include "serve/engine.h"
 #include "serve/workload_registry.h"
 
@@ -48,6 +54,55 @@ TEST(ObsHistogramTest, BucketBoundariesArePinned) {
   EXPECT_EQ(Histogram::BucketFor(2e-6 - 1e-12), 3);
   EXPECT_EQ(Histogram::BucketFor(0.5e-6), -1);  // Underflow.
   EXPECT_EQ(Histogram::BucketFor(1e9), Histogram::kBucketCount - 1);
+}
+
+/// The bucket search BucketFor replaced: floor(log2(v / base)) quarter
+/// octaves, then nudged against freshly computed boundaries.
+int LogSearchBucketFor(double value_s) {
+  if (value_s < Histogram::kBase) {
+    return -1;
+  }
+  int i = static_cast<int>(
+      std::floor(std::log2(value_s / Histogram::kBase) *
+                 static_cast<double>(Histogram::kBucketsPerOctave)));
+  i = std::clamp(i, 0, Histogram::kBucketCount - 1);
+  while (i > 0 && value_s < Histogram::Boundary(i)) {
+    --i;
+  }
+  while (i + 1 < Histogram::kBucketCount &&
+         value_s >= Histogram::Boundary(i + 1)) {
+    ++i;
+  }
+  return i;
+}
+
+TEST(ObsHistogramTest, BucketTableMatchesTheLogSearch) {
+  // Every boundary and both its float neighbours, underflow, overflow
+  // past the last boundary, and a million latencies spanning 1e-10..1e3 s.
+  std::vector<double> values = {0.0, 0.5e-6, 1e3, 1e9};
+  for (int i = 0; i <= Histogram::kBucketCount; ++i) {
+    const double boundary = Histogram::Boundary(i);
+    values.push_back(std::nextafter(boundary, 0.0));
+    values.push_back(boundary);
+    values.push_back(
+        std::nextafter(boundary, std::numeric_limits<double>::infinity()));
+  }
+  std::mt19937_64 rng(20261017);
+  std::lognormal_distribution<double> latency(std::log(1e-3), 3.0);
+  for (int n = 0; n < 1000000; ++n) {
+    values.push_back(latency(rng));
+  }
+  std::int64_t mismatches = 0;
+  for (const double value : values) {
+    if (Histogram::BucketFor(value) != LogSearchBucketFor(value)) {
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "first mismatch at " << value << ": "
+                      << Histogram::BucketFor(value) << " vs "
+                      << LogSearchBucketFor(value);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(ObsHistogramTest, ObserveMergeAndPercentileBracket) {
@@ -169,16 +224,34 @@ TEST(ObsChromeTraceTest, FullDetailNestsPhaseSpans) {
 }
 
 TEST(ObsBinaryTraceTest, EncodeDecodeReencodeIsByteExact) {
-  const TraceData data = SampleTrace();
+  // Details of length 0, 15 and 16 (either side of the short-string
+  // buffer) and 100 beside the sample's own.
+  TraceData data = SampleTrace();
+  for (const std::size_t length : {0u, 15u, 16u, 100u}) {
+    InstantEvent instant = data.instants[0];
+    instant.detail.assign(length, 'd');
+    instant.seq = 4 + static_cast<std::int64_t>(data.instants.size());
+    data.instants.push_back(instant);
+  }
   const std::string bytes = SerializeBinaryTrace(data);
-  ASSERT_GE(bytes.size(), 8u);
+  // A 48-byte header, 72 bytes per request, 60 per batch, 32 plus the
+  // detail per instant and 36 per counter.
+  std::size_t expected_size = 48 + 72 * data.requests.size() +
+                              60 * data.batches.size() +
+                              36 * data.counters.size();
+  for (const InstantEvent& instant : data.instants) {
+    expected_size += 32 + instant.detail.size();
+  }
+  EXPECT_EQ(bytes.size(), expected_size);
   EXPECT_EQ(bytes.substr(0, 4), "NSFT");
   const TraceData decoded = ParseBinaryTrace(bytes);
   ASSERT_EQ(decoded.requests.size(), 1u);
   EXPECT_EQ(decoded.requests[0].request_id, 7);
   EXPECT_EQ(decoded.requests[0].close, BatchClose::kSizeCap);
-  ASSERT_EQ(decoded.instants.size(), 1u);
-  EXPECT_EQ(decoded.instants[0].detail, data.instants[0].detail);
+  ASSERT_EQ(decoded.instants.size(), data.instants.size());
+  for (std::size_t i = 0; i < data.instants.size(); ++i) {
+    EXPECT_EQ(decoded.instants[i].detail, data.instants[i].detail);
+  }
   EXPECT_EQ(SerializeBinaryTrace(decoded), bytes);
 }
 
@@ -189,6 +262,26 @@ TEST(ObsBinaryTraceTest, RejectsBadMagicAndTruncation) {
   EXPECT_THROW(ParseBinaryTrace(corrupted), std::exception);
   EXPECT_THROW(ParseBinaryTrace(bytes.substr(0, bytes.size() / 2)),
                std::exception);
+}
+
+TEST(ObsBinaryTraceTest, HostileHeaderCountsThrowNsflowError) {
+  // A bare header that declares more records than it holds, in each of
+  // its four count fields: the parse fails before reserving for them.
+  const std::string header = SerializeBinaryTrace(TraceData{});
+  ASSERT_EQ(header.size(), 48u);
+  for (int field = 0; field < 4; ++field) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 30, std::uint64_t{1} << 40,
+          std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+      std::string bytes = header;
+      for (int b = 0; b < 8; ++b) {
+        bytes[static_cast<std::size_t>(8 + 8 * field + b)] =
+            static_cast<char>((count >> (8 * b)) & 0xff);
+      }
+      EXPECT_THROW(ParseBinaryTrace(bytes), nsflow::Error)
+          << "count field " << field << " = " << count;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- recorder
@@ -233,6 +326,89 @@ TEST(ObsRecorderTest, DrainOrdersByTimestampThenSeq) {
   ASSERT_EQ(data.instants.size(), 1u);
   EXPECT_EQ(data.instants[0].seq, 6);
   EXPECT_EQ(data.dropped, 0);
+}
+
+template <typename Record>
+std::vector<std::int64_t> Seqs(const std::vector<Record>& records) {
+  std::vector<std::int64_t> seqs;
+  for (const Record& record : records) {
+    seqs.push_back(record.seq);
+  }
+  return seqs;
+}
+
+/// `records` in record (seq) order, stably sorted by `stamp`: the order
+/// Drain promises, by brute force. Returns the seqs in that order.
+template <typename Record>
+std::vector<std::int64_t> StampOrderSeqs(std::vector<Record> records,
+                                         double Record::* stamp) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.seq < b.seq; });
+  std::stable_sort(records.begin(), records.end(),
+                   [stamp](const Record& a, const Record& b) {
+                     return a.*stamp < b.*stamp;
+                   });
+  return Seqs(records);
+}
+
+TEST(ObsRecorderTest, DrainMatchesABruteForceStableSortOnServedRuns) {
+  // A replica-fail log commits in completion order, so its request spans
+  // are already in order and Drain leaves them; a fault-free log commits
+  // at dispatch, so Drain sorts them. Both must give the brute-force order.
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  for (const char* adversity : {"replica-fail", "none"}) {
+    SCOPED_TRACE(adversity);
+    serve::ServeOptions options;
+    options.qps = 400.0;
+    options.duration_s = 2.0;
+    options.seed = 7;
+    options.adversity = serve::AdversitySpec::Parse(adversity);
+    options.trace.enabled = true;
+    const serve::ServeReport report = serve::RunSyntheticServe(
+        registry, registry.ReplicaSpecs(4, /*partition=*/false),
+        {{"mlp", 0.5}, {"resnet18", 0.5}}, options);
+    ASSERT_NE(report.obs, nullptr);
+    const TraceData data = report.obs->recorder.Drain();
+
+    // Request spans straight from the log, in commit order.
+    std::vector<RequestSpan> committed;
+    auto member = report.log->requests.begin();
+    for (const BatchSpan& batch : report.log->batches) {
+      for (std::int64_t i = 0; i < batch.size; ++i, ++member) {
+        RequestSpan span;
+        span.request_id = member->id;
+        span.complete_s = batch.complete_s;
+        span.seq = batch.seq + 1 + i;
+        committed.push_back(span);
+      }
+    }
+    const bool in_order =
+        std::is_sorted(committed.begin(), committed.end(),
+                       [](const RequestSpan& a, const RequestSpan& b) {
+                         return a.complete_s < b.complete_s ||
+                                (a.complete_s == b.complete_s &&
+                                 a.seq < b.seq);
+                       });
+    EXPECT_EQ(in_order, std::string(adversity) == "replica-fail");
+
+    EXPECT_EQ(Seqs(data.requests),
+              StampOrderSeqs(committed, &RequestSpan::complete_s));
+    EXPECT_EQ(Seqs(data.batches),
+              StampOrderSeqs(report.log->batches, &BatchSpan::start_s));
+    EXPECT_EQ(Seqs(data.instants),
+              StampOrderSeqs(data.instants, &InstantEvent::t_s));
+    EXPECT_EQ(Seqs(data.counters),
+              StampOrderSeqs(data.counters, &CounterSample::t_s));
+    std::map<std::int64_t, std::int64_t> id_of_seq;
+    for (const RequestSpan& span : committed) {
+      id_of_seq[span.seq] = span.request_id;
+    }
+    for (const RequestSpan& span : data.requests) {
+      EXPECT_EQ(span.request_id, id_of_seq.at(span.seq));
+    }
+  }
 }
 
 // ------------------------------------------------- traced serve invariants
