@@ -4,9 +4,10 @@
 The serving engine's contract is that a fixed seed pins a run bit-exactly —
 including under environment-fault injection. This smoke drives the real CLI
 end to end: for every requested seed it runs the same adversity x scenario
-serve twice with --trace-out/--metrics-out, byte-compares the artifacts,
-and then asserts that two *different* seeds actually diverge (a trivially
-constant artifact would pass the first check).
+serve twice with a Chrome JSON --trace-out and --metrics-out, and twice
+more with an NSFT (.bin) --trace-out, byte-compares each pair of
+artifacts, and then asserts that two *different* seeds actually diverge
+(a trivially constant artifact would pass the first check).
 
 Registered as the `determinism_smoke` ctest (CMakeLists.txt) and run in the
 CI sanitizer leg across a three-seed matrix (.github/workflows/ci.yml).
@@ -25,9 +26,9 @@ import tempfile
 
 
 def run_serve(cli, outdir, tag, seed, adversity, scenario,
-              admission="", tiers="", cluster=""):
+              admission="", tiers="", cluster="", trace_suffix="json"):
     """One traced serve run; returns (trace_path, metrics_path)."""
-    trace = outdir / f"trace_{tag}.json"
+    trace = outdir / f"trace_{tag}.{trace_suffix}"
     metrics = outdir / f"metrics_{tag}.json"
     cmd = [
         str(cli), "serve",
@@ -96,24 +97,26 @@ def main():
         outdir = pathlib.Path(tmp)
         first_trace_of = {}
         for seed in seeds:
-            a_trace, a_metrics = run_serve(cli, outdir, f"s{seed}_a", seed,
-                                           args.adversity, args.scenario,
-                                           args.admission, args.tiers,
-                                           args.cluster)
-            b_trace, b_metrics = run_serve(cli, outdir, f"s{seed}_b", seed,
-                                           args.adversity, args.scenario,
-                                           args.admission, args.tiers,
-                                           args.cluster)
-            for name, a, b in (("trace", a_trace, b_trace),
-                               ("metrics", a_metrics, b_metrics)):
-                if filecmp.cmp(a, b, shallow=False):
-                    print(f"seed {seed}: {name} byte-identical "
-                          f"({a.stat().st_size} bytes)")
-                else:
-                    print(f"FAIL: seed {seed}: same-seed {name} artifacts "
-                          f"differ ({a} vs {b})")
-                    failures += 1
-            first_trace_of[seed] = a_trace
+            for suffix in ("json", "bin"):
+                a_trace, a_metrics = run_serve(
+                    cli, outdir, f"s{seed}_{suffix}_a", seed, args.adversity,
+                    args.scenario, args.admission, args.tiers, args.cluster,
+                    suffix)
+                b_trace, b_metrics = run_serve(
+                    cli, outdir, f"s{seed}_{suffix}_b", seed, args.adversity,
+                    args.scenario, args.admission, args.tiers, args.cluster,
+                    suffix)
+                for name, a, b in ((f"{suffix} trace", a_trace, b_trace),
+                                   ("metrics", a_metrics, b_metrics)):
+                    if filecmp.cmp(a, b, shallow=False):
+                        print(f"seed {seed}: {name} byte-identical "
+                              f"({a.stat().st_size} bytes)")
+                    else:
+                        print(f"FAIL: seed {seed}: same-seed {name} "
+                              f"artifacts differ ({a} vs {b})")
+                        failures += 1
+                if suffix == "json":
+                    first_trace_of[seed] = a_trace
 
         # Different seeds must diverge — otherwise the byte-compare above
         # proves nothing (e.g. an artifact that ignores the run entirely).
