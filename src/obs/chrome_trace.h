@@ -81,10 +81,12 @@ std::vector<ChromeEvent> ParseChromeTrace(std::string_view text);
 // doubles bit-copied, strings length-prefixed, at a fraction of the JSON
 // size.
 
-/// Encode a drained TraceData (magic "NSFT", version 1).
+/// Encode a drained TraceData (magic "NSFT", version 1) with one
+/// allocation of the exact encoded size.
 std::string SerializeBinaryTrace(const TraceData& data);
 
-/// Decode; throws common/error on a bad magic, version, or truncation.
+/// Decode; throws common/error on a bad magic, version, truncation, or a
+/// header count larger than the remaining bytes could hold.
 /// Field-exact inverse: re-encoding reproduces the input bytes.
 TraceData ParseBinaryTrace(std::string_view bytes);
 

@@ -67,7 +67,8 @@ class Histogram {
   /// Boundary(4) == 2e-6, Boundary(8) == 4e-6, ...
   static double Boundary(int i);
   /// Bucket index for `value_s` (underflow -> -1 maps to the underflow
-  /// slot; overflow clamps into the last bucket).
+  /// slot; overflow clamps into the last bucket). A table lookup: no log
+  /// or exp per call.
   static int BucketFor(double value_s);
 
   void Observe(double value_s);
