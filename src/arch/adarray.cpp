@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "arch/circ_conv_column.h"
 #include "common/error.h"
 #include "common/math_util.h"
 
@@ -226,17 +225,6 @@ DetailedGemmRun AdArray::SimulateGemmPassDetailed(const Tensor& a_tile,
   run.cycles = 2 * config_.height + config_.width + m - 2;
   NSF_CHECK_MSG(cycles <= run.cycles + config_.height + config_.width,
                 "detailed simulation overran the analytical bound");
-  return run;
-}
-
-DetailedGemmRun AdArray::SimulateCircConvDetailed(
-    std::span<const float> a, std::span<const float> b) const {
-  CircConvColumn column(config_.height);
-  const CircConvRun r = column.Run(a, b);
-  DetailedGemmRun run;
-  run.output = Tensor({static_cast<std::int64_t>(r.output.size())},
-                      r.output);
-  run.cycles = r.cycles;
   return run;
 }
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/tensor.h"
@@ -77,11 +76,6 @@ class AdArray {
   /// sub-array). Exposed for microarchitecture validation.
   DetailedGemmRun SimulateGemmPassDetailed(const Tensor& a_tile,
                                            const Tensor& b_tile) const;
-
-  /// Register-stepped circular convolution through one column (Fig. 3b).
-  /// Returns output and measured cycles (== ⌈d/H⌉ · (3H + d − 1)).
-  DetailedGemmRun SimulateCircConvDetailed(std::span<const float> a,
-                                           std::span<const float> b) const;
 
   /// Cumulative statistics since construction.
   double total_cycles() const { return total_cycles_; }

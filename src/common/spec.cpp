@@ -1,6 +1,7 @@
 #include "common/spec.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -49,12 +50,6 @@ void ForEachSpecEntry(
   }
 }
 
-double SpecParam(const SpecParams& params, const std::string& key,
-                 double fallback) {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
-}
-
 ParsedSpec SpecGrammar::Parse(const std::string& text) const {
   const std::size_t colon = text.find(':');
   const std::string name = text.substr(0, colon);
@@ -93,14 +88,6 @@ ParsedSpec SpecGrammar::Parse(const std::string& text) const {
   return parsed;
 }
 
-void SpecGrammar::Require(bool ok, std::size_t name,
-                          const char* message) const {
-  if (!ok) {
-    throw Error(std::string(noun) + " '" + std::string(names[name].name) +
-                "': " + message);
-  }
-}
-
 std::string SpecGrammar::Format(std::size_t name, const SpecParams& params,
                                 const std::string& text) const {
   std::string out(names[name].name);
@@ -114,6 +101,30 @@ std::string SpecGrammar::Format(std::size_t name, const SpecParams& params,
     sep = ',';
   }
   return out;
+}
+
+double SpecReader::Number(const std::string& key, double fallback) const {
+  const auto it = params.find(key);
+  return it == params.end() ? fallback : it->second;
+}
+
+int SpecReader::Integer(const std::string& key, int fallback, int lo,
+                        const char* note) const {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const double value = Number(key, fallback);
+  if (!(value >= lo && value <= kMax && IsWholeNumber(value))) {
+    Require(false, key + " must be an integer in [" + std::to_string(lo) +
+                       ", " + std::to_string(kMax) + "]" + note);
+  }
+  return static_cast<int>(value);
+}
+
+void SpecReader::Require(bool ok, std::string_view message) const {
+  if (!ok) {
+    throw Error(std::string(grammar.noun) + " '" +
+                std::string(grammar.names[name].name) + "': " +
+                std::string(message));
+  }
 }
 
 }  // namespace nsflow

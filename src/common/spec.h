@@ -33,10 +33,6 @@ void ForEachSpecEntry(
     const std::function<void(const std::string& key,
                              const std::string& value)>& entry);
 
-/// `fallback` unless `params` holds `key`.
-double SpecParam(const SpecParams& params, const std::string& key,
-                 double fallback);
-
 /// One name of a `name[:key=value,...]` grammar and the keys it accepts.
 struct SpecName {
   std::string_view name;
@@ -67,15 +63,32 @@ struct SpecGrammar {
   /// name, a malformed or repeated entry, an unknown key or a bad number.
   ParsedSpec Parse(const std::string& text) const;
 
-  /// A range check: throws `Error` ("<noun> '<name>': <message>") unless
-  /// `ok`.
-  void Require(bool ok, std::size_t name, const char* message) const;
-
   /// Canonical form: the name, then ':' and the entries joined by ',' — a
   /// non-empty `text` first as the name's text key, then `params` in key
   /// order with ShortestNumber values. Parse() gives the same spec back.
   std::string Format(std::size_t name, const SpecParams& params,
                      const std::string& text = "") const;
+};
+
+/// How a spec's Resolve reads its parameters: each read names the key's
+/// default, and a failed range check throws `Error` ("<noun> '<name>':
+/// <message>").
+struct SpecReader {
+  const SpecGrammar& grammar;
+  std::size_t name;
+  const SpecParams& params;
+
+  /// The value given for `key`, or `fallback` when none was.
+  double Number(const std::string& key, double fallback) const;
+
+  /// Number(), required to be a whole number in [lo, INT_MAX], so the
+  /// cast to int is exact ("<key> must be an integer in [<lo>,
+  /// 2147483647]<note>").
+  int Integer(const std::string& key, int fallback, int lo,
+              const char* note = "") const;
+
+  /// Throws unless `ok`.
+  void Require(bool ok, std::string_view message) const;
 };
 
 }  // namespace nsflow

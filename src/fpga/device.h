@@ -21,7 +21,6 @@ struct FpgaDevice {
   double max_clock_hz = 0.0;      // Fabric clock ceiling for this family.
 
   double BramBytes() const { return static_cast<double>(bram18) * 18.0 * 1024.0 / 8.0; }
-  double UramBytes() const { return static_cast<double>(uram) * 288.0 * 1024.0 / 8.0; }
 };
 
 /// Alveo U250 (xcu250-figd2104-2L-e).

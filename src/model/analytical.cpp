@@ -105,33 +105,6 @@ double SequentialCycles(const ArrayConfig& cfg,
   return nn + std::min(temporal, spatial);
 }
 
-double WindowedParallelCycles(const ArrayConfig& cfg,
-                              std::span<const LayerNode> layers,
-                              std::span<const VsaNode> vsa_ops,
-                              std::span<const std::int64_t> nl,
-                              std::span<const std::int64_t> nv,
-                              std::span<const VsaSpan> windows) {
-  NSF_CHECK_MSG(windows.size() == layers.size(),
-                "one VSA window per layer required");
-  NSF_CHECK_MSG(nl.size() == layers.size() && nv.size() == vsa_ops.size(),
-                "allocation vectors must match node lists");
-  double total = 0.0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const double t_layer = LayerCycles(cfg, nl[i], layers[i].gemm);
-    double temporal = 0.0;
-    double spatial = 0.0;
-    const VsaSpan& w = windows[i];
-    if (w.first <= w.last && w.last < vsa_ops.size()) {
-      for (std::size_t j = w.first; j <= w.last; ++j) {
-        temporal += VsaTemporalCycles(cfg, nv[j], vsa_ops[j].vsa);
-        spatial += VsaSpatialCycles(cfg, nv[j], vsa_ops[j].vsa);
-      }
-    }
-    total += std::max(t_layer, std::min(temporal, spatial));
-  }
-  return total;
-}
-
 double ParallelCycles(const ArrayConfig& cfg,
                       std::span<const LayerNode> layers,
                       std::span<const VsaNode> vsa_ops,

@@ -81,18 +81,4 @@ double ParallelCycles(const ArrayConfig& cfg,
                       std::span<const std::int64_t> nl,
                       std::span<const std::int64_t> nv);
 
-/// Fused-schedule refinement: the steady-state loop executes window by
-/// window — layer i of loop k+1 runs concurrently with its VSA window of
-/// loop k — so loop latency is Σ_i max(t_l(i), t_vsa(window_i)) (plus any
-/// VSA nodes in empty tail windows). This is the objective Phase II
-/// fine-tunes: per-window rebalancing has no effect on the coarse
-/// max-of-sums form but directly shrinks imbalanced windows here. Always
-/// >= ParallelCycles and == it when one side dominates every window.
-double WindowedParallelCycles(const ArrayConfig& cfg,
-                              std::span<const LayerNode> layers,
-                              std::span<const VsaNode> vsa_ops,
-                              std::span<const std::int64_t> nl,
-                              std::span<const std::int64_t> nv,
-                              std::span<const VsaSpan> windows);
-
 }  // namespace nsflow

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/number.h"
+#include "common/spec.h"
 #include "obs/metrics.h"
 
 namespace nsflow::serve {
@@ -83,27 +83,33 @@ AdmissionSpec AdmissionSpec::Parse(const std::string& text) {
   ParsedSpec parsed = kGrammar.Parse(text);
   const AdmissionSpec spec{static_cast<AdmissionKind>(parsed.name),
                            std::move(parsed.params)};
-
-  // Range validation of the provided parameters (defaults are always
-  // valid; the tenant-relative rate default resolves at construction). A
-  // policy only holds the keys it accepts, so the others read their
-  // fallbacks here and pass.
-  const auto require = [&](bool ok, const char* message) {
-    kGrammar.Require(ok, parsed.name, message);
-  };
-  require(spec.Param("rate", 1.0) > 0.0, "rate must be positive");
-  require(spec.Param("burst", 1.0) >= 1.0, "burst must be >= 1");
-  require(spec.Param("deadline", 1.0) > 0.0, "deadline must be positive");
-  require(spec.Param("depth", 1.0) >= 1.0 &&
-              IsWholeNumber(spec.Param("depth", 1.0)),
-          "depth must be a positive integer");
-  require(spec.Param("live", 0.5) >= 0.0 && spec.Param("live", 0.5) <= 1.0,
-          "live must be a fraction in [0, 1]");
-  require(spec.Param("retry", 0.0) >= 0.0 &&
-              IsWholeNumber(spec.Param("retry", 0.0)),
-          "retry must be a non-negative integer");
-  require(spec.Param("backoff", 0.0) >= 0.0, "backoff must be non-negative");
+  // No range check depends on the tenant's rate, and every default is
+  // valid for any positive one.
+  spec.Resolve(1.0);
   return spec;
+}
+
+AdmissionParams AdmissionSpec::Resolve(double tenant_rps) const {
+  const SpecReader read{kGrammar, static_cast<std::size_t>(kind), params};
+  AdmissionParams p;
+  // An explicit rate is an absolute per-tenant contract; the default is
+  // the tenant's share of the run's offered rate (a bucket sized for the
+  // traffic actually aimed at it, so steady runs never quota-shed).
+  p.rate = read.Number("rate", tenant_rps);
+  read.Require(p.rate > 0.0 || !params.contains("rate"),
+               "rate must be positive");
+  p.burst = read.Number("burst", std::max(1.0, 0.25 * p.rate));
+  read.Require(p.burst >= 1.0, "burst must be >= 1");
+  p.deadline_s = read.Number("deadline", 0.05);
+  read.Require(p.deadline_s > 0.0, "deadline must be positive");
+  p.depth = read.Integer("depth", 64, 1);
+  p.live = read.Number("live", 0.75);
+  read.Require(p.live >= 0.0 && p.live <= 1.0,
+               "live must be a fraction in [0, 1]");
+  p.retry = read.Integer("retry", 1, 0);
+  p.backoff_s = read.Number("backoff", 0.01);
+  read.Require(p.backoff_s >= 0.0, "backoff must be non-negative");
+  return p;
 }
 
 std::string AdmissionSpec::Name() const {
@@ -124,11 +130,6 @@ AdmissionController::AdmissionController(const AdmissionSpec& spec,
                  spec_.kind == AdmissionKind::kGuard;
   overload_on_ = spec_.kind == AdmissionKind::kOverload ||
                  spec_.kind == AdmissionKind::kGuard;
-  deadline_s_ = spec_.Param("deadline", 0.05);
-  depth_ = static_cast<std::int64_t>(spec_.Param("depth", 64.0));
-  live_ = spec_.Param("live", 0.75);
-  retry_budget_ = static_cast<std::int64_t>(spec_.Param("retry", 1.0));
-  backoff_s_ = spec_.Param("backoff", 0.01);
 
   stats_.reserve(tenants_.size());
   buckets_.reserve(tenants_.size());
@@ -139,12 +140,10 @@ AdmissionController::AdmissionController(const AdmissionSpec& spec,
     stat.tier = tenant.tier;
     stats_.push_back(std::move(stat));
 
+    params_ = spec_.Resolve(tenant.offered_rps);
     Bucket bucket;
-    // An explicit rate is an absolute per-tenant contract; the default is
-    // the tenant's share of the run's offered rate (a bucket sized for the
-    // traffic actually aimed at it, so steady runs never quota-shed).
-    bucket.rate = spec_.Param("rate", tenant.offered_rps);
-    bucket.burst = spec_.Param("burst", std::max(1.0, 0.25 * bucket.rate));
+    bucket.rate = params_.rate;
+    bucket.burst = params_.burst;
     bucket.tokens = bucket.burst;  // Opens full: bursts up to `burst` pass.
     // A zero-share tenant (listed in the registry, absent from the mix)
     // keeps a zero refill rate: it admits its opening burst and then
@@ -158,7 +157,8 @@ double AdmissionController::DeadlineBudget(SlaTier tier) const {
   if (!deadline_on_ || tier == SlaTier::kBatch) {
     return kInf;  // Batch is throughput traffic: no start deadline.
   }
-  return tier == SlaTier::kCritical ? deadline_s_ : 4.0 * deadline_s_;
+  return tier == SlaTier::kCritical ? params_.deadline_s
+                                    : 4.0 * params_.deadline_s;
 }
 
 bool AdmissionController::TakeToken(WorkloadId workload, double now_s) {
@@ -190,11 +190,12 @@ bool AdmissionController::ShedOrRetry(Request* request, bool quota,
                                       double now_s) {
   const auto w = static_cast<std::size_t>(request->workload);
   if (request->tier == SlaTier::kStandard &&
-      request->attempt < retry_budget_) {
+      request->attempt < params_.retry) {
     // Exponential backoff from the *current* offer time; the deadline
     // stays anchored at the original arrival (the client's contract).
     PendingRetry retry;
-    retry.retry_at_s = now_s + backoff_s_ * std::ldexp(1.0, request->attempt);
+    retry.retry_at_s =
+        now_s + params_.backoff_s * std::ldexp(1.0, request->attempt);
     retry.request = *request;
     retry.request.arrival_s = retry.retry_at_s;
     ++retry.request.attempt;
@@ -232,12 +233,14 @@ bool AdmissionController::Offer(Request* request, std::int64_t backlog,
     // Lowest tier first: batch sheds at the first overload signal (deep
     // backlog *or* degraded pool), standard only under 4x-deep backlog,
     // critical never load-sheds.
-    const bool overloaded = backlog >= depth_ || live_fraction < live_;
+    const bool overloaded =
+        backlog >= params_.depth || live_fraction < params_.live;
     if (overloaded && request->tier == SlaTier::kBatch) {
       CountFinalShed(*request, /*quota=*/false);
       return false;
     }
-    if (backlog >= 4 * depth_ && request->tier == SlaTier::kStandard) {
+    if (backlog >= 4 * std::int64_t{params_.depth} &&
+        request->tier == SlaTier::kStandard) {
       return ShedOrRetry(request, /*quota=*/false, request->arrival_s);
     }
   }
@@ -297,15 +300,6 @@ SlaTier AdmissionController::TierOf(WorkloadId workload) const {
   NSF_CHECK(workload >= 0 &&
             static_cast<std::size_t>(workload) < tenants_.size());
   return tenants_[static_cast<std::size_t>(workload)].tier;
-}
-
-bool AdmissionController::TierShed(SlaTier tier) const {
-  for (const AdmissionTenantSummary& stat : stats_) {
-    if (stat.tier == tier && (stat.shed() > 0 || stat.expired > 0)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<AdmissionTenantSummary> AdmissionController::Summaries() const {

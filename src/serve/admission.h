@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/spec.h"
 #include "serve/request.h"
 
 namespace nsflow::obs {
@@ -37,11 +36,24 @@ enum class AdmissionKind {
   kGuard = 4,     // All mechanisms together (the production shape).
 };
 
+/// An admission spec's parameters for one tenant, with every default
+/// applied and every range checked (AdmissionSpec::Resolve). Each is read
+/// only where its mechanism is active.
+struct AdmissionParams {
+  double rate = 0.0;        // Token refill rate, requests/second.
+  double burst = 0.0;       // Token-bucket capacity, requests.
+  double deadline_s = 0.0;  // Critical-tier start deadline.
+  int depth = 0;            // Admitted-backlog overload threshold.
+  double live = 0.0;        // Live-fraction overload threshold.
+  int retry = 0;            // Retry budget for shed standard requests.
+  double backoff_s = 0.0;   // Base retry backoff, doubling per attempt.
+};
+
 /// Admission policy spec, `name[:key=value,...]` in the spec grammar
-/// (common/spec.h); Parse range-checks the values given.
+/// (common/spec.h); Parse range-checks the values given by resolving them.
 ///
-/// Parameters (each only where its mechanism is active; defaults resolved
-/// by the controller at construction):
+/// Parameters (each only where its mechanism is active; Resolve supplies
+/// the defaults):
 ///   rate F      per-tenant token refill rate, requests/second
 ///               (default: the tenant's share of the offered qps)
 ///   burst F     token-bucket capacity, requests (default max(1, rate/4))
@@ -60,11 +72,16 @@ struct AdmissionSpec {
   std::map<std::string, double> params;
 
   static AdmissionSpec Parse(const std::string& text);
+
+  /// The parameters for a tenant offered `tenant_rps` (the `rate`
+  /// default). The only reader of `params`: each default and range check
+  /// is written here once. A given `rate` must be positive; the default
+  /// may be 0, for a tenant with no share of the mix. Throws `Error` on a
+  /// value out of range.
+  AdmissionParams Resolve(double tenant_rps) const;
+
   std::string ToString() const;  // Canonical round-trippable form.
   std::string Name() const;
-  double Param(const std::string& key, double fallback) const {
-    return SpecParam(params, key, fallback);
-  }
   bool enabled() const { return kind != AdmissionKind::kNone; }
 
   bool operator==(const AdmissionSpec& other) const {
@@ -166,10 +183,6 @@ class AdmissionController {
   /// Tier configured for a tenant (workload id order = tenant order).
   SlaTier TierOf(WorkloadId workload) const;
 
-  /// Whether any tenant in `tier` recorded a final shed or expiry — the
-  /// CLI's exit-code source (shed-in-critical vs shed-only-batch).
-  bool TierShed(SlaTier tier) const;
-
   std::vector<AdmissionTenantSummary> Summaries() const;
 
   /// Registers per-tenant admitted/shed/expired/retried counters
@@ -212,6 +225,7 @@ class AdmissionController {
   void CountFinalShed(const Request& request, bool quota);
 
   AdmissionSpec spec_;
+  AdmissionParams params_;  // Shared fields; rate and burst are per bucket.
   std::vector<TenantConfig> tenants_;
   std::vector<AdmissionTenantSummary> stats_;
   std::vector<Bucket> buckets_;
@@ -223,11 +237,6 @@ class AdmissionController {
   bool quota_on_ = false;
   bool deadline_on_ = false;
   bool overload_on_ = false;
-  double deadline_s_ = 0.0;    // Critical-tier start-deadline budget.
-  std::int64_t depth_ = 0;     // Batch-shed backlog threshold.
-  double live_ = 0.0;          // Live-fraction overload threshold.
-  std::int64_t retry_budget_ = 0;
-  double backoff_s_ = 0.0;
 };
 
 }  // namespace nsflow::serve

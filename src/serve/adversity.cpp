@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "common/error.h"
-#include "common/number.h"
 #include "common/rng.h"
+#include "common/spec.h"
 
 namespace nsflow::serve {
 namespace {
@@ -31,58 +33,60 @@ AdversitySpec AdversitySpec::Parse(const std::string& text) {
   ParsedSpec parsed = kGrammar.Parse(text);
   const AdversitySpec spec{static_cast<AdversityKind>(parsed.name),
                            std::move(parsed.params)};
+  // No range check depends on the duration, and every default is valid
+  // for any positive one.
+  spec.Resolve(1.0);
+  return spec;
+}
 
-  // Range validation of the provided parameters (defaults are always
-  // valid; duration-relative defaults are resolved at timeline build time).
-  const auto require = [&](bool ok, const char* message) {
-    kGrammar.Require(ok, parsed.name, message);
-  };
-  switch (spec.kind) {
-    case AdversityKind::kReplicaFail:
-      require(spec.Param("at", 0.0) >= 0.0, "at must be non-negative");
-      require(spec.Param("down", 1.0) > 0.0, "down must be positive");
-      require(spec.Param("warmup", 0.0) >= 0.0,
-              "warmup must be non-negative");
-      require(spec.Param("count", 1.0) >= 1.0 &&
-                  IsWholeNumber(spec.Param("count", 1.0)),
-              "count must be a positive integer");
-      require(spec.Param("replica", -1.0) >= -1.0 &&
-                  IsWholeNumber(spec.Param("replica", -1.0)),
-              "replica must be an integer >= -1 (-1 picks the busiest)");
-      require(spec.Param("node", -1.0) >= -1.0 &&
-                  IsWholeNumber(spec.Param("node", -1.0)),
-              "node must be an integer >= -1 (-1 targets replicas, not a "
-              "cluster node)");
-      break;
-    case AdversityKind::kStraggler:
-      require(spec.Param("at", 0.0) >= 0.0, "at must be non-negative");
-      require(spec.Param("duration", 1.0) > 0.0,
-              "duration must be positive");
-      require(spec.Param("factor", 2.0) >= 1.0,
-              "factor must be >= 1 (a clock derate slows, never speeds up)");
-      require(spec.Param("count", 1.0) >= 1.0 &&
-                  IsWholeNumber(spec.Param("count", 1.0)),
-              "count must be a positive integer");
-      require(spec.Param("replica", -1.0) >= -1.0 &&
-                  IsWholeNumber(spec.Param("replica", -1.0)),
-              "replica must be an integer >= -1 (-1 picks the busiest)");
-      break;
-    case AdversityKind::kChurn:
-      require(spec.Param("at", 0.0) >= 0.0, "at must be non-negative");
-      require(spec.Param("down", 1.0) > 0.0, "down must be positive");
-      require(spec.Param("workload", 0.0) >= 0.0 &&
-                  IsWholeNumber(spec.Param("workload", 0.0)),
-              "workload must be a non-negative integer id");
-      break;
-    case AdversityKind::kFlash:
-      require(spec.Param("at", 0.0) >= 0.0, "at must be non-negative");
-      require(spec.Param("width", 1.0) > 0.0, "width must be positive");
-      require(spec.Param("mult", 3.0) >= 1.0, "mult must be >= 1");
-      break;
+AdversityParams AdversitySpec::Resolve(double duration_s) const {
+  const SpecReader read{kGrammar, static_cast<std::size_t>(kind), params};
+  AdversityParams p;
+  // Where the fault sits on the run: each pattern's default start and
+  // length are shares of the duration.
+  switch (kind) {
     case AdversityKind::kNone:
       break;
+    case AdversityKind::kReplicaFail:
+      p.at_s = read.Number("at", 0.25 * duration_s);
+      p.length_s = read.Number("down", 0.25 * duration_s);
+      read.Require(p.length_s > 0.0, "down must be positive");
+      break;
+    case AdversityKind::kStraggler:
+      p.at_s = read.Number("at", 0.25 * duration_s);
+      p.length_s = read.Number("duration", 0.5 * duration_s);
+      read.Require(p.length_s > 0.0, "duration must be positive");
+      break;
+    case AdversityKind::kChurn:
+      p.at_s = read.Number("at", 0.3 * duration_s);
+      p.length_s = read.Number("down", 0.4 * duration_s);
+      read.Require(p.length_s > 0.0, "down must be positive");
+      break;
+    case AdversityKind::kFlash:
+      p.at_s = read.Number("at", 0.4 * duration_s);
+      p.length_s = read.Number("width", 0.1 * duration_s);
+      read.Require(p.length_s > 0.0, "width must be positive");
+      break;
   }
-  return spec;
+  read.Require(p.at_s >= 0.0, "at must be non-negative");
+  p.warmup_s = read.Number("warmup", 0.05);
+  read.Require(p.warmup_s >= 0.0, "warmup must be non-negative");
+  p.count = read.Integer("count", 1, 1);
+  p.replica = read.Integer("replica", -1, -1, " (-1 picks the busiest)");
+  // An explicit target fans out to ids replica .. replica + count - 1.
+  read.Require(p.replica + (p.count - 1.0) <=
+                   std::numeric_limits<int>::max(),
+               "replica + count - 1 (the last replica targeted) must be at "
+               "most 2147483647");
+  p.node = read.Integer("node", -1, -1,
+                        " (-1 targets replicas, not a cluster node)");
+  p.factor = read.Number("factor", 2.0);
+  read.Require(p.factor >= 1.0,
+               "factor must be >= 1 (a clock derate slows, never speeds up)");
+  p.workload = read.Integer("workload", 0, 0, " (a tenant's workload id)");
+  p.mult = read.Number("mult", 3.0);
+  read.Require(p.mult >= 1.0, "mult must be >= 1");
+  return p;
 }
 
 std::string AdversitySpec::Name() const {
@@ -96,92 +100,74 @@ std::string AdversitySpec::ToString() const {
 std::vector<AdversityEvent> BuildAdversityTimeline(const AdversitySpec& spec,
                                                    double duration_s) {
   NSF_CHECK_MSG(duration_s > 0.0, "adversity timeline needs a positive run");
+  const AdversityParams p = spec.Resolve(duration_s);
   std::vector<AdversityEvent> events;
   switch (spec.kind) {
     case AdversityKind::kNone:
       break;
     case AdversityKind::kReplicaFail: {
-      const double at = spec.Param("at", 0.25 * duration_s);
-      const double down = spec.Param("down", 0.25 * duration_s);
-      const double warmup = spec.Param("warmup", 0.05);
-      const int count = static_cast<int>(spec.Param("count", 1.0));
-      const int replica = static_cast<int>(spec.Param("replica", -1.0));
-      const int node = static_cast<int>(spec.Param("node", -1.0));
-      if (node >= 0) {
+      if (p.node >= 0) {
         // Whole-node outage: one event carrying the node id; the engine
         // expands it to every replica pinned there at fire time (so
         // autoscaler-added replicas on the node fail too). `count` and
         // `replica` are meaningless alongside `node`.
         AdversityEvent e;
-        e.t_s = at;
+        e.t_s = p.at_s;
         e.kind = AdversityEventKind::kReplicaFail;
-        e.node = node;
-        e.until_s = at + down;
-        e.warmup_s = warmup;
+        e.node = p.node;
+        e.until_s = p.at_s + p.length_s;
+        e.warmup_s = p.warmup_s;
         events.push_back(e);
         break;
       }
-      for (int i = 0; i < count; ++i) {
+      for (int i = 0; i < p.count; ++i) {
         AdversityEvent e;
-        e.t_s = at;
+        e.t_s = p.at_s;
         e.kind = AdversityEventKind::kReplicaFail;
         // An explicit target fans out to consecutive ids; -1 resolves to
         // the busiest eligible replica per event (already-failed replicas
         // are ineligible, so simultaneous events pick distinct targets).
-        e.replica = replica < 0 ? -1 : replica + i;
-        e.until_s = at + down;
-        e.warmup_s = warmup;
+        e.replica = p.replica < 0 ? -1 : p.replica + i;
+        e.until_s = p.at_s + p.length_s;
+        e.warmup_s = p.warmup_s;
         events.push_back(e);
       }
       break;
     }
-    case AdversityKind::kStraggler: {
-      const double at = spec.Param("at", 0.25 * duration_s);
-      const double window = spec.Param("duration", 0.5 * duration_s);
-      const double factor = spec.Param("factor", 2.0);
-      const int count = static_cast<int>(spec.Param("count", 1.0));
-      const int replica = static_cast<int>(spec.Param("replica", -1.0));
-      for (int i = 0; i < count; ++i) {
+    case AdversityKind::kStraggler:
+      for (int i = 0; i < p.count; ++i) {
         AdversityEvent e;
-        e.t_s = at;
+        e.t_s = p.at_s;
         e.kind = AdversityEventKind::kDerateStart;
-        e.replica = replica < 0 ? -1 : replica + i;
-        e.factor = factor;
-        e.until_s = at + window;
+        e.replica = p.replica < 0 ? -1 : p.replica + i;
+        e.factor = p.factor;
+        e.until_s = p.at_s + p.length_s;
         events.push_back(e);
       }
       break;
-    }
     case AdversityKind::kChurn: {
-      const double at = spec.Param("at", 0.3 * duration_s);
-      const double down = spec.Param("down", 0.4 * duration_s);
-      const WorkloadId workload =
-          static_cast<WorkloadId>(spec.Param("workload", 0.0));
       AdversityEvent leave;
-      leave.t_s = at;
+      leave.t_s = p.at_s;
       leave.kind = AdversityEventKind::kChurnLeave;
-      leave.workload = workload;
-      leave.until_s = at + down;
+      leave.workload = p.workload;
+      leave.until_s = p.at_s + p.length_s;
       events.push_back(leave);
       AdversityEvent rejoin;
-      rejoin.t_s = at + down;
+      rejoin.t_s = p.at_s + p.length_s;
       rejoin.kind = AdversityEventKind::kChurnRejoin;
-      rejoin.workload = workload;
+      rejoin.workload = p.workload;
       events.push_back(rejoin);
       break;
     }
     case AdversityKind::kFlash: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 3.0);
       AdversityEvent open;
-      open.t_s = at;
+      open.t_s = p.at_s;
       open.kind = AdversityEventKind::kFlashStart;
-      open.factor = mult;
-      open.until_s = at + width;
+      open.factor = p.mult;
+      open.until_s = p.at_s + p.length_s;
       events.push_back(open);
       AdversityEvent close;
-      close.t_s = at + width;
+      close.t_s = p.at_s + p.length_s;
       close.kind = AdversityEventKind::kFlashEnd;
       events.push_back(close);
       break;
@@ -206,35 +192,31 @@ void ApplyAdversityArrivals(const AdversitySpec& spec,
                             double duration_s, std::uint64_t seed,
                             const std::vector<double>& shares) {
   NSF_CHECK(arrivals != nullptr);
+  const AdversityParams p = spec.Resolve(duration_s);
   switch (spec.kind) {
     case AdversityKind::kNone:
     case AdversityKind::kReplicaFail:
     case AdversityKind::kStraggler:
       return;  // Replica-side patterns leave the trace bit-identical.
     case AdversityKind::kChurn: {
-      const double at = spec.Param("at", 0.3 * duration_s);
-      const double down = spec.Param("down", 0.4 * duration_s);
-      const WorkloadId workload =
-          static_cast<WorkloadId>(spec.Param("workload", 0.0));
-      NSF_CHECK_MSG(
-          workload < static_cast<WorkloadId>(shares.size()),
-          "churn workload index out of range for this mix");
+      if (p.workload >= static_cast<WorkloadId>(shares.size())) {
+        throw Error("adversity 'churn': workload " +
+                    std::to_string(p.workload) + " is past this run's " +
+                    std::to_string(shares.size()) + "-workload mix");
+      }
       arrivals->erase(
           std::remove_if(arrivals->begin(), arrivals->end(),
                          [&](const Request& r) {
-                           return r.workload == workload &&
-                                  r.arrival_s >= at &&
-                                  r.arrival_s < at + down;
+                           return r.workload == p.workload &&
+                                  r.arrival_s >= p.at_s &&
+                                  r.arrival_s < p.at_s + p.length_s;
                          }),
           arrivals->end());
       break;
     }
     case AdversityKind::kFlash: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 3.0);
-      const double lo = std::min(at, duration_s);
-      const double hi = std::min(at + width, duration_s);
+      const double lo = std::min(p.at_s, duration_s);
+      const double hi = std::min(p.at_s + p.length_s, duration_s);
       double total_share = 0.0;
       for (const double share : shares) {
         NSF_CHECK_MSG(share >= 0.0, "workload shares must be non-negative");
@@ -248,7 +230,7 @@ void ApplyAdversityArrivals(const AdversitySpec& spec,
       Rng rng(seed ^ 0x9E3779B97F4A7C15ULL);
       std::vector<Request> extra;
       for (std::size_t w = 0; w < shares.size(); ++w) {
-        const double rate = (mult - 1.0) * qps * shares[w] / total_share;
+        const double rate = (p.mult - 1.0) * qps * shares[w] / total_share;
         if (rate <= 0.0) {
           continue;
         }

@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/spec.h"
 #include "serve/request.h"
 
 namespace nsflow::serve {
@@ -53,18 +52,41 @@ enum class AdversityKind {
   kFlash,
 };
 
-/// A parsed `--adversity` value: the fault pattern plus its numeric
-/// parameters, in the spec grammar (common/spec.h). Defaults not listed in
-/// the spec are documented in docs/SCENARIOS.md; time-like defaults are
-/// duration-relative and resolved in BuildAdversityTimeline.
+/// An adversity spec's parameters with every default applied and every
+/// range checked (AdversitySpec::Resolve). Each pattern reads only its own
+/// fields.
+struct AdversityParams {
+  double at_s = 0.0;      // When the fault starts (every pattern).
+  double length_s = 0.0;  // How long it lasts: `down` (replica-fail,
+                          // churn), `duration` (straggler) or `width`
+                          // (flash).
+  double warmup_s = 0.0;  // replica-fail: re-warm time after recovery.
+  int count = 0;          // replica-fail, straggler: replicas hit.
+  int replica = 0;        // replica-fail, straggler: first target, -1 for
+                          // the busiest at fire time.
+  int node = 0;           // replica-fail: whole cluster node, -1 for none.
+  double factor = 0.0;    // straggler: clock derate multiplier.
+  int workload = 0;       // churn: the tenant that leaves.
+  double mult = 0.0;      // flash: rate multiplier.
+};
+
+/// A parsed `--adversity` value: the fault pattern plus the numeric
+/// parameters given, in the spec grammar (common/spec.h). Resolve()
+/// supplies the defaults documented in docs/SCENARIOS.md.
 struct AdversitySpec {
   AdversityKind kind = AdversityKind::kNone;
   std::map<std::string, double> params;  // Deterministic iteration order.
 
   /// Parse "name" or "name:key=value,key=value" (e.g.
   /// "replica-fail:at=4,down=2", "straggler:factor=2,count=1") and
-  /// range-check the values given. Throws `Error` on malformed input.
+  /// range-check the values given by resolving them. Throws `Error` on
+  /// malformed input.
   static AdversitySpec Parse(const std::string& text);
+
+  /// The parameters for a run of `duration_s` (the time-like defaults are
+  /// shares of it). The only reader of `params`: each default and range
+  /// check is written here once. Throws `Error` on a value out of range.
+  AdversityParams Resolve(double duration_s) const;
 
   /// Canonical form ("replica-fail:at=4,down=2"):
   /// Parse(ToString()) == *this.
@@ -73,9 +95,6 @@ struct AdversitySpec {
   /// The pattern's name without parameters ("replica-fail").
   std::string Name() const;
 
-  double Param(const std::string& key, double fallback) const {
-    return SpecParam(params, key, fallback);
-  }
   bool enabled() const { return kind != AdversityKind::kNone; }
   bool operator==(const AdversitySpec& other) const {
     return kind == other.kind && params == other.params;
@@ -109,7 +128,7 @@ struct AdversityEvent {
 };
 
 /// Expand `spec` into the time-sorted environment-event timeline for a run
-/// of `duration_s` virtual seconds, resolving duration-relative defaults.
+/// of `duration_s` virtual seconds.
 /// Events at or past `duration_s` are dropped (nothing can fire after the
 /// horizon); paired end times may extend past it and simply never fire
 /// (the pool clamps dead time to its accounting horizon). Deterministic —
@@ -124,7 +143,7 @@ std::vector<AdversityEvent> BuildAdversityTimeline(const AdversitySpec& spec,
 /// Ids are re-densified to 0..n-1 in time order. Replica-side patterns
 /// (replica-fail, straggler) leave the trace bit-identical. `shares` is the
 /// per-WorkloadId weight vector used to generate `arrivals` ({1.0} for a
-/// single-workload run).
+/// single-workload run); a churn `workload` past it throws `Error`.
 void ApplyAdversityArrivals(const AdversitySpec& spec,
                             std::vector<Request>* arrivals, double qps,
                             double duration_s, std::uint64_t seed,

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/error.h"
-#include "common/number.h"
+#include "common/spec.h"
 #include "obs/metrics.h"
 #include "serve/server_pool.h"
 
@@ -37,23 +37,23 @@ ClusterSpec ClusterSpec::Parse(const std::string& text) {
   ParsedSpec parsed = kGrammar.Parse(text);
   const ClusterSpec spec{static_cast<ClusterRouterPolicy>(parsed.name),
                          std::move(parsed.params)};
-
-  // Range validation of the provided parameters (defaults are always valid,
-  // so `none`, which takes no keys, always passes).
-  const auto require = [&](bool ok, const char* message) {
-    kGrammar.Require(ok, parsed.name, message);
-  };
-  require(spec.Param("nodes", 2.0) >= 1.0 &&
-              IsWholeNumber(spec.Param("nodes", 2.0)),
-          "nodes must be a positive integer");
-  require(spec.Param("hops", 1.0) >= 0.0 &&
-              IsWholeNumber(spec.Param("hops", 1.0)),
-          "hops must be a non-negative integer");
-  require(spec.Param("hop_us", 5.0) >= 0.0, "hop_us must be non-negative");
-  require(spec.Param("gbps", 100.0) > 0.0, "gbps must be positive");
-  require(spec.Param("affinity", 1.0) >= 0.0,
-          "affinity must be non-negative");
+  spec.Resolve();
   return spec;
+}
+
+ClusterParams ClusterSpec::Resolve() const {
+  const SpecReader read{kGrammar, static_cast<std::size_t>(policy), params};
+  ClusterParams p;
+  p.nodes = read.Integer("nodes", 2, 1);
+  p.hops = read.Integer("hops", 1, 0);
+  const double hop_us = read.Number("hop_us", 5.0);
+  read.Require(hop_us >= 0.0, "hop_us must be non-negative");
+  p.hop_s = hop_us * 1e-6;
+  p.gigabits_per_s = read.Number("gbps", 100.0);
+  read.Require(p.gigabits_per_s > 0.0, "gbps must be positive");
+  p.affinity = read.Number("affinity", 1.0);
+  read.Require(p.affinity >= 0.0, "affinity must be non-negative");
+  return p;
 }
 
 std::string ClusterSpec::Name() const {
@@ -65,9 +65,10 @@ std::string ClusterSpec::ToString() const {
 }
 
 NetworkModel::NetworkModel(const ClusterSpec& spec,
-                           const std::vector<const DataflowGraph*>& dfgs)
-    : hop_total_s_(spec.hops() * spec.hop_s()),
-      bytes_per_s_(spec.gigabits_per_s() * 1e9 / 8.0) {
+                           const std::vector<const DataflowGraph*>& dfgs) {
+  const ClusterParams p = spec.Resolve();
+  hop_total_s_ = p.hops * p.hop_s;
+  bytes_per_s_ = p.gigabits_per_s * 1e9 / 8.0;
   footprints_.reserve(dfgs.size());
   for (const DataflowGraph* dfg : dfgs) {
     NSF_CHECK(dfg != nullptr);
@@ -132,7 +133,7 @@ ClusterPool::ClusterPool(const ClusterSpec& spec, ServerPool& pool,
                          const std::vector<const DataflowGraph*>& dfgs,
                          const std::vector<int>& placement)
     : spec_(spec),
-      nodes_(spec.enabled() ? spec.nodes() : 1),
+      params_(spec.Resolve()),
       pool_(pool),
       network_(spec, dfgs) {
   NSF_CHECK_MSG(spec.enabled(), "ClusterPool needs an enabled ClusterSpec");
@@ -141,14 +142,14 @@ ClusterPool::ClusterPool(const ClusterSpec& spec, ServerPool& pool,
                 "cluster placement must cover every initial replica");
   for (int r = 0; r < pool.size(); ++r) {
     const int node = placement.empty()
-                         ? r % nodes_
+                         ? r % params_.nodes
                          : placement[static_cast<std::size_t>(r)];
-    NSF_CHECK_MSG(node >= 0 && node < nodes_,
+    NSF_CHECK_MSG(node >= 0 && node < params_.nodes,
                   "cluster placement names a node outside the cluster");
     pool_.SetReplicaNode(r, node);
   }
-  accounts_.resize(static_cast<std::size_t>(nodes_));
-  for (int n = 0; n < nodes_; ++n) {
+  accounts_.resize(static_cast<std::size_t>(params_.nodes));
+  for (int n = 0; n < params_.nodes; ++n) {
     accounts_[static_cast<std::size_t>(n)].node = n;
   }
   // Home nodes: where each tenant's arrivals ingress — the node holding
@@ -157,7 +158,7 @@ ClusterPool::ClusterPool(const ClusterSpec& spec, ServerPool& pool,
   for (WorkloadId w = 0; w < pool.workloads(); ++w) {
     int best = 0;
     int best_count = -1;
-    for (int n = 0; n < nodes_; ++n) {
+    for (int n = 0; n < params_.nodes; ++n) {
       int count = 0;
       for (int r = 0; r < pool.size(); ++r) {
         if (pool.NodeOf(r) == n && pool.CanServe(r, w)) {
@@ -183,13 +184,13 @@ RouteDecision ClusterPool::Route(const Batch& batch) {
   RouteDecision route;
   route.home = HomeNode(batch.workload);
   route.node = route.home;
-  if (nodes_ > 1) {
+  if (params_.nodes > 1) {
     // Candidate nodes: the ones holding at least one live capable replica
     // right now (a fully failed/drained node drops out of the rotation).
     // No candidate at all — e.g. mid-outage — falls back to home, where
     // ServerPool's own schedule stretches the wait.
     capable_.clear();
-    for (int n = 0; n < nodes_; ++n) {
+    for (int n = 0; n < params_.nodes; ++n) {
       if (pool_.NodeCanServe(batch.workload, n)) {
         capable_.push_back(n);
       }
@@ -221,7 +222,7 @@ RouteDecision ClusterPool::Route(const Batch& batch) {
           double score =
               std::max(ready, pool_.EarliestFree(batch.workload, n));
           if (remote) {
-            score += spec_.affinity() * in_s;
+            score += params_.affinity * in_s;
           }
           if (first || score < best_score) {
             best = n;
@@ -265,7 +266,7 @@ void ClusterPool::RecordDispatch(const RouteDecision& route) {
 }
 
 void ClusterPool::AssignReplica(int replica, int node) {
-  NSF_CHECK_MSG(node >= 0 && node < nodes_,
+  NSF_CHECK_MSG(node >= 0 && node < params_.nodes,
                 "AssignReplica names a node outside the cluster");
   pool_.SetReplicaNode(replica, node);
 }
@@ -273,7 +274,7 @@ void ClusterPool::AssignReplica(int replica, int node) {
 int ClusterPool::LeastPopulatedNode() const {
   int best = 0;
   int best_count = -1;
-  for (int n = 0; n < nodes_; ++n) {
+  for (int n = 0; n < params_.nodes; ++n) {
     int count = 0;
     for (int r = 0; r < pool_.size(); ++r) {
       if (pool_.NodeOf(r) == n && !pool_.draining(r)) {

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/spec.h"
 #include "graph/dataflow_graph.h"
 #include "serve/request.h"
 #include "serve/serve_stats.h"
@@ -51,8 +50,19 @@ enum class ClusterRouterPolicy {
                      // a locality-affinity penalty on leaving home.
 };
 
+/// A cluster spec's parameters with every default applied and every range
+/// checked (ClusterSpec::Resolve).
+struct ClusterParams {
+  int nodes = 0;                // Node count.
+  int hops = 0;                 // Interconnect hops per transfer.
+  double hop_s = 0.0;           // Per-hop latency.
+  double gigabits_per_s = 0.0;  // Interconnect bandwidth.
+  double affinity = 0.0;        // Least-loaded locality-affinity weight.
+};
+
 /// Cluster spec, `name[:k=v,...]` in the spec grammar (common/spec.h;
-/// docs/CLUSTER.md); Parse range-checks the values given.
+/// docs/CLUSTER.md); Parse range-checks the values given by resolving
+/// them.
 ///
 /// Names: `none` | `hash` | `least-loaded`. Parameters (both routers):
 ///   nodes=N      node count (default 2, >= 1)
@@ -64,23 +74,18 @@ enum class ClusterRouterPolicy {
 struct ClusterSpec {
   ClusterRouterPolicy policy = ClusterRouterPolicy::kNone;
   /// Provided parameters only (std::map: deterministic iteration order for
-  /// canonical ToString round-trips). Defaults resolve through Param().
+  /// canonical ToString round-trips).
   std::map<std::string, double> params;
 
   static ClusterSpec Parse(const std::string& text);
+  /// The only reader of `params`: each default and range check is written
+  /// here once. Throws `Error` on a value out of range.
+  ClusterParams Resolve() const;
   std::string Name() const;
   /// Canonical spec string that parses back to *this (report JSON, docs).
   std::string ToString() const;
-  double Param(const std::string& key, double fallback) const {
-    return SpecParam(params, key, fallback);
-  }
 
   bool enabled() const { return policy != ClusterRouterPolicy::kNone; }
-  int nodes() const { return static_cast<int>(Param("nodes", 2.0)); }
-  int hops() const { return static_cast<int>(Param("hops", 1.0)); }
-  double hop_s() const { return Param("hop_us", 5.0) * 1e-6; }
-  double gigabits_per_s() const { return Param("gbps", 100.0); }
-  double affinity() const { return Param("affinity", 1.0); }
 };
 
 /// Per-request network payload of one workload, derived from its dataflow
@@ -151,7 +156,7 @@ class ClusterPool {
               const std::vector<const DataflowGraph*>& dfgs,
               const std::vector<int>& placement);
 
-  int nodes() const { return nodes_; }
+  int nodes() const { return params_.nodes; }
   const ClusterSpec& spec() const { return spec_; }
   const NetworkModel& network() const { return network_; }
 
@@ -190,7 +195,7 @@ class ClusterPool {
 
  private:
   ClusterSpec spec_;
-  int nodes_ = 1;
+  ClusterParams params_;
   ServerPool& pool_;
   NetworkModel network_;
   std::vector<int> home_;  // Per workload id.

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/spec.h"
 
 namespace nsflow::serve {
 namespace {
@@ -56,21 +57,10 @@ WorkloadId DrawWorkload(Rng& rng, const std::vector<double>& shares,
 
 /// The bursty on-state rate, normalized so the long-run mean stays `qps`:
 ///   (rate_on * on + rate_off * off) / (on + off) = qps.
-/// Shared by the generator, the peak-rate query, and spec validation —
-/// all three must agree that an off-state exceeding the mean is an error.
-double BurstyOnRate(const ScenarioSpec& spec, double qps) {
-  const double on_s = spec.Param("on", 0.05);
-  const double off_s = spec.Param("off", 0.15);
-  const double idle = spec.Param("idle", 0.1);
-  NSF_CHECK_MSG(on_s > 0.0, "bursty on-dwell must be positive");
-  NSF_CHECK_MSG(off_s >= 0.0, "bursty off-dwell must be non-negative");
-  NSF_CHECK_MSG(idle >= 0.0, "bursty idle fraction must be non-negative");
-  const double rate_on =
-      (qps * (on_s + off_s) - idle * qps * off_s) / on_s;
-  NSF_CHECK_MSG(rate_on > 0.0,
-                "bursty idle fraction too large for the dwell ratio (the "
-                "off-state alone exceeds the target mean rate)");
-  return rate_on;
+/// Resolve requires (on + off) - idle * off > 0, which keeps it positive
+/// for any qps.
+double BurstyOnRate(const ScenarioParams& p, double qps) {
+  return (qps * (p.on_s + p.off_s) - p.idle * qps * p.off_s) / p.on_s;
 }
 
 double CheckedTotalShare(const std::vector<double>& shares) {
@@ -144,14 +134,12 @@ std::vector<Request> GenerateThinned(double rate_max, double mean_rate,
 /// homogeneous Poisson at the window's state rate inside each. Restarting
 /// the gap draw at every window boundary is exact (memorylessness), so the
 /// count in a window of length L at rate r is Poisson(r*L).
-std::vector<Request> GenerateBursty(const ScenarioSpec& spec, double qps,
+std::vector<Request> GenerateBursty(const ScenarioParams& p, double qps,
                                     double duration_s, Rng& rng,
                                     const std::vector<double>& shares,
                                     double total_share) {
-  const double on_s = spec.Param("on", 0.05);
-  const double off_s = spec.Param("off", 0.15);
-  const double rate_off = spec.Param("idle", 0.1) * qps;
-  const double rate_on = BurstyOnRate(spec, qps);
+  const double rate_off = p.idle * qps;
+  const double rate_on = BurstyOnRate(p, qps);
 
   std::vector<Request> arrivals;
   std::int64_t next_id = 0;
@@ -159,7 +147,7 @@ std::vector<Request> GenerateBursty(const ScenarioSpec& spec, double qps,
   bool on = true;  // Runs open in a burst so short horizons see one.
   while (window_start < duration_s) {
     const double dwell =
-        -std::log(1.0 - rng.Uniform()) * (on ? on_s : off_s);
+        -std::log(1.0 - rng.Uniform()) * (on ? p.on_s : p.off_s);
     const double window_end = std::min(window_start + dwell, duration_s);
     const double rate = on ? rate_on : rate_off;
     if (rate > 0.0) {
@@ -183,18 +171,10 @@ std::vector<Request> GenerateBursty(const ScenarioSpec& spec, double qps,
 /// think time plus a fixed residence estimate after the previous one (no
 /// completion feedback — the residence estimate stands in for the service
 /// round-trip, keeping the trace pre-computable and bit-deterministic).
-std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
+std::vector<Request> GenerateClosedLoop(const ScenarioParams& p,
                                         double duration_s, Rng& rng,
                                         const std::vector<double>& shares,
                                         double total_share) {
-  const int clients = static_cast<int>(spec.Param("clients", 4.0));
-  const double think_s = spec.Param("think_ms", 10.0) * 1e-3;
-  const double service_s = spec.Param("service_ms", 1.0) * 1e-3;
-  NSF_CHECK_MSG(clients >= 1, "closed loop needs at least one client");
-  NSF_CHECK_MSG(think_s > 0.0, "closed-loop think time must be positive");
-  NSF_CHECK_MSG(service_s >= 0.0,
-                "closed-loop service estimate must be non-negative");
-
   // Per-client generation in client order (deterministic), then one sort by
   // (time, client, sequence) to interleave the sessions on the timeline.
   struct Pending {
@@ -204,13 +184,13 @@ std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
     WorkloadId workload;
   };
   std::vector<Pending> pending;
-  for (int c = 0; c < clients; ++c) {
+  for (int c = 0; c < p.clients; ++c) {
     double now = 0.0;
     std::int64_t seq = 0;
     while (true) {
-      now += -std::log(1.0 - rng.Uniform()) * think_s;
+      now += -std::log(1.0 - rng.Uniform()) * p.think_s;
       if (seq > 0) {
-        now += service_s;  // The previous request's residence.
+        now += p.service_s;  // The previous request's residence.
       }
       if (now >= duration_s) {
         break;
@@ -227,78 +207,93 @@ std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
   std::vector<Request> arrivals;
   arrivals.reserve(pending.size());
   std::int64_t next_id = 0;
-  for (const Pending& p : pending) {
-    arrivals.push_back(Request{next_id++, p.t, p.workload});
+  for (const Pending& entry : pending) {
+    arrivals.push_back(Request{next_id++, entry.t, entry.workload});
   }
   return arrivals;
 }
 
-/// An open-loop scenario's deterministic rate function with its parameters
-/// read once: the thinning generators evaluate it for every candidate
-/// arrival, and ScenarioRate is the same function at a single instant.
+/// A scenario resolved for one run: its parameters plus the run's qps and
+/// duration. The thinning generators evaluate the rate function for every
+/// candidate arrival, and ScenarioRate is the same function at a single
+/// instant.
 struct RateFunction {
-  RateFunction(const ScenarioSpec& spec, double qps_in, double duration_in)
-      : kind(spec.kind), qps(qps_in), duration_s(duration_in) {
-    switch (kind) {
-      case ScenarioKind::kPoisson:
-        break;
-      case ScenarioKind::kDiurnal:
-        period = spec.Param("period", duration_s);
-        depth = spec.Param("depth", 0.8);
-        phase = spec.Param("phase", 0.0);
-        NSF_CHECK_MSG(period > 0.0, "diurnal period must be positive");
-        NSF_CHECK_MSG(depth >= 0.0 && depth < 1.0,
-                      "diurnal depth must be in [0, 1)");
-        break;
-      case ScenarioKind::kBursty:
-        throw Error(
-            "bursty is stochastic-rate (MMPP); it has no deterministic rate "
-            "function — use ScenarioMeanRate");
-      case ScenarioKind::kRamp:
-        from = spec.Param("from", 0.0);
-        to = spec.Param("to", 2.0);
-        NSF_CHECK_MSG(from >= 0.0 && to >= 0.0,
-                      "ramp endpoints must be non-negative");
-        break;
-      case ScenarioKind::kSpike:
-        at = spec.Param("at", 0.4 * duration_s);
-        width = spec.Param("width", 0.1 * duration_s);
-        mult = spec.Param("mult", 5.0);
-        NSF_CHECK_MSG(width >= 0.0, "spike width must be non-negative");
-        NSF_CHECK_MSG(mult >= 0.0, "spike mult must be non-negative");
-        break;
-      case ScenarioKind::kClosedLoop:
-      case ScenarioKind::kTrace:
-        throw Error("scenario '" + spec.Name() +
-                    "' has no open-loop rate function");
-    }
-  }
-
   double operator()(double t) const {
     switch (kind) {
       case ScenarioKind::kDiurnal:
-        return qps * (1.0 + depth * std::sin(kTwoPi * (t / period + phase)));
+        return qps *
+               (1.0 + p.depth * std::sin(kTwoPi * (t / p.period_s + p.phase)));
       case ScenarioKind::kRamp:
-        return qps * (from + (to - from) * t / duration_s);
+        return qps * (p.from + (p.to - p.from) * t / duration_s);
       case ScenarioKind::kSpike:
-        return (t >= at && t < at + width) ? qps * mult : qps;
+        return (t >= p.at_s && t < p.at_s + p.width_s) ? qps * p.mult : qps;
       default:
         return qps;
     }
   }
 
   ScenarioKind kind;
+  ScenarioParams p;
   double qps;
   double duration_s;
-  double period = 0.0;  // diurnal
-  double depth = 0.0;
-  double phase = 0.0;
-  double from = 0.0;  // ramp
-  double to = 0.0;
-  double at = 0.0;  // spike
-  double width = 0.0;
-  double mult = 0.0;
 };
+
+/// ScenarioMeanRate over a resolved scenario.
+double MeanRate(const RateFunction& f) {
+  const ScenarioParams& p = f.p;
+  switch (f.kind) {
+    case ScenarioKind::kPoisson:
+      return f.qps;
+    case ScenarioKind::kDiurnal: {
+      // Analytic integral of the sinusoid over [0, duration_s).
+      const double integral =
+          p.period_s / kTwoPi *
+          (std::cos(kTwoPi * p.phase) -
+           std::cos(kTwoPi * (f.duration_s / p.period_s + p.phase)));
+      return f.qps * (1.0 + p.depth * integral / f.duration_s);
+    }
+    case ScenarioKind::kBursty:
+      return f.qps;  // Normalized by construction (long-run mean).
+    case ScenarioKind::kRamp:
+      return f.qps * (p.from + p.to) / 2.0;
+    case ScenarioKind::kSpike: {
+      const double lo = std::clamp(p.at_s, 0.0, f.duration_s);
+      const double hi = std::clamp(p.at_s + p.width_s, 0.0, f.duration_s);
+      return f.qps * (1.0 + (p.mult - 1.0) * (hi - lo) / f.duration_s);
+    }
+    case ScenarioKind::kClosedLoop:
+      // Renewal-reward: each client cycles think + residence per request.
+      return p.clients / (p.think_s + p.service_s);
+    case ScenarioKind::kTrace:
+      throw Error("trace scenarios have no closed-form rate (count the "
+                  "replayed arrivals instead)");
+  }
+  throw Error("unknown scenario kind");
+}
+
+/// ScenarioPeakRate over a resolved scenario.
+double PeakRate(const RateFunction& f) {
+  const ScenarioParams& p = f.p;
+  switch (f.kind) {
+    case ScenarioKind::kPoisson:
+      return f.qps;
+    case ScenarioKind::kDiurnal:
+      return f.qps * (1.0 + p.depth);
+    case ScenarioKind::kBursty:
+      // idle > 1 makes the "off" state the hot one; the pool must absorb
+      // whichever state runs faster.
+      return std::max(BurstyOnRate(p, f.qps), p.idle * f.qps);
+    case ScenarioKind::kRamp:
+      return f.qps * std::max(p.from, p.to);
+    case ScenarioKind::kSpike:
+      return f.qps * std::max(1.0, p.mult);
+    case ScenarioKind::kClosedLoop:
+      return MeanRate(f);
+    case ScenarioKind::kTrace:
+      return f.qps;
+  }
+  throw Error("unknown scenario kind");
+}
 
 }  // namespace
 
@@ -310,54 +305,51 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
     throw Error("trace scenario needs file=<path> (e.g. "
                 "trace:file=arrivals.json)");
   }
-
-  // Range validation of the provided parameters (defaults are always
-  // valid; duration-relative defaults are resolved at generation time).
-  const auto require = [&](bool ok, const char* message) {
-    kGrammar.Require(ok, parsed.name, message);
-  };
-  switch (spec.kind) {
-    case ScenarioKind::kDiurnal: {
-      const double depth = spec.Param("depth", 0.8);
-      require(depth >= 0.0 && depth < 1.0, "depth must be in [0, 1)");
-      require(spec.Param("period", 1.0) > 0.0, "period must be positive");
-      break;
-    }
-    case ScenarioKind::kBursty:
-      require(spec.Param("on", 0.05) > 0.0, "on-dwell must be positive");
-      require(spec.Param("off", 0.15) >= 0.0,
-              "off-dwell must be non-negative");
-      require(spec.Param("idle", 0.1) >= 0.0,
-              "idle fraction must be non-negative");
-      // rate_on > 0 is qps-independent: (on + off) - idle*off > 0.
-      require(spec.Param("on", 0.05) + spec.Param("off", 0.15) -
-                      spec.Param("idle", 0.1) * spec.Param("off", 0.15) >
-                  0.0,
-              "idle fraction too large for the dwell ratio (the off-state "
-              "alone would exceed the target mean rate)");
-      break;
-    case ScenarioKind::kRamp:
-      require(spec.Param("from", 0.0) >= 0.0 && spec.Param("to", 2.0) >= 0.0,
-              "endpoints must be non-negative");
-      require(spec.Param("from", 0.0) > 0.0 || spec.Param("to", 2.0) > 0.0,
-              "at least one endpoint must be positive");
-      break;
-    case ScenarioKind::kSpike:
-      require(spec.Param("width", 1.0) >= 0.0, "width must be non-negative");
-      require(spec.Param("mult", 5.0) >= 0.0, "mult must be non-negative");
-      break;
-    case ScenarioKind::kClosedLoop:
-      require(spec.Param("clients", 4.0) >= 1.0, "need at least one client");
-      require(spec.Param("think_ms", 10.0) > 0.0,
-              "think time must be positive");
-      require(spec.Param("service_ms", 1.0) >= 0.0,
-              "service estimate must be non-negative");
-      break;
-    case ScenarioKind::kPoisson:
-    case ScenarioKind::kTrace:
-      break;
-  }
+  // No range check depends on the duration, and every default is valid
+  // for any positive one.
+  spec.Resolve(1.0);
   return spec;
+}
+
+ScenarioParams ScenarioSpec::Resolve(double duration_s) const {
+  const SpecReader read{kGrammar, static_cast<std::size_t>(kind), params};
+  ScenarioParams p;
+  p.period_s = read.Number("period", duration_s);
+  p.depth = read.Number("depth", 0.8);
+  p.phase = read.Number("phase", 0.0);
+  read.Require(p.depth >= 0.0 && p.depth < 1.0, "depth must be in [0, 1)");
+  read.Require(p.period_s > 0.0, "period must be positive");
+
+  p.on_s = read.Number("on", 0.05);
+  p.off_s = read.Number("off", 0.15);
+  p.idle = read.Number("idle", 0.1);
+  read.Require(p.on_s > 0.0, "on-dwell must be positive");
+  read.Require(p.off_s >= 0.0, "off-dwell must be non-negative");
+  read.Require(p.idle >= 0.0, "idle fraction must be non-negative");
+  // The on-state rate is positive for every qps: (on + off) - idle*off > 0.
+  read.Require(p.on_s + p.off_s - p.idle * p.off_s > 0.0,
+               "idle fraction too large for the dwell ratio (the off-state "
+               "alone would exceed the target mean rate)");
+
+  p.from = read.Number("from", 0.0);
+  p.to = read.Number("to", 2.0);
+  read.Require(p.from >= 0.0 && p.to >= 0.0,
+               "endpoints must be non-negative");
+  read.Require(p.from > 0.0 || p.to > 0.0,
+               "at least one endpoint must be positive");
+
+  p.at_s = read.Number("at", 0.4 * duration_s);
+  p.width_s = read.Number("width", 0.1 * duration_s);
+  p.mult = read.Number("mult", 5.0);
+  read.Require(p.width_s >= 0.0, "width must be non-negative");
+  read.Require(p.mult >= 0.0, "mult must be non-negative");
+
+  p.clients = read.Integer("clients", 4, 1);
+  p.think_s = read.Number("think_ms", 10.0) * 1e-3;
+  p.service_s = read.Number("service_ms", 1.0) * 1e-3;
+  read.Require(p.think_s > 0.0, "think time must be positive");
+  read.Require(p.service_s >= 0.0, "service estimate must be non-negative");
+  return p;
 }
 
 std::string ScenarioSpec::Name() const {
@@ -372,114 +364,63 @@ std::string ScenarioSpec::ToString() const {
 
 double ScenarioRate(const ScenarioSpec& spec, double qps, double duration_s,
                     double t) {
-  return RateFunction(spec, qps, duration_s)(t);
+  switch (spec.kind) {
+    case ScenarioKind::kBursty:
+      throw Error(
+          "bursty is stochastic-rate (MMPP); it has no deterministic rate "
+          "function — use ScenarioMeanRate");
+    case ScenarioKind::kClosedLoop:
+    case ScenarioKind::kTrace:
+      throw Error("scenario '" + spec.Name() +
+                  "' has no open-loop rate function");
+    default:
+      return RateFunction{spec.kind, spec.Resolve(duration_s), qps,
+                          duration_s}(t);
+  }
 }
 
 double ScenarioMeanRate(const ScenarioSpec& spec, double qps,
                         double duration_s) {
-  switch (spec.kind) {
-    case ScenarioKind::kPoisson:
-      return qps;
-    case ScenarioKind::kDiurnal: {
-      const double period = spec.Param("period", duration_s);
-      const double depth = spec.Param("depth", 0.8);
-      const double phase = spec.Param("phase", 0.0);
-      // Analytic integral of the sinusoid over [0, duration_s).
-      const double integral =
-          period / kTwoPi *
-          (std::cos(kTwoPi * phase) -
-           std::cos(kTwoPi * (duration_s / period + phase)));
-      return qps * (1.0 + depth * integral / duration_s);
-    }
-    case ScenarioKind::kBursty:
-      return qps;  // Normalized by construction (long-run mean).
-    case ScenarioKind::kRamp:
-      return qps * (spec.Param("from", 0.0) + spec.Param("to", 2.0)) / 2.0;
-    case ScenarioKind::kSpike: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 5.0);
-      const double lo = std::clamp(at, 0.0, duration_s);
-      const double hi = std::clamp(at + width, 0.0, duration_s);
-      return qps * (1.0 + (mult - 1.0) * (hi - lo) / duration_s);
-    }
-    case ScenarioKind::kClosedLoop: {
-      // Renewal-reward: each client cycles think + residence per request.
-      const double clients = spec.Param("clients", 4.0);
-      const double think_s = spec.Param("think_ms", 10.0) * 1e-3;
-      const double service_s = spec.Param("service_ms", 1.0) * 1e-3;
-      return clients / (think_s + service_s);
-    }
-    case ScenarioKind::kTrace:
-      throw Error("trace scenarios have no closed-form rate (count the "
-                  "replayed arrivals instead)");
-  }
-  throw Error("unknown scenario kind");
+  return MeanRate(
+      RateFunction{spec.kind, spec.Resolve(duration_s), qps, duration_s});
 }
 
 double ScenarioWindowMeanRate(const ScenarioSpec& spec, double qps,
                               double duration_s, double t0, double t1) {
   NSF_CHECK_MSG(t1 > t0 && t0 >= 0.0 && t1 <= duration_s,
                 "rate window must be a non-empty slice of [0, duration)");
+  const RateFunction f{spec.kind, spec.Resolve(duration_s), qps,
+                       duration_s};
+  const ScenarioParams& p = f.p;
   const double width = t1 - t0;
   switch (spec.kind) {
-    case ScenarioKind::kPoisson:
-      return qps;
     case ScenarioKind::kDiurnal: {
-      const double period = spec.Param("period", duration_s);
-      const double depth = spec.Param("depth", 0.8);
-      const double phase = spec.Param("phase", 0.0);
-      NSF_CHECK_MSG(period > 0.0, "diurnal period must be positive");
       // ∫ sin(2π(t/period + phase)) dt over [t0, t1).
       const double integral =
-          period / kTwoPi *
-          (std::cos(kTwoPi * (t0 / period + phase)) -
-           std::cos(kTwoPi * (t1 / period + phase)));
-      return qps * (1.0 + depth * integral / width);
+          p.period_s / kTwoPi *
+          (std::cos(kTwoPi * (t0 / p.period_s + p.phase)) -
+           std::cos(kTwoPi * (t1 / p.period_s + p.phase)));
+      return qps * (1.0 + p.depth * integral / width);
     }
-    case ScenarioKind::kBursty:
-      return qps;  // Long-run mean; windows are stochastic (MMPP).
     case ScenarioKind::kRamp:
       // Linear rate: the window mean is the rate at the window midpoint.
-      return ScenarioRate(spec, qps, duration_s, (t0 + t1) / 2.0);
+      return f((t0 + t1) / 2.0);
     case ScenarioKind::kSpike: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double spike_width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 5.0);
-      const double lo = std::clamp(at, t0, t1);
-      const double hi = std::clamp(at + spike_width, t0, t1);
-      return qps * (1.0 + (mult - 1.0) * (hi - lo) / width);
+      const double lo = std::clamp(p.at_s, t0, t1);
+      const double hi = std::clamp(p.at_s + p.width_s, t0, t1);
+      return qps * (1.0 + (p.mult - 1.0) * (hi - lo) / width);
     }
-    case ScenarioKind::kClosedLoop:
-      return ScenarioMeanRate(spec, qps, duration_s);
-    case ScenarioKind::kTrace:
-      throw Error("trace scenarios have no closed-form rate (count the "
-                  "replayed arrivals instead)");
+    default:
+      // Poisson and bursty: the long-run mean (bursty windows are
+      // stochastic, MMPP); closed loop: the renewal rate.
+      return MeanRate(f);
   }
-  throw Error("unknown scenario kind");
 }
 
 double ScenarioPeakRate(const ScenarioSpec& spec, double qps,
                         double duration_s) {
-  switch (spec.kind) {
-    case ScenarioKind::kPoisson:
-      return qps;
-    case ScenarioKind::kDiurnal:
-      return qps * (1.0 + spec.Param("depth", 0.8));
-    case ScenarioKind::kBursty:
-      // idle > 1 makes the "off" state the hot one; the pool must absorb
-      // whichever state runs faster.
-      return std::max(BurstyOnRate(spec, qps), spec.Param("idle", 0.1) * qps);
-    case ScenarioKind::kRamp:
-      return qps * std::max(spec.Param("from", 0.0), spec.Param("to", 2.0));
-    case ScenarioKind::kSpike:
-      return qps * std::max(1.0, spec.Param("mult", 5.0));
-    case ScenarioKind::kClosedLoop:
-      return ScenarioMeanRate(spec, qps, duration_s);
-    case ScenarioKind::kTrace:
-      return qps;
-  }
-  throw Error("unknown scenario kind");
+  return PeakRate(
+      RateFunction{spec.kind, spec.Resolve(duration_s), qps, duration_s});
 }
 
 std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
@@ -491,23 +432,23 @@ std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
   }
   const double total_share = CheckedTotalShare(shares);
   Rng rng(seed);
+  const RateFunction f{spec.kind, spec.Resolve(duration_s), qps,
+                       duration_s};
 
   switch (spec.kind) {
     case ScenarioKind::kPoisson:
       return GeneratePoisson(qps, duration_s, rng, shares, total_share);
     case ScenarioKind::kBursty:
-      return GenerateBursty(spec, qps, duration_s, rng, shares, total_share);
+      return GenerateBursty(f.p, qps, duration_s, rng, shares, total_share);
     case ScenarioKind::kDiurnal:
     case ScenarioKind::kRamp:
     case ScenarioKind::kSpike:
       // Thinning against the peak rate; the candidate test reads the
-      // resolved rate function, not the spec's parameter map.
-      return GenerateThinned(ScenarioPeakRate(spec, qps, duration_s),
-                             ScenarioMeanRate(spec, qps, duration_s),
-                             duration_s, rng, shares, total_share,
-                             RateFunction(spec, qps, duration_s));
+      // resolved rate function.
+      return GenerateThinned(PeakRate(f), MeanRate(f), duration_s, rng,
+                             shares, total_share, f);
     case ScenarioKind::kClosedLoop:
-      return GenerateClosedLoop(spec, duration_s, rng, shares, total_share);
+      return GenerateClosedLoop(f.p, duration_s, rng, shares, total_share);
     case ScenarioKind::kTrace:
       throw Error(
           "trace scenarios replay a file — resolve workload names and call "

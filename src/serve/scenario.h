@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/spec.h"
 #include "serve/request.h"
 
 namespace nsflow::serve {
@@ -48,9 +47,28 @@ enum class ScenarioKind {
   kTrace,
 };
 
-/// A parsed `--scenario` value: the pattern plus its numeric parameters,
-/// in the spec grammar (common/spec.h). Parameters not listed in the spec
-/// keep the defaults documented in docs/SCENARIOS.md.
+/// A scenario's parameters with every default applied and every range
+/// checked (ScenarioSpec::Resolve). Each pattern reads only its own fields.
+struct ScenarioParams {
+  double period_s = 0.0;  // diurnal
+  double depth = 0.0;
+  double phase = 0.0;
+  double on_s = 0.0;  // bursty
+  double off_s = 0.0;
+  double idle = 0.0;
+  double from = 0.0;  // ramp
+  double to = 0.0;
+  double at_s = 0.0;  // spike
+  double width_s = 0.0;
+  double mult = 0.0;
+  int clients = 0;  // closed
+  double think_s = 0.0;
+  double service_s = 0.0;
+};
+
+/// A parsed `--scenario` value: the pattern plus the numeric parameters
+/// given, in the spec grammar (common/spec.h). Resolve() supplies the
+/// defaults documented in docs/SCENARIOS.md.
 struct ScenarioSpec {
   ScenarioKind kind = ScenarioKind::kPoisson;
   std::map<std::string, double> params;  // Deterministic iteration order.
@@ -58,8 +76,14 @@ struct ScenarioSpec {
 
   /// Parse "name" or "name:key=value,key=value" (e.g.
   /// "diurnal:period=0.5,depth=0.8", "trace:file=arrivals.json") and
-  /// range-check the values given. Throws `Error` on malformed input.
+  /// range-check the values given by resolving them. Throws `Error` on
+  /// malformed input.
   static ScenarioSpec Parse(const std::string& text);
+
+  /// The parameters for a run of `duration_s` (some defaults scale with
+  /// it). The only reader of `params`: each default and range check is
+  /// written here once. Throws `Error` on a value out of range.
+  ScenarioParams Resolve(double duration_s) const;
 
   /// Canonical form ("diurnal:depth=0.8,period=0.5"):
   /// Parse(ToString()) == *this.
@@ -68,9 +92,6 @@ struct ScenarioSpec {
   /// The scenario's name without parameters ("diurnal").
   std::string Name() const;
 
-  double Param(const std::string& key, double fallback) const {
-    return SpecParam(params, key, fallback);
-  }
   bool operator==(const ScenarioSpec& other) const {
     return kind == other.kind && params == other.params &&
            trace_path == other.trace_path;

@@ -85,11 +85,6 @@ WorkloadId WorkloadRegistry::RegisterBuiltin(const std::string& name) {
               ")");
 }
 
-WorkloadId WorkloadRegistry::RegisterJsonTrace(const std::string& name,
-                                               const std::string& trace_json) {
-  return Register(name, ParseJsonTrace(trace_json));
-}
-
 bool WorkloadRegistry::Contains(const std::string& name) const {
   return by_name_.find(name) != by_name_.end();
 }

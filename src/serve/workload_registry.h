@@ -75,10 +75,6 @@ class WorkloadRegistry {
   /// mlp | resnet18 | nvsa | mimonet | lvrf | prae.
   WorkloadId RegisterBuiltin(const std::string& name);
 
-  /// Register a workload from its canonical JSON trace text.
-  WorkloadId RegisterJsonTrace(const std::string& name,
-                               const std::string& trace_json);
-
   bool Contains(const std::string& name) const;
   /// Id of a registered name; throws when unknown.
   WorkloadId IdOf(const std::string& name) const;

@@ -25,7 +25,6 @@
 
 #include "common/error.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "common/number.h"
 #include "common/table.h"
 #include "fpga/device.h"
@@ -282,7 +281,6 @@ struct CliArgs {
   std::string budget = "u250";
   int devices = 1;
   int nodes = 1;           // plan --nodes: cluster hosts to place across.
-  bool cluster_set = false;  // serve --cluster given explicitly.
   int max_replicas = 16;
   std::string plan_out;
   bool validate = false;
@@ -410,7 +408,6 @@ CliArgs Parse(int argc, char** argv) {
           ParseFlag(flag, next(), serve::AdmissionSpec::Parse);
     } else if (flag == "--cluster") {
       args.serve.cluster = ParseFlag(flag, next(), serve::ClusterSpec::Parse);
-      args.cluster_set = true;
     } else if (flag == "--tiers") {
       args.tiers = next();
     } else if (flag == "--plan") {
@@ -670,9 +667,9 @@ serve::ServeOptions ValidationOptions(const CliArgs& args,
       options.cluster = serve::ClusterSpec::Parse(
           "least-loaded:nodes=" + std::to_string(plan.nodes));
     }
-    NSF_CHECK_MSG(options.cluster.nodes() == plan.nodes,
-                  "--cluster names " +
-                      std::to_string(options.cluster.nodes()) +
+    const int nodes = options.cluster.Resolve().nodes;
+    NSF_CHECK_MSG(nodes == plan.nodes,
+                  "--cluster names " + std::to_string(nodes) +
                       " node(s) but the plan placed replicas across " +
                       std::to_string(plan.nodes) +
                       " — match nodes= to the plan (docs/CLUSTER.md)");
@@ -772,21 +769,11 @@ void PrintAutoscaleSummary(const serve::ServeReport& report,
       "Replica-seconds: %.1f elastic vs %.1f static-equivalent (%.0f%%)\n",
       report.replica_seconds, static_rs,
       static_rs > 0.0 ? 100.0 * report.replica_seconds / static_rs : 0.0);
-  // The decision log goes through the structured logger with a stdout sink
-  // (common/logging.h): the CLI keeps its exact historic format while the
-  // records stay level-filterable and capturable like every other emission.
-  const LogLevel level = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-  LogSink previous = SetLogSink([](const LogRecord& record) {
-    std::printf("  %s\n", record.message.c_str());
-  });
   for (const serve::PoolDelta& delta : report.deltas) {
     char stamp[32];
     std::snprintf(stamp, sizeof(stamp), "t=%7.3fs", delta.t_s);
-    NSF_LOG(kInfo) << stamp << "  " << delta.reason;
+    std::printf("  %s  %s\n", stamp, delta.reason.c_str());
   }
-  SetLogSink(std::move(previous));
-  SetLogLevel(level);
 }
 
 /// Write the run's recorded trace/metrics to the --trace-out/--metrics-out

@@ -61,7 +61,7 @@ TEST(AdmissionTest, SpecParsesAndRoundTrips) {
   spec.kind = AdmissionKind::kSlo;
   spec.params["deadline"] = 1.0 / 3.0;
   const AdmissionSpec again = AdmissionSpec::Parse(spec.ToString());
-  EXPECT_EQ(again.Param("deadline", 0.0), 1.0 / 3.0);
+  EXPECT_EQ(again.params.at("deadline"), 1.0 / 3.0);
 }
 
 TEST(AdmissionTest, SpecRejectsUnknownAndOutOfRange) {

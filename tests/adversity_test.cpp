@@ -60,8 +60,8 @@ TEST(AdversityTest, SpecParsesAndRoundTrips) {
   spec.params["at"] = 1.0 / 3.0;
   spec.params["factor"] = 2.0000000001;
   const AdversitySpec again = AdversitySpec::Parse(spec.ToString());
-  EXPECT_EQ(again.Param("at", 0.0), 1.0 / 3.0);
-  EXPECT_EQ(again.Param("factor", 0.0), 2.0000000001);
+  EXPECT_EQ(again.params.at("at"), 1.0 / 3.0);
+  EXPECT_EQ(again.params.at("factor"), 2.0000000001);
 }
 
 // ------------------------------------------------------- event timelines

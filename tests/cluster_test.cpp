@@ -30,18 +30,20 @@ TEST(ClusterSpecTest, ParsesAndRoundTripsCanonically) {
 
   const ClusterSpec hash = ClusterSpec::Parse("hash:nodes=4,hop_us=2.5");
   EXPECT_TRUE(hash.enabled());
-  EXPECT_EQ(hash.nodes(), 4);
-  EXPECT_DOUBLE_EQ(hash.hop_s(), 2.5e-6);
-  EXPECT_EQ(hash.hops(), 1);                     // Default.
-  EXPECT_DOUBLE_EQ(hash.gigabits_per_s(), 100.0);  // Default.
+  const ClusterParams hash_params = hash.Resolve();
+  EXPECT_EQ(hash_params.nodes, 4);
+  EXPECT_DOUBLE_EQ(hash_params.hop_s, 2.5e-6);
+  EXPECT_EQ(hash_params.hops, 1);                      // Default.
+  EXPECT_DOUBLE_EQ(hash_params.gigabits_per_s, 100.0);  // Default.
   EXPECT_EQ(ClusterSpec::Parse(hash.ToString()).ToString(), hash.ToString());
 
   const ClusterSpec ll =
       ClusterSpec::Parse("least-loaded:affinity=0.5,gbps=25,hops=3");
   EXPECT_EQ(ll.policy, ClusterRouterPolicy::kLeastLoaded);
-  EXPECT_DOUBLE_EQ(ll.affinity(), 0.5);
-  EXPECT_DOUBLE_EQ(ll.gigabits_per_s(), 25.0);
-  EXPECT_EQ(ll.hops(), 3);
+  const ClusterParams ll_params = ll.Resolve();
+  EXPECT_DOUBLE_EQ(ll_params.affinity, 0.5);
+  EXPECT_DOUBLE_EQ(ll_params.gigabits_per_s, 25.0);
+  EXPECT_EQ(ll_params.hops, 3);
   EXPECT_EQ(ClusterSpec::Parse(ll.ToString()).params, ll.params);
 }
 

@@ -2,8 +2,7 @@
 // boundaries and lookup, bit-exact Chrome/binary trace round trips, the
 // NSFT encoded size and hostile headers, spans drained from a completion
 // log in (stamp, seq) order, fixed-seed trace determinism of an autoscaled
-// diurnal run, request/batch span invariants, and the structured logger's
-// sink injection + level filter.
+// diurnal run, and request/batch span invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "obs/chrome_trace.h"
 #include "obs/completion_log.h"
 #include "obs/metrics.h"
@@ -510,32 +508,6 @@ TEST(ObsServeTest, PercentileInPlaceMatchesCopyingPath) {
   std::vector<double> scratch = values;
   serve::ServeStats::PercentileInPlace(&scratch, 50.0);
   EXPECT_TRUE(std::is_sorted(scratch.begin(), scratch.end()));
-}
-
-// ------------------------------------------------------------------ logger
-
-TEST(ObsLoggingTest, SinkInjectionAndLevelFilter) {
-  std::vector<LogRecord> captured;
-  std::vector<std::string> messages;
-  const LogLevel level = GetLogLevel();
-  LogSink previous = SetLogSink([&](const LogRecord& record) {
-    captured.push_back(record);
-    messages.push_back(record.message);
-  });
-  SetLogLevel(LogLevel::kInfo);
-  NSF_LOG(kDebug) << "filtered out";
-  NSF_LOG(kInfo) << "count " << 42;
-  NSF_LOG(kError) << "boom";
-  SetLogSink(std::move(previous));
-  SetLogLevel(level);
-
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(messages[0], "count 42");
-  EXPECT_EQ(captured[0].level, LogLevel::kInfo);
-  EXPECT_EQ(captured[1].level, LogLevel::kError);
-  EXPECT_GT(captured[0].line, 0);
-  EXPECT_NE(std::string(LogBasename(captured[0].file)), "");
-  EXPECT_EQ(std::string(LogLevelName(LogLevel::kWarning)), "WARN");
 }
 
 }  // namespace

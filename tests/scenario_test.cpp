@@ -348,8 +348,8 @@ TEST(ScenarioTest, ToStringRoundTripsHighPrecisionParams) {
   spec.params["on"] = 5e-7;
   spec.params["off"] = 1.0 / 3.0;
   const ScenarioSpec again = ScenarioSpec::Parse(spec.ToString());
-  EXPECT_EQ(again.Param("on", 0.0), 5e-7);
-  EXPECT_EQ(again.Param("off", 0.0), 1.0 / 3.0);
+  EXPECT_EQ(again.params.at("on"), 5e-7);
+  EXPECT_EQ(again.params.at("off"), 1.0 / 3.0);
 }
 
 TEST(ScenarioTest, EngineRunsEveryScenarioDeterministically) {

@@ -2,11 +2,13 @@
 // malformed shapes fed to all six grammars built on it — the scenario,
 // adversity, admission and cluster specs, `--mix` (ParseMix) and `--tiers`
 // (ParseTiers) — plus canonical-form round trips, the error wording each
-// grammar keeps, and the strict integer parser behind the CLI's flags.
+// grammar keeps, integer keys bounded by their type, and the strict integer
+// parser behind the CLI's flags.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,30 @@ const Shape kShapes[] = {
      [](const Grammar& g) { return g.head + "bogus=" + g.value; }},
 };
 
+std::string ErrorOf(const std::function<void()>& parse) {
+  try {
+    parse();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Fails unless `parse` refuses `input` as malformed: an `Error`, not a
+/// `CheckError` from an internal check.
+void ExpectRefused(const std::function<void(const std::string&)>& parse,
+                   const std::string& input) {
+  try {
+    parse(input);
+    ADD_FAILURE() << "accepted";
+  } catch (const CheckError& e) {
+    ADD_FAILURE() << "an internal check fired instead of a parse error: "
+                  << e.what();
+  } catch (const Error&) {
+    // Refused as malformed input.
+  }
+}
+
 TEST(SpecGrammarTest, EveryGrammarRefusesEveryHostileShape) {
   for (const Grammar& g : Grammars()) {
     // The pieces themselves are well-formed: each refusal below is the
@@ -104,16 +130,68 @@ TEST(SpecGrammarTest, EveryGrammarRefusesEveryHostileShape) {
       const std::string input = shape.build(g);
       SCOPED_TRACE(std::string(g.label) + ", " + shape.label + ": '" +
                    input + "'");
-      try {
-        g.parse(input);
-        ADD_FAILURE() << "accepted";
-      } catch (const CheckError& e) {
-        ADD_FAILURE() << "an internal check fired instead of a parse error: "
-                      << e.what();
-      } catch (const Error&) {
-        // Refused as malformed input.
+      ExpectRefused(g.parse, input);
+    }
+  }
+}
+
+TEST(SpecGrammarTest, IntegerKeysMustFitTheirType) {
+  const auto scenario = [](const std::string& t) { ScenarioSpec::Parse(t); };
+  const auto adversity = [](const std::string& t) {
+    AdversitySpec::Parse(t);
+  };
+  const auto admission = [](const std::string& t) {
+    AdmissionSpec::Parse(t);
+  };
+  const auto cluster = [](const std::string& t) { ClusterSpec::Parse(t); };
+  // Every integer key, under each name that takes it. A value past the
+  // key's type cannot be cast to it, so it is refused like any other
+  // value out of range.
+  const std::vector<std::pair<std::function<void(const std::string&)>,
+                              std::vector<std::string>>>
+      keys = {
+          {scenario, {"closed:clients"}},
+          {adversity,
+           {"replica-fail:count", "replica-fail:replica", "replica-fail:node",
+            "straggler:count", "straggler:replica", "churn:workload"}},
+          {admission,
+           {"quota:retry", "slo:retry", "overload:depth", "overload:retry",
+            "guard:depth", "guard:retry"}},
+          {cluster,
+           {"hash:nodes", "hash:hops", "least-loaded:nodes",
+            "least-loaded:hops"}},
+      };
+  for (const auto& [parse, names] : keys) {
+    for (const std::string& key : names) {
+      for (const char* value : {"1e12", "1e30", "-1e12"}) {
+        const std::string input = key + "=" + value;
+        SCOPED_TRACE("'" + input + "'");
+        ExpectRefused(parse, input);
       }
     }
+  }
+  ExpectRefused(scenario, "closed:clients=2.5");
+  // An explicit target fans out to ids replica .. replica + count - 1.
+  ExpectRefused(adversity, "replica-fail:replica=2147483647,count=2");
+  EXPECT_NO_THROW(adversity("replica-fail:replica=2147483646,count=2"));
+  EXPECT_NO_THROW(admission("guard:depth=2147483647,retry=2147483647"));
+  EXPECT_EQ(ErrorOf([] { AdmissionSpec::Parse("guard:depth=1e30"); }),
+            "admission 'guard': depth must be an integer in [1, "
+            "2147483647]");
+}
+
+TEST(SpecGrammarTest, ChurnWorkloadPastTheMixIsAnError) {
+  std::vector<Request> arrivals;
+  const AdversitySpec churn = AdversitySpec::Parse("churn:workload=2");
+  try {
+    ApplyAdversityArrivals(churn, &arrivals, 100.0, 1.0, 7, {0.5, 0.5});
+    ADD_FAILURE() << "accepted";
+  } catch (const CheckError& e) {
+    ADD_FAILURE() << "an internal check fired: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "adversity 'churn': workload 2 is past this run's "
+              "2-workload mix");
   }
 }
 
@@ -160,15 +238,6 @@ TEST(SpecGrammarTest, ParseOfToStringRoundTrips) {
   EXPECT_EQ(ScenarioSpec::Parse("trace:file=a.json").ToString(),
             "trace:file=a.json");
   EXPECT_EQ(ClusterSpec::Parse("hash").ToString(), "hash");
-}
-
-std::string ErrorOf(const std::function<void()>& parse) {
-  try {
-    parse();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
 }
 
 TEST(SpecGrammarTest, ErrorsNameTheirGrammar) {

@@ -12,7 +12,10 @@ on stderr that names the flag. The cases are
     to --scenario, --adversity, --admission, --cluster, --mix and --tiers:
     an empty entry, a trailing comma, `name:` alone, a missing '=', an
     empty key, an empty value, a repeated key, inf/nan, trailing junk, a
-    leading space, an unknown name and an unknown key.
+    leading space, an unknown name and an unknown key;
+  * every integer spec key at 1e12, 1e30 and -1e12 — values past the
+    key's type, which a cast would wrap or leave undefined — plus a
+    fractional client count and a replica fan-out past the largest id.
 
 One well-formed serve must still exit 0, so a CLI that refuses everything
 fails too.
@@ -72,6 +75,26 @@ GRAMMARS = [
 ]
 
 
+# Per spec-valued flag: one name and each integer key it takes.
+INTEGER_KEYS = [
+    ("--scenario", "closed", ["clients"]),
+    ("--adversity", "replica-fail", ["count", "replica", "node"]),
+    ("--adversity", "churn", ["workload"]),
+    ("--admission", "guard", ["depth", "retry"]),
+    ("--cluster", "least-loaded", ["nodes", "hops"]),
+]
+
+INTEGER_CASES = [
+    (flag, f"{name}:{key}={value}")
+    for flag, name, keys in INTEGER_KEYS
+    for key in keys
+    for value in ("1e12", "1e30", "-1e12")
+] + [
+    ("--scenario", "closed:clients=2.5"),
+    ("--adversity", "replica-fail:replica=2147483647,count=2"),
+]
+
+
 def hostile_shapes(head, key, value, unknown):
     """The malformed inputs of one grammar, as (shape, text) pairs."""
     entry = f"{key}={value}"
@@ -101,6 +124,8 @@ def cases():
         for shape, text in hostile_shapes(head, key, value, unknown):
             out.append((f"{flag} {shape} {text!r}",
                         SERVE + prefix + [flag, text], flag))
+    for flag, text in INTEGER_CASES:
+        out.append((f"{flag} {text!r}", SERVE + [flag, text], flag))
     return out
 
 
