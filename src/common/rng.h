@@ -25,17 +25,29 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Uniform real in [lo, hi): one engine word scaled by 2^-64 and clamped
-  /// below 1, then mapped onto the range. That is libstdc++'s
-  /// generate_canonical for a 64-bit engine, so the draws equal
-  /// std::uniform_real_distribution's bit for bit (tests/common_test.cpp)
-  /// without building a distribution per call.
+  /// Uniform real in [lo, hi): one engine word through UnitFromWord, then
+  /// mapped onto the range. That is libstdc++'s generate_canonical for a
+  /// 64-bit engine, so the draws equal std::uniform_real_distribution's
+  /// bit for bit (tests/common_test.cpp) without building a distribution
+  /// per call.
   double Uniform(double lo = 0.0, double hi = 1.0) {
-    double unit = static_cast<double>(engine_()) * 0x1p-64;
-    if (unit >= 1.0) {
-      unit = std::nextafter(1.0, 0.0);
-    }
-    return unit * (hi - lo) + lo;
+    return UnitFromWord(engine_()) * (hi - lo) + lo;
+  }
+
+  /// `word` * 2^-64, the word rounded to the nearest double, clamped below
+  /// 1. The word converts in two 32-bit halves: x86-64 converts only
+  /// signed integers, so a direct uint64_t conversion branches on the top
+  /// bit, which half of all engine words set. Each half converts exactly
+  /// as a signed value, hi * 2^32 is exact, and the one addition rounds
+  /// the exact sum to nearest, so the result equals the direct
+  /// conversion's bit for bit.
+  static double UnitFromWord(std::uint64_t word) {
+    const double hi =
+        static_cast<double>(static_cast<std::int64_t>(word >> 32));
+    const double lo =
+        static_cast<double>(static_cast<std::int64_t>(word & 0xffffffffu));
+    const double unit = (hi * 0x1p32 + lo) * 0x1p-64;
+    return unit >= 1.0 ? std::nextafter(1.0, 0.0) : unit;
   }
 
   /// Standard normal scaled by `stddev` around `mean`.

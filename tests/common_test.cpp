@@ -1,6 +1,8 @@
 // Unit tests for src/common: errors, math helpers, RNG, table, tensor.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <random>
 #include <utility>
 
@@ -98,6 +100,44 @@ TEST(RngTest, UniformMatchesTheStandardDistribution) {
         std::uniform_real_distribution<double>(lo, hi)(reference);
     ASSERT_EQ(rng.Uniform(lo, hi), expected) << "draw " << i;
   }
+}
+
+TEST(RngTest, UnitFromWordMatchesTheDirectConversion) {
+  // The reference: the unsigned conversion rounds the word to the nearest
+  // double; the clamp keeps the unit below 1.
+  const auto reference = [](std::uint64_t word) {
+    const double unit = static_cast<double>(word) * 0x1p-64;
+    return unit >= 1.0 ? std::nextafter(1.0, 0.0) : unit;
+  };
+  std::int64_t mismatches = 0;
+  std::uint64_t first_mismatch = 0;
+  const auto expect_exact = [&](std::uint64_t word) {
+    if (Rng::UnitFromWord(word) != reference(word) && mismatches++ == 0) {
+      first_mismatch = word;
+    }
+  };
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  for (const std::uint64_t word :
+       {std::uint64_t{0}, std::uint64_t{1}, kTwo32 - 1, kTwo32, kTwo32 + 1,
+        kTwo53 - 1, kTwo53, kTwo53 + 1, kTwo63 - 1, kTwo63, kTwo63 + 1,
+        ~std::uint64_t{0} - 1024, ~std::uint64_t{0} - 1023,
+        ~std::uint64_t{0}}) {
+    expect_exact(word);
+  }
+  // Low 11 bits exactly 0x400 are round-half-even ties at and above 2^63
+  // (the ulp there is 2^11), over random high halves; a truncating
+  // conversion rounds half of them the wrong way.
+  std::mt19937_64 engine(99);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_exact((engine() & ~std::uint64_t{0x7ff}) | kTwo63 | 0x400);
+    expect_exact((engine() & ~std::uint64_t{0x7ff}) | 0x400);
+  }
+  for (int i = 0; i < 10'000'000; ++i) {
+    expect_exact(engine());
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at word " << first_mismatch;
 }
 
 TEST(RngTest, SampleWithoutReplacementIsDistinct) {
