@@ -282,6 +282,20 @@ int ServerPool::Winner(int a, int b) const {
              : a;
 }
 
+template <typename Visit>
+void ServerPool::ForEachTreeOf(std::size_t replica, Visit&& visit) const {
+  for (std::size_t w = 0; w < dfgs_.size(); ++w) {
+    if (!serves_[replica][w]) {
+      continue;
+    }
+    const auto workload = static_cast<WorkloadId>(w);
+    visit(Tree(workload, -1));
+    if (index_nodes_ > 1) {
+      visit(Tree(workload, node_of_[replica]));
+    }
+  }
+}
+
 void ServerPool::Reseat(int replica, bool seated) {
   const auto r = static_cast<std::size_t>(replica);
   if (draining_[r]) {
@@ -289,23 +303,13 @@ void ServerPool::Reseat(int replica, bool seated) {
   }
   const int leaf = seated ? replica : -1;
   const auto capacity = static_cast<std::size_t>(index_capacity_);
-  const auto walk = [&](std::size_t base) {
+  ForEachTreeOf(r, [&](std::size_t base) {
     int* tree = index_.data() + base;
     tree[capacity + r] = leaf;
     for (std::size_t pos = (capacity + r) / 2; pos > 0; pos /= 2) {
       tree[pos] = Winner(tree[2 * pos], tree[2 * pos + 1]);
     }
-  };
-  for (std::size_t w = 0; w < dfgs_.size(); ++w) {
-    if (!serves_[r][w]) {
-      continue;
-    }
-    const auto workload = static_cast<WorkloadId>(w);
-    walk(Tree(workload, -1));
-    if (index_nodes_ > 1) {
-      walk(Tree(workload, node_of_[r]));
-    }
-  }
+  });
 }
 
 void ServerPool::RebuildIndex() {
@@ -317,8 +321,24 @@ void ServerPool::RebuildIndex() {
   // Tree(workloads(), -1) is the offset one past the last tree; assign()
   // keeps the vector's storage whenever it is large enough.
   index_.assign(Tree(workloads(), -1), -1);
-  for (int r = 0; r < size(); ++r) {
-    Reseat(r, /*seated=*/true);
+  // Bottom-up: every leaf first, then each tree's internal slots from the
+  // last to the root, O(W R nodes). These are the trees seating replica by
+  // replica would leave: there each internal slot is last written by a
+  // walk that already sees its final children.
+  const auto capacity = static_cast<std::size_t>(index_capacity_);
+  for (int replica = 0; replica < size(); ++replica) {
+    const auto r = static_cast<std::size_t>(replica);
+    if (!draining_[r]) {
+      ForEachTreeOf(r, [&](std::size_t base) {
+        index_[base + capacity + r] = replica;
+      });
+    }
+  }
+  for (std::size_t base = 0; base < index_.size(); base += 2 * capacity) {
+    int* tree = index_.data() + base;
+    for (std::size_t pos = capacity - 1; pos > 0; --pos) {
+      tree[pos] = Winner(tree[2 * pos], tree[2 * pos + 1]);
+    }
   }
 }
 

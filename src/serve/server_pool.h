@@ -33,12 +33,13 @@
 //      one root in O(1) with the lowest-id tie-break exact. A dispatch or a
 //      failure re-walks only the trees of the workloads that replica
 //      serves, O(W log R); a refit, drain, add or `SetReplicaNode` re-seats
-//      that replica's leaves at the same cost. `DrainAll`, an add past the
-//      tree capacity (which then doubles; all trees share one vector) and
-//      the first replica pinned to a new node rebuild every tree in
-//      O(W R (nodes + log R)). While every replica sits on node 0 the
-//      node-0 trees are the pool-wide ones, so a single-node pool keeps
-//      one tree per workload.
+//      that replica's leaves at the same cost. Construction, `DrainAll`,
+//      an add past the tree capacity (which then doubles; all trees share
+//      one vector) and the first replica pinned to a new node rebuild
+//      every tree bottom-up — all leaves, then the internal slots from the
+//      last to the root — in O(W R nodes). While every replica sits on
+//      node 0 the node-0 trees are the pool-wide ones, so a single-node
+//      pool keeps one tree per workload.
 // Like the engine that drives it, the pool is single-threaded: same
 // designs + same batch stream -> same dispatch.
 #pragma once
@@ -333,6 +334,11 @@ class ServerPool {
   /// Tournament winner of two slots (-1 = empty): the smaller free_at,
   /// the left (lower-id) slot on ties.
   int Winner(int a, int b) const;
+  /// Calls `visit(offset)` for every tree `replica` has a leaf in while
+  /// seated: the pool-wide tree of each workload it serves and, once the
+  /// index spans several nodes, that workload's tree for its node.
+  template <typename Visit>
+  void ForEachTreeOf(std::size_t replica, Visit&& visit) const;
   /// Write `replica`'s leaf in every tree it belongs to (itself when
   /// `seated`, empty otherwise) and re-walk each to the root. Call with
   /// seated = false before changing a replica's workload set, node or
@@ -340,8 +346,8 @@ class ServerPool {
   /// its free_at changed. A draining replica holds no leaves.
   void Reseat(int replica, bool seated);
   /// Size the trees for the current pool (capacity doubles until it
-  /// covers every replica; node range from the tags) and seat every
-  /// replica.
+  /// covers every replica; node range from the tags) and fill them
+  /// bottom-up with every non-draining replica.
   void RebuildIndex();
 
   std::vector<const DataflowGraph*> dfgs_;           // Per workload.
