@@ -64,7 +64,44 @@ std::vector<Request> SyntheticArrivals(
   // per-tenant admission books. No-op for the default `none` spec.
   ApplyAdversityArrivals(options.adversity, &arrivals, options.qps,
                          options.duration_s, options.seed, shares);
+  // Every generator stops at the horizon, a replayed trace drops stamps at
+  // or past it and flash extras are capped at it, so the engine drains at
+  // the horizon with every arrival already served.
+  NSF_CHECK_MSG(
+      arrivals.empty() || arrivals.back().arrival_s < options.duration_s,
+      "every arrival must be stamped before the horizon");
   return arrivals;
+}
+
+std::size_t ArrivedBy(std::span<const Request> arrivals, double t,
+                      std::size_t hint) {
+  NSF_DCHECK(hint <= arrivals.size());
+  const auto arrived = [&](std::size_t i) {
+    return arrivals[i].arrival_s <= t;
+  };
+  // Gallop from the hint in doubling steps to a bracket [lo, hi) that
+  // holds the answer, then binary-search it.
+  std::size_t lo = 0;
+  std::size_t hi = arrivals.size();
+  std::size_t step = 1;
+  if (hint < hi && arrived(hint)) {
+    for (lo = hint + 1; lo + step <= hi && arrived(lo + step - 1); step *= 2) {
+      lo += step;
+    }
+    hi = std::min(hi, lo + step - 1);
+  } else {
+    for (hi = hint; step <= hi && !arrived(hi - step); step *= 2) {
+      hi -= step;
+    }
+    lo = step <= hi ? hi - step + 1 : 0;
+  }
+  return static_cast<std::size_t>(
+      std::upper_bound(arrivals.begin() + static_cast<std::ptrdiff_t>(lo),
+                       arrivals.begin() + static_cast<std::ptrdiff_t>(hi), t,
+                       [](double v, const Request& r) {
+                         return v < r.arrival_s;
+                       }) -
+      arrivals.begin());
 }
 
 std::vector<WorkloadShare> ParseMix(const std::string& spec) {
@@ -93,11 +130,12 @@ using event_core::EventClass;
 ///
 /// One driver advances the virtual clock: RunEventLoop pops the
 /// discrete-event core's binary min-heap (serve/event_core.h), keyed
-/// (time, class, seq), which schedules arrivals, adversity faults,
-/// autoscaler ticks, admission retries, and the drain; handlers fire in
-/// heap order. The same-instant ordering contract (adversity < tick <
-/// retry < arrival < drain) is explicit in EventClass; the golden digests
-/// in tests/golden/ pin it against the polling interleave it replaced.
+/// (time, class, seq), which schedules adversity faults, autoscaler
+/// ticks, admission retries, and the drain, and merges the sorted arrival
+/// stream in beside it; handlers fire in (time, class) order. The
+/// same-instant ordering contract (adversity < tick < retry < arrival <
+/// drain) is explicit in EventClass; the golden digests in tests/golden/
+/// pin it against the polling interleave it replaced.
 /// Lane closes, dispatches, batch completions, admission sweeps, and
 /// metric snapshots are *not* heap events: the eager scheduler books
 /// batches onto replicas ahead of the clock (a dispatch at virtual time t
@@ -121,6 +159,7 @@ struct PipelineContext {
   // ---- mutable run state
   MultiBatchFormer former;
   std::int64_t started = 0;  // Requests whose batch already dispatched.
+  std::size_t arrived = 0;   // Arrivals by the last dispatch's start.
   std::int64_t expired_dispatched = 0;  // Defensive; the sweep keeps it 0.
 
   // Admission's congestion signal. The eager scheduler books closed
@@ -224,7 +263,10 @@ struct PipelineContext {
       }
     }
     stats.Reserve(static_cast<std::int64_t>(arrivals.size()));
+    // Each request commits once (a retry is the same request) and every
+    // committed batch holds one, so the arrival count bounds both.
     log.requests.reserve(arrivals.size());
+    log.batches.reserve(arrivals.size());
 
     // Parallel cycle-model warm-up, restricted to workloads that actually
     // have traffic — idle tenants stay lazily memoized (their unbatched
@@ -486,18 +528,14 @@ struct PipelineContext {
         }
       }
     }
-    // Backlog the batch sees at its start: arrivals in the system (the
-    // stream is sorted, so count by binary search) minus requests already
-    // sent to a replica and minus everything admission removed for good
-    // (final sheds + expiries never reach a replica).
-    const auto arrived = static_cast<std::int64_t>(
-        std::upper_bound(arrivals.begin(), arrivals.end(), start,
-                         [](double t, const Request& r) {
-                           return t < r.arrival_s;
-                         }) -
-        arrivals.begin());
+    // Backlog the batch sees at its start: arrivals in the system minus
+    // requests already sent to a replica and minus everything admission
+    // removed for good (final sheds + expiries never reach a replica).
+    // Batch starts stay near the clock, so the count gallops from the
+    // previous dispatch's.
+    arrived = ArrivedBy(arrivals, start, arrived);
     const std::int64_t depth =
-        arrived - started -
+        static_cast<std::int64_t>(arrived) - started -
         (admission != nullptr ? admission->removed() : 0);
     DispatchRecord record = pool.Dispatch(batch, node);
     record.close = static_cast<obs::BatchClose>(batch.close_reason);
@@ -554,19 +592,19 @@ struct PipelineContext {
     }
   }
 
-  // The settlement watermark at virtual time `now` (docs/ENGINE.md): no
+  // The settlement watermark at arrival time `now` (docs/ENGINE.md): no
   // batch dispatched from here on forms before it. A size-cap close forms
   // at an arrival, at or after `now`; a deadline close at or after its
   // lane's unstretched deadline (a warm add can pull a busy-stretched
   // close back to it, and lanes opened later have later deadlines); the
-  // end-of-run flush at or after min(flush instant, deadline); a failure
-  // re-dispatches at the failure instant; cluster ingress only adds time.
-  // A later batch therefore completes at or after the watermark and sorts
-  // after every batch already settled, so committing up to it keeps the
-  // settlement order exact. The flush instant matters only for a replayed
-  // trace that runs past the horizon.
+  // end-of-run flush at or after min(flush instant, deadline), and the
+  // flush instant is past every arrival; a failure re-dispatches at the
+  // failure instant; cluster ingress only adds time. A later batch
+  // therefore completes at or after the watermark and sorts after every
+  // batch already settled, so committing up to it keeps the settlement
+  // order exact.
   double Watermark(double now) const {
-    double watermark = std::min(now, options.duration_s + options.max_wait_s);
+    double watermark = now;
     for (int w = 0; w < former.workloads(); ++w) {
       watermark = std::min(watermark, former.Deadline(w));
     }
@@ -839,34 +877,38 @@ struct PipelineContext {
 
   // ----------------------------------------------------------- the driver
 
-  // One min-heap orders arrivals, adversity faults, autoscaler ticks,
-  // admission retries, and the drain on the virtual timeline; same-instant
-  // ties resolve by EventClass then push seq. Arrivals and the env
-  // timeline ride cursors — one outstanding heap event each — so the heap
-  // stays shallow and, past the initial Reserve, steady-state scheduling
-  // never allocates.
+  // One min-heap orders adversity faults, autoscaler ticks, admission
+  // retries and the drain on the virtual timeline; same-instant ties
+  // resolve by EventClass then push seq. Arrivals ride a cursor beside the
+  // heap: the next one fires first when (t, kArrival) sorts before the
+  // top's (t, class), the order it would take inside the heap, where it
+  // never met another arrival. The env timeline and the ticks ride
+  // cursors too — one outstanding heap event each — so the heap stays
+  // shallow and, past the initial Reserve, steady-state scheduling never
+  // allocates.
   void RunEventLoop() {
     events.Reserve(64);
-    // Arrivals normally end before the horizon; a replayed trace that
-    // overruns it is still served in full, so the drain sits at whichever
-    // is later.
-    const double drain_t =
-        arrivals.empty()
-            ? options.duration_s
-            : std::max(options.duration_s, arrivals.back().arrival_s);
-    std::size_t next_arrival = 0;
-    if (!arrivals.empty()) {
-      events.Push(arrivals[0].arrival_s, EventClass::kArrival);
-    }
     if (env_next < env.size()) {
       events.Push(env[env_next].t_s, EventClass::kAdversity);
     }
     if (autoscaler != nullptr && std::isfinite(autoscaler->next_tick_s())) {
       events.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
     }
-    events.Push(drain_t, EventClass::kDrain);
-    bool running = true;
-    while (running) {
+    // Every arrival is stamped before the horizon (SyntheticArrivals), so
+    // all of them fire before the drain.
+    events.Push(options.duration_s, EventClass::kDrain);
+    std::size_t next_arrival = 0;
+    while (true) {
+      // The drain sentinel stays in the heap until the loop ends, so Top()
+      // is always valid.
+      if (next_arrival < arrivals.size()) {
+        const double t = arrivals[next_arrival].arrival_s;
+        const event_core::Event& top = events.Top();
+        if (t < top.t_s || (t == top.t_s && top.cls > EventClass::kArrival)) {
+          HandleArrival(arrivals[next_arrival++]);
+          continue;
+        }
+      }
       const event_core::Event e = events.Pop();
       switch (e.cls) {
         case EventClass::kAdversity: {
@@ -892,21 +934,11 @@ struct PipelineContext {
           ProcessRetriesAt(e.t_s);
           break;
         }
-        case EventClass::kArrival: {
-          HandleArrival(arrivals[next_arrival]);
-          ++next_arrival;
-          if (next_arrival < arrivals.size()) {
-            events.Push(arrivals[next_arrival].arrival_s,
-                        EventClass::kArrival);
-          }
-          break;
-        }
         case EventClass::kDrain:
           // Everything at or before the horizon has fired (kDrain is the
           // highest class value, so same-instant work went first); the
           // shutdown sequence runs back in Run().
-          running = false;
-          break;
+          return;
         default:
           NSF_CHECK_MSG(false, "folded event class on the timeline heap");
       }

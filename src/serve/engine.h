@@ -3,7 +3,8 @@
 //   Arrival generator (scenario patterns, virtual timestamps, per-workload
 //   mix sampling)
 //     └─> discrete-event core (serve/event_core.h: one min-heap orders
-//         arrivals, faults, autoscaler ticks, retries, and the drain)
+//         faults, autoscaler ticks, retries, and the drain; the sorted
+//         arrivals merge in beside it)
 //           └─> MultiBatchFormer (max-batch / max-wait coalescing, one
 //               lane per workload — batches never mix workloads)
 //                 └─> ServerPool (N accelerator replicas, per-replica
@@ -188,11 +189,21 @@ struct ServeReport {
 /// (normalized weights indexed by workload id) with the same RNG stream;
 /// `workload_names` (indexed by id) resolves the labels of a replayed
 /// `trace:file=...` scenario — pass {} to ignore the labels (everything
-/// then maps to workload 0), as a run serving one workload does.
+/// then maps to workload 0), as a run serving one workload does. The
+/// arrivals come back sorted by time, every one stamped before
+/// `options.duration_s` (checked).
 std::vector<Request> SyntheticArrivals(const ServeOptions& options,
                                        const std::vector<double>& shares,
                                        const std::vector<std::string>&
                                            workload_names = {});
+
+/// How many of `arrivals` (sorted by time) are stamped at or before `t`:
+/// std::upper_bound's answer, found by galloping from `hint` (any index
+/// in [0, arrivals.size()]) in doubling steps and binary-searching the
+/// bracket, so it costs O(log |answer - hint|). The engine passes the
+/// previous dispatch's answer.
+std::size_t ArrivedBy(std::span<const Request> arrivals, double t,
+                      std::size_t hint);
 
 /// The offered load a run actually carried: `options.qps` for rate-driven
 /// scenarios, the renewal rate for closed loops (which ignore qps), and

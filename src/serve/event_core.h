@@ -41,10 +41,12 @@ namespace nsflow::serve::event_core {
 ///   4. new arrivals enter,
 ///   5. shutdown runs strictly last.
 ///
-/// kDispatch keys the engine's dispatched-start backlog heap, a second
-/// EventList that holds nothing else. Lane closes, batch completions,
-/// admission sweeps and metric snapshots have no class: they are computed
-/// inside the handlers above and never sit in a heap.
+/// kArrival is never pushed: the engine's arrivals ride a cursor beside
+/// the timeline heap and fire before its top exactly when (t, kArrival)
+/// sorts first. kDispatch keys the engine's dispatched-start backlog heap,
+/// a second EventList that holds nothing else. Lane closes, batch
+/// completions, admission sweeps and metric snapshots have no class: they
+/// are computed inside the handlers above and never sit in a heap.
 enum class EventClass : std::uint8_t {
   kAdversity = 0,
   kAutoscalerTick = 1,
@@ -55,7 +57,7 @@ enum class EventClass : std::uint8_t {
 };
 
 /// One heap record. Plain data, 32 bytes: the payload words mean whatever
-/// the scheduling site wants (an arrival index, a batch size) — handlers
+/// the scheduling site wants (a dispatched batch's size) — handlers
 /// for cursor-driven classes (adversity, ticks) carry no payload at all.
 struct Event {
   double t_s = 0.0;

@@ -217,6 +217,82 @@ TEST(EventCoreDifferential, SameInstantAdversityFiresBeforeTick) {
       << "same-instant adversity must fire before the autoscaler tick";
 }
 
+// ------------------------------------------- arrivals beside the heap
+//
+// Arrivals ride a cursor beside the timeline heap and keep the order they
+// would take inside it: at one instant a fault, a tick and a retry fire
+// before an arrival. Poisson stamps and the checked-in traces never land
+// exactly on a tick or a fault instant, so no golden pins this; these
+// replayed traces put an arrival there on purpose.
+
+/// Serves one mlp arrival per stamp, replayed from a trace file.
+ServeReport ServeStamps(const diff::DiffFixture& fixture,
+                        const std::vector<ReplicaSpec>& replicas,
+                        const std::vector<double>& stamps,
+                        ServeOptions options, const std::string& file) {
+  std::vector<Request> arrivals;
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    arrivals.push_back(Request{static_cast<std::int64_t>(i), stamps[i], 0});
+  }
+  const std::string path = testing::TempDir() + file;
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << EmitArrivalTraceJson(arrivals, fixture.registry.Names());
+  }
+  options.scenario = ScenarioSpec::Parse("trace:file=" + path);
+  return RunSyntheticServe(fixture.registry, replicas, fixture.mix, options);
+}
+
+TEST(EventCoreDifferential, ArrivalAtATickIsNotInItsSample) {
+  const diff::DiffFixture fixture;
+  diff::DiffConfig config;
+  config.autoscale = true;  // First control tick at 0.25 s.
+  const ServeReport report =
+      ServeStamps(fixture, fixture.replicas, {0.25}, diff::OptionsFor(config),
+                  "arrival_at_tick.json");
+  ASSERT_EQ(report.summary.completed, 1);
+  const PoolEvent* sample = nullptr;
+  for (const PoolEvent& event : report.summary.timeline) {
+    if (event.t_s == 0.25 && event.kind == PoolEventKind::kSample) {
+      sample = &event;
+      break;
+    }
+  }
+  ASSERT_NE(sample, nullptr) << "no tick sample at t=0.25";
+  // The tick fires first, so the lanes are still empty; the arrival would
+  // wait in a lane (max_batch 8) had it gone first.
+  EXPECT_EQ(sample->queue_depth, 0);
+}
+
+TEST(EventCoreDifferential, ArrivalAtAFailureSeesTheFailedReplica) {
+  const diff::DiffFixture fixture;
+  // Two shared replicas, so replica 0 can fail without orphaning a tenant.
+  ServeOptions options = diff::OptionsFor(diff::DiffConfig{});
+  options.max_batch = 1;  // The arrival's batch dispatches at its stamp.
+  options.adversity =
+      AdversitySpec::Parse("replica-fail:at=0.5,down=0.5,replica=0");
+  const ServeReport report = ServeStamps(
+      fixture, fixture.registry.ReplicaSpecs(2, /*partitioned=*/false), {0.5},
+      options, "arrival_at_failure.json");
+  // Both replicas are idle, so a batch dispatched before the failure would
+  // take replica 0 (lowest id), be aborted by the failure and re-dispatch
+  // to replica 1 with a second batch index.
+  ASSERT_EQ(report.dispatches.size(), 1u);
+  EXPECT_EQ(report.dispatches[0].replica, 1);
+  EXPECT_EQ(report.dispatches[0].batch_index, 0);
+  bool failed = false;
+  for (const PoolEvent& event : report.summary.timeline) {
+    if (event.kind == PoolEventKind::kFault &&
+        event.event.rfind("replica 0 failed", 0) == 0) {
+      failed = true;
+      EXPECT_NE(event.event.find(", 0 in-flight batch(es) re-enqueued"),
+                std::string::npos)
+          << event.event;
+    }
+  }
+  EXPECT_TRUE(failed) << "replica 0 never failed";
+}
+
 // --------------------------------------------------- EventList ordering
 
 TEST(EventListTest, SameInstantClassPriorityOrder) {

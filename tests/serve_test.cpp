@@ -382,6 +382,57 @@ TEST(ServerPoolTest, HeterogeneousParetoPoolServes) {
   ASSERT_EQ(report.summary.replica_utilization.size(), 3u);
 }
 
+// --------------------------------------------------------- backlog count
+
+TEST(ArrivedByTest, MatchesUpperBoundFromEveryHint) {
+  // Runs of equal stamps, one all-equal vector, an empty one, and a longer
+  // random stream with runs, so gallops cover several doublings.
+  std::vector<std::vector<double>> inputs = {
+      {0.0, 0.1, 0.1, 0.1, 0.25, 0.3, 0.3, 0.7, 0.7, 0.7, 0.7, 0.7, 0.9,
+       1.5, 1.5, 2.0},
+      std::vector<double>(9, 0.5),
+      {},
+  };
+  Rng rng(17);
+  std::vector<double> stream;
+  double t = 0.0;
+  while (stream.size() < 300) {
+    t += 0.01 * static_cast<double>(rng.UniformInt(1, 40));
+    stream.insert(stream.end(),
+                  static_cast<std::size_t>(rng.UniformInt(1, 6)), t);
+  }
+  inputs.push_back(stream);
+  for (const std::vector<double>& stamps : inputs) {
+    std::vector<Request> arrivals;
+    for (const double stamp : stamps) {
+      arrivals.push_back(Request{0, stamp, 0});
+    }
+    // Below the first stamp, above the last, every stamp and the midpoint
+    // of every gap.
+    std::vector<double> targets = {-1.0, 3.0, 1e9};
+    for (std::size_t i = 0; i < stamps.size(); ++i) {
+      targets.push_back(stamps[i]);
+      if (i > 0 && stamps[i - 1] < stamps[i]) {
+        targets.push_back(0.5 * (stamps[i - 1] + stamps[i]));
+      }
+    }
+    if (!stamps.empty()) {
+      targets.push_back(stamps.front() - 0.5);
+      targets.push_back(stamps.back() + 0.5);
+    }
+    for (const double target : targets) {
+      const auto expected = static_cast<std::size_t>(
+          std::upper_bound(stamps.begin(), stamps.end(), target) -
+          stamps.begin());
+      for (std::size_t hint = 0; hint <= stamps.size(); ++hint) {
+        ASSERT_EQ(ArrivedBy(arrivals, target, hint), expected)
+            << stamps.size() << " stamps, target " << target << ", hint "
+            << hint;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------- dispatch index
 
 /// The brute-force scan the dispatch index replaced, kept as its oracle:
