@@ -409,16 +409,12 @@ TEST(ArrivedByTest, MatchesUpperBoundFromEveryHint) {
     }
     // Below the first stamp, above the last, every stamp and the midpoint
     // of every gap.
-    std::vector<double> targets = {-1.0, 3.0, 1e9};
+    std::vector<double> targets = {-1.0, 1e9};
     for (std::size_t i = 0; i < stamps.size(); ++i) {
       targets.push_back(stamps[i]);
       if (i > 0 && stamps[i - 1] < stamps[i]) {
         targets.push_back(0.5 * (stamps[i - 1] + stamps[i]));
       }
-    }
-    if (!stamps.empty()) {
-      targets.push_back(stamps.front() - 0.5);
-      targets.push_back(stamps.back() + 0.5);
     }
     for (const double target : targets) {
       const auto expected = static_cast<std::size_t>(
