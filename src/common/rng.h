@@ -35,12 +35,12 @@ class Rng {
   }
 
   /// `word` * 2^-64, the word rounded to the nearest double, clamped below
-  /// 1. The word converts in two 32-bit halves: x86-64 converts only
-  /// signed integers, so a direct uint64_t conversion branches on the top
-  /// bit, which half of all engine words set. Each half converts exactly
-  /// as a signed value, hi * 2^32 is exact, and the one addition rounds
-  /// the exact sum to nearest, so the result equals the direct
-  /// conversion's bit for bit.
+  /// 1. The word converts in two 32-bit halves: x86-64 without AVX-512
+  /// converts only signed integers, so a direct uint64_t conversion
+  /// branches on the top bit, which half of all engine words set. Each
+  /// half converts exactly as a signed value, hi * 2^32 is exact, and the
+  /// one addition rounds the exact sum to nearest, so the result equals
+  /// the direct conversion's bit for bit.
   static double UnitFromWord(std::uint64_t word) {
     const double hi =
         static_cast<double>(static_cast<std::int64_t>(word >> 32));
