@@ -3,8 +3,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -86,6 +89,92 @@ TEST(RngTest, UniformIntRespectsBounds) {
   }
 }
 
+TEST(RngTest, EngineMatchesTheStandardEngine) {
+  // Every seeded stream is pinned by the engine's words, so the in-repo
+  // MT19937-64 must draw std::mt19937_64's for any seed. A million words
+  // span about 3,200 twists.
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, 2024, ~std::uint64_t{0}};
+  std::mt19937_64 pick(20261017);
+  for (int i = 0; i < 3; ++i) {
+    seeds.push_back(pick());
+  }
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    std::int64_t mismatches = 0;
+    std::int64_t first_mismatch = -1;
+    for (std::int64_t i = 0; i < 1'000'000; ++i) {
+      if (engine() != reference() && mismatches++ == 0) {
+        first_mismatch = i;
+      }
+    }
+    EXPECT_EQ(mismatches, 0)
+        << "seed " << seed << ", first mismatch at word " << first_mismatch;
+  }
+}
+
+TEST(RngTest, DrawsMatchTheStandardDistributions) {
+  // Each draw must equal the std distribution's, built per call as Rng
+  // builds it and driven by a std::mt19937_64 with the same seed.
+  const std::pair<std::int64_t, std::int64_t> int_ranges[] = {
+      {0, 1},
+      {-5, 5},
+      {0, 1000},
+      {-(std::int64_t{1} << 40), std::int64_t{1} << 40},
+      {std::numeric_limits<std::int64_t>::min(),
+       std::numeric_limits<std::int64_t>::max()}};
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        std::uint64_t{2024}, ~std::uint64_t{0}}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 100'000; ++i) {
+      const auto& [lo, hi] = int_ranges[i % 5];
+      ASSERT_EQ(rng.UniformInt(lo, hi),
+                std::uniform_int_distribution<std::int64_t>(lo, hi)(reference))
+          << "seed " << seed << ", draw " << i;
+      ASSERT_EQ(rng.Gaussian(1.5, 0.25),
+                std::normal_distribution<double>(1.5, 0.25)(reference))
+          << "seed " << seed << ", draw " << i;
+      const double p = 0.01 * (i % 101);
+      ASSERT_EQ(rng.Bernoulli(p), std::bernoulli_distribution(p)(reference))
+          << "seed " << seed << ", draw " << i;
+    }
+
+    // Shuffle and SampleWithoutReplacement are (partial) Fisher-Yates
+    // passes over UniformInt.
+    std::vector<int> shuffled(1000);
+    std::iota(shuffled.begin(), shuffled.end(), 0);
+    std::vector<int> expected = shuffled;
+    rng.Shuffle(shuffled);
+    for (std::size_t i = expected.size(); i > 1; --i) {
+      const auto j = std::uniform_int_distribution<std::int64_t>(
+          0, static_cast<std::int64_t>(i) - 1)(reference);
+      std::swap(expected[i - 1], expected[static_cast<std::size_t>(j)]);
+    }
+    EXPECT_EQ(shuffled, expected) << "seed " << seed;
+
+    const std::size_t n = 500;
+    const std::size_t k = 120;
+    std::vector<std::size_t> indices(n);
+    std::iota(indices.begin(), indices.end(), std::size_t{0});
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto j = std::uniform_int_distribution<std::int64_t>(
+          static_cast<std::int64_t>(i),
+          static_cast<std::int64_t>(n) - 1)(reference);
+      std::swap(indices[i], indices[static_cast<std::size_t>(j)]);
+    }
+    indices.resize(k);
+    EXPECT_EQ(rng.SampleWithoutReplacement(n, k), indices) << "seed " << seed;
+
+    // The streams are still in step.
+    EXPECT_EQ(rng.UniformInt(0, 1'000'000),
+              std::uniform_int_distribution<std::int64_t>(0, 1'000'000)(
+                  reference))
+        << "seed " << seed;
+  }
+}
+
 TEST(RngTest, UniformMatchesTheStandardDistribution) {
   // Uniform converts one engine word directly; it must return the doubles
   // std::uniform_real_distribution returns from the same engine state,
@@ -93,7 +182,7 @@ TEST(RngTest, UniformMatchesTheStandardDistribution) {
   const std::pair<double, double> ranges[] = {
       {0.0, 1.0}, {-3.5, 7.25}, {1e-9, 2e-9}, {-1e6, 1e6}, {5.0, 5.0}};
   Rng rng(2024);
-  std::mt19937_64 reference = rng.engine();
+  std::mt19937_64 reference(2024);
   for (int i = 0; i < 1'000'000; ++i) {
     const auto& [lo, hi] = ranges[i % 5];
     const double expected =
