@@ -43,6 +43,7 @@ Batch MultiBatchFormer::CloseLane(WorkloadId w, double formed_s,
     lane = std::move(spares_.back());
     spares_.pop_back();
   }
+  RefreshNextDeadline();
   switch (reason) {
     case BatchCloseReason::kSizeCap:
       if (close_size_cap_ != nullptr) close_size_cap_->Increment();
@@ -57,6 +58,13 @@ Batch MultiBatchFormer::CloseLane(WorkloadId w, double formed_s,
       break;
   }
   return batch;
+}
+
+void MultiBatchFormer::RefreshNextDeadline() {
+  next_deadline_ = std::numeric_limits<double>::infinity();
+  for (int w = 0; w < workloads(); ++w) {
+    next_deadline_ = std::min(next_deadline_, Deadline(w));
+  }
 }
 
 void MultiBatchFormer::ExpiredLanes(double now,
@@ -102,16 +110,23 @@ void MultiBatchFormer::Add(const Request& request,
   // This arrival proves virtual time reached `request.arrival_s`: every lane
   // whose effective deadline (stretched to its busy horizon) has passed
   // closes at that deadline, not at the arrival — a lull in one workload's
-  // traffic must not delay another workload's formed batch.
-  ExpiredLanes(request.arrival_s, busy_until);
-  for (const WorkloadId w : expired_) {
-    const double busy = static_cast<std::size_t>(w) < busy_until.size()
-                            ? busy_until[static_cast<std::size_t>(w)]
-                            : 0.0;
-    closed->push_back(CloseLane(w, std::max(Deadline(w), busy),
-                                BatchCloseReason::kDeadline));
+  // traffic must not delay another workload's formed batch. Before the
+  // earliest unstretched deadline no lane can have passed its own.
+  if (request.arrival_s >= next_deadline_) {
+    ExpiredLanes(request.arrival_s, busy_until);
+    for (const WorkloadId w : expired_) {
+      const double busy = static_cast<std::size_t>(w) < busy_until.size()
+                              ? busy_until[static_cast<std::size_t>(w)]
+                              : 0.0;
+      closed->push_back(CloseLane(w, std::max(Deadline(w), busy),
+                                  BatchCloseReason::kDeadline));
+    }
   }
   auto& lane = lanes_[static_cast<std::size_t>(request.workload)];
+  if (lane.empty()) {
+    next_deadline_ = std::min(
+        next_deadline_, request.arrival_s + policy(request.workload).max_wait_s);
+  }
   lane.push_back(request);
   if (static_cast<std::int64_t>(lane.size()) >=
       policy(request.workload).max_batch) {
@@ -154,6 +169,7 @@ void MultiBatchFormer::SetPolicy(WorkloadId w, BatchPolicy policy) {
   NSF_CHECK_MSG(policy.max_batch >= 1, "max_batch must be positive");
   NSF_CHECK_MSG(policy.max_wait_s >= 0.0, "max_wait_s must be non-negative");
   policies_[static_cast<std::size_t>(w)] = policy;
+  RefreshNextDeadline();
 }
 
 void MultiBatchFormer::SetLanePriority(WorkloadId w, int priority) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "serve/request.h"
@@ -59,6 +60,8 @@ class MultiBatchFormer {
   /// earliest virtual time a replica able to serve workload `w` frees up
   /// (0 when one is already idle): the lane's wait deadline stretches to
   /// it, growing batches from backlog while dispatch would stall anyway.
+  /// A lane expires only once the arrival reaches its deadline, so Add
+  /// reads `busy_until` only when `request.arrival_s >= next_deadline()`.
   /// Replaces `*closed` with every batch this arrival closed, in fairness
   /// order; the new request is never part of a batch closed by its own
   /// arrival's deadline check (it arrived after the deadline). `closed` is
@@ -75,6 +78,9 @@ class MultiBatchFormer {
 
   /// Virtual deadline of workload `w`'s pending batch (+inf when empty).
   double Deadline(WorkloadId w) const;
+  /// The earliest pending deadline: the minimum of Deadline(w) over every
+  /// lane (+inf when all are empty). No lane can expire before it.
+  double next_deadline() const { return next_deadline_; }
 
   /// Swap lane `w`'s policy mid-stream (the autoscaler's kSetBatchCap
   /// delta). Applies from the next Add on: a pending lane already above a
@@ -112,6 +118,9 @@ class MultiBatchFormer {
 
  private:
   Batch CloseLane(WorkloadId w, double formed_s, BatchCloseReason reason);
+  /// Recompute next_deadline_ over every lane. Called whenever a lane's
+  /// deadline can rise: at a close and at a policy change.
+  void RefreshNextDeadline();
   /// Fill `expired_` with the lanes past their effective deadline at time
   /// `now`, fairness-ordered.
   void ExpiredLanes(double now, const std::vector<double>& busy_until);
@@ -124,6 +133,7 @@ class MultiBatchFormer {
   std::vector<int> lane_priority_;           // Close order key; default 0.
   std::vector<std::vector<Request>> spares_;  // Recycled lane storage.
   std::vector<WorkloadId> expired_;  // ExpiredLanes scratch, reused by Add.
+  double next_deadline_ = std::numeric_limits<double>::infinity();
   // Resolved by AttachMetrics; null = metrics off.
   obs::Counter* close_size_cap_ = nullptr;
   obs::Counter* close_deadline_ = nullptr;

@@ -604,11 +604,7 @@ struct PipelineContext {
   // batch already settled, so committing up to it keeps the settlement
   // order exact.
   double Watermark(double now) const {
-    double watermark = now;
-    for (int w = 0; w < former.workloads(); ++w) {
-      watermark = std::min(watermark, former.Deadline(w));
-    }
-    return watermark;
+    return std::min(now, former.next_deadline());
   }
 
   // ----------------------------------------------------- adversity events
@@ -784,10 +780,14 @@ struct PipelineContext {
   // ------------------------------------------------------ admission path
 
   // Feed one admitted request into the forming lanes — the pre-admission
-  // hot path, unchanged when no controller is attached.
+  // hot path, unchanged when no controller is attached. The former reads
+  // the busy horizons only at or past its earliest pending deadline, so
+  // they are refreshed only then.
   void AddToFormer(const Request& r) {
-    for (int w = 0; w < pool.workloads(); ++w) {
-      busy_until[static_cast<std::size_t>(w)] = pool.EarliestFree(w);
+    if (r.arrival_s >= former.next_deadline()) {
+      for (int w = 0; w < pool.workloads(); ++w) {
+        busy_until[static_cast<std::size_t>(w)] = pool.EarliestFree(w);
+      }
     }
     former.Add(r, busy_until, &closed);
     for (Batch& batch : closed) {

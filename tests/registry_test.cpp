@@ -6,6 +6,7 @@
 // serve run.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "arch/fastpath.h"
@@ -209,6 +210,61 @@ TEST(MultiBatchFormerTest, BusyHorizonStretchesPerWorkload) {
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].workload, 0);
   EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.100);
+}
+
+TEST(MultiBatchFormerTest, ArrivalAtTheDeadlineClosesTheLane) {
+  // The expiry gate opens at the earliest deadline itself: a gate that
+  // waits for an arrival strictly past it keeps lane 0 open here.
+  MultiBatchFormer former(BatchPolicy{8, 0.25}, 2);
+  const std::vector<double> idle(2, 0.0);
+  std::vector<Batch> closed;
+  former.Add(At(0, 0.25, 0), idle, &closed);
+  EXPECT_EQ(former.next_deadline(), 0.5);
+  former.Add(At(1, 0.5, 1), idle, &closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].workload, 0);
+  EXPECT_EQ(closed[0].formed_s, 0.5);
+  EXPECT_EQ(closed[0].close_reason, BatchCloseReason::kDeadline);
+  EXPECT_EQ(former.next_deadline(), 0.75);  // Lane 1's.
+}
+
+TEST(MultiBatchFormerTest, ShorterWaitMovesTheGateForward) {
+  // SetPolicy must refresh the gate: left at the old 1.0 s deadline, it
+  // would let the arrival at 0.5 pass without closing lane 0.
+  MultiBatchFormer former(BatchPolicy{8, 1.0}, 2);
+  const std::vector<double> idle(2, 0.0);
+  std::vector<Batch> closed;
+  former.Add(At(0, 0.0, 0), idle, &closed);
+  EXPECT_EQ(former.next_deadline(), 1.0);
+  former.SetPolicy(0, BatchPolicy{8, 0.25});
+  EXPECT_EQ(former.next_deadline(), 0.25);
+  former.Add(At(1, 0.5, 1), idle, &closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].workload, 0);
+  EXPECT_EQ(closed[0].formed_s, 0.25);
+}
+
+TEST(MultiBatchFormerTest, GateMovesToTheNextDeadlineAfterAClose) {
+  // A close must refresh the gate to the next open lane's deadline (and to
+  // +inf once every lane is empty); a gate left at the closed lane's
+  // deadline would rescan every lane on every arrival.
+  MultiBatchFormer former(BatchPolicy{8, 0.25}, 3);
+  const std::vector<double> idle(3, 0.0);
+  std::vector<Batch> closed;
+  former.Add(At(0, 0.0, 0), idle, &closed);
+  former.Add(At(1, 0.125, 1), idle, &closed);
+  EXPECT_EQ(former.next_deadline(), 0.25);
+  former.Add(At(2, 0.3125, 2), idle, &closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].workload, 0);
+  EXPECT_EQ(former.next_deadline(), 0.375);  // Lane 1's.
+  former.Add(At(3, 0.375, 0), idle, &closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].workload, 1);
+  EXPECT_EQ(closed[0].formed_s, 0.375);
+  EXPECT_EQ(former.next_deadline(), 0.5625);  // Lane 2's.
+  former.Flush(1.0);
+  EXPECT_EQ(former.next_deadline(), std::numeric_limits<double>::infinity());
 }
 
 // ------------------------------------------------------------ pool routing
