@@ -262,7 +262,6 @@ struct PipelineContext {
         cluster->AttachMetrics(&obs->metrics);
       }
     }
-    stats.Reserve(static_cast<std::int64_t>(arrivals.size()));
     // Each request commits once (a retry is the same request) and every
     // committed batch holds one, so the arrival count bounds both.
     log.requests.reserve(arrivals.size());

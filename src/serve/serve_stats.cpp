@@ -1,8 +1,11 @@
 #include "serve/serve_stats.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -27,13 +30,6 @@ ServeStats::ServeStats(int replicas, int workloads) {
   }
   workload_tiers_.assign(static_cast<std::size_t>(workloads),
                          SlaTier::kStandard);
-}
-
-void ServeStats::Reserve(std::int64_t expected_requests) {
-  if (expected_requests <= 0) {
-    return;
-  }
-  arrival_stamps_.reserve(static_cast<std::size_t>(expected_requests));
 }
 
 void ServeStats::SetWorkloadName(WorkloadId w, std::string name) {
@@ -61,23 +57,12 @@ void ServeStats::RecordArrival(WorkloadId workload, double arrival_s) {
                     workload <
                         static_cast<int>(workload_arrivals_s_.size()),
                 "workload index out of range");
-  NSF_CHECK_MSG(arrival_stamps_.empty() ||
-                    arrival_s >= arrival_stamps_.back(),
+  NSF_CHECK_MSG(arrival_s >= last_arrival_s_,
                 "arrivals must be recorded in time order");
-  arrival_stamps_.push_back(arrival_s);
+  last_arrival_s_ = arrival_s;
   workload_arrivals_s_[static_cast<std::size_t>(workload)].push_back(
       arrival_s);
 }
-
-namespace {
-
-std::int64_t CountInWindow(const std::vector<double>& sorted, double t0,
-                           double t1) {
-  return std::lower_bound(sorted.begin(), sorted.end(), t1) -
-         std::lower_bound(sorted.begin(), sorted.end(), t0);
-}
-
-}  // namespace
 
 std::int64_t ServeStats::ArrivalsInWindow(WorkloadId workload, double t0,
                                           double t1) const {
@@ -85,12 +70,10 @@ std::int64_t ServeStats::ArrivalsInWindow(WorkloadId workload, double t0,
                     workload <
                         static_cast<int>(workload_arrivals_s_.size()),
                 "workload index out of range");
-  return CountInWindow(workload_arrivals_s_[static_cast<std::size_t>(workload)],
-                       t0, t1);
-}
-
-std::int64_t ServeStats::ArrivalsInWindow(double t0, double t1) const {
-  return CountInWindow(arrival_stamps_, t0, t1);
+  const std::vector<double>& sorted =
+      workload_arrivals_s_[static_cast<std::size_t>(workload)];
+  return std::lower_bound(sorted.begin(), sorted.end(), t1) -
+         std::lower_bound(sorted.begin(), sorted.end(), t0);
 }
 
 void ServeStats::RecordPoolEvent(PoolEvent event) {
@@ -159,30 +142,171 @@ struct Ranks {
   double max = 0.0;
 };
 
-/// Nearest-rank p50/p95/p99/max of [first, last) by selection; reorders
-/// the range. Each std::nth_element starts one past the previous rank:
-/// everything up to that rank is already no larger.
-Ranks SelectRanks(std::vector<double>::iterator first,
-                  std::vector<double>::iterator last) {
-  Ranks out;
-  const auto n = static_cast<std::size_t>(last - first);
-  if (n == 0) {
+/// A latency's selection key. Summarize checks that a latency is at least
+/// 0.0, so its IEEE-754 bit pattern with the sign cleared (-0.0 ties +0.0,
+/// as it does under <) orders exactly as the value does.
+std::uint64_t LatencyKey(double latency) {
+  return std::bit_cast<std::uint64_t>(latency) & ~(std::uint64_t{1} << 63);
+}
+
+double KeyLatency(std::uint64_t key) { return std::bit_cast<double>(key); }
+
+std::pair<std::uint64_t, std::uint64_t> MinMax(const std::uint64_t* keys,
+                                               std::size_t n) {
+  std::uint64_t lo = keys[0];
+  std::uint64_t hi = keys[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, keys[i]);
+    hi = std::max(hi, keys[i]);
+  }
+  return {lo, hi};
+}
+
+/// At most 2^kMaxBucketBits buckets per histogram.
+constexpr int kMaxBucketBits = 11;
+
+/// Equal-width buckets over the keys [lo, hi]: about four keys per bucket
+/// for `n` keys, and at least two buckets when lo < hi.
+struct Buckets {
+  Buckets(std::uint64_t lo_in, std::uint64_t hi, std::size_t n)
+      : lo(lo_in),
+        shift(std::max(0, Width(hi - lo_in) -
+                              std::clamp(Width(n) - 2, 1, kMaxBucketBits))),
+        count(Of(hi) + 1) {}
+
+  std::size_t Of(std::uint64_t key) const {
+    return static_cast<std::size_t>((key - lo) >> shift);
+  }
+
+  static int Width(std::uint64_t value) {
+    return static_cast<int>(std::bit_width(value));
+  }
+
+  std::uint64_t lo;
+  int shift;
+  std::size_t count;
+};
+
+/// Selects nearest ranks of latency populations by their keys. The
+/// gather buffer is reused from one population to the next, so a summary
+/// allocates a number of times that does not grow with the run.
+class RankSelector {
+ public:
+  /// Nearest-rank p50/p95/p99/max of `keys`, which stay untouched. Three
+  /// passes: the min and max (the max answers `max`), a bucket histogram,
+  /// and a gather of the at most three buckets that hold the p50, p95 and
+  /// p99 ranks. Each rank is then selected inside its bucket.
+  Ranks Select(std::span<const std::uint64_t> keys) {
+    Ranks out;
+    const std::size_t n = keys.size();
+    if (n == 0) {
+      return out;
+    }
+    const auto [lo, hi] = MinMax(keys.data(), n);
+    out.max = KeyLatency(hi);
+    if (lo == hi) {
+      out.p50 = out.p95 = out.p99 = out.max;
+      return out;
+    }
+    const Buckets buckets(lo, hi, n);
+    Count(keys.data(), n, buckets);
+
+    // Each rank's bucket, its rank inside it, and the bucket's run in
+    // gathered_. The ranks ascend, so the buckets do, and ranks that share
+    // a bucket share its run.
+    struct Target {
+      std::size_t bucket = 0;
+      std::size_t rank = 0;
+      std::size_t begin = 0;
+      std::size_t size = 0;
+    };
+    const double percents[3] = {50.0, 95.0, 99.0};
+    Target targets[3];
+    std::size_t gathered = 0;
+    for (int i = 0; i < 3; ++i) {
+      Target& target = targets[i];
+      target.rank = NearestRankIndex(percents[i], n);
+      target.bucket = Locate(&target.rank);
+      target.size = counts_[target.bucket];
+      const bool shared = i > 0 && target.bucket == targets[i - 1].bucket;
+      target.begin = shared ? targets[i - 1].begin : gathered;
+      gathered += shared ? 0 : target.size;
+    }
+    if (gathered_.size() < gathered) {
+      gathered_.resize(gathered);
+    }
+    std::uint64_t* next[3] = {};
+    for (int i = 0; i < 3; ++i) {
+      next[i] = gathered_.data() + targets[i].begin;
+    }
+    for (const std::uint64_t key : keys) {
+      const std::size_t bucket = buckets.Of(key);
+      if (bucket == targets[0].bucket) {
+        *next[0]++ = key;
+      } else if (bucket == targets[1].bucket) {
+        *next[1]++ = key;
+      } else if (bucket == targets[2].bucket) {
+        *next[2]++ = key;
+      }
+    }
+
+    const auto select = [this](const Target& target) {
+      return KeyLatency(SelectInBucket(gathered_.data() + target.begin,
+                                       target.size, target.rank));
+    };
+    out.p50 = select(targets[0]);
+    out.p95 = select(targets[1]);
+    out.p99 = select(targets[2]);
     return out;
   }
-  std::size_t from = 0;
-  for (const auto& [p, value] :
-       {std::pair{50.0, &out.p50}, std::pair{95.0, &out.p95},
-        std::pair{99.0, &out.p99}, std::pair{100.0, &out.max}}) {
-    const std::size_t rank = NearestRankIndex(p, n);
-    if (rank >= from) {
-      std::nth_element(first + static_cast<std::ptrdiff_t>(from),
-                       first + static_cast<std::ptrdiff_t>(rank), last);
-      from = rank + 1;
+
+ private:
+  /// Buckets at or below which std::nth_element selects directly.
+  static constexpr std::size_t kSmallBucket = 32;
+
+  void Count(const std::uint64_t* keys, std::size_t n,
+             const Buckets& buckets) {
+    std::fill_n(counts_.begin(), buckets.count, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      ++counts_[buckets.Of(keys[i])];
     }
-    *value = first[static_cast<std::ptrdiff_t>(rank)];
   }
-  return out;
-}
+
+  /// The bucket in counts_ that holds the key at rank `*rank`; replaces
+  /// `*rank` with that key's rank inside the bucket.
+  std::size_t Locate(std::size_t* rank) const {
+    std::size_t bucket = 0;
+    while (counts_[bucket] <= *rank) {
+      *rank -= counts_[bucket++];
+    }
+    return bucket;
+  }
+
+  /// The key at `rank` of the `n` keys at `keys`, which this reorders. It
+  /// narrows to the rank's bucket in place until the bucket holds a single
+  /// value or is small.
+  std::uint64_t SelectInBucket(std::uint64_t* keys, std::size_t n,
+                               std::size_t rank) {
+    while (n > kSmallBucket) {
+      const auto [lo, hi] = MinMax(keys, n);
+      if (lo == hi) {
+        return lo;
+      }
+      const Buckets buckets(lo, hi, n);
+      Count(keys, n, buckets);
+      const std::size_t bucket = Locate(&rank);
+      std::partition(keys, keys + n, [&](std::uint64_t key) {
+        return buckets.Of(key) == bucket;
+      });
+      n = counts_[bucket];
+    }
+    std::nth_element(keys, keys + rank, keys + n);
+    return keys[rank];
+  }
+
+  std::array<std::size_t, std::size_t{1} << kMaxBucketBits> counts_{};
+  std::vector<std::uint64_t> gathered_;  // The target buckets' keys.
+};
 
 /// When a batch's responses reach the client: compute completion plus the
 /// cluster response transfer (+0.0 on a local batch leaves the stamp
@@ -279,7 +403,7 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
   }
   s.timeline = timeline_;
 
-  // One latency buffer, grouped by tier and then workload id, so every
+  // One latency key buffer, grouped by tier and then workload id, so every
   // population the summary reads — a workload, a tier, the run — is one
   // contiguous range. Tier t spans [tier_begin[t], tier_begin[t + 1]).
   std::vector<std::size_t> begin(workloads);
@@ -301,7 +425,7 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
 
   // Request pass. The means keep the log-order running sums: float
   // summation is order-sensitive.
-  std::vector<double> latencies(log.requests.size());
+  std::vector<std::uint64_t> keys(log.requests.size());
   std::vector<double> workload_sum_s(workloads, 0.0);
   double sum_s = 0.0;
   auto request = log.requests.begin();
@@ -312,17 +436,18 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
       NSF_CHECK_MSG(latency >= 0.0, "completion cannot precede arrival");
       sum_s += latency;
       workload_sum_s[w] += latency;
-      latencies[cursor[w]++] = latency;
+      keys[cursor[w]++] = LatencyKey(latency);
     }
   }
 
-  // Selections nest: each workload's range, then each tier's (the union
-  // of its workloads' ranges), then the whole run.
+  // Each workload's range, then each tier's (the union of its workloads'
+  // ranges), then the whole run.
+  RankSelector selector;
+  const std::span<const std::uint64_t> all(keys);
   for (std::size_t w = 0; w < workloads; ++w) {
     WorkloadSummary& slice = s.per_workload[w];
-    const auto first = latencies.begin() +
-                       static_cast<std::ptrdiff_t>(begin[w]);
-    const Ranks ranks = SelectRanks(first, first + slice.completed);
+    const Ranks ranks = selector.Select(all.subspan(
+        begin[w], static_cast<std::size_t>(slice.completed)));
     slice.p50_ms = ranks.p50 * 1e3;
     slice.p95_ms = ranks.p95 * 1e3;
     slice.p99_ms = ranks.p99 * 1e3;
@@ -352,16 +477,15 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
       slice.name = TierName(slice.tier);
       slice.completed =
           static_cast<std::int64_t>(tier_begin[t + 1] - tier_begin[t]);
-      const Ranks ranks = SelectRanks(
-          latencies.begin() + static_cast<std::ptrdiff_t>(tier_begin[t]),
-          latencies.begin() + static_cast<std::ptrdiff_t>(tier_begin[t + 1]));
+      const Ranks ranks = selector.Select(all.subspan(
+          tier_begin[t], tier_begin[t + 1] - tier_begin[t]));
       slice.p50_ms = ranks.p50 * 1e3;
       slice.p99_ms = ranks.p99 * 1e3;
       s.per_tier.push_back(std::move(slice));
     }
   }
 
-  const Ranks ranks = SelectRanks(latencies.begin(), latencies.end());
+  const Ranks ranks = selector.Select(all);
   s.p50_ms = ranks.p50 * 1e3;
   s.p95_ms = ranks.p95 * 1e3;
   s.p99_ms = ranks.p99 * 1e3;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,20 +137,13 @@ class ServeStats {
   /// runs never see either (their output stays byte-identical).
   void SetWorkloadTier(WorkloadId w, SlaTier tier);
 
-  /// Pre-size the arrival record for an `expected_requests`-sized run, so
-  /// steady-state recording never reallocates mid-stream (part of the
-  /// serve path's allocation contract, docs/ENGINE.md). Purely an
-  /// allocation hint — recording behavior and output are unchanged.
-  void Reserve(std::int64_t expected_requests);
-
   /// One request entered the system at `arrival_s` (recorded in arrival
   /// order — the autoscaler's windowed-rate source).
   void RecordArrival(WorkloadId workload, double arrival_s);
-  /// Arrivals of `workload` (or of every workload) with arrival time in
-  /// [t0, t1). O(log n) — the arrival record is time-ordered.
+  /// Arrivals of `workload` with arrival time in [t0, t1). O(log n) — the
+  /// arrival record is time-ordered.
   std::int64_t ArrivalsInWindow(WorkloadId workload, double t0,
                                 double t1) const;
-  std::int64_t ArrivalsInWindow(double t0, double t1) const;
 
   /// Append one point to the reconfiguration/utilization timeline.
   void RecordPoolEvent(PoolEvent event);
@@ -171,7 +165,7 @@ class ServeStats {
   static double PercentileInPlace(std::vector<double>* values, double p);
 
   /// The run's summary, read off `log` in one pass over its requests.
-  /// Percentiles select ranks (std::nth_element) instead of sorting;
+  /// Percentiles select ranks by bit-pattern buckets instead of sorting;
   /// means sum in log order.
   StatsSummary Summarize(const obs::CompletionLog& log, double offered_qps,
                          double run_duration_s) const;
@@ -195,8 +189,9 @@ class ServeStats {
  private:
   std::vector<std::pair<double, double>> replica_spans_;  // [added, retired).
   std::vector<PoolEvent> timeline_;
-  std::vector<double> arrival_stamps_;                    // All workloads.
   std::vector<std::vector<double>> workload_arrivals_s_;  // Per workload.
+  // The latest recorded arrival, for RecordArrival's order check.
+  double last_arrival_s_ = -std::numeric_limits<double>::infinity();
 
   std::vector<std::string> workload_names_;
   std::vector<SlaTier> workload_tiers_;  // Meaningful iff tiers_set_.

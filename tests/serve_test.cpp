@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -102,17 +103,59 @@ TEST(ServeStatsTest, SelectedPercentilesMatchSortedPopulations) {
         stats.SetWorkloadTier(w, tier_of[static_cast<std::size_t>(w)]);
       }
     }
-    // Each workload gets 0, 1 or up to 300 requests, in random batches.
+    // Each workload gets 0, 1 or up to 300 requests on millisecond grids
+    // in random batches, or 2 to 20,000 requests in single-request
+    // batches with an exact latency drawn from one of six shapes.
     std::vector<std::int64_t> left(static_cast<std::size_t>(workloads));
-    for (std::int64_t& n : left) {
-      const std::int64_t shape = rng.UniformInt(0, 3);
-      n = shape == 0 ? 0 : shape == 1 ? 1 : rng.UniformInt(2, 300);
+    std::vector<std::vector<double>> exact(left.size());
+    for (std::size_t w = 0; w < left.size(); ++w) {
+      const std::int64_t shape = rng.UniformInt(0, 9);
+      if (shape < 4) {
+        left[w] = shape == 0 ? 0 : shape == 1 ? 1 : rng.UniformInt(2, 300);
+        continue;
+      }
+      const std::int64_t n =
+          shape == 8 ? rng.UniformInt(2, 20'000) : rng.UniformInt(2'000, 20'000);
+      for (std::int64_t i = 0; i < n; ++i) {
+        double latency = 0.0;
+        switch (shape) {
+          case 4:  // Continuous, a millisecond to a second.
+            latency = 1e-3 * std::exp(rng.Uniform(0.0, 6.9));
+            break;
+          case 5:  // All equal.
+            latency = 0.0123;
+            break;
+          case 6:  // 90% ties at the median, spread on either side.
+            latency = rng.Bernoulli(0.9) ? 0.05 : rng.Uniform(0.001, 1.0);
+            break;
+          case 7:  // Two distinct values.
+            latency = rng.Bernoulli(0.7) ? 0.002 : 0.25;
+            break;
+          case 8:  // Mostly +0.0.
+            latency = rng.Bernoulli(0.8) ? 0.0 : rng.Uniform(0.0, 1e-3);
+            break;
+          case 9:  // From 1e-9 to 1e3 seconds.
+            latency = std::pow(10.0, rng.Uniform(-9.0, 3.0));
+            break;
+        }
+        exact[w].push_back(latency);
+      }
     }
     std::vector<std::vector<double>> by_workload(left.size());
     obs::CompletionLog log;
     for (bool any = true; any;) {
       any = false;
       for (WorkloadId w = 0; w < workloads; ++w) {
+        std::vector<double>& pending = exact[static_cast<std::size_t>(w)];
+        if (!pending.empty()) {
+          // Arriving at 0.0 and completing at the latency is exact.
+          any = true;
+          Commit(&log, w, static_cast<int>(rng.UniformInt(0, 2)), 0.0,
+                 pending.back(), 0, {0.0});
+          by_workload[static_cast<std::size_t>(w)].push_back(pending.back());
+          pending.pop_back();
+          continue;
+        }
         std::int64_t& n = left[static_cast<std::size_t>(w)];
         if (n == 0) {
           continue;
