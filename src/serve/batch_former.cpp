@@ -123,11 +123,10 @@ void MultiBatchFormer::Add(const Request& request,
     }
   }
   auto& lane = lanes_[static_cast<std::size_t>(request.workload)];
-  if (lane.empty()) {
-    next_deadline_ = std::min(
-        next_deadline_, request.arrival_s + policy(request.workload).max_wait_s);
-  }
   lane.push_back(request);
+  if (lane.size() == 1) {
+    next_deadline_ = std::min(next_deadline_, Deadline(request.workload));
+  }
   if (static_cast<std::int64_t>(lane.size()) >=
       policy(request.workload).max_batch) {
     closed->push_back(CloseLane(request.workload, request.arrival_s,
