@@ -114,8 +114,7 @@ TEST(ServeStatsTest, SelectedPercentilesMatchSortedPopulations) {
         left[w] = shape == 0 ? 0 : shape == 1 ? 1 : rng.UniformInt(2, 300);
         continue;
       }
-      const std::int64_t n =
-          shape == 8 ? rng.UniformInt(2, 20'000) : rng.UniformInt(2'000, 20'000);
+      const std::int64_t n = rng.UniformInt(shape == 8 ? 2 : 2'000, 20'000);
       for (std::int64_t i = 0; i < n; ++i) {
         double latency = 0.0;
         switch (shape) {
