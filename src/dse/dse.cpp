@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -138,23 +139,87 @@ ShapeCounts CountShapes(const DataflowGraph& dfg) {
   return shapes;
 }
 
-double StaticParallelCycles(const ArrayConfig& cfg, const ShapeCounts& shapes,
-                            std::int64_t nl, std::int64_t nv) {
-  // Every term is an integer-valued double and every partial sum stays far
-  // below 2^53 cycles (about a year at 272 MHz), so regrouping the node
-  // sums by shape is exact: this equals ParallelCycles' node-by-node sums
-  // bit for bit.
+double StaticNnCycles(const ArrayConfig& cfg, const ShapeCounts& shapes,
+                      std::int64_t nl) {
+  // Exact regrouping: see the premise in dse.h.
   double t_nn = 0.0;
   for (const auto& [gemm, count] : shapes.layers) {
     t_nn += static_cast<double>(count) * LayerCycles(cfg, nl, gemm);
   }
-  double temporal = 0.0;
-  double spatial = 0.0;
+  return t_nn;
+}
+
+VsaSums StaticVsaSums(const ArrayConfig& cfg, const ShapeCounts& shapes,
+                      std::int64_t nv) {
+  VsaSums sums;
   for (const auto& [vsa, count] : shapes.vsa) {
-    temporal += static_cast<double>(count) * VsaTemporalCycles(cfg, nv, vsa);
-    spatial += static_cast<double>(count) * VsaSpatialCycles(cfg, nv, vsa);
+    sums.temporal +=
+        static_cast<double>(count) * VsaTemporalCycles(cfg, nv, vsa);
+    sums.spatial +=
+        static_cast<double>(count) * VsaSpatialCycles(cfg, nv, vsa);
   }
-  return std::max(t_nn, std::min(temporal, spatial));
+  return sums;
+}
+
+double StaticSequentialCycles(const ArrayConfig& cfg,
+                              const ShapeCounts& shapes) {
+  return StaticNnCycles(cfg, shapes, cfg.count) +
+         StaticVsaSums(cfg, shapes, cfg.count).Best();
+}
+
+StaticSplit BestStaticSplit(const ArrayConfig& cfg, const ShapeCounts& shapes) {
+  const std::int64_t n = cfg.count;
+  NSF_CHECK_MSG(n >= 2, "a static split needs at least two sub-arrays");
+  // t_para(nl) = max(f(nl), g(nl)), f = t_nn and g = t_vsa at nv = N − nl.
+  // Giving the layers more sub-arrays never slows them, so f is
+  // non-increasing in nl and g non-decreasing. Every term is a
+  // ceiling-division step function times a positive count, and rounded
+  // products, sums and min are monotone too, so the computed f and g are
+  // as monotone as the exact ones.
+  //
+  // c = the smallest nl with f(nl) <= g(nl), or N when there is none. On
+  // [c, N−1] t_para = g, smallest at c; on [1, c−1] it is f, smallest at
+  // c − 1. Both bisections keep their predicate true at `hi`.
+  StaticSplit split;
+  std::int64_t lo = 1;
+  std::int64_t hi = n;
+  double g_at_c = 0.0;      // g(c), priced when c < N.
+  double f_before_c = 0.0;  // f(c − 1), priced when c > 1.
+  while (lo < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    const double f = StaticNnCycles(cfg, shapes, mid);
+    const double g = StaticVsaSums(cfg, shapes, n - mid).Best();
+    ++split.evaluations;
+    if (f <= g) {
+      hi = mid;
+      g_at_c = g;
+    } else {
+      lo = mid + 1;
+      f_before_c = f;
+    }
+  }
+  const std::int64_t c = lo;
+  if (c < n && (c == 1 || g_at_c < f_before_c)) {
+    split.nl = c;
+    split.t_para = g_at_c;
+    return split;
+  }
+  // The left candidate wins ties (the scan keeps the first minimum): the
+  // first occurrence of f(c − 1) on f's non-increasing run.
+  lo = 1;
+  hi = c - 1;
+  while (lo < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    ++split.evaluations;
+    if (StaticNnCycles(cfg, shapes, mid) <= f_before_c) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  split.nl = lo;
+  split.t_para = f_before_c;
+  return split;
 }
 
 }  // namespace dse_internal
@@ -175,6 +240,15 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
   const auto& vsa = dfg.vsa_ops();
   NSF_CHECK_MSG(!layers.empty() || !vsa.empty(),
                 "workload has no AdArray kernels to map");
+  const std::vector<ArrayConfig> geometries =
+      dse_internal::Phase1Geometries(options);
+  if (geometries.empty()) {
+    throw InfeasibleError(
+        "DSE: no sub-array geometry fits max_pes = " +
+        std::to_string(options.max_pes) +
+        " and max_columns = " + std::to_string(options.max_columns) +
+        " (the smallest candidate sub-array needs more PEs or columns)");
+  }
 
   DseResult result;
   result.design.clock_hz = options.clock_hz;
@@ -182,37 +256,31 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
   result.design.precision = dfg.source().precision();
 
   // ---------------------------------------------------------------- Phase I
-  // Fused-schedule windows guide Phase II's per-layer rebalancing; they are
-  // a property of the dataflow graph alone, computed once.
-  const std::vector<VsaSpan> windows = dfg.LayerWindows();
-
   std::optional<Phase1Candidate> best_para;
   double best_seq = 0.0;
   std::optional<ArrayConfig> best_seq_array;
 
-  // Phase I prices each split by shape, not node by node.
+  // Phase I prices each geometry by shape, not node by node.
   const dse_internal::ShapeCounts shapes = dse_internal::CountShapes(dfg);
-  for (const auto& cfg : dse_internal::Phase1Geometries(options)) {
+  for (const ArrayConfig& cfg : geometries) {
     // Sequential mode runtime for this geometry (Algorithm 1, line 12).
-    const double t_seq = SequentialCycles(cfg, layers, vsa);
+    const double t_seq = dse_internal::StaticSequentialCycles(cfg, shapes);
     ++result.evaluated_points;
     if (!best_seq_array.has_value() || t_seq < best_seq) {
       best_seq = t_seq;
       best_seq_array = cfg;
     }
 
-    // Static-partition scan (lines 4-9) needs both sides non-empty and at
+    // The static partition (lines 4-9) needs both sides non-empty and at
     // least two sub-arrays to split.
     if (layers.empty() || vsa.empty() || cfg.count < 2) {
       continue;
     }
-    for (std::int64_t static_nl = 1; static_nl < cfg.count; ++static_nl) {
-      const double t_para = dse_internal::StaticParallelCycles(
-          cfg, shapes, static_nl, cfg.count - static_nl);
-      ++result.evaluated_points;
-      if (!best_para.has_value() || t_para < best_para->t_para) {
-        best_para = Phase1Candidate{cfg, static_nl, t_para};
-      }
+    const dse_internal::StaticSplit split =
+        dse_internal::BestStaticSplit(cfg, shapes);
+    result.evaluated_points += split.evaluations;
+    if (!best_para.has_value() || split.t_para < best_para->t_para) {
+      best_para = Phase1Candidate{cfg, split.nl, split.t_para};
     }
   }
 
@@ -241,14 +309,30 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
     result.phase1_cycles = p1.t_para;
 
     // -------------------------------------------------------------- Phase II
-    auto nl = result.design.nl;
-    auto nv = result.design.nv;
-    auto best_nl = nl;
-    auto best_nv = nv;
+    // The design's allocation holds the best mapping seen (line 23).
     double best_cycles = result.phase1_cycles;
 
     if (options.enable_phase2) {
       const auto& cfg = p1.array;
+      // Fused-schedule windows guide the per-layer rebalancing.
+      const std::vector<VsaSpan> windows = dfg.LayerWindows();
+      auto nl = result.design.nl;
+      auto nv = result.design.nv;
+      // ParallelCycles' three sums, kept current by (new − old) for the
+      // moved layer and window: every term is an integer-valued double far
+      // below 2^53 (the premise in dse.h), so each update is exact and the
+      // sums equal a full node-by-node recount bit for bit.
+      double t_nn = dse_internal::StaticNnCycles(cfg, shapes, p1.static_nl);
+      dse_internal::VsaSums t_vsa = dse_internal::StaticVsaSums(
+          cfg, shapes, result.design.default_nv);
+      const auto window_sums = [&](VsaSpan span) {
+        dse_internal::VsaSums sums;
+        for (std::size_t j = span.first; j <= span.last; ++j) {
+          sums.temporal += VsaTemporalCycles(cfg, nv[j], vsa[j].vsa);
+          sums.spatial += VsaSpatialCycles(cfg, nv[j], vsa[j].vsa);
+        }
+        return sums;
+      };
       for (int iter = 0; iter < options.phase2_max_iters; ++iter) {
         bool improved_this_iter = false;
         for (std::size_t i = 0; i < layers.size(); ++i) {
@@ -258,17 +342,11 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
           // Per-window imbalance decides the move direction (lines 19-21):
           // donate a sub-array from the slack side to the bottleneck side of
           // *this* window.
-          const double t_layer = LayerCycles(cfg, nl[i], layers[i].gemm);
-          double t_window_vsa = 0.0;
-          if (has_vsa) {
-            double temporal = 0.0;
-            double spatial = 0.0;
-            for (std::size_t j = span.first; j <= span.last; ++j) {
-              temporal += VsaTemporalCycles(cfg, nv[j], vsa[j].vsa);
-              spatial += VsaSpatialCycles(cfg, nv[j], vsa[j].vsa);
-            }
-            t_window_vsa = std::min(temporal, spatial);
-          }
+          const std::int64_t old_nl = nl[i];
+          const double t_layer = LayerCycles(cfg, old_nl, layers[i].gemm);
+          const dse_internal::VsaSums window =
+              has_vsa ? window_sums(span) : dse_internal::VsaSums{};
+          const double t_window_vsa = has_vsa ? window.Best() : 0.0;
 
           if (t_layer < t_window_vsa && has_vsa) {
             // NN has slack during layer i: donate one sub-array to the VSA
@@ -299,12 +377,20 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
             }
           }
 
-          const double t_para = ParallelCycles(cfg, layers, vsa, nl, nv);
+          if (nl[i] != old_nl) {
+            t_nn += LayerCycles(cfg, nl[i], layers[i].gemm) - t_layer;
+            if (has_vsa) {
+              const dse_internal::VsaSums moved = window_sums(span);
+              t_vsa.temporal += moved.temporal - window.temporal;
+              t_vsa.spatial += moved.spatial - window.spatial;
+            }
+          }
+          const double t_para = std::max(t_nn, t_vsa.Best());
           ++result.evaluated_points;
           if (t_para < best_cycles) {  // Line 23: keep the best seen.
             best_cycles = t_para;
-            best_nl = nl;
-            best_nv = nv;
+            result.design.nl = nl;
+            result.design.nv = nv;
             improved_this_iter = true;
           }
         }
@@ -314,8 +400,6 @@ DseResult RunTwoPhaseDse(const DataflowGraph& dfg, const DseOptions& options) {
       }
     }
 
-    result.design.nl = best_nl;
-    result.design.nv = best_nv;
     result.phase2_cycles = best_cycles;
     result.t_para_cycles = best_cycles;
 

@@ -1,11 +1,14 @@
 // Two-phase design-space exploration — paper Algorithm 1 and Sec. V-C.
 //
 // Phase I assumes a *static* partition (all Nl[i] = N̄l, all Nv[j] = N̄v =
-// N − N̄l) and scans the pruned (H, W) grid with N = ⌊M/(H·W)⌋, keeping the
-// configuration minimizing t_para = max(t_nn, t_vsa). It also evaluates the
-// sequential mode (every node owns the whole array, Eq. line 12) and falls
-// back to it when faster (line 14) — which is what happens when the workload
-// has no symbolic component worth co-scheduling.
+// N − N̄l) and searches the pruned (H, W) grid with N = ⌊M/(H·W)⌋, keeping
+// the configuration minimizing t_para = max(t_nn, t_vsa). On one geometry
+// t_nn never rises and t_vsa never falls as N̄l grows, so bisection finds
+// the split a scan of all N − 1 would keep (the first minimum) in
+// O(log N) evaluations. Phase I also evaluates the sequential mode (every
+// node owns the whole array, Eq. line 12) and falls back to it when faster
+// (line 14) — which is what happens when the workload has no symbolic
+// component worth co-scheduling.
 //
 // Phase II fine-tunes the mapping around the static partition: for each NN
 // layer i it locates the VSA span [j′, j″] concurrent with that layer in the
@@ -19,6 +22,7 @@
 // SIMD width whose latency hides under the array's busy time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -72,7 +76,10 @@ struct DseResult {
   double phase1_cycles = 0.0;     // t_para with the static partition.
   double phase2_cycles = 0.0;     // t_para after fine-tuning.
   VsaMapping vsa_mapping = VsaMapping::kTemporal;
-  std::int64_t evaluated_points = 0;  // Model evaluations performed.
+  /// Cycle-model evaluations performed: one per geometry's sequential
+  /// price, per static split Phase I's bisection probes, and per Phase II
+  /// step. It counts the search's work, not the design space's size.
+  std::int64_t evaluated_points = 0;
 
   /// Relative improvement of Phase II over Phase I (Fig. 6 reports this
   /// reaching ~44% when NN and symbolic work are balanced).
@@ -83,7 +90,8 @@ struct DseResult {
   }
 };
 
-/// Run the full two-phase DSE for one workload dataflow graph.
+/// Run the full two-phase DSE for one workload dataflow graph. Throws
+/// `InfeasibleError` when no geometry fits `max_pes` and `max_columns`.
 DseResult RunTwoPhaseDse(const DataflowGraph& dfg,
                          const DseOptions& options = {});
 
@@ -115,12 +123,38 @@ struct ShapeCounts {
 };
 ShapeCounts CountShapes(const DataflowGraph& dfg);
 
-/// Phase I's static-partition runtime — ParallelCycles with every layer
-/// on `nl` sub-arrays and every VSA node on `nv` — summed as
-/// Σ multiplicity × per-shape cycles. Bit-equal to ParallelCycles with
-/// uniform allocation vectors (see the comment at the sum).
-double StaticParallelCycles(const ArrayConfig& cfg, const ShapeCounts& shapes,
-                            std::int64_t nl, std::int64_t nv);
+/// Phase I's t_nn with every layer on `nl` sub-arrays, summed as
+/// Σ multiplicity × per-shape LayerCycles. Every term is an integer-valued
+/// double and every partial sum stays far below 2^53 cycles (about a year
+/// at 272 MHz), so regrouping the node sums by shape is exact: this equals
+/// NnTotalCycles with a uniform allocation bit for bit.
+double StaticNnCycles(const ArrayConfig& cfg, const ShapeCounts& shapes,
+                      std::int64_t nl);
+
+/// Both VSA mappings' totals with every VSA node on `nv` sub-arrays, summed
+/// by shape as StaticNnCycles is; Eq. (5)'s t_vsa is the smaller one.
+struct VsaSums {
+  double temporal = 0.0;
+  double spatial = 0.0;
+  double Best() const { return std::min(temporal, spatial); }
+};
+VsaSums StaticVsaSums(const ArrayConfig& cfg, const ShapeCounts& shapes,
+                      std::int64_t nv);
+
+/// Algorithm 1 line 12's sequential mode priced by shape: every layer and
+/// every VSA node on all N sub-arrays. Equals SequentialCycles bit for bit.
+double StaticSequentialCycles(const ArrayConfig& cfg,
+                              const ShapeCounts& shapes);
+
+/// The static split a scan of N̄l = 1 … N−1 keeps on one geometry: the
+/// first N̄l minimizing t_para = max(StaticNnCycles(N̄l),
+/// StaticVsaSums(N − N̄l).Best()), found by bisection. Needs N >= 2.
+struct StaticSplit {
+  std::int64_t nl = 0;
+  double t_para = 0.0;
+  std::int64_t evaluations = 0;  // Splits priced.
+};
+StaticSplit BestStaticSplit(const ArrayConfig& cfg, const ShapeCounts& shapes);
 
 }  // namespace dse_internal
 }  // namespace nsflow

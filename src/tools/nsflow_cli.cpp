@@ -365,6 +365,11 @@ CliArgs Parse(int argc, char** argv) {
       args.out_dir = next();
     } else if (flag == "--max-pes") {
       args.dse.max_pes = ParseInteger<std::int64_t>(next(), flag);
+      // The smallest candidate sub-array is 4x4 (DseOptions::range_h/w).
+      if (args.dse.max_pes < 16) {
+        throw Error("--max-pes must be at least 16, one 4x4 sub-array (got " +
+                    std::to_string(args.dse.max_pes) + ")");
+      }
       args.dse_set = true;
     } else if (flag == "--clock-mhz") {
       args.dse.clock_hz = ParseFiniteNumber(next(), flag) * 1e6;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dse/design_config.h"
 #include "dse/design_space.h"
 #include "dse/dse.h"
@@ -17,6 +19,104 @@ DseOptions FastOptions() {
   DseOptions options;
   options.max_pes = 8192;
   return options;
+}
+
+/// The graphs the exactness tests sweep: the six built-ins, the Fig. 5
+/// tasks, the Fig. 6 parametric family at three symbolic shares, and NVSA
+/// with its symbolic side scaled down 10x and up 150x.
+std::vector<OperatorGraph> SweepGraphs() {
+  std::vector<OperatorGraph> graphs = {
+      workloads::MakeMlp(),   workloads::MakeResnet18Classifier(),
+      workloads::MakeNvsa(),  workloads::MakeMimonet(),
+      workloads::MakeLvrf(),  workloads::MakePrae()};
+  for (const workloads::TaskId task : workloads::kAllTasks) {
+    graphs.push_back(workloads::MakeTask(task));
+  }
+  for (const double share : {0.05, 0.2, 0.5}) {
+    graphs.push_back(workloads::MakeParametricNsai(share));
+  }
+  for (const double factor : {0.1, 150.0}) {
+    graphs.push_back(workloads::ScaleSymbolic(workloads::MakeNvsa(), factor));
+  }
+  return graphs;
+}
+
+/// FNV-1a over the bytes of each value added.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+/// Every field of a DSE result except `evaluated_points`, which counts the
+/// search's work rather than describing its answer.
+void AddResult(Fnv1a& h, const DseResult& r) {
+  const AcceleratorDesign& d = r.design;
+  h.Add(d.array.height);
+  h.Add(d.array.width);
+  h.Add(d.array.count);
+  h.Add(d.sequential_mode);
+  h.Add(d.nl.size());
+  for (const std::int64_t nl : d.nl) {
+    h.Add(nl);
+  }
+  h.Add(d.nv.size());
+  for (const std::int64_t nv : d.nv) {
+    h.Add(nv);
+  }
+  h.Add(d.default_nl);
+  h.Add(d.default_nv);
+  h.Add(d.simd_width);
+  h.Add(d.memory.mem_a1_bytes);
+  h.Add(d.memory.mem_a2_bytes);
+  h.Add(d.memory.mem_b_bytes);
+  h.Add(d.memory.mem_c_bytes);
+  h.Add(d.memory.cache_bytes);
+  h.Add(d.precision.neural);
+  h.Add(d.precision.symbolic);
+  h.Add(d.clock_hz);
+  h.Add(d.dram_bandwidth);
+  h.Add(r.t_para_cycles);
+  h.Add(r.t_seq_cycles);
+  h.Add(r.phase1_cycles);
+  h.Add(r.phase2_cycles);
+  h.Add(r.vsa_mapping);
+}
+
+// The DSE's answers over a (graph x budget x column cap x Phase II) grid,
+// pinned to the digest the exhaustive split scan produced: a faster search
+// must return the same design, cycles and mapping for every point.
+TEST(TwoPhaseDseTest, ResultsMatchThePinnedDigest) {
+  Fnv1a h;
+  int runs = 0;
+  for (const OperatorGraph& graph : SweepGraphs()) {
+    const DataflowGraph dfg(graph);
+    for (const std::int64_t budget : {1024, 8192, 16384, 65536}) {
+      for (const std::int64_t columns : {860, 64}) {
+        for (const int iters : {0, 1, 4, 16, -1}) {
+          DseOptions options;
+          options.max_pes = budget;
+          options.max_columns = columns;
+          options.enable_phase2 = iters >= 0;  // -1: Phase II off.
+          options.phase2_max_iters = iters >= 0 ? iters : 4;
+          AddResult(h, RunTwoPhaseDse(dfg, options));
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 680);
+  EXPECT_EQ(h.value(), 0x6864909846fbec02ull);
 }
 
 TEST(DesignSpaceTest, OriginalSpaceIsAstronomical) {
@@ -178,8 +278,9 @@ TEST(SimdSizingTest, SmallestWidthThatHides) {
 }
 
 // Phase I sums over shape multiplicities instead of node by node; the
-// regrouped sum must equal ParallelCycles with uniform allocation vectors
-// at every (geometry, split) of the default grid, on every built-in.
+// regrouped sums must equal ParallelCycles with uniform allocation vectors
+// at every (geometry, split) of the default grid, and SequentialCycles on
+// every geometry, on every built-in.
 TEST(StaticParallelCyclesTest, EqualsParallelCyclesOnTheDefaultGrid) {
   const std::vector<OperatorGraph> graphs = {
       workloads::MakeMlp(),   workloads::MakeResnet18Classifier(),
@@ -200,20 +301,97 @@ TEST(StaticParallelCyclesTest, EqualsParallelCyclesOnTheDefaultGrid) {
     ASSERT_EQ(nodes, static_cast<std::int64_t>(dfg.vsa_ops().size()));
     int splits = 0;
     for (const ArrayConfig& cfg : dse_internal::Phase1Geometries({})) {
+      // Exact double equality: the contract is bit-identity.
+      ASSERT_EQ(dse_internal::StaticSequentialCycles(cfg, shapes),
+                SequentialCycles(cfg, dfg.layers(), dfg.vsa_ops()))
+          << graph.workload_name() << " at " << cfg.height << "x" << cfg.width
+          << "x" << cfg.count;
       for (std::int64_t nl = 1; nl < cfg.count; ++nl) {
         const std::vector<std::int64_t> nls(dfg.layers().size(), nl);
         const std::vector<std::int64_t> nvs(dfg.vsa_ops().size(),
                                             cfg.count - nl);
-        // Exact double equality: the contract is bit-identity.
-        ASSERT_EQ(dse_internal::StaticParallelCycles(cfg, shapes, nl,
-                                                     cfg.count - nl),
-                  ParallelCycles(cfg, dfg.layers(), dfg.vsa_ops(), nls, nvs))
+        ASSERT_EQ(
+            std::max(dse_internal::StaticNnCycles(cfg, shapes, nl),
+                     dse_internal::StaticVsaSums(cfg, shapes, cfg.count - nl)
+                         .Best()),
+            ParallelCycles(cfg, dfg.layers(), dfg.vsa_ops(), nls, nvs))
             << graph.workload_name() << " at " << cfg.height << "x" << cfg.width
             << "x" << cfg.count << " nl=" << nl;
         ++splits;
       }
     }
     EXPECT_GT(splits, 1000) << graph.workload_name();
+  }
+}
+
+// The bisection must return what a scan of every split keeps: the first
+// nl reaching the smallest t_para, bit for bit. Plateaus, where several
+// splits tie, are where a search most easily returns a later one.
+TEST(StaticSplitTest, BisectionMatchesTheLinearScan) {
+  int geometries = 0;
+  int plateaus = 0;
+  for (const OperatorGraph& graph : SweepGraphs()) {
+    const DataflowGraph dfg(graph);
+    const auto shapes = dse_internal::CountShapes(dfg);
+    for (const std::int64_t budget : {1024, 8192, 16384, 65536}) {
+      for (const std::int64_t columns : {860, 64}) {
+        DseOptions options;
+        options.max_pes = budget;
+        options.max_columns = columns;
+        for (const ArrayConfig& cfg : dse_internal::Phase1Geometries(options)) {
+          if (cfg.count < 2) {
+            continue;
+          }
+          std::int64_t first = 0;
+          std::int64_t last = 0;
+          double best = 0.0;
+          for (std::int64_t nl = 1; nl < cfg.count; ++nl) {
+            const double t_para = std::max(
+                dse_internal::StaticNnCycles(cfg, shapes, nl),
+                dse_internal::StaticVsaSums(cfg, shapes, cfg.count - nl)
+                    .Best());
+            if (first == 0 || t_para < best) {
+              first = nl;
+              best = t_para;
+            }
+            if (t_para == best) {
+              last = nl;
+            }
+          }
+          const dse_internal::StaticSplit split =
+              dse_internal::BestStaticSplit(cfg, shapes);
+          ASSERT_EQ(split.nl, first)
+              << graph.workload_name() << " at " << cfg.height << "x"
+              << cfg.width << "x" << cfg.count;
+          ASSERT_EQ(split.t_para, best)
+              << graph.workload_name() << " at " << cfg.height << "x"
+              << cfg.width << "x" << cfg.count;
+          EXPECT_LE(split.evaluations, cfg.count - 1);
+          ++geometries;
+          plateaus += first != last ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 3000);
+  EXPECT_GT(plateaus, 1000);
+}
+
+TEST(TwoPhaseDseTest, NoFittingGeometryIsAnError) {
+  const OperatorGraph graph = workloads::MakeNvsa();
+  const DataflowGraph dfg(graph);
+  DseOptions tiny = FastOptions();
+  tiny.max_pes = 8;  // Below one 4x4 sub-array.
+  EXPECT_THROW(RunTwoPhaseDse(dfg, tiny), InfeasibleError);
+  DseOptions narrow = FastOptions();
+  narrow.max_columns = 2;  // Below one 4-column sub-array.
+  try {
+    RunTwoPhaseDse(dfg, narrow);
+    ADD_FAILURE() << "expected InfeasibleError";
+  } catch (const InfeasibleError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("max_pes = 8192"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_columns = 2"), std::string::npos) << what;
   }
 }
 

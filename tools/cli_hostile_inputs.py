@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Hostile flag values against the real CLI: every one must be refused.
 
-Each case runs `nsflow serve` (or `nsflow plan` for its own numeric flags)
-with one malformed value and must exit 1 within the timeout, with an error
+Each case runs `nsflow serve` (or `nsflow plan` for its own numeric flags
+and a PE budget) with one malformed value and must exit 1 within the timeout, with an error
 on stderr that names the flag. The cases are
 
   * numeric flags given a non-number, a fraction where an integer is
     needed, an exponent, an out-of-range or negative integer, or inf/nan —
-    values a prefix-reading parser would truncate, wrap or run forever on;
+    values a prefix-reading parser would truncate, wrap or run forever on —
+    and a PE budget too small for one 4x4 sub-array;
   * the spec grammar's hostile shapes (docs/SERVING.md#spec-grammar) fed
     to --scenario, --adversity, --admission, --cluster, --mix and --tiers:
     an empty entry, a trailing comma, `name:` alone, a missing '=', an
@@ -49,11 +50,13 @@ NUMERIC_CASES = [
     (SERVE, "--duration", " 1"),
     (SERVE, "--max-wait-ms", "5ms"),
     (SERVE, "--max-pes", "1e3"),
+    (SERVE, "--max-pes", "0"),
     (SERVE, "--clock-mhz", "inf"),
     (SERVE, "--headroom", "0.2.5"),
     (SERVE, "--cooldown-s", "x"),
     (SERVE, "--min-replicas", "1.5"),
     (SERVE, "--max-replicas", "99999999999"),
+    (PLAN, "--max-pes", "8"),
     (PLAN, "--p99-ms", "10ms"),
     (PLAN, "--devices", "8x"),
     (PLAN, "--nodes", "-4294967295"),
