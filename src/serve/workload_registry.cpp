@@ -1,37 +1,99 @@
 #include "serve/workload_registry.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/error.h"
-#include "graph/trace.h"
 #include "workloads/builders.h"
 
 namespace nsflow::serve {
 
-std::uint64_t CompileCache::ContentHash(const OperatorGraph& graph) {
-  // FNV-1a 64-bit over the canonical trace serialization: cheap, stable,
-  // and insensitive to how the graph object was produced (builder, JSON
-  // parse, copy) as long as the content matches.
-  const std::string trace = EmitJsonTrace(graph, /*indent=*/0);
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : trace) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
+namespace {
+
+/// FNV-1a 64-bit, fed one field at a time.
+class Fnv1a {
+ public:
+  /// The value's bytes; integers, enums and doubles hash by bit pattern.
+  template <typename T>
+  void Add(T value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      Byte(b);
+    }
   }
-  return hash;
+  /// Length-prefixed, so adjacent strings cannot trade characters.
+  void Add(const std::string& text) {
+    Add(text.size());
+    for (const char c : text) {
+      Byte(static_cast<unsigned char>(c));
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Byte(unsigned char b) { hash_ = (hash_ ^ b) * 1099511628211ull; }
+
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+}  // namespace
+
+std::uint64_t CompileCache::ContentHash(const OperatorGraph& graph) {
+  // Exactly what EmitJsonTrace writes, under its presence conditions: the
+  // kind and precisions by enum value (one-to-one with the names the trace
+  // prints), inputs by producer name, doubles by bit pattern (the trace
+  // prints them exactly, so a JSON round trip keeps every bit). Each
+  // optional field hashes a presence flag so fields cannot shift.
+  Fnv1a h;
+  h.Add(graph.workload_name());
+  h.Add(static_cast<std::int64_t>(graph.loop_count()));
+  h.Add(graph.precision().neural);
+  h.Add(graph.precision().symbolic);
+  h.Add(graph.nodes().size());
+  for (const OpNode& node : graph.nodes()) {
+    h.Add(node.name);
+    h.Add(node.kind);
+    h.Add(node.inputs.size());
+    for (const NodeId input : node.inputs) {
+      h.Add(graph.node(input).name);
+    }
+    h.Add(node.gemm.m > 0);
+    if (node.gemm.m > 0) {
+      h.Add(node.gemm.m);
+      h.Add(node.gemm.n);
+      h.Add(node.gemm.k);
+    }
+    h.Add(node.vsa.count > 0);
+    if (node.vsa.count > 0) {
+      h.Add(node.vsa.count);
+      h.Add(node.vsa.dim);
+    }
+    const auto optional = [&h](auto value) {
+      h.Add(value > 0);
+      if (value > 0) {
+        h.Add(value);
+      }
+    };
+    optional(node.elem_count);
+    optional(node.weight_bytes);
+    optional(node.activation_bytes);
+    optional(node.output_bytes);
+  }
+  return h.value();
 }
 
 std::shared_ptr<const CompiledDesign> CompileCache::GetOrCompile(
-    const OperatorGraph& graph) {
-  const std::uint64_t key = ContentHash(graph);
+    std::uint64_t key, OperatorGraph graph) {
+  NSF_DCHECK(key == ContentHash(graph));
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++hits_;
     return it->second;
   }
   auto compiled = std::make_shared<const CompiledDesign>(
-      compiler_.Compile(OperatorGraph(graph)));
+      compiler_.Compile(std::move(graph)));
   cache_.emplace(key, compiled);
   ++misses_;
   return compiled;
@@ -40,20 +102,20 @@ std::shared_ptr<const CompiledDesign> CompileCache::GetOrCompile(
 WorkloadId WorkloadRegistry::Register(const std::string& name,
                                       OperatorGraph graph) {
   NSF_CHECK_MSG(!name.empty(), "workload name cannot be empty");
+  const std::uint64_t key = CompileCache::ContentHash(graph);
   const auto existing = by_name_.find(name);
   if (existing != by_name_.end()) {
     const WorkloadId id = existing->second;
     NSF_CHECK_MSG(
-        CompileCache::ContentHash(graph) ==
-            CompileCache::ContentHash(*designs_[static_cast<std::size_t>(id)]
-                                           ->graph),
+        key == keys_[static_cast<std::size_t>(id)],
         "workload '" + name + "' already registered with different content");
     return id;
   }
-  auto compiled = cache_.GetOrCompile(graph);
+  auto compiled = cache_.GetOrCompile(key, std::move(graph));
   const auto id = static_cast<WorkloadId>(designs_.size());
   names_.push_back(name);
   designs_.push_back(std::move(compiled));
+  keys_.push_back(key);
   by_name_.emplace(name, id);
   return id;
 }

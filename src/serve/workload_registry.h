@@ -4,7 +4,7 @@
 // compiled once through the full NSFlow frontend (`Compiler::Compile`) and
 // addressed afterwards by a dense `WorkloadId` — the id the serving pipeline
 // stamps on requests and batches. Registration is memoized by *trace content
-// hash* via a `CompileCache`: two names whose operator graphs
+// hash* via a `CompileCache`: two names whose operator graphs would
 // serialize to the same canonical JSON trace share one compiled design, so
 // re-registering a workload (or registering an alias) never pays the DSE
 // again.
@@ -31,21 +31,22 @@ namespace nsflow::serve {
 
 /// Memoization of `Compiler::Compile`, keyed by the content hash of the
 /// workload's canonical JSON trace. Identical trace content -> one
-/// frontend run (dataflow build + two-phase DSE + codegen), shared by
-/// every caller.
+/// frontend run (dataflow build + two-phase DSE), shared by every caller.
 class CompileCache {
  public:
   explicit CompileCache(CompileOptions options = {})
       : compiler_(std::move(options)) {}
 
-  /// FNV-1a over the canonical serialized trace (`EmitJsonTrace`). Stable
-  /// across graph copies — only the trace *content* matters.
+  /// FNV-1a over the fields the canonical trace (`EmitJsonTrace`) writes,
+  /// hashed directly rather than serialized, so a graph and its JSON round
+  /// trip hash equal. Stable across graph copies — only the trace
+  /// *content* matters. An in-process cache key; nothing persists it.
   static std::uint64_t ContentHash(const OperatorGraph& graph);
 
-  /// Return the compiled design for `graph`, compiling at most once per
-  /// distinct content hash.
-  std::shared_ptr<const CompiledDesign> GetOrCompile(
-      const OperatorGraph& graph);
+  /// Return the compiled design for `graph`, whose `ContentHash` is `key`,
+  /// compiling it at most once per distinct key.
+  std::shared_ptr<const CompiledDesign> GetOrCompile(std::uint64_t key,
+                                                     OperatorGraph graph);
 
   std::int64_t hits() const { return hits_; }
   std::int64_t misses() const { return misses_; }
@@ -116,6 +117,7 @@ class WorkloadRegistry {
   CompileCache cache_;
   std::vector<std::string> names_;                               // By id.
   std::vector<std::shared_ptr<const CompiledDesign>> designs_;   // By id.
+  std::vector<std::uint64_t> keys_;  // ContentHash by id.
   std::map<std::string, WorkloadId> by_name_;
 };
 

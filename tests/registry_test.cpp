@@ -6,11 +6,14 @@
 // serve run.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 
 #include "arch/fastpath.h"
 #include "common/error.h"
+#include "graph/trace.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
 #include "serve/server_pool.h"
@@ -67,6 +70,114 @@ TEST(CompileCacheTest, ContentHashTracksTraceContent) {
   workloads::MlpParams other;
   other.hidden_layers = 2;
   EXPECT_NE(h1, CompileCache::ContentHash(workloads::MakeMlp(other)));
+}
+
+// The hash reads graph fields instead of the serialized trace, so it must
+// agree with the trace: a JSON round trip hashes equal, and every field
+// the trace writes moves the hash.
+TEST(CompileCacheTest, ContentHashSurvivesAJsonRoundTrip) {
+  for (const std::string& name : WorkloadRegistry::BuiltinNames()) {
+    WorkloadRegistry registry;
+    const WorkloadId id = registry.RegisterBuiltin(name);
+    const OperatorGraph& graph = *registry.compiled(id).graph;
+    EXPECT_EQ(CompileCache::ContentHash(graph),
+              CompileCache::ContentHash(ParseJsonTrace(EmitJsonTrace(graph))))
+        << name;
+    // Re-registering the round-tripped graph under its name is the same
+    // workload, and compiles nothing new.
+    EXPECT_EQ(registry.Register(name, ParseJsonTrace(EmitJsonTrace(graph))),
+              id)
+        << name;
+    EXPECT_EQ(registry.cache().misses(), 1) << name;
+  }
+}
+
+TEST(CompileCacheTest, EveryHashedFieldMovesTheHash) {
+  const OperatorGraph base = workloads::MakeNvsa();
+  const std::uint64_t hash = CompileCache::ContentHash(base);
+  const auto first = [&base](const auto& has) {
+    for (const OpNode& node : base.nodes()) {
+      if (has(node)) {
+        return node.id;
+      }
+    }
+    ADD_FAILURE() << "NVSA has no node of the kind a mutation needs";
+    return NodeId{0};
+  };
+  const NodeId layer = first([](const OpNode& n) { return n.gemm.m > 0; });
+  const NodeId vsa = first([](const OpNode& n) { return n.vsa.count > 0; });
+  const NodeId simd = first([](const OpNode& n) { return n.elem_count > 0; });
+  const NodeId weighted =
+      first([](const OpNode& n) { return n.weight_bytes > 0; });
+  const NodeId streamed =
+      first([](const OpNode& n) { return n.activation_bytes > 0; });
+  const NodeId produced =
+      first([](const OpNode& n) { return n.output_bytes > 0; });
+  const NodeId fed = first([](const OpNode& n) {
+    return n.id >= 2 && !n.inputs.empty();
+  });
+  const auto next_up = [](double bytes) {
+    return std::nextafter(bytes, std::numeric_limits<double>::infinity());
+  };
+
+  std::vector<std::pair<std::string, std::function<void(OperatorGraph&)>>>
+      mutations = {
+          {"workload name", [](OperatorGraph& g) { g.set_workload_name("x"); }},
+          {"loop count",
+           [](OperatorGraph& g) { g.set_loop_count(g.loop_count() + 1); }},
+          {"neural precision",
+           [](OperatorGraph& g) {
+             PrecisionPolicy p = g.precision();
+             p.neural = p.neural == Precision::kFP16 ? Precision::kFP32
+                                                     : Precision::kFP16;
+             g.set_precision(p);
+           }},
+          {"symbolic precision",
+           [](OperatorGraph& g) {
+             PrecisionPolicy p = g.precision();
+             p.symbolic = p.symbolic == Precision::kFP16 ? Precision::kFP32
+                                                         : Precision::kFP16;
+             g.set_precision(p);
+           }},
+          {"node name", [=](OperatorGraph& g) { g.node(layer).name += "_"; }},
+          {"node kind",
+           [=](OperatorGraph& g) {
+             OpKind& kind = g.node(layer).kind;
+             kind = kind == OpKind::kLinear ? OpKind::kConv2d : OpKind::kLinear;
+           }},
+          {"input edge",
+           [=](OperatorGraph& g) {
+             NodeId& input = g.node(fed).inputs.front();
+             input = input == 0 ? 1 : 0;
+           }},
+          {"gemm m", [=](OperatorGraph& g) { g.node(layer).gemm.m += 1; }},
+          {"gemm n", [=](OperatorGraph& g) { g.node(layer).gemm.n += 1; }},
+          {"gemm k", [=](OperatorGraph& g) { g.node(layer).gemm.k += 1; }},
+          {"vsa count", [=](OperatorGraph& g) { g.node(vsa).vsa.count += 1; }},
+          {"vsa dim", [=](OperatorGraph& g) { g.node(vsa).vsa.dim += 1; }},
+          {"elem count",
+           [=](OperatorGraph& g) { g.node(simd).elem_count += 1; }},
+          {"weight bytes",
+           [=](OperatorGraph& g) {
+             double& bytes = g.node(weighted).weight_bytes;
+             bytes = next_up(bytes);
+           }},
+          {"activation bytes",
+           [=](OperatorGraph& g) {
+             double& bytes = g.node(streamed).activation_bytes;
+             bytes = next_up(bytes);
+           }},
+          {"output bytes",
+           [=](OperatorGraph& g) {
+             double& bytes = g.node(produced).output_bytes;
+             bytes = next_up(bytes);
+           }},
+      };
+  for (const auto& [field, mutate] : mutations) {
+    OperatorGraph mutated = base;
+    mutate(mutated);
+    EXPECT_NE(CompileCache::ContentHash(mutated), hash) << field;
+  }
 }
 
 TEST(CompileCacheTest, ReregisteringSameNameSameContentReturnsSameId) {
