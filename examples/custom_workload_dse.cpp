@@ -6,7 +6,10 @@
 //   $ ./custom_workload_dse
 #include <cstdio>
 
+#include "dse/design_config.h"
+#include "fpga/rtl_emitter.h"
 #include "nsflow/framework.h"
+#include "nsflow/host_codegen.h"
 
 namespace {
 
@@ -82,13 +85,14 @@ int main() {
   std::printf("  points evaluated: %lld (vs the ~10^300 exhaustive space)\n",
               static_cast<long long>(dse.evaluated_points));
 
+  const std::string& workload = compiled.graph->workload_name();
   std::printf("\n--- System design config (.json) ---\n%s\n",
-              compiled.design_config_json.c_str());
+              EmitDesignConfig(compiled.design(), workload).c_str());
   std::printf("\n--- Generated host code (.cpp), first 800 chars ---\n%.800s"
               "...\n",
-              compiled.host_code.c_str());
+              EmitHostCode(dfg, compiled.design(), workload).c_str());
   std::printf("\n--- RTL parameter header (nsflow_params.vh) ---\n%s\n",
-              compiled.rtl_parameter_header.c_str());
+              EmitParameterHeader(compiled.design()).c_str());
   std::printf("Predicted latency for 4 loops: %.3f ms\n",
               compiled.PredictedSeconds() * 1e3);
   return 0;

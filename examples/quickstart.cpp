@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "dse/design_config.h"
 #include "nsflow/framework.h"
 #include "vsa/block_code.h"
 #include "workloads/builders.h"
@@ -71,6 +72,8 @@ int main() {
 
   // The emitted artifacts a real deployment would consume:
   std::printf("\n--- design_config.json (first 400 chars) ---\n%.400s...\n",
-              compiled.design_config_json.c_str());
+              EmitDesignConfig(compiled.design(),
+                               compiled.graph->workload_name())
+                  .c_str());
   return 0;
 }

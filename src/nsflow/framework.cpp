@@ -5,10 +5,7 @@
 
 #include "arch/fastpath.h"
 #include "common/error.h"
-#include "dse/design_config.h"
-#include "fpga/rtl_emitter.h"
 #include "graph/trace.h"
-#include "nsflow/host_codegen.h"
 
 namespace nsflow {
 
@@ -24,13 +21,6 @@ CompiledDesign Compiler::Compile(OperatorGraph graph) const {
   DseOptions dse_options = options_.dse;
   dse_options.dictionary_bytes = options_.dictionary_bytes;
   compiled.dse = RunTwoPhaseDse(*compiled.dataflow, dse_options);
-
-  compiled.design_config_json =
-      EmitDesignConfig(compiled.dse.design, compiled.graph->workload_name());
-  compiled.host_code = EmitHostCode(*compiled.dataflow, compiled.dse.design,
-                                    compiled.graph->workload_name());
-  compiled.rtl_parameter_header = EmitParameterHeader(compiled.dse.design);
-  compiled.rtl_top_level = EmitTopLevel(compiled.dse.design);
   return compiled;
 }
 

@@ -5,9 +5,13 @@
 //          └─ backend: parameterized accelerator (cycle-level simulator here;
 //             RTL parameter header for a real Vivado flow) + XRT-like runtime
 //
-// `Compiler::Compile` runs the whole frontend; `Deploy` instantiates the
-// simulated accelerator from the compiled design. This is the public entry
-// point examples and benches use.
+// `Compiler::Compile` runs the frontend's search (dataflow graph + DSE);
+// `Deploy` instantiates the simulated accelerator from the compiled design.
+// This is the public entry point examples and benches use. The deployment
+// artifacts are rendered from a compiled design only where they are
+// written: `EmitDesignConfig` (dse/design_config.h), `EmitHostCode`
+// (nsflow/host_codegen.h), `EmitParameterHeader` and `EmitTopLevel`
+// (fpga/rtl_emitter.h).
 #pragma once
 
 #include <memory>
@@ -22,15 +26,12 @@
 
 namespace nsflow {
 
-/// Everything the frontend produces for one workload.
+/// The frontend's search result for one workload: the graphs and the DSE
+/// winner every artifact emitter renders from.
 struct CompiledDesign {
   std::unique_ptr<OperatorGraph> graph;     // The ingested workload.
   std::unique_ptr<DataflowGraph> dataflow;  // Fig. 4 graph (references graph).
   DseResult dse;                            // Algorithm 1 output.
-  std::string design_config_json;           // "System Design Config (.json)".
-  std::string host_code;                    // Generated host C++ (XRT calls).
-  std::string rtl_parameter_header;         // nsflow_params.vh.
-  std::string rtl_top_level;                // nsflow_top.v.
 
   const AcceleratorDesign& design() const { return dse.design; }
 

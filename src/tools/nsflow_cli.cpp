@@ -27,10 +27,13 @@
 #include "common/json.h"
 #include "common/number.h"
 #include "common/table.h"
+#include "dse/design_config.h"
 #include "fpga/device.h"
+#include "fpga/rtl_emitter.h"
 #include "graph/trace.h"
 #include "model/device_zoo.h"
 #include "nsflow/framework.h"
+#include "nsflow/host_codegen.h"
 #include "serve/capacity_planner.h"
 #include "serve/cluster.h"
 #include "serve/engine.h"
@@ -517,11 +520,14 @@ int RunCompile(const CliArgs& args, OperatorGraph graph) {
   const Compiler compiler(options);
   const CompiledDesign compiled = compiler.Compile(std::move(graph));
 
+  const AcceleratorDesign& design = compiled.design();
+  const std::string& workload = compiled.graph->workload_name();
   const std::string prefix = args.out_dir + "/";
-  WriteFile(prefix + "design_config.json", compiled.design_config_json);
-  WriteFile(prefix + "host.cpp", compiled.host_code);
-  WriteFile(prefix + "nsflow_params.vh", compiled.rtl_parameter_header);
-  WriteFile(prefix + "nsflow_top.v", compiled.rtl_top_level);
+  WriteFile(prefix + "design_config.json", EmitDesignConfig(design, workload));
+  WriteFile(prefix + "host.cpp",
+            EmitHostCode(*compiled.dataflow, design, workload));
+  WriteFile(prefix + "nsflow_params.vh", EmitParameterHeader(design));
+  WriteFile(prefix + "nsflow_top.v", EmitTopLevel(design));
   const std::string report = ReportText(compiled);
   WriteFile(prefix + "report.txt", report);
   std::printf("%s\nArtifacts written to %s\n", report.c_str(),

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "dse/design_config.h"
+#include "fpga/rtl_emitter.h"
 #include "graph/trace.h"
 #include "nsflow/framework.h"
+#include "nsflow/host_codegen.h"
 #include "workloads/builders.h"
 
 namespace nsflow {
@@ -16,17 +19,19 @@ TEST(FrameworkTest, CompileProducesAllArtifacts) {
 
   EXPECT_NE(compiled.graph, nullptr);
   EXPECT_NE(compiled.dataflow, nullptr);
-  EXPECT_FALSE(compiled.design_config_json.empty());
-  EXPECT_FALSE(compiled.host_code.empty());
-  EXPECT_FALSE(compiled.rtl_parameter_header.empty());
-  EXPECT_FALSE(compiled.rtl_top_level.empty());
+  const AcceleratorDesign& design = compiled.design();
+  EXPECT_FALSE(EmitDesignConfig(design, "NVSA").empty());
+  EXPECT_FALSE(EmitHostCode(*compiled.dataflow, design, "NVSA").empty());
+  EXPECT_FALSE(EmitParameterHeader(design).empty());
+  EXPECT_FALSE(EmitTopLevel(design).empty());
   EXPECT_GT(compiled.PredictedSeconds(), 0.0);
 }
 
 TEST(FrameworkTest, DesignConfigJsonIsValid) {
   const Compiler compiler;
   const CompiledDesign compiled = compiler.Compile(workloads::MakeNvsa());
-  const Json doc = Json::Parse(compiled.design_config_json);
+  const Json doc = Json::Parse(EmitDesignConfig(
+      compiled.design(), compiled.graph->workload_name()));
   EXPECT_EQ(doc.At("workload").AsString(), "NVSA");
   EXPECT_GT(doc.At("array").At("height").AsInt(), 0);
   EXPECT_EQ(doc.At("precision").At("symbolic").AsString(), "INT4");
@@ -35,7 +40,8 @@ TEST(FrameworkTest, DesignConfigJsonIsValid) {
 TEST(FrameworkTest, HostCodeReferencesXrtAndSchedule) {
   const Compiler compiler;
   const CompiledDesign compiled = compiler.Compile(workloads::MakeNvsa());
-  const std::string& code = compiled.host_code;
+  const std::string code = EmitHostCode(*compiled.dataflow, compiled.design(),
+                                        compiled.graph->workload_name());
   EXPECT_NE(code.find("#include <xrt/xrt_kernel.h>"), std::string::npos);
   EXPECT_NE(code.find("nsflow_nn"), std::string::npos);
   EXPECT_NE(code.find("nsflow_vsa"), std::string::npos);
