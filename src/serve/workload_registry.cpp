@@ -215,19 +215,24 @@ std::vector<ReplicaSpec> WorkloadRegistry::ReplicaSpecs(
   NSF_CHECK_MSG(replicas >= 1, "need at least one replica");
   NSF_CHECK_MSG(!partitioned || replicas >= size(),
                 "a partitioned pool needs at least one replica per workload");
+  // One spec per base workload (provisioning walks every tenant's layers),
+  // copied to each replica it carries.
+  std::vector<ReplicaSpec> bases(
+      static_cast<std::size_t>(std::min(replicas, size())));
+  for (std::size_t w = 0; w < bases.size(); ++w) {
+    ReplicaSpec& spec = bases[w];
+    spec.tuned_for = static_cast<WorkloadId>(w);
+    if (partitioned) {
+      spec.design = compiled(spec.tuned_for).design();
+      spec.workloads = {spec.tuned_for};
+    } else {
+      spec.design = ProvisionDesign(spec.tuned_for);
+    }
+  }
   std::vector<ReplicaSpec> specs;
   specs.reserve(static_cast<std::size_t>(replicas));
   for (int r = 0; r < replicas; ++r) {
-    const auto w = static_cast<WorkloadId>(r % size());
-    ReplicaSpec spec;
-    spec.tuned_for = w;
-    if (partitioned) {
-      spec.design = compiled(w).design();
-      spec.workloads = {w};
-    } else {
-      spec.design = ProvisionDesign(w);
-    }
-    specs.push_back(std::move(spec));
+    specs.push_back(bases[static_cast<std::size_t>(r % size())]);
   }
   return specs;
 }
