@@ -85,8 +85,8 @@ std::uint64_t CompileCache::ContentHash(const OperatorGraph& graph) {
 }
 
 std::shared_ptr<const CompiledDesign> CompileCache::GetOrCompile(
-    std::uint64_t key, OperatorGraph graph) {
-  NSF_DCHECK(key == ContentHash(graph));
+    OperatorGraph graph) {
+  const std::uint64_t key = ContentHash(graph);
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++hits_;
@@ -102,20 +102,20 @@ std::shared_ptr<const CompiledDesign> CompileCache::GetOrCompile(
 WorkloadId WorkloadRegistry::Register(const std::string& name,
                                       OperatorGraph graph) {
   NSF_CHECK_MSG(!name.empty(), "workload name cannot be empty");
-  const std::uint64_t key = CompileCache::ContentHash(graph);
   const auto existing = by_name_.find(name);
   if (existing != by_name_.end()) {
     const WorkloadId id = existing->second;
     NSF_CHECK_MSG(
-        key == keys_[static_cast<std::size_t>(id)],
+        CompileCache::ContentHash(graph) ==
+            CompileCache::ContentHash(*designs_[static_cast<std::size_t>(id)]
+                                           ->graph),
         "workload '" + name + "' already registered with different content");
     return id;
   }
-  auto compiled = cache_.GetOrCompile(key, std::move(graph));
+  auto compiled = cache_.GetOrCompile(std::move(graph));
   const auto id = static_cast<WorkloadId>(designs_.size());
   names_.push_back(name);
   designs_.push_back(std::move(compiled));
-  keys_.push_back(key);
   by_name_.emplace(name, id);
   return id;
 }

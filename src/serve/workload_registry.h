@@ -43,10 +43,9 @@ class CompileCache {
   /// *content* matters. An in-process cache key; nothing persists it.
   static std::uint64_t ContentHash(const OperatorGraph& graph);
 
-  /// Return the compiled design for `graph`, whose `ContentHash` is `key`,
-  /// compiling it at most once per distinct key.
-  std::shared_ptr<const CompiledDesign> GetOrCompile(std::uint64_t key,
-                                                     OperatorGraph graph);
+  /// Return the compiled design for `graph`, compiling at most once per
+  /// distinct content hash.
+  std::shared_ptr<const CompiledDesign> GetOrCompile(OperatorGraph graph);
 
   std::int64_t hits() const { return hits_; }
   std::int64_t misses() const { return misses_; }
@@ -117,7 +116,6 @@ class WorkloadRegistry {
   CompileCache cache_;
   std::vector<std::string> names_;                               // By id.
   std::vector<std::shared_ptr<const CompiledDesign>> designs_;   // By id.
-  std::vector<std::uint64_t> keys_;  // ContentHash by id.
   std::map<std::string, WorkloadId> by_name_;
 };
 
