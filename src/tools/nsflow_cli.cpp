@@ -28,6 +28,7 @@
 #include "common/number.h"
 #include "common/table.h"
 #include "dse/design_config.h"
+#include "dse/dse.h"
 #include "fpga/device.h"
 #include "fpga/rtl_emitter.h"
 #include "graph/trace.h"
@@ -368,10 +369,9 @@ CliArgs Parse(int argc, char** argv) {
       args.out_dir = next();
     } else if (flag == "--max-pes") {
       args.dse.max_pes = ParseInteger<std::int64_t>(next(), flag);
-      // The smallest candidate sub-array is 4x4 (DseOptions::range_h/w).
-      if (args.dse.max_pes < 16) {
-        throw Error("--max-pes must be at least 16, one 4x4 sub-array (got " +
-                    std::to_string(args.dse.max_pes) + ")");
+      if (dse_internal::Phase1Geometries(args.dse).empty()) {
+        throw Error("--max-pes " + std::to_string(args.dse.max_pes) +
+                    " fits no candidate sub-array geometry");
       }
       args.dse_set = true;
     } else if (flag == "--clock-mhz") {
