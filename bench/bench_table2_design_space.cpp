@@ -2,8 +2,12 @@
 //
 // Expected shape: the original cross-coupled space is ~10^300 for m = 10
 // (max 2^m-PE sub-arrays) on an NVSA-scale dataflow graph; Phase I reduces
-// it to ~10^3 model evaluations plus Iter x #layers for Phase II — a
-// reduction of ~100 orders of magnitude.
+// it to ~10^3 points (every static split of every geometry) plus Iter x
+// #layers for Phase II — a reduction of ~100 orders of magnitude. The DSE's
+// own counter is its search's work, not the space: it bisects each
+// geometry's split rather than pricing every point, so it sits below the
+// Phase I space on purpose.
+#include <cmath>
 #include <cstdio>
 
 #include "common/table.h"
@@ -33,13 +37,16 @@ int main() {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // Cross-check with the DSE's actual evaluation counter.
-  const DseResult result = RunTwoPhaseDse(dfg, {});
+  // The search's work beside the space it covers at the same budget.
+  const DseOptions options;
+  const int m = static_cast<int>(std::log2(options.max_pes));
+  const DseResult result = RunTwoPhaseDse(dfg, options);
+  const auto space = CountDesignSpace(dfg, m, 4);
   std::printf(
-      "Actual DSE model evaluations on NVSA: %lld (vs ~10^%d original "
-      "points)\n",
-      static_cast<long long>(result.evaluated_points),
-      static_cast<int>(CountDesignSpace(dfg, 10, 4).log10_original));
+      "DSE search work on NVSA at m = %d: %lld model evaluations (space: "
+      "~10^%.1f Phase I points, ~10^%d original points)\n",
+      m, static_cast<long long>(result.evaluated_points), space.log10_phase1,
+      static_cast<int>(space.log10_original));
   std::printf("Paper anchor: 10^300 original -> ~10^3 after phasing "
               "(10^100x reduction claim; see Table II).\n");
   return 0;
