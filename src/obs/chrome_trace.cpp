@@ -1,6 +1,8 @@
 #include "obs/chrome_trace.h"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -437,6 +439,13 @@ class Reader {
     pos_ += n;
     return s;
   }
+  /// The next `n` bytes, as a view for a reader of their own.
+  std::string_view Take(std::size_t n) {
+    Need(n);
+    const std::string_view taken = bytes_.substr(pos_, n);
+    pos_ += n;
+    return taken;
+  }
   bool AtEnd() const { return pos_ == bytes_.size(); }
   /// Throws unless `count` records of at least `record_bytes` each fit in
   /// the bytes left, so a header's count is checked before it is reserved.
@@ -508,6 +517,120 @@ std::string SerializeBinaryTrace(const TraceData& data) {
   return out;
 }
 
+namespace {
+
+RequestSpan ReadRequest(Reader& r) {
+  RequestSpan s;
+  s.request_id = r.I64();
+  s.workload = static_cast<std::int32_t>(r.U32());
+  s.close = static_cast<BatchClose>(r.U32());
+  s.arrival_s = r.F64();
+  s.formed_s = r.F64();
+  s.start_s = r.F64();
+  s.complete_s = r.F64();
+  s.batch_index = r.I64();
+  s.replica = static_cast<std::int32_t>(r.U32());
+  s.batch_size = static_cast<std::int32_t>(r.U32());
+  s.seq = r.I64();
+  return s;
+}
+
+BatchSpan ReadBatch(Reader& r) {
+  BatchSpan b;
+  b.batch_index = r.I64();
+  b.workload = static_cast<std::int32_t>(r.U32());
+  b.replica = static_cast<std::int32_t>(r.U32());
+  b.close = static_cast<BatchClose>(r.U32());
+  b.formed_s = r.F64();
+  b.start_s = r.F64();
+  b.complete_s = r.F64();
+  b.size = r.I64();
+  b.seq = r.I64();
+  return b;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Whether a request record repeats every field its batch's span gives it.
+/// Stamps compare by bits, so the record re-encodes to itself.
+bool RepeatsBatch(const RequestSpan& s, const BatchSpan& b) {
+  return s.batch_index == b.batch_index && s.workload == b.workload &&
+         s.close == b.close && SameBits(s.formed_s, b.formed_s) &&
+         SameBits(s.start_s, b.start_s) &&
+         SameBits(s.complete_s, b.complete_s) && s.replica == b.replica &&
+         s.batch_size == b.size;
+}
+
+/// Fills `log.requests` from `count` request records, which must be what
+/// SerializeBinaryTrace writes for `log.batches`: the batches in
+/// (complete_s, seq) order, each expanded member by member, every record
+/// repeating its batch's fields. Throws on anything else.
+void JoinRequests(Reader& records, std::size_t count, CompletionLog& log) {
+  // Each batch's log index by batch_index, and its first member's slot.
+  std::vector<std::pair<std::int64_t, std::size_t>> by_index;
+  by_index.reserve(log.batches.size());
+  std::vector<std::size_t> first;
+  first.reserve(log.batches.size());
+  std::size_t members = 0;
+  for (const BatchSpan& batch : log.batches) {
+    NSF_CHECK_MSG(static_cast<std::uint64_t>(batch.size) <= count - members,
+                  "binary trace batch sizes exceed its request count");
+    by_index.emplace_back(batch.batch_index, by_index.size());
+    first.push_back(members);
+    members += static_cast<std::size_t>(batch.size);
+  }
+  NSF_CHECK_MSG(members == count,
+                "binary trace batch sizes do not sum to its request count");
+  std::sort(by_index.begin(), by_index.end());
+  NSF_CHECK_MSG(std::adjacent_find(by_index.begin(), by_index.end(),
+                                   [](const auto& a, const auto& b) {
+                                     return a.first == b.first;
+                                   }) == by_index.end(),
+                "binary trace has two batches with one batch_index");
+
+  log.requests.resize(count);
+  const BatchSpan* batch = nullptr;  // The batch whose members are read.
+  std::size_t slot = 0;              // Its first member's slot.
+  std::int64_t member = 0;           // The next member to read.
+  for (std::size_t k = 0; k < count; ++k) {
+    const RequestSpan span = ReadRequest(records);
+    const auto where = [k](const std::string& what) {
+      return "binary trace request " + std::to_string(k) + " " + what;
+    };
+    if (batch == nullptr || member == batch->size) {
+      const auto found = std::lower_bound(
+          by_index.begin(), by_index.end(),
+          std::make_pair(span.batch_index, std::size_t{0}));
+      NSF_CHECK_MSG(
+          found != by_index.end() && found->first == span.batch_index,
+          where("names no batch"));
+      const BatchSpan& next = log.batches[found->second];
+      NSF_CHECK_MSG(
+          batch == nullptr ||
+              EarlierInTrace(*batch, next, &BatchSpan::complete_s),
+          where("is out of (complete, seq) order"));
+      batch = &next;
+      slot = first[found->second];
+      member = 0;
+    }
+    NSF_CHECK_MSG(RepeatsBatch(span, *batch),
+                  where("disagrees with its batch"));
+    // Unsigned, so a hostile seq cannot overflow.
+    NSF_CHECK_MSG(static_cast<std::uint64_t>(span.seq) -
+                          static_cast<std::uint64_t>(batch->seq) ==
+                      static_cast<std::uint64_t>(member) + 1,
+                  where("is not member " + std::to_string(member) +
+                        " of its batch"));
+    log.requests[slot + static_cast<std::size_t>(member)] = {span.request_id,
+                                                             span.arrival_s};
+    ++member;
+  }
+}
+
+}  // namespace
+
 TraceData ParseBinaryTrace(std::string_view bytes) {
   Reader r(bytes);
   const std::uint32_t magic = r.U32();
@@ -515,46 +638,34 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
   const std::uint32_t version = r.U32();
   NSF_CHECK_MSG(version == kVersion, "unsupported binary trace version " +
                                          std::to_string(version));
-  TraceData data;
   const auto requests = static_cast<std::size_t>(r.I64());
   const auto batches = static_cast<std::size_t>(r.I64());
   const auto instants = static_cast<std::size_t>(r.I64());
   const auto counters = static_cast<std::size_t>(r.I64());
-  data.dropped = r.I64();
+  const std::int64_t dropped = r.I64();
+  // The request records name batches that follow them: set them aside
+  // until the batches are read.
   r.NeedRecords(requests, kRequestBytes);
-  data.requests.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    RequestSpan s;
-    s.request_id = r.I64();
-    s.workload = static_cast<std::int32_t>(r.U32());
-    s.close = static_cast<BatchClose>(r.U32());
-    s.arrival_s = r.F64();
-    s.formed_s = r.F64();
-    s.start_s = r.F64();
-    s.complete_s = r.F64();
-    s.batch_index = r.I64();
-    s.replica = static_cast<std::int32_t>(r.U32());
-    s.batch_size = static_cast<std::int32_t>(r.U32());
-    s.seq = r.I64();
-    data.requests.push_back(s);
-  }
+  Reader request_records(r.Take(requests * kRequestBytes));
+
+  auto log = std::make_shared<CompletionLog>();
   r.NeedRecords(batches, kBatchBytes);
-  data.batches.reserve(batches);
+  log->batches.reserve(batches);
   for (std::size_t i = 0; i < batches; ++i) {
-    BatchSpan b;
-    b.batch_index = r.I64();
-    b.workload = static_cast<std::int32_t>(r.U32());
-    b.replica = static_cast<std::int32_t>(r.U32());
-    b.close = static_cast<BatchClose>(r.U32());
-    b.formed_s = r.F64();
-    b.start_s = r.F64();
-    b.complete_s = r.F64();
-    b.size = r.I64();
-    b.seq = r.I64();
-    data.batches.push_back(b);
+    const BatchSpan b = ReadBatch(r);
+    NSF_CHECK_MSG(b.size > 0, "binary trace batch " +
+                                  std::to_string(b.batch_index) +
+                                  " has no member");
+    NSF_CHECK_MSG(log->batches.empty() ||
+                      EarlierInTrace(log->batches.back(), b,
+                                     &BatchSpan::start_s),
+                  "binary trace batch " + std::to_string(b.batch_index) +
+                      " is out of (start, seq) order");
+    log->batches.push_back(b);
   }
   r.NeedRecords(instants, kInstantBytes);
-  data.instants.reserve(instants);
+  std::vector<InstantEvent> instant_records;
+  instant_records.reserve(instants);
   for (std::size_t i = 0; i < instants; ++i) {
     InstantEvent e;
     e.t_s = r.F64();
@@ -563,10 +674,11 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
     e.workload = static_cast<std::int32_t>(r.U32());
     e.detail = r.Str();
     e.seq = r.I64();
-    data.instants.push_back(std::move(e));
+    instant_records.push_back(std::move(e));
   }
   r.NeedRecords(counters, kCounterBytes);
-  data.counters.reserve(counters);
+  std::vector<CounterSample> counter_records;
+  counter_records.reserve(counters);
   for (std::size_t i = 0; i < counters; ++i) {
     CounterSample c;
     c.t_s = r.F64();
@@ -574,9 +686,15 @@ TraceData ParseBinaryTrace(std::string_view bytes) {
     c.active_replicas = static_cast<std::int32_t>(r.U32());
     c.queue_depth = r.I64();
     c.seq = r.I64();
-    data.counters.push_back(c);
+    counter_records.push_back(c);
   }
   NSF_CHECK_MSG(r.AtEnd(), "trailing bytes after binary trace");
+  JoinRequests(request_records, requests, *log);
+
+  TraceData data(log);
+  data.instants = std::move(instant_records);
+  data.counters = std::move(counter_records);
+  data.dropped = dropped;
   return data;
 }
 

@@ -82,12 +82,25 @@ std::vector<ChromeEvent> ParseChromeTrace(std::string_view text);
 // size.
 
 /// Encode a drained TraceData (magic "NSFT", version 1) with one
-/// allocation of the exact encoded size.
+/// allocation of the exact encoded size: the request spans, batch spans,
+/// instants and counters, each section in the order the TraceData holds.
 std::string SerializeBinaryTrace(const TraceData& data);
 
-/// Decode; throws common/error on a bad magic, version, truncation, or a
-/// header count larger than the remaining bytes could hold.
-/// Field-exact inverse: re-encoding reproduces the input bytes.
+/// Decode into a CompletionLog that the returned spans view, so the result
+/// is the TraceData a run would drain. Accepts exactly what
+/// SerializeBinaryTrace writes from a completion log, and so every file it
+/// accepts re-encodes to its own bytes:
+///   - the batch section is in strict (start_s, seq) order, every batch has
+///     a member, no two share a batch_index, and the sizes sum to the
+///     request count;
+///   - the request section is the batches in strict (complete_s, seq)
+///     order, each expanded member by member: member i names its batch's
+///     batch_index, repeats its workload, close, stamps (bit for bit),
+///     replica and size, and takes seq batch.seq + 1 + i.
+/// Throws nsflow::Error on anything else: a record that breaks these
+/// rules, a bad magic or version, truncation, trailing bytes, or a header
+/// count larger than the remaining bytes could hold. NSFT does not carry
+/// BatchSpan::egress_s or queue_depth; they decode as 0.
 TraceData ParseBinaryTrace(std::string_view bytes);
 
 }  // namespace nsflow::obs

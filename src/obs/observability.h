@@ -16,10 +16,13 @@
 // serve bench must stay within 5% wall clock of tracing off
 // (bench_serve_fastpath's `obs_overhead` gate), and two runs at the same
 // seed must serialize bit-identical traces. Exports cost what they write:
-// Drain() sorts only records that are out of (stamp, seq) order, and
-// BinaryTrace() allocates its output once at its exact encoded size.
-// perfbench's `obs.marginal_ns_per_request` and `obs.*_export_s` rows
-// measure both at a realistic size.
+// Drain() copies no span (the spans are views over the completion log),
+// allocates 12 bytes per committed batch for their orders beside copies of
+// the instants and counters, and sorts only an order that is out of
+// (stamp, seq) order; BinaryTrace() allocates its output once at its exact
+// encoded size (tests/allocation_test.cpp pins both). perfbench's
+// `obs.marginal_ns_per_request`, `obs.drain_s` and `obs.*_export_s` rows
+// measure them at a realistic size.
 #pragma once
 
 #include <memory>

@@ -6,18 +6,22 @@
 // the recorded trace bit-exactly — the serve determinism contract extends
 // to the trace itself.
 //
-// Request and batch spans are not recorded here: they are views over the
-// run's CompletionLog (completion_log.h), built at Drain(). The recorder
-// itself keeps only the rare control-plane records (autoscaler decisions,
-// replica transitions, counter samples), which carry a human-readable
-// detail string, and the seq counter every record draws from: a committed
-// batch takes 1 + size numbers, so Drain() orders spans and instants
-// exactly as if each had been recorded one by one. The engine's one
-// thread is the only writer. Drain() returns one deterministic stream
-// ordered by (timestamp, sequence number).
+// Request and batch spans are not recorded here, and Drain() does not copy
+// them: TraceData::requests and TraceData::batches are read-only views over
+// the run's CompletionLog (completion_log.h) through an index order, and a
+// request span is joined from its request and batch records when it is
+// read. The recorder itself keeps only the rare control-plane records
+// (autoscaler decisions, replica transitions, counter samples), which
+// carry a human-readable detail string, and the seq counter every record
+// draws from: a committed batch takes 1 + size numbers, so Drain() orders
+// spans and instants exactly as if each had been recorded one by one. The
+// engine's one thread is the only writer. Drain() returns one
+// deterministic stream ordered by (timestamp, sequence number).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -86,11 +90,168 @@ struct CounterSample {
   std::int64_t seq = 0;
 };
 
+/// The trace's record order: the timestamp leads and seq breaks ties. Seqs
+/// are unique, so the order is total.
+template <typename Record>
+bool EarlierInTrace(const Record& a, const Record& b, double Record::* stamp) {
+  if (a.*stamp != b.*stamp) {
+    return a.*stamp < b.*stamp;
+  }
+  return a.seq < b.seq;
+}
+
+/// A log's batch spans in (start_s, seq) order: a read-only view through
+/// one index per batch.
+class BatchSpans {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = BatchSpan;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const BatchSpan*;
+    using reference = const BatchSpan&;
+
+    iterator() = default;
+    const BatchSpan& operator*() const { return batches_[*index_]; }
+    iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const iterator& other) const {
+      return index_ == other.index_;
+    }
+
+   private:
+    friend class BatchSpans;
+    iterator(const BatchSpan* batches, const std::uint32_t* index)
+        : batches_(batches), index_(index) {}
+
+    const BatchSpan* batches_ = nullptr;
+    const std::uint32_t* index_ = nullptr;
+  };
+
+  BatchSpans() = default;
+  /// Orders `log`'s batches (null: none).
+  explicit BatchSpans(std::shared_ptr<const CompletionLog> log);
+
+  std::size_t size() const { return order_.size(); }
+  const BatchSpan& operator[](std::size_t i) const {
+    return log_->batches[order_[i]];
+  }
+  iterator begin() const { return {Base(), order_.data()}; }
+  iterator end() const { return {Base(), order_.data() + order_.size()}; }
+
+ private:
+  const BatchSpan* Base() const {
+    return log_ != nullptr ? log_->batches.data() : nullptr;
+  }
+
+  std::shared_ptr<const CompletionLog> log_;
+  std::vector<std::uint32_t> order_;  // Log indices, (start_s, seq) order.
+};
+
+/// A log's request spans in (complete_s, seq) order: a read-only view. A
+/// batch's member i takes seq batch.seq + 1 + i, so that order is the
+/// batches in (complete_s, seq) order, each expanded member by member.
+/// Each span is joined from its request and batch records when it is read,
+/// so the iterator returns it by value.
+class RequestSpans {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using iterator_concept = std::forward_iterator_tag;
+    using value_type = RequestSpan;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = RequestSpan;
+
+    iterator() = default;
+    RequestSpan operator*() const {
+      const BatchSpan& batch = batches_[*batch_];
+      const CompletedRequest& request = requests_[first_[*batch_] + member_];
+      RequestSpan span;
+      span.request_id = request.id;
+      span.workload = batch.workload;
+      span.close = batch.close;
+      span.arrival_s = request.arrival_s;
+      span.formed_s = batch.formed_s;
+      span.start_s = batch.start_s;
+      span.complete_s = batch.complete_s;
+      span.batch_index = batch.batch_index;
+      span.replica = batch.replica;
+      span.batch_size = static_cast<std::int32_t>(batch.size);
+      span.seq = batch.seq + 1 + member_;
+      return span;
+    }
+    iterator& operator++() {
+      if (++member_ == batches_[*batch_].size) {
+        ++batch_;
+        member_ = 0;
+      }
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const iterator& other) const {
+      return batch_ == other.batch_ && member_ == other.member_;
+    }
+
+   private:
+    friend class RequestSpans;
+    iterator(const RequestSpans& spans, const std::uint32_t* batch)
+        : batches_(spans.log_ != nullptr ? spans.log_->batches.data()
+                                         : nullptr),
+          requests_(spans.log_ != nullptr ? spans.log_->requests.data()
+                                          : nullptr),
+          first_(spans.first_.data()),
+          batch_(batch) {}
+
+    const BatchSpan* batches_ = nullptr;
+    const CompletedRequest* requests_ = nullptr;
+    const std::uint32_t* first_ = nullptr;
+    const std::uint32_t* batch_ = nullptr;  // Into the view's order.
+    std::int64_t member_ = 0;
+  };
+
+  RequestSpans() = default;
+  /// Orders `log`'s batches (null: none). Throws unless every batch has a
+  /// member and the sizes sum to the request count.
+  explicit RequestSpans(std::shared_ptr<const CompletionLog> log);
+
+  std::size_t size() const {
+    return log_ != nullptr ? log_->requests.size() : 0;
+  }
+  iterator begin() const { return {*this, order_.data()}; }
+  iterator end() const { return {*this, order_.data() + order_.size()}; }
+
+ private:
+  std::shared_ptr<const CompletionLog> log_;
+  std::vector<std::uint32_t> order_;  // Log batch indices, (complete_s, seq).
+  std::vector<std::uint32_t> first_;  // Each log batch's first request.
+};
+
 /// Everything one recorder captured, deterministically ordered by
-/// (timestamp, seq). The unit the exporters (chrome_trace.h) consume.
+/// (timestamp, seq). The unit the exporters (chrome_trace.h) consume. The
+/// spans are views that share the completion log; the instants and
+/// counters are copies.
 struct TraceData {
-  std::vector<RequestSpan> requests;
-  std::vector<BatchSpan> batches;
+  TraceData() = default;
+  /// Spans over `log` (null: none), with no instants or counters.
+  explicit TraceData(const std::shared_ptr<const CompletionLog>& log)
+      : requests(log), batches(log) {}
+
+  RequestSpans requests;
+  BatchSpans batches;
   std::vector<InstantEvent> instants;
   std::vector<CounterSample> counters;
   std::int64_t dropped = 0;  // Always 0; kept for the NSFT layout.
@@ -115,7 +276,9 @@ class TraceRecorder {
   }
 
   /// Everything recorded, ordered by (timestamp, seq). Seq numbers are
-  /// assigned in record order, so the order is bit-deterministic.
+  /// assigned in record order, so the order is bit-deterministic. Allocates
+  /// 12 bytes per committed batch (the two span orders and each batch's
+  /// first request) plus the copies of the instants and counters.
   TraceData Drain() const;
 
  private:

@@ -5,7 +5,8 @@
 // (arrivals, stats samples, dispatch records), not one per batch. Fault
 // runs keep the contract too: settlement at the watermark holds only the
 // batches in flight. The NSFT export allocates its output once, at its
-// exact size.
+// exact size, and Drain() allocates 12 bytes per committed batch beside
+// its copies of the instants and counters, never a byte per request.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 
 namespace {
 std::atomic<std::int64_t> g_allocations{0};
+std::atomic<std::int64_t> g_allocated_bytes{0};
 }  // namespace
 
 // Every replacement stays out of line, so GCC never pairs an inlined
@@ -33,6 +35,8 @@ std::atomic<std::int64_t> g_allocations{0};
 [[gnu::noinline]] void* operator new(std::size_t size,
                                      const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<std::int64_t>(size),
+                              std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 [[gnu::noinline]] void* operator new(std::size_t size) {
@@ -145,6 +149,55 @@ TEST(AllocationContract, BinaryTraceExportAllocatesOnce) {
   const std::string bytes = obs::SerializeBinaryTrace(data);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 1);
   EXPECT_GT(bytes.size(), 72 * data.requests.size());
+}
+
+TEST(AllocationContract, DrainAllocatesTwelveBytesPerBatch) {
+  // Drain() keeps the spans as views over the completion log: its only
+  // span storage is two uint32_t orders and each batch's first request.
+  // Beside them it copies the instants (each detail string at most its
+  // length plus a terminator) and the counters. A fault-free log sorts
+  // both orders, a replica-fail log only its start order; each at two run
+  // lengths.
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  for (const std::string adversity : {"none", "replica-fail"}) {
+    for (const double duration_s : {5.0, 10.0}) {
+      ServeOptions options;
+      options.qps = 8000.0;
+      options.duration_s = duration_s;
+      options.adversity = AdversitySpec::Parse(adversity);
+      options.cluster = ClusterSpec::Parse("least-loaded:nodes=2");
+      options.trace.enabled = true;
+      const ServeReport report = RunSyntheticServe(
+          registry, registry.ReplicaSpecs(48, /*partitioned=*/false), mix,
+          options);
+
+      const std::int64_t before =
+          g_allocated_bytes.load(std::memory_order_relaxed);
+      const obs::TraceData data = report.obs->recorder.Drain();
+      const std::int64_t drained =
+          g_allocated_bytes.load(std::memory_order_relaxed) - before;
+
+      ASSERT_GT(data.instants.size(), 0u);
+      ASSERT_EQ(data.requests.size(),
+                static_cast<std::size_t>(report.summary.completed));
+      std::size_t copies = sizeof(obs::InstantEvent) * data.instants.size() +
+                           sizeof(obs::CounterSample) * data.counters.size();
+      for (const obs::InstantEvent& instant : data.instants) {
+        copies += instant.detail.size() + 1;
+      }
+      EXPECT_LE(drained, static_cast<std::int64_t>(
+                             12 * report.log->batches.size() + copies))
+          << adversity << " at " << duration_s << " s: "
+          << data.requests.size() << " requests, "
+          << report.log->batches.size() << " batches, " << copies
+          << " bytes of instant and counter copies";
+    }
+  }
 }
 
 }  // namespace

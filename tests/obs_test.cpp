@@ -1,18 +1,24 @@
 // Observability tests (docs/OBSERVABILITY.md): pinned histogram bucket
 // boundaries and lookup, bit-exact Chrome/binary trace round trips, the
-// NSFT encoded size and hostile headers, spans drained from a completion
-// log in (stamp, seq) order, fixed-seed trace determinism of an autoscaled
-// diurnal run, and request/batch span invariants.
+// NSFT encoded size, hostile headers and records, NSFT round trips of
+// served runs, spans drained from a completion log in (stamp, seq) order,
+// fixed-seed trace determinism of an autoscaled diurnal run, and
+// request/batch span invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -20,7 +26,9 @@
 #include "obs/completion_log.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
+#include "serve/admission.h"
 #include "serve/adversity.h"
+#include "serve/cluster.h"
 #include "serve/engine.h"
 #include "serve/workload_registry.h"
 
@@ -150,46 +158,52 @@ TEST(ObsMetricsTest, RegistryPointersAreStableAndSnapshotsAccumulate) {
 
 // ------------------------------------------------------------- round trips
 
+/// A hand-built run: batches A (two members), C and B, committed in that
+/// order. Starts order them B, A, C, which Drain() must sort, and
+/// completions A, C, B, the commit order. A and C tie on both stamps, and
+/// seq breaks the ties. One instant and one counter follow.
 TraceData SampleTrace() {
-  TraceData data;
-  RequestSpan r;
-  r.request_id = 7;
-  r.workload = 1;
-  r.close = BatchClose::kSizeCap;
-  r.arrival_s = 0.001;
-  r.formed_s = 0.002;
-  r.start_s = 0.0025;
-  r.complete_s = 0.004;
-  r.batch_index = 3;
-  r.replica = 2;
-  r.batch_size = 4;
-  r.seq = 0;
-  data.requests.push_back(r);
-  BatchSpan b;
-  b.batch_index = 3;
-  b.workload = 1;
-  b.replica = 2;
-  b.close = BatchClose::kSizeCap;
-  b.formed_s = 0.002;
-  b.start_s = 0.0025;
-  b.complete_s = 0.004;
-  b.size = 4;
-  b.seq = 1;
-  data.batches.push_back(b);
+  auto log = std::make_shared<CompletionLog>();
+  const auto commit = [&log](std::int64_t batch_index, std::int32_t workload,
+                             std::int32_t replica, BatchClose close,
+                             double formed_s, double start_s,
+                             double complete_s,
+                             std::vector<CompletedRequest> members,
+                             std::int64_t seq) {
+    BatchSpan b;
+    b.batch_index = batch_index;
+    b.workload = workload;
+    b.replica = replica;
+    b.close = close;
+    b.formed_s = formed_s;
+    b.start_s = start_s;
+    b.complete_s = complete_s;
+    b.size = static_cast<std::int64_t>(members.size());
+    b.seq = seq;
+    log->batches.push_back(b);
+    log->requests.insert(log->requests.end(), members.begin(), members.end());
+  };
+  commit(3, 1, 2, BatchClose::kSizeCap, 0.002, 0.003, 0.004,
+         {{7, 0.001}, {8, 0.0015}}, 0);  // A
+  commit(5, 1, 4, BatchClose::kFlush, 0.0029, 0.003, 0.004, {{10, 0.0027}},
+         3);  // C
+  commit(4, 0, 3, BatchClose::kDeadline, 0.0024, 0.0025, 0.0045,
+         {{9, 0.0023}}, 5);  // B
+  TraceData data(log);
   InstantEvent i;
   i.t_s = 0.25;
   i.kind = InstantKind::kReplicaAdded;
   i.replica = 5;
   i.workload = 1;
   i.detail = "add replica 5: demand above band";
-  i.seq = 2;
+  i.seq = 7;
   data.instants.push_back(i);
   CounterSample s;
   s.t_s = 0.25;
   s.window_rate_rps = 212.5;
   s.active_replicas = 6;
   s.queue_depth = 11;
-  s.seq = 3;
+  s.seq = 8;
   data.counters.push_back(s);
   return data;
 }
@@ -228,7 +242,7 @@ TEST(ObsBinaryTraceTest, EncodeDecodeReencodeIsByteExact) {
   for (const std::size_t length : {0u, 15u, 16u, 100u}) {
     InstantEvent instant = data.instants[0];
     instant.detail.assign(length, 'd');
-    instant.seq = 4 + static_cast<std::int64_t>(data.instants.size());
+    instant.seq = 8 + static_cast<std::int64_t>(data.instants.size());
     data.instants.push_back(instant);
   }
   const std::string bytes = SerializeBinaryTrace(data);
@@ -243,14 +257,150 @@ TEST(ObsBinaryTraceTest, EncodeDecodeReencodeIsByteExact) {
   EXPECT_EQ(bytes.size(), expected_size);
   EXPECT_EQ(bytes.substr(0, 4), "NSFT");
   const TraceData decoded = ParseBinaryTrace(bytes);
-  ASSERT_EQ(decoded.requests.size(), 1u);
-  EXPECT_EQ(decoded.requests[0].request_id, 7);
-  EXPECT_EQ(decoded.requests[0].close, BatchClose::kSizeCap);
+  // Requests in completion order A, A, C, B; batches in start order B, A, C.
+  std::vector<std::int64_t> ids;
+  for (const RequestSpan& span : decoded.requests) {
+    ids.push_back(span.request_id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{7, 8, 10, 9}));
+  const RequestSpan last = *std::next(decoded.requests.begin(), 3);
+  EXPECT_EQ(last.close, BatchClose::kDeadline);
+  EXPECT_EQ(last.seq, 6);
+  std::vector<std::int64_t> batch_indices;
+  for (const BatchSpan& batch : decoded.batches) {
+    batch_indices.push_back(batch.batch_index);
+  }
+  EXPECT_EQ(batch_indices, (std::vector<std::int64_t>{4, 3, 5}));
   ASSERT_EQ(decoded.instants.size(), data.instants.size());
   for (std::size_t i = 0; i < data.instants.size(); ++i) {
     EXPECT_EQ(decoded.instants[i].detail, data.instants[i].detail);
   }
   EXPECT_EQ(SerializeBinaryTrace(decoded), bytes);
+}
+
+/// Overwrites the little-endian field of `bytes` at `offset` with `value`'s
+/// low `width` bytes.
+void Patch(std::string& bytes, std::size_t offset, std::uint64_t value,
+           int width) {
+  for (int b = 0; b < width; ++b) {
+    bytes[offset + static_cast<std::size_t>(b)] =
+        static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(ObsBinaryTraceTest, HostileRecordsThrowNsflowError) {
+  // The sample's four request records (members of A, A, C, B) start at
+  // byte 48, 72 bytes each; its three batch records (B, A, C) follow, 60
+  // bytes each. Each case breaks one writer rule; the decoder accepts
+  // only what SerializeBinaryTrace writes.
+  const std::string valid = SerializeBinaryTrace(SampleTrace());
+  ASSERT_NO_THROW(ParseBinaryTrace(valid));
+  const auto request = [](std::size_t k, std::size_t field) {
+    return 48 + 72 * k + field;
+  };
+  const auto batch = [](std::size_t j, std::size_t field) {
+    return 48 + 72 * 4 + 60 * j + field;
+  };
+  // Request fields: id 0, workload 8, close 12, arrival 16, formed 24,
+  // start 32, complete 40, batch_index 48, replica 56, batch_size 60,
+  // seq 64. Batch fields: batch_index 0, workload 8, replica 12, close 16,
+  // formed 20, start 28, complete 36, size 44, seq 52.
+  struct Case {
+    const char* name;
+    std::function<void(std::string&)> corrupt;
+    const char* error;  // A fragment of the expected message.
+  };
+  const auto swap = [](std::string& b, std::size_t x, std::size_t y,
+                       std::size_t width) {
+    const std::string at_x = b.substr(x, width);
+    b.replace(x, width, b.substr(y, width));
+    b.replace(y, width, at_x);
+  };
+  const std::uint64_t nan = Bits(std::numeric_limits<double>::quiet_NaN());
+  const std::vector<Case> cases = {
+      {"a request naming no batch",
+       [&](std::string& b) { Patch(b, request(0, 48), 99, 8); },
+       "names no batch"},
+      {"a request's workload differs",
+       [&](std::string& b) { Patch(b, request(1, 8), 0, 4); },
+       "disagrees with its batch"},
+      {"a request's close differs",
+       [&](std::string& b) { Patch(b, request(1, 12), 3, 4); },
+       "disagrees with its batch"},
+      {"a request's formed stamp differs",
+       [&](std::string& b) { Patch(b, request(1, 24), Bits(0.0021), 8); },
+       "disagrees with its batch"},
+      {"a request's start stamp differs",
+       [&](std::string& b) {
+         Patch(b, request(2, 32), Bits(std::nextafter(0.003, 1.0)), 8);
+       },
+       "disagrees with its batch"},
+      {"a request's complete stamp differs",
+       [&](std::string& b) { Patch(b, request(3, 40), Bits(0.005), 8); },
+       "disagrees with its batch"},
+      {"a request's replica differs",
+       [&](std::string& b) { Patch(b, request(2, 56), 7, 4); },
+       "disagrees with its batch"},
+      {"a request's batch size differs",
+       [&](std::string& b) { Patch(b, request(0, 60), 3, 4); },
+       "disagrees with its batch"},
+      {"a member seq at its batch's own seq",
+       [&](std::string& b) { Patch(b, request(0, 64), 0, 8); },
+       "is not member 0"},
+      {"a member seq past its batch",
+       [&](std::string& b) { Patch(b, request(1, 64), 3, 8); },
+       "is not member 1"},
+      {"two records for one member",
+       [&](std::string& b) {
+         b.replace(request(1, 0), 72, b.substr(request(0, 0), 72));
+       },
+       "is not member 1"},
+      {"members out of order",
+       [&](std::string& b) { swap(b, request(0, 0), request(1, 0), 72); },
+       "is not member 0"},
+      {"batch sizes that do not sum to the request count",
+       [&](std::string& b) { Patch(b, batch(2, 44), 2, 8); },
+       "request count"},
+      {"a duplicate batch_index",
+       [&](std::string& b) {
+         Patch(b, batch(2, 0), 3, 8);     // C takes A's index,
+         Patch(b, request(2, 48), 3, 8);  // and so does C's member.
+       },
+       "one batch_index"},
+      {"a batch of size 0",
+       [&](std::string& b) { Patch(b, batch(0, 44), 0, 8); },
+       "has no member"},
+      {"batches out of (start, seq) order",
+       [&](std::string& b) { swap(b, batch(1, 0), batch(2, 0), 60); },
+       "(start, seq) order"},
+      {"requests out of (complete, seq) order",
+       [&](std::string& b) { swap(b, request(2, 0), request(3, 0), 72); },
+       "(complete, seq) order"},
+      {"a NaN completion stamp",
+       [&](std::string& b) {
+         Patch(b, batch(0, 36), nan, 8);
+         Patch(b, request(3, 40), nan, 8);
+       },
+       "(complete, seq) order"},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = valid;
+    c.corrupt(bytes);
+    ASSERT_EQ(bytes.size(), valid.size()) << c.name;
+    try {
+      ParseBinaryTrace(bytes);
+      ADD_FAILURE() << c.name << ": accepted";
+    } catch (const nsflow::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+  }
 }
 
 TEST(ObsBinaryTraceTest, RejectsBadMagicAndTruncation) {
@@ -307,12 +457,14 @@ TEST(ObsRecorderTest, DrainOrdersByTimestampThenSeq) {
 
   const TraceData data = recorder.Drain();
   ASSERT_EQ(data.batches.size(), 3u);
-  ASSERT_EQ(data.requests.size(), 3u);
+  const std::vector<RequestSpan> requests(data.requests.begin(),
+                                          data.requests.end());
+  ASSERT_EQ(requests.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(data.batches[i].batch_index, i);
     EXPECT_EQ(data.batches[i].seq, 2 * i);
     // The timestamp leads: request spans come out in completion order.
-    const RequestSpan& span = data.requests[2 - i];
+    const RequestSpan& span = requests[2 - i];
     EXPECT_EQ(span.request_id, 100 + i);
     EXPECT_EQ(span.seq, 2 * i + 1);  // Its batch's seq + 1.
     EXPECT_EQ(span.batch_index, i);
@@ -326,10 +478,10 @@ TEST(ObsRecorderTest, DrainOrdersByTimestampThenSeq) {
   EXPECT_EQ(data.dropped, 0);
 }
 
-template <typename Record>
-std::vector<std::int64_t> Seqs(const std::vector<Record>& records) {
+template <typename Records>
+std::vector<std::int64_t> Seqs(const Records& records) {
   std::vector<std::int64_t> seqs;
-  for (const Record& record : records) {
+  for (const auto& record : records) {
     seqs.push_back(record.seq);
   }
   return seqs;
@@ -406,6 +558,110 @@ TEST(ObsRecorderTest, DrainMatchesABruteForceStableSortOnServedRuns) {
     for (const RequestSpan& span : data.requests) {
       EXPECT_EQ(span.request_id, id_of_seq.at(span.seq));
     }
+  }
+}
+
+/// Every field of a span that NSFT carries: all of a request span's, and
+/// a batch span's except egress_s and queue_depth.
+auto Fields(const RequestSpan& s) {
+  return std::tuple(s.request_id, s.workload, s.close, s.arrival_s,
+                    s.formed_s, s.start_s, s.complete_s, s.batch_index,
+                    s.replica, s.batch_size, s.seq);
+}
+auto Fields(const BatchSpan& b) {
+  return std::tuple(b.batch_index, b.workload, b.replica, b.close,
+                    b.formed_s, b.start_s, b.complete_s, b.size, b.seq);
+}
+auto Fields(const InstantEvent& e) {
+  return std::tuple(e.t_s, e.kind, e.replica, e.workload, e.detail, e.seq);
+}
+auto Fields(const CounterSample& c) {
+  return std::tuple(c.t_s, c.window_rate_rps, c.active_replicas,
+                    c.queue_depth, c.seq);
+}
+
+/// `got` and `want` hold the same records, field by field, in one order.
+template <typename Records>
+void ExpectSameRecords(const Records& got, const Records& want,
+                       const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  auto expected = want.begin();
+  std::size_t i = 0;
+  for (const auto& record : got) {
+    if (Fields(record) != Fields(*expected)) {
+      ADD_FAILURE() << what << " " << i << " differs";
+      return;
+    }
+    ++expected;
+    ++i;
+  }
+}
+
+TEST(ObsBinaryTraceTest, ServedRunsRoundTripFieldByField) {
+  // A fault-free log is out of completion order and a replica-fail log is
+  // in it; a two-node cluster records route instants and a guard with a
+  // standard tier records retries. Each run's NSFT decodes to Drain()'s
+  // spans and re-encodes to the same bytes.
+  struct Case {
+    const char* name;
+    std::function<void(serve::ServeOptions*)> configure;
+    std::optional<InstantKind> expected_instant;  // Recorded at least once.
+  };
+  const std::vector<Case> cases = {
+      {"fault-free", [](serve::ServeOptions*) {}, std::nullopt},
+      {"replica-fail",
+       [](serve::ServeOptions* o) {
+         o->adversity = serve::AdversitySpec::Parse("replica-fail");
+       },
+       InstantKind::kReplicaFailed},
+      {"least-loaded:nodes=2",
+       [](serve::ServeOptions* o) {
+         o->cluster = serve::ClusterSpec::Parse("least-loaded:nodes=2");
+       },
+       InstantKind::kClusterRoute},
+      {"guard, standard tier",
+       [](serve::ServeOptions* o) {
+         o->qps = 1500.0;
+         o->admission =
+             serve::AdmissionSpec::Parse("guard:depth=16,deadline=0.03");
+         o->tiers = {serve::SlaTier::kCritical, serve::SlaTier::kStandard};
+       },
+       InstantKind::kAdmissionRetry},
+  };
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    serve::ServeOptions options;
+    options.qps = 400.0;
+    options.duration_s = 2.0;
+    options.seed = 7;
+    options.trace.enabled = true;
+    c.configure(&options);
+    const serve::ServeReport report = serve::RunSyntheticServe(
+        registry, registry.ReplicaSpecs(4, /*partition=*/false),
+        {{"mlp", 0.5}, {"resnet18", 0.5}}, options);
+    ASSERT_NE(report.obs, nullptr);
+    const TraceData drained = report.obs->recorder.Drain();
+    ASSERT_GT(drained.requests.size(), 0u);
+    if (c.expected_instant.has_value()) {
+      EXPECT_TRUE(std::any_of(drained.instants.begin(),
+                              drained.instants.end(),
+                              [&c](const InstantEvent& e) {
+                                return e.kind == *c.expected_instant;
+                              }));
+    }
+
+    const std::string bytes = SerializeBinaryTrace(drained);
+    EXPECT_EQ(bytes, report.obs->BinaryTrace());
+    const TraceData decoded = ParseBinaryTrace(bytes);
+    ExpectSameRecords(decoded.requests, drained.requests, "request");
+    ExpectSameRecords(decoded.batches, drained.batches, "batch");
+    ExpectSameRecords(decoded.instants, drained.instants, "instant");
+    ExpectSameRecords(decoded.counters, drained.counters, "counter");
+    EXPECT_EQ(decoded.dropped, drained.dropped);
+    EXPECT_EQ(SerializeBinaryTrace(decoded), bytes);
   }
 }
 
