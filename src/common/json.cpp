@@ -277,14 +277,17 @@ void EscapeString(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+/// An integral |d| < 1e15 prints as an integer, anything else as printf's
+/// "%.17g", which std::to_chars with general format and precision 17 is
+/// specified to match.
 void FormatNumber(std::string& out, double d) {
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
-  }
+  char buf[32];
+  const std::to_chars_result printed =
+      d == std::floor(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d))
+          : std::to_chars(buf, buf + sizeof buf, d,
+                          std::chars_format::general, 17);
+  out.append(buf, printed.ptr);
 }
 
 }  // namespace

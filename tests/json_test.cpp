@@ -1,6 +1,14 @@
 // Unit tests for the minimal JSON parser/serializer.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <random>
+#include <string>
+
 #include "common/json.h"
 
 namespace nsflow {
@@ -79,6 +87,62 @@ TEST(JsonDumpTest, RoundTripPreservesValue) {
 TEST(JsonDumpTest, IntegersPrintWithoutDecimals) {
   EXPECT_EQ(Json(std::int64_t{272000000}).Dump(), "272000000");
   EXPECT_EQ(Json(16.0).Dump(), "16");
+}
+
+/// The number format the dump promises: an integral |d| < 1e15 through
+/// std::to_string, anything else through printf's "%.17g".
+std::string PrintfFormat(double d) {
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    return std::to_string(static_cast<std::int64_t>(d));
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
+}
+
+TEST(JsonDumpTest, NumbersMatchPrintf) {
+  const double listed[] = {0.0,
+                           -0.0,
+                           1e15 - 1,
+                           -(1e15 - 1),
+                           1e15,
+                           -1e15,
+                           9007199254740992.0,  // 2^53.
+                           DBL_TRUE_MIN,        // The least denormal.
+                           -4.9406564584124654e-320,
+                           DBL_MIN,
+                           DBL_MAX,
+                           -DBL_MAX,
+                           0.1,
+                           1.0 / 3.0,
+                           -2.5,
+                           123456789.125};
+  for (const double d : listed) {
+    EXPECT_EQ(Json(d).Dump(), PrintfFormat(d)) << PrintfFormat(d);
+  }
+  // Finite random bit patterns (every exponent, denormals included) and
+  // random integers on both sides of 1e15. printf is slow on extreme
+  // exponents, so the sweep is sized to stay under 0.5 s in Release.
+  std::mt19937_64 rng(20261018);
+  std::uniform_int_distribution<std::int64_t> integer(-3'000'000'000'000'000,
+                                                      3'000'000'000'000'000);
+  std::int64_t mismatches = 0;
+  for (int n = 0; n < 100000; ++n) {
+    double d = 0.0;
+    const std::uint64_t bits = rng();
+    std::memcpy(&d, &bits, sizeof d);
+    for (const double value : {d, static_cast<double>(integer(rng))}) {
+      if (!std::isfinite(value)) {
+        continue;
+      }
+      const std::string want = PrintfFormat(value);
+      if (Json(value).Dump() != want && mismatches++ == 0) {
+        ADD_FAILURE() << "first mismatch: " << Json(value).Dump() << " vs "
+                      << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(JsonDumpTest, IndentedOutputIsStable) {
