@@ -29,7 +29,10 @@ regression. Metrics come in two classes:
                while still being recorded in the delta report.
 
 Improvements never fail the gate. `--delta-out` writes the full
-per-metric comparison as JSON (the CI bench-smoke job uploads it).
+per-metric comparison as JSON (the CI bench-smoke job uploads it). The
+gate refuses (exit 2, naming the field) a fresh BENCH_serve.json whose
+`smoke` flag, or a BENCH_plan.json whose `setup` object, differs from the
+baseline's: those runs are not comparable.
 
 Usage:
   tools/run_benches.py [--build-dir build] [--out BENCH_serve.json]
@@ -174,6 +177,18 @@ def compare(baseline_dir, serve_report, plan_report, out_name, plan_name,
     the number of gated regressions (0 = pass)."""
     baseline_serve = load_artifact(baseline_dir / out_name)
     baseline_plan = load_artifact(baseline_dir / plan_name)
+    # A smoke run measured against a full baseline (or a plan served under
+    # another set-up) compares different experiments: refuse it.
+    for name, fresh, base in (
+            (f"{out_name} smoke", serve_report.get("smoke"),
+             baseline_serve.get("smoke")),
+            (f"{plan_name} setup", plan_report.get("setup"),
+             baseline_plan.get("setup"))):
+        if fresh != base:
+            print(f"error: {name} is {json.dumps(fresh)} but the baseline "
+                  f"in {baseline_dir} has {json.dumps(base)}; refusing to "
+                  f"compare mismatched runs", file=sys.stderr)
+            sys.exit(2)
     current = dict(
         (name, (value, better, cls))
         for name, value, better, cls in collect_metrics(serve_report,
