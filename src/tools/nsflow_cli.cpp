@@ -638,7 +638,8 @@ void PrintPlan(const serve::PoolPlan& plan) {
     for (const serve::GroupPlan& group : plan.groups) {
       placement += (placement.empty() ? "" : "; ") + group.workload + " ->";
       for (const int node : group.placement) {
-        placement += " " + std::to_string(node);
+        placement += ' ';
+        placement += std::to_string(node);
       }
     }
     std::printf("Cluster: %d device(s) split across %d node(s) — %s\n",

@@ -106,7 +106,9 @@ INSTANTIATE_TEST_SUITE_P(Lengths, FastConvTest,
                                            // Non-power-of-two fallbacks:
                                            3, 100),
                          [](const auto& info) {
-                           return "d" + std::to_string(info.param);
+                           std::string name = "d";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(FastConvTest, BindUnbindChainThroughFastPath) {
