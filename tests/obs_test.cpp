@@ -18,7 +18,6 @@
 #include <random>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
