@@ -242,8 +242,10 @@ class RequestSpans {
 
 /// Everything one recorder captured, deterministically ordered by
 /// (timestamp, seq). The unit the exporters (chrome_trace.h) consume. The
-/// spans are views that share the completion log; the instants and
-/// counters are copies.
+/// spans are views that share the completion log, so they stay valid after
+/// the report is gone; they index the log as it stood when drained, which
+/// is why only a finished run is drained. The instants and counters are
+/// copies.
 struct TraceData {
   TraceData() = default;
   /// Spans over `log` (null: none), with no instants or counters.
