@@ -402,6 +402,29 @@ TEST(ObsBinaryTraceTest, HostileRecordsThrowNsflowError) {
   }
 }
 
+TEST(ObsBinaryTraceTest, MutatedFilesThrowOrReencodeToThemselves) {
+  // Seeded random overwrites of one to three bytes of a valid file: each
+  // either throws nsflow::Error or decodes to a trace that re-encodes to
+  // exactly the mutated bytes. Ids, arrivals, instants and counters may
+  // take any value, so some mutations are accepted.
+  const std::string valid = SerializeBinaryTrace(SampleTrace());
+  std::mt19937_64 rng(20261018);
+  int accepted = 0;
+  for (int n = 0; n < 5000; ++n) {
+    std::string bytes = valid;
+    for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0; --flips) {
+      bytes[rng() % bytes.size()] = static_cast<char>(rng());
+    }
+    try {
+      const TraceData decoded = ParseBinaryTrace(bytes);
+      ++accepted;
+      ASSERT_EQ(SerializeBinaryTrace(decoded), bytes) << "mutation " << n;
+    } catch (const nsflow::Error&) {
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
 TEST(ObsBinaryTraceTest, RejectsBadMagicAndTruncation) {
   const std::string bytes = SerializeBinaryTrace(SampleTrace());
   std::string corrupted = bytes;
