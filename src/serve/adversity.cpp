@@ -187,33 +187,25 @@ std::vector<AdversityEvent> BuildAdversityTimeline(const AdversitySpec& spec,
   return events;
 }
 
-void ApplyAdversityArrivals(const AdversitySpec& spec,
-                            std::vector<Request>* arrivals, double qps,
-                            double duration_s, std::uint64_t seed,
-                            const std::vector<double>& shares) {
-  NSF_CHECK(arrivals != nullptr);
+ArrivalAdversity::ArrivalAdversity(const AdversitySpec& spec, double qps,
+                                   double duration_s, std::uint64_t seed,
+                                   const std::vector<double>& shares) {
   const AdversityParams p = spec.Resolve(duration_s);
   switch (spec.kind) {
     case AdversityKind::kNone:
     case AdversityKind::kReplicaFail:
     case AdversityKind::kStraggler:
-      return;  // Replica-side patterns leave the trace bit-identical.
-    case AdversityKind::kChurn: {
+      return;  // Replica-side patterns leave the stream bit-identical.
+    case AdversityKind::kChurn:
       if (p.workload >= static_cast<WorkloadId>(shares.size())) {
         throw Error("adversity 'churn': workload " +
                     std::to_string(p.workload) + " is past this run's " +
                     std::to_string(shares.size()) + "-workload mix");
       }
-      arrivals->erase(
-          std::remove_if(arrivals->begin(), arrivals->end(),
-                         [&](const Request& r) {
-                           return r.workload == p.workload &&
-                                  r.arrival_s >= p.at_s &&
-                                  r.arrival_s < p.at_s + p.length_s;
-                         }),
-          arrivals->end());
-      break;
-    }
+      masked_workload = p.workload;
+      masked_from_s = p.at_s;
+      masked_until_s = p.at_s + p.length_s;
+      return;
     case AdversityKind::kFlash: {
       const double lo = std::min(p.at_s, duration_s);
       const double hi = std::min(p.at_s + p.length_s, duration_s);
@@ -226,9 +218,10 @@ void ApplyAdversityArrivals(const AdversitySpec& spec,
       // Superimposed Poisson: rate(flash) = mult*rate(base), and the sum of
       // independent Poisson streams is Poisson, so drawing the extra
       // (mult-1)*qps*share arrivals from a dedicated derived-seed stream
-      // leaves the base trace bit-untouched while hitting the target rate.
+      // leaves the base stream bit-untouched while hitting the target
+      // rate. Each tenant draws its whole window before the next one, so
+      // the extras are drawn up front and sorted.
       Rng rng(seed ^ 0x9E3779B97F4A7C15ULL);
-      std::vector<Request> extra;
       for (std::size_t w = 0; w < shares.size(); ++w) {
         const double rate = (p.mult - 1.0) * qps * shares[w] / total_share;
         if (rate <= 0.0) {
@@ -240,31 +233,16 @@ void ApplyAdversityArrivals(const AdversitySpec& spec,
           if (now >= hi) {
             break;
           }
-          extra.push_back(Request{0, now, static_cast<WorkloadId>(w)});
+          extras.push_back(Request{0, now, static_cast<WorkloadId>(w)});
         }
       }
-      std::stable_sort(extra.begin(), extra.end(),
+      std::stable_sort(extras.begin(), extras.end(),
                        [](const Request& a, const Request& b) {
                          return std::tie(a.arrival_s, a.workload) <
                                 std::tie(b.arrival_s, b.workload);
                        });
-      std::vector<Request> merged;
-      merged.reserve(arrivals->size() + extra.size());
-      // Base arrivals win ties so the unperturbed prefix stays in order.
-      std::merge(arrivals->begin(), arrivals->end(), extra.begin(),
-                 extra.end(),
-                 std::back_inserter(merged),
-                 [](const Request& a, const Request& b) {
-                   return a.arrival_s < b.arrival_s;
-                 });
-      *arrivals = std::move(merged);
-      break;
+      return;
     }
-  }
-  // The trace changed — re-densify ids to 0..n-1 in time order (engine
-  // invariants: ids are the arrival index).
-  for (std::size_t i = 0; i < arrivals->size(); ++i) {
-    (*arrivals)[i].id = static_cast<std::int64_t>(i);
   }
 }
 

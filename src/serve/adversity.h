@@ -136,17 +136,32 @@ struct AdversityEvent {
 std::vector<AdversityEvent> BuildAdversityTimeline(const AdversitySpec& spec,
                                                    double duration_s);
 
-/// Apply the arrival-side patterns (churn, flash) to a generated trace
-/// in place: churn erases the masked tenant's arrivals inside its window,
-/// flash superimposes extra arrivals at (mult-1) x qps x share per tenant
-/// drawn from a seed derived from `seed` (the base trace is bit-untouched).
-/// Ids are re-densified to 0..n-1 in time order. Replica-side patterns
-/// (replica-fail, straggler) leave the trace bit-identical. `shares` is the
-/// per-WorkloadId weight vector used to generate `arrivals` ({1.0} for a
-/// single-workload run); a churn `workload` past it throws `Error`.
-void ApplyAdversityArrivals(const AdversitySpec& spec,
-                            std::vector<Request>* arrivals, double qps,
-                            double duration_s, std::uint64_t seed,
-                            const std::vector<double>& shares);
+/// The arrival-side patterns (churn, flash) of `spec` resolved for one
+/// run, which the arrival stream applies at its head (engine.h's
+/// ArrivalStream): churn masks one tenant's arrivals inside its window, and
+/// flash superimposes `extras` at (mult-1) x qps x share per tenant, drawn
+/// from a seed derived from `seed` (the base stream is bit-untouched).
+/// Replica-side patterns (replica-fail, straggler) leave the stream
+/// bit-identical. `shares` is the per-WorkloadId weight vector of the run
+/// ({1.0} for a single-workload run); a churn `workload` past it throws
+/// `Error`.
+struct ArrivalAdversity {
+  ArrivalAdversity(const AdversitySpec& spec, double qps, double duration_s,
+                   std::uint64_t seed, const std::vector<double>& shares);
+
+  /// Whether churn removes `r` from the stream.
+  bool Masks(const Request& r) const {
+    return r.workload == masked_workload && r.arrival_s >= masked_from_s &&
+           r.arrival_s < masked_until_s;
+  }
+
+  WorkloadId masked_workload = -1;  // -1: churn masks nothing.
+  double masked_from_s = 0.0;
+  double masked_until_s = 0.0;
+  /// The flash crowd's extra arrivals, sorted by (time, workload); ids are
+  /// left to the stream. The stream merges them in, and on equal stamps
+  /// the base arrival goes first.
+  std::vector<Request> extras;
+};
 
 }  // namespace nsflow::serve

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -34,43 +33,139 @@ double EffectiveOfferedRps(const ServeOptions& options,
   }
 }
 
-std::vector<Request> SyntheticArrivals(
-    const ServeOptions& options, const std::vector<double>& shares,
-    const std::vector<std::string>& workload_names) {
+namespace {
+
+// The run's arrival source: the scenario's generator, or a replayed file.
+ScenarioStream ArrivalSource(const ServeOptions& options,
+                             const std::vector<double>& shares,
+                             const std::vector<std::string>& workload_names) {
   NSF_CHECK_MSG(options.duration_s > 0.0, "duration must be positive");
-  std::vector<Request> arrivals;
-  if (options.scenario.kind == ScenarioKind::kTrace) {
-    // Replay: workload labels resolve through `workload_names`; with {}
-    // the labels are ignored.
-    std::ifstream in(options.scenario.trace_path, std::ios::binary);
-    if (!in) {
-      throw Error("cannot open arrival trace: " + options.scenario.trace_path);
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    arrivals = ParseArrivalTraceJson(text.str(), workload_names,
-                                     options.duration_s);
-  } else {
+  if (options.scenario.kind != ScenarioKind::kTrace) {
     // The workload draw shares the RNG stream with the inter-arrival draws,
     // so one seed pins the entire (time, workload) trace whatever the
     // scenario (see scenario.cpp).
-    arrivals = GenerateArrivals(options.scenario, options.qps,
-                                options.duration_s, options.seed, shares);
+    return ScenarioStream(options.scenario, options.qps, options.duration_s,
+                          options.seed, shares);
   }
-  // Arrival-side adversity (churn masking, flash-crowd superimposition)
-  // composes here, inside the one arrival path: every consumer of the
-  // trace — forming, admission accounting, the autoscaler's rate window —
-  // sees the same composed stream, so flash extras can never bypass the
-  // per-tenant admission books. No-op for the default `none` spec.
-  ApplyAdversityArrivals(options.adversity, &arrivals, options.qps,
-                         options.duration_s, options.seed, shares);
+  // Replay: workload labels resolve through `workload_names`; with {} the
+  // labels are ignored.
+  std::ifstream in(options.scenario.trace_path, std::ios::binary);
+  if (!in) {
+    throw Error("cannot open arrival trace: " + options.scenario.trace_path);
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return ScenarioStream(
+      ParseArrivalTraceJson(text.str(), workload_names, options.duration_s));
+}
+
+}  // namespace
+
+ArrivalStream::ArrivalStream(const ServeOptions& options,
+                             const std::vector<double>& shares,
+                             const std::vector<std::string>& workload_names)
+    : source_(ArrivalSource(options, shares, workload_names)),
+      adversity_(options.adversity, options.qps, options.duration_s,
+                 options.seed, shares),
+      horizon_s_(options.duration_s) {
+  // Exact for a buffered source once churn's masked arrivals are out.
+  capacity_ = source_.capacity() + adversity_.extras.size();
+  for (const Request& r : source_.buffered()) {
+    capacity_ -= adversity_.Masks(r) ? 1 : 0;
+  }
+  // 40 KiB to start; Refill compacts before it grows, so a buffer only
+  // grows past this when half of it is still reachable.
+  buffer_.reserve(std::min<std::size_t>(capacity_, 1024));
+}
+
+bool ArrivalStream::Refill() {
+  constexpr std::size_t kChunk = 64;
+  if (buffer_.size() + kChunk > buffer_.capacity()) {
+    // Before the buffer can grow, drop what no count can reach any more —
+    // arrivals behind the cursor and stamped before the floor — once they
+    // are at least half of it, so each arrival moves O(1) times.
+    const auto pulled =
+        buffer_.begin() + static_cast<std::ptrdiff_t>(cursor_ - base_);
+    const auto live = std::lower_bound(
+        buffer_.begin(), pulled, floor_s_,
+        [](const Request& r, double t) { return r.arrival_s < t; });
+    const auto dead = static_cast<std::size_t>(live - buffer_.begin());
+    if (dead > 0 && 2 * dead >= buffer_.size()) {
+      buffer_.erase(buffer_.begin(), live);
+      base_ += dead;
+    }
+  }
+  const std::size_t before = buffer_.size();
+  const std::vector<Request>& extras = adversity_.extras;
+  if (extras.empty() && adversity_.masked_workload < 0) {
+    // Nothing to compose: the source's ids are already the emitted index.
+    source_.Append(&buffer_, kChunk);
+  } else {
+    auto id = static_cast<std::int64_t>(drawn());
+    for (std::size_t k = 0; k < kChunk; ++k) {
+      // The next source arrival churn leaves, if any.
+      const Request* base = nullptr;
+      while (base == nullptr) {
+        if (staged_next_ == staged_.size()) {
+          staged_.clear();
+          staged_next_ = 0;
+          if (source_.Append(&staged_, kChunk) == 0) {
+            break;
+          }
+        }
+        const Request& r = staged_[staged_next_];
+        if (adversity_.Masks(r)) {
+          ++staged_next_;
+        } else {
+          base = &r;
+        }
+      }
+      if (next_extra_ < extras.size() &&
+          (base == nullptr ||
+           extras[next_extra_].arrival_s < base->arrival_s)) {
+        buffer_.push_back(extras[next_extra_++]);
+      } else if (base != nullptr) {
+        buffer_.push_back(*base);
+        ++staged_next_;
+      } else {
+        break;
+      }
+      buffer_.back().id = id++;
+    }
+  }
+  if (buffer_.size() == before) {
+    return false;
+  }
   // Every generator stops at the horizon, a replayed trace drops stamps at
   // or past it and flash extras are capped at it, so the engine drains at
-  // the horizon with every arrival already served.
-  NSF_CHECK_MSG(
-      arrivals.empty() || arrivals.back().arrival_s < options.duration_s,
-      "every arrival must be stamped before the horizon");
-  return arrivals;
+  // the horizon with every arrival already served. The stream is sorted,
+  // so its latest arrival bounds the rest.
+  NSF_CHECK_MSG(buffer_.back().arrival_s < horizon_s_,
+                "every arrival must be stamped before the horizon");
+  return true;
+}
+
+std::size_t ArrivalStream::ArrivedBy(double t) {
+  NSF_CHECK_MSG(t >= floor_s_,
+                "backlog count below the arrival stream's floor");
+  while ((buffer_.empty() || buffer_.back().arrival_s <= t) && Refill()) {
+  }
+  const std::size_t hint = std::clamp(hint_, base_, drawn()) - base_;
+  hint_ = base_ + serve::ArrivedBy(buffer_, t, hint);
+  return hint_;
+}
+
+std::vector<Request> ArrivalStream::Drain() && {
+  buffer_.reserve(capacity_);
+  while (Refill()) {
+  }
+  return std::move(buffer_);
+}
+
+std::vector<Request> SyntheticArrivals(
+    const ServeOptions& options, const std::vector<double>& shares,
+    const std::vector<std::string>& workload_names) {
+  return ArrivalStream(options, shares, workload_names).Drain();
 }
 
 std::size_t ArrivedBy(std::span<const Request> arrivals, double t,
@@ -131,8 +226,8 @@ using event_core::EventClass;
 /// One driver advances the virtual clock: RunEventLoop pops the
 /// discrete-event core's binary min-heap (serve/event_core.h), keyed
 /// (time, class, seq), which schedules adversity faults, autoscaler
-/// ticks, admission retries, and the drain, and merges the sorted arrival
-/// stream in beside it; handlers fire in (time, class) order. The
+/// ticks, admission retries, and the drain, and merges the arrival stream
+/// in beside it; handlers fire in (time, class) order. The
 /// same-instant ordering contract (adversity < tick < retry < arrival <
 /// drain) is explicit in EventClass; the golden digests in tests/golden/
 /// pin it against the polling interleave it replaced.
@@ -148,7 +243,7 @@ struct PipelineContext {
   ServerPool& pool;
   ServeStats& stats;
   obs::CompletionLog& log;
-  const std::vector<Request>& arrivals;
+  ArrivalStream& arrivals;
   const ServeOptions& options;
   Autoscaler* autoscaler = nullptr;
   AdmissionController* admission = nullptr;
@@ -159,8 +254,10 @@ struct PipelineContext {
   // ---- mutable run state
   MultiBatchFormer former;
   std::int64_t started = 0;  // Requests whose batch already dispatched.
-  std::size_t arrived = 0;   // Arrivals by the last dispatch's start.
   std::int64_t expired_dispatched = 0;  // Defensive; the sweep keeps it 0.
+  // Each lane's cycle-model warm-up, taken at set-up and filled at the
+  // lane's first arrival (then reset); idle lanes never fill.
+  std::vector<std::optional<ServerPool::WarmRows>> cold_lanes;
 
   // Admission's congestion signal. The eager scheduler books closed
   // batches onto replicas ahead of the virtual clock, so forming lanes
@@ -225,8 +322,7 @@ struct PipelineContext {
   double retry_event_t = std::numeric_limits<double>::infinity();
 
   PipelineContext(ServerPool& pool_in, ServeStats& stats_in,
-                  obs::CompletionLog& log_in,
-                  const std::vector<Request>& arrivals_in,
+                  obs::CompletionLog& log_in, ArrivalStream& arrivals_in,
                   const ServeOptions& options_in, Autoscaler* autoscaler_in,
                   AdmissionController* admission_in, ClusterPool* cluster_in,
                   std::shared_ptr<obs::Observability> obs_in)
@@ -263,30 +359,24 @@ struct PipelineContext {
       }
     }
     // Each request commits once (a retry is the same request) and every
-    // committed batch holds one, so the arrival count bounds both.
-    log.requests.reserve(arrivals.size());
-    log.batches.reserve(arrivals.size());
+    // committed batch holds one, so the arrival count bounds both, and the
+    // stream's capacity almost always bounds the arrival count.
+    log.requests.reserve(arrivals.capacity());
+    log.batches.reserve(arrivals.capacity());
 
-    // Parallel cycle-model warm-up, restricted to workloads that actually
-    // have traffic — idle tenants stay lazily memoized (their unbatched
-    // baseline below is the only evaluation they pay).
-    std::vector<bool> active(static_cast<std::size_t>(pool.workloads()),
-                             false);
-    for (const Request& request : arrivals) {
-      active[static_cast<std::size_t>(request.workload)] = true;
-    }
-    // Warm each active lane only up to *its* batch cap — a cap-1 lane
-    // never forms a batch its policy forbids, so pre-evaluating larger
-    // sizes for it would be wasted cold-start work. Lanes sharing a cap
-    // warm together.
-    std::map<std::int64_t, std::vector<WorkloadId>> active_by_cap;
+    // Cycle-model warm-up, restricted to workloads that actually have
+    // traffic — idle tenants stay lazily memoized (their unbatched
+    // baseline below is the only evaluation they pay). Each lane warms
+    // only up to *its* batch cap — a cap-1 lane never forms a batch its
+    // policy forbids, so pre-evaluating larger sizes for it would be
+    // wasted cold-start work. The rows are the set-up pool's and caps, but
+    // a lane fills them at its first arrival (HandleArrival): a fill is
+    // pure and counts no cache hit or miss, and no batch of a workload
+    // prices before its first arrival, so every output stays as if the
+    // whole warm-up ran here.
+    cold_lanes.reserve(static_cast<std::size_t>(pool.workloads()));
     for (int w = 0; w < pool.workloads(); ++w) {
-      if (active[static_cast<std::size_t>(w)]) {
-        active_by_cap[former.policy(w).max_batch].push_back(w);
-      }
-    }
-    for (const auto& [cap, ids] : active_by_cap) {
-      pool.WarmBatchSizes(cap, ids);
+      cold_lanes.push_back(pool.RowsFor(w, former.policy(w).max_batch));
     }
 
     if (admission != nullptr) {
@@ -531,10 +621,9 @@ struct PipelineContext {
     // requests already sent to a replica and minus everything admission
     // removed for good (final sheds + expiries never reach a replica).
     // Batch starts stay near the clock, so the count gallops from the
-    // previous dispatch's.
-    arrived = ArrivedBy(arrivals, start, arrived);
+    // previous dispatch's; a start is never below the watermark.
     const std::int64_t depth =
-        static_cast<std::int64_t>(arrived) - started -
+        static_cast<std::int64_t>(arrivals.ArrivedBy(start)) - started -
         (admission != nullptr ? admission->removed() : 0);
     DispatchRecord record = pool.Dispatch(batch, node);
     record.close = static_cast<obs::BatchClose>(batch.close_reason);
@@ -592,16 +681,16 @@ struct PipelineContext {
   }
 
   // The settlement watermark at arrival time `now` (docs/ENGINE.md): no
-  // batch dispatched from here on forms before it. A size-cap close forms
-  // at an arrival, at or after `now`; a deadline close at or after its
-  // lane's unstretched deadline (a warm add can pull a busy-stretched
-  // close back to it, and lanes opened later have later deadlines); the
-  // end-of-run flush at or after min(flush instant, deadline), and the
-  // flush instant is past every arrival; a failure re-dispatches at the
-  // failure instant; cluster ingress only adds time. A later batch
-  // therefore completes at or after the watermark and sorts after every
-  // batch already settled, so committing up to it keeps the settlement
-  // order exact.
+  // batch dispatched from here on forms, and so starts, before it. A
+  // size-cap close forms at an arrival, at or after `now`; a deadline
+  // close at or after its lane's unstretched deadline (a warm add can pull
+  // a busy-stretched close back to it, and lanes opened later have later
+  // deadlines); the end-of-run flush at or after min(flush instant,
+  // deadline), and the flush instant is past every arrival; a failure
+  // re-dispatches at the failure instant; cluster ingress only adds time.
+  // A later batch therefore completes at or after the watermark and sorts
+  // after every batch already settled, so committing up to it keeps the
+  // settlement order exact, and no backlog count asks below it.
   double Watermark(double now) const {
     return std::min(now, former.next_deadline());
   }
@@ -860,18 +949,28 @@ struct PipelineContext {
     }
   }
 
-  // One arrival enters: the arrival record only exists to feed the
-  // autoscaler's windowed rate samples; static runs skip the bookkeeping
-  // (hot path). A deferred-commit run then settles up to the watermark.
+  // One arrival enters: a lane's first one fills its warm-up; the arrival
+  // record only exists to feed the autoscaler's windowed rate samples;
+  // static runs skip the bookkeeping (hot path). A deferred-commit run
+  // then settles up to the watermark, and the arrival stream drops what
+  // lies below it.
   void HandleArrival(const Request& request) {
+    std::optional<ServerPool::WarmRows>& cold =
+        cold_lanes[static_cast<std::size_t>(request.workload)];
+    if (cold.has_value()) {
+      pool.WarmBatchSizes(*cold);
+      cold.reset();
+    }
     if (autoscaler != nullptr) {
       stats.RecordArrival(request.workload, request.arrival_s);
     }
     SnapshotUntil(request.arrival_s);
     Offer(request);
+    const double watermark = Watermark(request.arrival_s);
     if (defer_commits) {
-      CommitUntil(Watermark(request.arrival_s));
+      CommitUntil(watermark);
     }
+    arrivals.SetFloor(watermark);
   }
 
   // ----------------------------------------------------------- the driver
@@ -893,18 +992,20 @@ struct PipelineContext {
     if (autoscaler != nullptr && std::isfinite(autoscaler->next_tick_s())) {
       events.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
     }
-    // Every arrival is stamped before the horizon (SyntheticArrivals), so
-    // all of them fire before the drain.
+    // Every arrival is stamped before the horizon (ArrivalStream), so all
+    // of them fire before the drain.
     events.Push(options.duration_s, EventClass::kDrain);
-    std::size_t next_arrival = 0;
     while (true) {
       // The drain sentinel stays in the heap until the loop ends, so Top()
       // is always valid.
-      if (next_arrival < arrivals.size()) {
-        const double t = arrivals[next_arrival].arrival_s;
+      if (const Request* next = arrivals.Peek()) {
+        const double t = next->arrival_s;
         const event_core::Event& top = events.Top();
         if (t < top.t_s || (t == top.t_s && top.cls > EventClass::kArrival)) {
-          HandleArrival(arrivals[next_arrival++]);
+          // A copy: handling it draws ahead, which may move the buffer.
+          const Request request = *next;
+          arrivals.Pop();
+          HandleArrival(request);
           continue;
         }
       }
@@ -1019,7 +1120,7 @@ struct PipelineContext {
 
   ServeReport BuildReport() {
     ServeReport report;
-    report.generated_requests = static_cast<std::int64_t>(arrivals.size());
+    report.generated_requests = static_cast<std::int64_t>(arrivals.drawn());
     for (int w = 0; w < pool.workloads(); ++w) {
       // The unbatched baseline runs on the first replica deployed for w.
       for (int r = 0; r < pool.size(); ++r) {
@@ -1087,7 +1188,7 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
 
   // A run serving one workload ignores arrival-trace labels (everything
   // maps to workload 0, docs/SCENARIOS.md); several resolve them by name.
-  const std::vector<Request> arrivals = SyntheticArrivals(
+  ArrivalStream arrivals(
       options, shares,
       registry.size() > 1 ? registry.Names() : std::vector<std::string>{});
   ServerPool pool(replicas, registry.Dataflows());
@@ -1106,8 +1207,10 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
     for (const double share : shares) {
       total_share += share;
     }
+    // Only a replayed trace's offered rate counts its arrivals, and a
+    // replay is a buffered source, whose capacity is its exact count.
     const double offered_rps = EffectiveOfferedRps(
-        options, static_cast<std::int64_t>(arrivals.size()));
+        options, static_cast<std::int64_t>(arrivals.capacity()));
     std::vector<AdmissionController::TenantConfig> tenants;
     tenants.reserve(static_cast<std::size_t>(registry.size()));
     for (WorkloadId w = 0; w < registry.size(); ++w) {

@@ -24,7 +24,9 @@
 // One thread drives the whole timeline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -179,19 +181,84 @@ struct ServeReport {
   std::shared_ptr<obs::Observability> obs;
 };
 
-/// Generate the arrival trace for `options` — `options.scenario` picks the
-/// pattern (stationary Poisson by default; see scenario.h), and
-/// `options.adversity`'s arrival-side patterns (churn masking, flash-crowd
-/// superimposition) are applied before returning: there is exactly one
-/// arrival path, so flash extras can never bypass per-tenant admission
-/// accounting. Exposed for tests and for replaying the same trace against
-/// different pools. Each arrival's workload id is sampled from `shares`
-/// (normalized weights indexed by workload id) with the same RNG stream;
-/// `workload_names` (indexed by id) resolves the labels of a replayed
-/// `trace:file=...` scenario — pass {} to ignore the labels (everything
-/// then maps to workload 0), as a run serving one workload does. The
-/// arrivals come back sorted by time, every one stamped before
-/// `options.duration_s` (checked).
+/// A run's arrivals as a pull stream, which the engine draws from one at a
+/// time (docs/ENGINE.md, "The cursor protocol"). Its source is the
+/// scenario's generator (ScenarioStream), or for `trace:file=...` the
+/// replayed file. `options.adversity`'s arrival-side patterns apply at the
+/// stream's head: churn masks its tenant's window, and the flash crowd's
+/// extras merge in, base arrivals first on equal stamps. There is exactly
+/// one arrival path, so flash extras can never bypass per-tenant admission
+/// accounting. Ids are the emitted index. Each arrival's workload id is
+/// sampled from `shares` (normalized weights indexed by workload id) with
+/// the same RNG stream; `workload_names` (indexed by id) resolves the
+/// labels of a replayed trace — pass {} to ignore the labels (everything
+/// then maps to workload 0), as a run serving one workload does. Every
+/// arrival is stamped before `options.duration_s` (checked).
+///
+/// The stream buffers only what the engine may still read: arrivals from
+/// the floor (SetFloor) or the cursor, whichever is earlier, up to the
+/// latest time ArrivedBy has counted to. That is O(backlog), not O(run).
+class ArrivalStream {
+ public:
+  ArrivalStream(const ServeOptions& options, const std::vector<double>& shares,
+                const std::vector<std::string>& workload_names = {});
+
+  /// The arrival at the cursor, or null after the last one. The pointer
+  /// stays valid until the next call on the stream.
+  const Request* Peek() {
+    if (cursor_ == base_ + buffer_.size() && !Refill()) {
+      return nullptr;
+    }
+    return &buffer_[cursor_ - base_];
+  }
+  /// Move the cursor past the arrival Peek returned.
+  void Pop() { ++cursor_; }
+
+  /// How many arrivals are stamped at or before `t`: std::upper_bound's
+  /// answer over the whole stream, drawing ahead as far as `t` needs and
+  /// galloping from the previous answer (ArrivedBy below). `t` must be at
+  /// or above the floor (checked).
+  std::size_t ArrivedBy(double t);
+
+  /// No later ArrivedBy asks below `floor_s` (the engine passes its
+  /// settlement watermark), so arrivals behind the cursor and stamped
+  /// before it may leave the buffer. The floor never falls.
+  void SetFloor(double floor_s) { floor_s_ = std::max(floor_s_, floor_s); }
+
+  /// Room for every arrival the stream emits: exact when the source is
+  /// buffered (a replayed trace or the closed loop), otherwise the
+  /// scenario's expected count with four standard deviations of slack
+  /// (scenario.h), plus the flash extras.
+  std::size_t capacity() const { return capacity_; }
+  /// Arrivals drawn so far: the stream's length once Peek returned null.
+  std::size_t drawn() const { return base_ + buffer_.size(); }
+
+  /// Every arrival, in order, as one vector (SyntheticArrivals).
+  std::vector<Request> Drain() &&;
+
+ private:
+  /// Appends the next arrivals, up to a chunk, to the buffer; false when
+  /// the stream is exhausted.
+  bool Refill();
+
+  ScenarioStream source_;
+  ArrivalAdversity adversity_;
+  double horizon_s_ = 0.0;
+  std::vector<Request> staged_;  // Source arrivals churn and flash compose.
+  std::size_t staged_next_ = 0;
+  std::size_t next_extra_ = 0;
+  std::size_t capacity_ = 0;
+
+  std::vector<Request> buffer_;  // Arrivals base_ .. drawn() - 1.
+  std::size_t base_ = 0;         // The index of buffer_[0] in the stream.
+  std::size_t cursor_ = 0;       // The index Peek returns.
+  std::size_t hint_ = 0;         // The previous ArrivedBy answer.
+  double floor_s_ = -std::numeric_limits<double>::infinity();
+};
+
+/// Generate the arrival trace for `options`: the ArrivalStream drained
+/// into a vector. Exposed for tests and for replaying the same trace
+/// against different pools. The arrivals come back sorted by time.
 std::vector<Request> SyntheticArrivals(const ServeOptions& options,
                                        const std::vector<double>& shares,
                                        const std::vector<std::string>&
@@ -200,8 +267,8 @@ std::vector<Request> SyntheticArrivals(const ServeOptions& options,
 /// How many of `arrivals` (sorted by time) are stamped at or before `t`:
 /// std::upper_bound's answer, found by galloping from `hint` (any index
 /// in [0, arrivals.size()]) in doubling steps and binary-searching the
-/// bracket, so it costs O(log |answer - hint|). The engine passes the
-/// previous dispatch's answer.
+/// bracket, so it costs O(log |answer - hint|). ArrivalStream passes the
+/// previous answer.
 std::size_t ArrivedBy(std::span<const Request> arrivals, double t,
                       std::size_t hint);
 

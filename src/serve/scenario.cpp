@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -74,97 +75,13 @@ double CheckedTotalShare(const std::vector<double>& shares) {
   return total;
 }
 
-/// Room for a Poisson count with mean `mean` plus four standard
-/// deviations of slack, so the arrival vector almost never regrows.
-std::size_t ArrivalCapacity(double mean) {
-  return mean > 0.0 ? static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) +
-                                                16.0)
+/// Room for an arrival count with mean `mean` and variance `variance` (a
+/// Poisson count's equals its mean) plus four standard deviations of
+/// slack, so a vector reserved for the stream almost never regrows.
+std::size_t ArrivalCapacity(double mean, double variance) {
+  return mean > 0.0 ? static_cast<std::size_t>(
+                          mean + 4.0 * std::sqrt(variance) + 16.0)
                     : 0;
-}
-
-/// Stationary Poisson at `qps` — bit-identical to the original PR 1/2
-/// generator: one uniform per gap, one per workload draw (when mixing).
-std::vector<Request> GeneratePoisson(double qps, double duration_s, Rng& rng,
-                                     const std::vector<double>& shares,
-                                     double total_share) {
-  std::vector<Request> arrivals;
-  arrivals.reserve(ArrivalCapacity(qps * duration_s));
-  double now = 0.0;
-  std::int64_t next_id = 0;
-  while (true) {
-    now += -std::log(1.0 - rng.Uniform()) / qps;
-    if (now >= duration_s) {
-      break;
-    }
-    const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-    arrivals.push_back(Request{next_id++, now, workload});
-  }
-  return arrivals;
-}
-
-/// Lewis–Shedler thinning against the ceiling `rate_max`: candidates arrive
-/// as a homogeneous Poisson at rate_max, and candidate t survives with
-/// probability rate(t)/rate_max. Consumes two uniforms per candidate plus
-/// the workload draw per accepted arrival — a fixed order, so the (seed,
-/// spec) pair pins the trace.
-template <typename RateFn>
-std::vector<Request> GenerateThinned(double rate_max, double mean_rate,
-                                     double duration_s, Rng& rng,
-                                     const std::vector<double>& shares,
-                                     double total_share, const RateFn& rate) {
-  NSF_CHECK_MSG(rate_max > 0.0, "scenario rate ceiling must be positive");
-  std::vector<Request> arrivals;
-  arrivals.reserve(ArrivalCapacity(mean_rate * duration_s));
-  double now = 0.0;
-  std::int64_t next_id = 0;
-  while (true) {
-    now += -std::log(1.0 - rng.Uniform()) / rate_max;
-    if (now >= duration_s) {
-      break;
-    }
-    if (rng.Uniform() * rate_max < rate(now)) {
-      const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-      arrivals.push_back(Request{next_id++, now, workload});
-    }
-  }
-  return arrivals;
-}
-
-/// MMPP-style on/off modulation: alternating exponential dwell windows, a
-/// homogeneous Poisson at the window's state rate inside each. Restarting
-/// the gap draw at every window boundary is exact (memorylessness), so the
-/// count in a window of length L at rate r is Poisson(r*L).
-std::vector<Request> GenerateBursty(const ScenarioParams& p, double qps,
-                                    double duration_s, Rng& rng,
-                                    const std::vector<double>& shares,
-                                    double total_share) {
-  const double rate_off = p.idle * qps;
-  const double rate_on = BurstyOnRate(p, qps);
-
-  std::vector<Request> arrivals;
-  std::int64_t next_id = 0;
-  double window_start = 0.0;
-  bool on = true;  // Runs open in a burst so short horizons see one.
-  while (window_start < duration_s) {
-    const double dwell =
-        -std::log(1.0 - rng.Uniform()) * (on ? p.on_s : p.off_s);
-    const double window_end = std::min(window_start + dwell, duration_s);
-    const double rate = on ? rate_on : rate_off;
-    if (rate > 0.0) {
-      double now = window_start;
-      while (true) {
-        now += -std::log(1.0 - rng.Uniform()) / rate;
-        if (now >= window_end) {
-          break;
-        }
-        const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-        arrivals.push_back(Request{next_id++, now, workload});
-      }
-    }
-    window_start = window_end;
-    on = !on;
-  }
-  return arrivals;
 }
 
 /// Closed-loop sessions: each client issues its next request an exponential
@@ -213,23 +130,29 @@ std::vector<Request> GenerateClosedLoop(const ScenarioParams& p,
   return arrivals;
 }
 
+/// The rate of a scenario resolved for one run at instant `t`. The
+/// thinning generator evaluates it for every candidate arrival, and
+/// ScenarioRate at a single instant.
+double RateAt(ScenarioKind kind, const ScenarioParams& p, double qps,
+              double duration_s, double t) {
+  switch (kind) {
+    case ScenarioKind::kDiurnal:
+      return qps *
+             (1.0 + p.depth * std::sin(kTwoPi * (t / p.period_s + p.phase)));
+    case ScenarioKind::kRamp:
+      return qps * (p.from + (p.to - p.from) * t / duration_s);
+    case ScenarioKind::kSpike:
+      return (t >= p.at_s && t < p.at_s + p.width_s) ? qps * p.mult : qps;
+    default:
+      return qps;
+  }
+}
+
 /// A scenario resolved for one run: its parameters plus the run's qps and
-/// duration. The thinning generators evaluate the rate function for every
-/// candidate arrival, and ScenarioRate is the same function at a single
-/// instant.
+/// duration.
 struct RateFunction {
   double operator()(double t) const {
-    switch (kind) {
-      case ScenarioKind::kDiurnal:
-        return qps *
-               (1.0 + p.depth * std::sin(kTwoPi * (t / p.period_s + p.phase)));
-      case ScenarioKind::kRamp:
-        return qps * (p.from + (p.to - p.from) * t / duration_s);
-      case ScenarioKind::kSpike:
-        return (t >= p.at_s && t < p.at_s + p.width_s) ? qps * p.mult : qps;
-      default:
-        return qps;
-    }
+    return RateAt(kind, p, qps, duration_s, t);
   }
 
   ScenarioKind kind;
@@ -423,32 +346,54 @@ double ScenarioPeakRate(const ScenarioSpec& spec, double qps,
       RateFunction{spec.kind, spec.Resolve(duration_s), qps, duration_s});
 }
 
-std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
-                                      double duration_s, std::uint64_t seed,
-                                      const std::vector<double>& shares) {
+ScenarioStream::ScenarioStream(const ScenarioSpec& spec, double qps,
+                               double duration_s, std::uint64_t seed,
+                               const std::vector<double>& shares)
+    : kind_(spec.kind),
+      qps_(qps),
+      duration_s_(duration_s),
+      shares_(shares),
+      rng_(seed) {
   NSF_CHECK_MSG(duration_s > 0.0, "duration must be positive");
-  if (spec.kind != ScenarioKind::kClosedLoop) {
+  if (kind_ != ScenarioKind::kClosedLoop) {
     NSF_CHECK_MSG(qps > 0.0, "qps must be positive");
   }
-  const double total_share = CheckedTotalShare(shares);
-  Rng rng(seed);
-  const RateFunction f{spec.kind, spec.Resolve(duration_s), qps,
-                       duration_s};
-
-  switch (spec.kind) {
+  total_share_ = CheckedTotalShare(shares);
+  p_ = spec.Resolve(duration_s);
+  const RateFunction f{kind_, p_, qps, duration_s};
+  switch (kind_) {
     case ScenarioKind::kPoisson:
-      return GeneratePoisson(qps, duration_s, rng, shares, total_share);
-    case ScenarioKind::kBursty:
-      return GenerateBursty(f.p, qps, duration_s, rng, shares, total_share);
+      rate_ = qps;
+      capacity_ = ArrivalCapacity(qps * duration_s, qps * duration_s);
+      return;
+    case ScenarioKind::kBursty: {
+      // The on/off modulation spreads the count far wider than a Poisson
+      // one: per second of run its variance tends to the mean rate plus
+      // 2 (rate_on - rate_off)^2 (on off)^2 / (on + off)^3.
+      const double swing = BurstyOnRate(p_, qps) - p_.idle * qps;
+      const double dwells = p_.on_s * p_.off_s;
+      const double spread = 2.0 * swing * swing * dwells * dwells /
+                            std::pow(p_.on_s + p_.off_s, 3.0);
+      capacity_ =
+          ArrivalCapacity(qps * duration_s, (qps + spread) * duration_s);
+      return;  // Each window sets its own rate.
+    }
     case ScenarioKind::kDiurnal:
     case ScenarioKind::kRamp:
     case ScenarioKind::kSpike:
       // Thinning against the peak rate; the candidate test reads the
       // resolved rate function.
-      return GenerateThinned(PeakRate(f), MeanRate(f), duration_s, rng,
-                             shares, total_share, f);
+      rate_ = PeakRate(f);
+      NSF_CHECK_MSG(rate_ > 0.0, "scenario rate ceiling must be positive");
+      capacity_ = ArrivalCapacity(MeanRate(f) * duration_s,
+                                  MeanRate(f) * duration_s);
+      return;
     case ScenarioKind::kClosedLoop:
-      return GenerateClosedLoop(f.p, duration_s, rng, shares, total_share);
+      buffered_ = GenerateClosedLoop(p_, duration_s, rng_, shares_,
+                                     total_share_);
+      capacity_ = buffered_.size();
+      done_ = true;
+      return;
     case ScenarioKind::kTrace:
       throw Error(
           "trace scenarios replay a file — resolve workload names and call "
@@ -456,6 +401,119 @@ std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
           "trace:file=... is given)");
   }
   throw Error("unknown scenario kind");
+}
+
+ScenarioStream::ScenarioStream(std::vector<Request> arrivals)
+    : done_(true), buffered_(std::move(arrivals)) {
+  capacity_ = buffered_.size();
+}
+
+std::size_t ScenarioStream::Append(std::vector<Request>* out,
+                                   std::size_t room) {
+  if (done_) {
+    // A buffered source copies out its next slice; a generator at the
+    // horizon has none left.
+    const std::size_t n = std::min(room, buffered_.size() - read_);
+    const auto from = buffered_.begin() + static_cast<std::ptrdiff_t>(read_);
+    out->insert(out->end(), from, from + static_cast<std::ptrdiff_t>(n));
+    read_ += n;
+    return n;
+  }
+  // Each generator keeps its state in members between calls and in locals
+  // inside one, and draws the same words in the same order as one
+  // uninterrupted loop would.
+  std::size_t n = 0;
+  const double horizon = duration_s_;
+  double now = now_;
+  const auto emit = [&] {
+    out->push_back(
+        Request{next_id_++, now, DrawWorkload(rng_, shares_, total_share_)});
+    ++n;
+  };
+  switch (kind_) {
+    case ScenarioKind::kPoisson: {
+      // Bit-identical to the original PR 1/2 generator: one uniform per
+      // gap, one per workload draw (when mixing).
+      const double rate = rate_;
+      while (n < room) {
+        now += -std::log(1.0 - rng_.Uniform()) / rate;
+        if (now >= horizon) {
+          done_ = true;
+          break;
+        }
+        emit();
+      }
+      break;
+    }
+    case ScenarioKind::kDiurnal:
+    case ScenarioKind::kRamp:
+    case ScenarioKind::kSpike: {
+      // Lewis–Shedler thinning against the ceiling: candidates arrive as a
+      // homogeneous Poisson at the ceiling, and candidate t survives with
+      // probability rate(t)/ceiling. Two uniforms per candidate plus the
+      // workload draw per accepted arrival — a fixed order, so the (seed,
+      // spec) pair pins the trace.
+      const double ceiling = rate_;
+      while (n < room) {
+        now += -std::log(1.0 - rng_.Uniform()) / ceiling;
+        if (now >= horizon) {
+          done_ = true;
+          break;
+        }
+        if (rng_.Uniform() * ceiling < RateAt(kind_, p_, qps_, horizon, now)) {
+          emit();
+        }
+      }
+      break;
+    }
+    case ScenarioKind::kBursty:
+      // MMPP-style on/off modulation: alternating exponential dwell
+      // windows, a homogeneous Poisson at the window's state rate inside
+      // each. Restarting the gap draw at every window boundary is exact
+      // (memorylessness), so the count in a window of length L at rate r
+      // is Poisson(r*L). Runs open in a burst so short horizons see one.
+      while (n < room) {
+        if (in_window_) {
+          now += -std::log(1.0 - rng_.Uniform()) / rate_;
+          if (now < window_end_) {
+            emit();
+            continue;
+          }
+          in_window_ = false;
+        }
+        // The next window opens where the last one closed.
+        const double window_start = window_end_;
+        if (window_start >= horizon) {
+          done_ = true;
+          break;
+        }
+        const double dwell =
+            -std::log(1.0 - rng_.Uniform()) * (on_ ? p_.on_s : p_.off_s);
+        window_end_ = std::min(window_start + dwell, horizon);
+        rate_ = on_ ? BurstyOnRate(p_, qps_) : p_.idle * qps_;
+        on_ = !on_;
+        if (rate_ > 0.0) {
+          now = window_start;
+          in_window_ = true;
+        }
+      }
+      break;
+    case ScenarioKind::kClosedLoop:
+    case ScenarioKind::kTrace:
+      break;  // Buffered: done from the start.
+  }
+  now_ = now;
+  return n;
+}
+
+std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
+                                      double duration_s, std::uint64_t seed,
+                                      const std::vector<double>& shares) {
+  ScenarioStream stream(spec, qps, duration_s, seed, shares);
+  std::vector<Request> arrivals;
+  arrivals.reserve(stream.capacity());
+  stream.Append(&arrivals, std::numeric_limits<std::size_t>::max());
+  return arrivals;
 }
 
 std::string EmitArrivalTraceJson(

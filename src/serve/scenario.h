@@ -1,8 +1,8 @@
 // Traffic scenarios — arrival-trace generators beyond stationary Poisson.
 //
-// NSFlow-Serve's engine consumes a pre-generated arrival vector (virtual
+// NSFlow-Serve's engine pulls its arrivals from a seeded stream (virtual
 // timestamps; see request.h), which keeps every run bit-reproducible under a
-// fixed seed. A `ScenarioSpec` names the arrival *pattern* that vector is
+// fixed seed. A `ScenarioSpec` names the arrival *pattern* that stream is
 // drawn from:
 //
 //   poisson   stationary Poisson at `qps` (the PR 1 default — the generator
@@ -30,9 +30,11 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "serve/request.h"
 
 namespace nsflow::serve {
@@ -130,11 +132,60 @@ double ScenarioWindowMeanRate(const ScenarioSpec& spec, double qps,
 double ScenarioPeakRate(const ScenarioSpec& spec, double qps,
                         double duration_s);
 
-/// Generate the arrival trace for `spec`: virtual timestamps in [0,
-/// duration_s), ids in time order, each arrival's workload drawn from
+/// One scenario's arrivals, drawn a slice at a time: virtual timestamps in
+/// [0, duration_s), ids in time order, each arrival's workload drawn from
 /// `shares` (normalized weights indexed by workload id) on the same RNG
 /// stream. Bit-deterministic for a fixed (spec, qps, duration_s, seed,
-/// shares) tuple. `{1.0}` is the single-workload share vector.
+/// shares) tuple; `{1.0}` is the single-workload share vector. The
+/// Poisson, thinned (diurnal, ramp, spike) and bursty generators keep
+/// their state between calls, so a stream holds no arrival, however long
+/// the run. The closed loop sorts its per-client draws, so it generates
+/// its whole trace up front, and a replayed trace is whole too: both are
+/// buffered sources.
+class ScenarioStream {
+ public:
+  /// A generated scenario. A `trace` spec throws: its file is parsed by the
+  /// caller (ParseArrivalTraceJson) into a buffered source.
+  ScenarioStream(const ScenarioSpec& spec, double qps, double duration_s,
+                 std::uint64_t seed, const std::vector<double>& shares);
+  /// A buffered source replaying `arrivals` (time-ordered, ids their index).
+  explicit ScenarioStream(std::vector<Request> arrivals);
+
+  /// Appends the next arrivals, at most `room`, to `*out` and returns how
+  /// many; 0 once the stream is exhausted.
+  std::size_t Append(std::vector<Request>* out, std::size_t room);
+
+  /// Room for every arrival the stream emits: the exact count for a
+  /// buffered source; otherwise the scenario's expected count plus four
+  /// standard deviations (a Poisson count's, or the bursty modulation's
+  /// wider one), which it almost never exceeds.
+  std::size_t capacity() const { return capacity_; }
+  /// A buffered source's whole trace; empty for a generated one.
+  std::span<const Request> buffered() const { return buffered_; }
+
+ private:
+  ScenarioKind kind_ = ScenarioKind::kTrace;
+  ScenarioParams p_;
+  double qps_ = 0.0;
+  double duration_s_ = 0.0;
+  std::vector<double> shares_;
+  double total_share_ = 0.0;
+  Rng rng_;
+  double now_ = 0.0;
+  double rate_ = 0.0;         // The candidates' rate: qps, the thinning
+                              // ceiling, or the bursty window's state rate.
+  double window_end_ = 0.0;   // Bursty: the current window's end.
+  bool on_ = true;            // Bursty: the next window's state.
+  bool in_window_ = false;    // Bursty: drawing inside a window.
+  bool done_ = false;         // Generated to the horizon, or buffered.
+  std::int64_t next_id_ = 0;
+  std::vector<Request> buffered_;
+  std::size_t read_ = 0;  // The next buffered arrival to append.
+  std::size_t capacity_ = 0;
+};
+
+/// Generate the arrival trace for `spec`: ScenarioStream drained into a
+/// vector.
 std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
                                       double duration_s, std::uint64_t seed,
                                       const std::vector<double>& shares);

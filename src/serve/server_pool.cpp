@@ -236,25 +236,29 @@ bool ServerPool::KindServes(int kind, WorkloadId workload) const {
 }
 
 void ServerPool::WarmBatchSizes(std::int64_t max_batch) {
-  std::vector<WorkloadId> all;
   for (int w = 0; w < workloads(); ++w) {
-    all.push_back(w);
+    WarmBatchSizes(RowsFor(w, max_batch));
   }
-  WarmBatchSizes(max_batch, all);
 }
 
-void ServerPool::WarmBatchSizes(std::int64_t max_batch,
-                                const std::vector<WorkloadId>& only) {
+ServerPool::WarmRows ServerPool::RowsFor(WorkloadId workload,
+                                         std::int64_t max_batch) const {
   NSF_CHECK_MSG(max_batch >= 1, "max_batch must be positive");
-  for (const WorkloadId w : only) {
-    NSF_CHECK(w >= 0 && w < workloads());
-    for (int k = 0; k < static_cast<int>(distinct_designs_.size()); ++k) {
-      if (!KindServes(k, w)) {
-        continue;
-      }
-      for (std::int64_t s = 1; s <= max_batch; ++s) {
-        Warm(k, w, s);
-      }
+  NSF_CHECK(workload >= 0 && workload < workloads());
+  WarmRows rows{workload, max_batch, {}};
+  rows.kinds.reserve(distinct_designs_.size());
+  for (int k = 0; k < static_cast<int>(distinct_designs_.size()); ++k) {
+    if (KindServes(k, workload)) {
+      rows.kinds.push_back(k);
+    }
+  }
+  return rows;
+}
+
+void ServerPool::WarmBatchSizes(const WarmRows& rows) {
+  for (const int k : rows.kinds) {
+    for (std::int64_t s = 1; s <= rows.max_batch; ++s) {
+      Warm(k, rows.workload, s);
     }
   }
 }

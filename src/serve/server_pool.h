@@ -143,12 +143,21 @@ class ServerPool {
 
   /// Pre-fill every (replica kind, served workload, batch size <=
   /// max_batch) entry, so later dispatches are pure table hits. A fill
-  /// counts no hits or misses. The restricted overload warms only the
-  /// listed workloads (e.g. the ones with traffic in the mix — idle
-  /// tenants fill lazily on first use).
+  /// counts no hits or misses.
   void WarmBatchSizes(std::int64_t max_batch);
-  void WarmBatchSizes(std::int64_t max_batch,
-                      const std::vector<WorkloadId>& only);
+
+  /// One workload's warm-up as of now: the kinds deployed for it and the
+  /// batch sizes up to `max_batch`. Filling it later (the overload below)
+  /// fills exactly these rows, whatever replicas were added or refit in
+  /// between, so a workload can warm at its first use — idle tenants
+  /// never fill.
+  struct WarmRows {
+    WorkloadId workload = 0;
+    std::int64_t max_batch = 0;
+    std::vector<int> kinds;
+  };
+  WarmRows RowsFor(WorkloadId workload, std::int64_t max_batch) const;
+  void WarmBatchSizes(const WarmRows& rows);
 
   /// Earliest virtual time a non-draining replica able to serve `workload`
   /// is free under the current schedule — the batch former's

@@ -116,11 +116,8 @@ TEST(AdversityTest, ChurnMasksOnlyTheTenantWindow) {
   options.seed = 7;
   const std::vector<double> shares = {0.5, 0.5};
   const auto base = SyntheticArrivals(options, shares);
-  auto churned = base;
-  const AdversitySpec spec =
-      AdversitySpec::Parse("churn:at=0.5,down=1,workload=1");
-  ApplyAdversityArrivals(spec, &churned, options.qps, options.duration_s,
-                         options.seed, shares);
+  options.adversity = AdversitySpec::Parse("churn:at=0.5,down=1,workload=1");
+  const auto churned = SyntheticArrivals(options, shares);
   // Nothing of workload 1 inside [0.5, 1.5); everything else survives
   // bit-exactly in order.
   std::size_t kept = 0;
@@ -135,7 +132,7 @@ TEST(AdversityTest, ChurnMasksOnlyTheTenantWindow) {
   }
   EXPECT_EQ(kept, churned.size());
   EXPECT_LT(churned.size(), base.size());
-  // Ids re-densified to the arrival index (engine invariant).
+  // Ids are the arrival index (engine invariant).
   for (std::size_t i = 0; i < churned.size(); ++i) {
     EXPECT_EQ(churned[i].id, static_cast<std::int64_t>(i));
   }
@@ -148,31 +145,31 @@ TEST(AdversityTest, FlashSuperimposesSeededExtraArrivals) {
   options.seed = 7;
   const std::vector<double> shares = {0.5, 0.5};
   const auto base = SyntheticArrivals(options, shares);
-  const AdversitySpec spec =
-      AdversitySpec::Parse("flash:at=0.5,width=0.5,mult=3");
-  auto a = base;
-  ApplyAdversityArrivals(spec, &a, options.qps, options.duration_s,
-                         options.seed, shares);
-  auto b = base;
-  ApplyAdversityArrivals(spec, &b, options.qps, options.duration_s,
-                         options.seed, shares);
+  options.adversity = AdversitySpec::Parse("flash:at=0.5,width=0.5,mult=3");
+  const auto a = SyntheticArrivals(options, shares);
+  const auto b = SyntheticArrivals(options, shares);
   // Same seed: bit-identical superimposed trace.
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].arrival_s, b[i].arrival_s);
     ASSERT_EQ(a[i].workload, b[i].workload);
+    ASSERT_EQ(a[i].id, static_cast<std::int64_t>(i));
   }
-  // A different seed draws a different flash stream over the same base.
-  auto c = base;
-  ApplyAdversityArrivals(spec, &c, options.qps, options.duration_s,
-                         options.seed + 1, shares);
-  bool differs = c.size() != a.size();
-  for (std::size_t i = 0; !differs && i < a.size(); ++i) {
-    differs = c[i].arrival_s != a[i].arrival_s;
+  // A different seed draws a different flash stream.
+  const auto extras = [&](std::uint64_t seed) {
+    return ArrivalAdversity(options.adversity, options.qps,
+                            options.duration_s, seed, shares)
+        .extras;
+  };
+  const std::vector<Request> c = extras(options.seed + 1);
+  const std::vector<Request> d = extras(options.seed);
+  bool differs = c.size() != d.size();
+  for (std::size_t i = 0; !differs && i < d.size(); ++i) {
+    differs = c[i].arrival_s != d[i].arrival_s;
   }
   EXPECT_TRUE(differs) << "different seeds gave the same flash stream";
-  // The window carries ~mult x the base mass; the base trace is a
-  // subsequence (every original stamp survives).
+  // The window carries ~mult x the base mass; the trace is the base and
+  // the extras merged, base first on equal stamps.
   const auto in_window = [](const std::vector<Request>& trace) {
     double n = 0.0;
     for (const Request& r : trace) {
@@ -182,13 +179,17 @@ TEST(AdversityTest, FlashSuperimposesSeededExtraArrivals) {
   };
   const double expected = in_window(base) * 3.0;
   EXPECT_NEAR(in_window(a), expected, 5.0 * std::sqrt(expected));
-  std::size_t next = 0;
-  for (const Request& r : base) {
-    while (next < a.size() && a[next].arrival_s != r.arrival_s) {
-      ++next;
-    }
-    ASSERT_LT(next, a.size()) << "base arrival lost in the merge";
-    ++next;
+  ASSERT_EQ(a.size(), base.size() + d.size());
+  std::size_t next_base = 0;
+  std::size_t next_extra = 0;
+  for (const Request& r : a) {
+    const bool from_base =
+        next_base < base.size() &&
+        (next_extra == d.size() ||
+         base[next_base].arrival_s <= d[next_extra].arrival_s);
+    const Request& want = from_base ? base[next_base++] : d[next_extra++];
+    ASSERT_EQ(r.arrival_s, want.arrival_s);
+    ASSERT_EQ(r.workload, want.workload);
   }
 }
 

@@ -72,22 +72,32 @@ std::atomic<std::int64_t> g_allocated_bytes{0};
 namespace nsflow::serve {
 namespace {
 
-/// Allocations one RunSyntheticServe call makes (arrival generation, set-up
+/// What one RunSyntheticServe call allocates (arrival generation, set-up
 /// and the event loop; the report's own storage included).
-std::int64_t ServeAllocations(const WorkloadRegistry& registry,
-                              const std::vector<ReplicaSpec>& replicas,
-                              const std::vector<WorkloadShare>& mix,
-                              const ServeOptions& options) {
-  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+struct ServeCost {
+  std::int64_t allocations = 0;
+  std::int64_t bytes = 0;
+  std::int64_t requests = 0;
+};
+
+ServeCost MeasureServe(const WorkloadRegistry& registry,
+                       const std::vector<ReplicaSpec>& replicas,
+                       const std::vector<WorkloadShare>& mix,
+                       const ServeOptions& options) {
+  const std::int64_t allocations =
+      g_allocations.load(std::memory_order_relaxed);
+  const std::int64_t bytes = g_allocated_bytes.load(std::memory_order_relaxed);
   const ServeReport report =
       RunSyntheticServe(registry, replicas, mix, options);
   EXPECT_EQ(report.summary.completed, report.generated_requests);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return {g_allocations.load(std::memory_order_relaxed) - allocations,
+          g_allocated_bytes.load(std::memory_order_relaxed) - bytes,
+          report.generated_requests};
 }
 
 /// Serves the 48-replica, 8,000 qps run for 25 s and for 50 s, plainly and
 /// under `least-loaded:nodes=2`, and checks that doubling the run adds
-/// fewer than 64 allocations.
+/// fewer than 64 allocations and only the bytes a completed request keeps.
 void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
   WorkloadRegistry registry;
   const std::vector<WorkloadShare> mix =
@@ -105,16 +115,31 @@ void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
       options.cluster = ClusterSpec::Parse(cluster);
     }
     options.duration_s = 25.0;
-    const std::int64_t base =
-        ServeAllocations(registry, replicas, mix, options);
+    const ServeCost base = MeasureServe(registry, replicas, mix, options);
     options.duration_s = 50.0;
-    const std::int64_t doubled =
-        ServeAllocations(registry, replicas, mix, options);
+    const ServeCost doubled = MeasureServe(registry, replicas, mix, options);
+    const std::string label =
+        adversity + (cluster.empty() ? " plain" : " " + cluster);
     // 200k more requests (~25k more batches) may cost a few vector
     // doublings, never an allocation per batch or per request.
-    EXPECT_LT(doubled - base, 64)
-        << adversity << (cluster.empty() ? " plain" : " " + cluster) << ": "
-        << base << " -> " << doubled;
+    EXPECT_LT(doubled.allocations - base.allocations, 64)
+        << label << ": " << base.allocations << " -> "
+        << doubled.allocations;
+    // Each extra request may cost only what outlives the event loop:
+    const double kept_bytes =
+        16.0    // its completion-log record (reserved up front),
+        + 80.0  // a batch slot, reserved per expected arrival, since every
+                // committed batch holds at least one request,
+        + 8.0   // and Summarize's latency key,
+        + 4.0;  // plus slack for the reservations' four standard
+                // deviations and the percentile gathers.
+    // The arrival stream holds O(backlog), not a 40 B Request per arrival.
+    const double per_request =
+        static_cast<double>(doubled.bytes - base.bytes) /
+        static_cast<double>(doubled.requests - base.requests);
+    EXPECT_LE(per_request, kept_bytes)
+        << label << ": " << base.bytes << " B for " << base.requests
+        << " requests -> " << doubled.bytes << " B for " << doubled.requests;
   }
 }
 

@@ -3,10 +3,14 @@
 // JSON trace-replay round-trips and label resolution, and spec parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "serve/adversity.h"
 #include "serve/engine.h"
 #include "serve/scenario.h"
@@ -286,6 +290,92 @@ TEST(ScenarioTest, TraceReplayValidates) {
       R"({"arrivals": [{"t_s": 0.1, "workload": "whatever"}]})", {}, 1.0);
   ASSERT_EQ(unlabeled.size(), 1u);
   EXPECT_EQ(unlabeled[0].workload, 0);
+}
+
+// ------------------------------------------------------------ pull stream
+
+TEST(ArrivalStreamTest, PullsAndCountsMatchTheDrainedTrace) {
+  // Every source — the generators, the buffered closed loop and a replayed
+  // golden trace — with churn and flash applied at the stream's head: the
+  // engine's pull-and-count protocol must see exactly the drained trace
+  // while the stream drops what lies behind its floor.
+  const std::vector<double> shares = {0.6, 0.4};
+  const std::vector<std::string> names = {"mlp", "resnet18"};
+  const std::string replay =
+      "trace:file=" + diff::GoldenDir() + "/arrivals_poisson_s42.json";
+  for (const std::string& source : {std::string("poisson"),
+                                    std::string("diurnal"),
+                                    std::string("bursty"), std::string("ramp"),
+                                    std::string("spike"),
+                                    std::string("closed"), replay}) {
+    for (const char* adversity : {"none", "churn:workload=1", "flash"}) {
+      for (const std::uint64_t seed : {7u, 42u, 1234u}) {
+        ServeOptions options;
+        // The golden trace was recorded at 400 qps; the flash extras
+        // follow the offered rate.
+        options.qps = source == replay ? 400.0 : 2000.0;
+        options.duration_s = 2.0;
+        options.seed = seed;
+        options.scenario = ScenarioSpec::Parse(source);
+        options.adversity = AdversitySpec::Parse(adversity);
+        const std::string label = source + " x " + adversity + " s" +
+                                  std::to_string(seed);
+        const std::vector<Request> whole =
+            SyntheticArrivals(options, shares, names);
+        ASSERT_GT(whole.size(), 500u) << label;
+        ArrivalStream stream(options, shares, names);
+        // The completion log reserves this much: exact for a buffered
+        // source, a four-sigma bound otherwise.
+        if (source == "closed" || source == replay) {
+          EXPECT_EQ(stream.capacity(), whole.size()) << label;
+        } else {
+          EXPECT_GE(stream.capacity(), whole.size()) << label;
+        }
+
+        Rng rng(seed);
+        double floor = -std::numeric_limits<double>::infinity();
+        std::size_t pulled = 0;
+        for (const Request* next; (next = stream.Peek()) != nullptr;
+             stream.Pop()) {
+          ASSERT_LT(pulled, whole.size()) << label;
+          const Request& want = whole[pulled++];
+          ASSERT_EQ(next->id, want.id) << label;
+          ASSERT_EQ(next->arrival_s, want.arrival_s) << label;
+          ASSERT_EQ(next->workload, want.workload) << label;
+          // Like the engine's watermark: never above the clock, up to a
+          // few forming waits behind it, never falling.
+          const double now = next->arrival_s;
+          floor = std::max(floor, now - 3.0 * options.max_wait_s *
+                                            rng.Uniform());
+          stream.SetFloor(floor);
+          for (int k = 0; k < 2; ++k) {
+            const double t =
+                floor + (now - floor + 4.0 * options.max_wait_s) *
+                            rng.Uniform();
+            const auto expected = static_cast<std::size_t>(
+                std::upper_bound(whole.begin(), whole.end(), t,
+                                 [](double v, const Request& r) {
+                                   return v < r.arrival_s;
+                                 }) -
+                whole.begin());
+            ASSERT_EQ(stream.ArrivedBy(t), expected)
+                << label << " at t=" << t << ", floor " << floor;
+          }
+          if (pulled % 97 == 0) {
+            EXPECT_THROW(
+                stream.ArrivedBy(std::nextafter(
+                    floor, -std::numeric_limits<double>::infinity())),
+                Error)
+                << label;
+          }
+        }
+        EXPECT_EQ(pulled, whole.size()) << label;
+        EXPECT_EQ(stream.drawn(), whole.size()) << label;
+        EXPECT_EQ(stream.ArrivedBy(options.duration_s), whole.size())
+            << label;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ spec parsing

@@ -182,10 +182,9 @@ TEST(SpecGrammarTest, IntegerKeysMustFitTheirType) {
 
 TEST(SpecGrammarTest, ChurnWorkloadPastTheMixIsAnError) {
   // Only the run knows its mix, so this check happens at use.
-  std::vector<Request> arrivals;
-  EXPECT_EQ(ErrorOf([&] {
-              ApplyAdversityArrivals(AdversitySpec::Parse("churn:workload=2"),
-                                     &arrivals, 100.0, 1.0, 7, {0.5, 0.5});
+  EXPECT_EQ(ErrorOf([] {
+              ArrivalAdversity(AdversitySpec::Parse("churn:workload=2"),
+                               100.0, 1.0, 7, {0.5, 0.5});
             }),
             "adversity 'churn': workload 2 is past this run's 2-workload "
             "mix");
