@@ -23,7 +23,7 @@ ServeStats::ServeStats(int replicas, int workloads) {
       static_cast<std::size_t>(replicas),
       {0.0, std::numeric_limits<double>::infinity()});
   workload_names_.resize(static_cast<std::size_t>(workloads));
-  workload_arrivals_s_.resize(static_cast<std::size_t>(workloads));
+  workload_arrivals_.resize(static_cast<std::size_t>(workloads));
   for (int w = 0; w < workloads; ++w) {
     workload_names_[static_cast<std::size_t>(w)] =
         "workload " + std::to_string(w);
@@ -54,26 +54,36 @@ void ServeStats::SetWorkloadTier(WorkloadId w, SlaTier tier) {
 
 void ServeStats::RecordArrival(WorkloadId workload, double arrival_s) {
   NSF_CHECK_MSG(workload >= 0 &&
-                    workload <
-                        static_cast<int>(workload_arrivals_s_.size()),
+                    workload < static_cast<int>(workload_arrivals_.size()),
                 "workload index out of range");
   NSF_CHECK_MSG(arrival_s >= last_arrival_s_,
                 "arrivals must be recorded in time order");
   last_arrival_s_ = arrival_s;
-  workload_arrivals_s_[static_cast<std::size_t>(workload)].push_back(
+  workload_arrivals_[static_cast<std::size_t>(workload)].stamps.push_back(
       arrival_s);
 }
 
 std::int64_t ServeStats::ArrivalsInWindow(WorkloadId workload, double t0,
-                                          double t1) const {
+                                          double t1) {
   NSF_CHECK_MSG(workload >= 0 &&
-                    workload <
-                        static_cast<int>(workload_arrivals_s_.size()),
+                    workload < static_cast<int>(workload_arrivals_.size()),
                 "workload index out of range");
-  const std::vector<double>& sorted =
-      workload_arrivals_s_[static_cast<std::size_t>(workload)];
-  return std::lower_bound(sorted.begin(), sorted.end(), t1) -
-         std::lower_bound(sorted.begin(), sorted.end(), t0);
+  ArrivalWindow& window =
+      workload_arrivals_[static_cast<std::size_t>(workload)];
+  NSF_CHECK_MSG(t0 >= window.floor_s,
+                "rate window starts below the stamps already dropped");
+  std::vector<double>& stamps = window.stamps;
+  const auto live = stamps.begin() + static_cast<std::ptrdiff_t>(window.head);
+  const auto lo = std::lower_bound(live, stamps.end(), t0);
+  const std::int64_t count =
+      std::lower_bound(live, stamps.end(), t1) - lo;
+  window.floor_s = t0;
+  window.head = static_cast<std::size_t>(lo - stamps.begin());
+  if (2 * window.head >= stamps.size()) {
+    stamps.erase(stamps.begin(), lo);
+    window.head = 0;
+  }
+  return count;
 }
 
 void ServeStats::RecordPoolEvent(PoolEvent event) {

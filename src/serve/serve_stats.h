@@ -141,9 +141,10 @@ class ServeStats {
   /// order — the autoscaler's windowed-rate source).
   void RecordArrival(WorkloadId workload, double arrival_s);
   /// Arrivals of `workload` with arrival time in [t0, t1). O(log n) — the
-  /// arrival record is time-ordered.
-  std::int64_t ArrivalsInWindow(WorkloadId workload, double t0,
-                                double t1) const;
+  /// arrival record is time-ordered. The autoscaler's window edge never
+  /// falls, so the stamps before `t0` are dropped: a later query of the
+  /// workload must not start below it (checked).
+  std::int64_t ArrivalsInWindow(WorkloadId workload, double t0, double t1);
 
   /// Append one point to the reconfiguration/utilization timeline.
   void RecordPoolEvent(PoolEvent event);
@@ -189,7 +190,15 @@ class ServeStats {
  private:
   std::vector<std::pair<double, double>> replica_spans_;  // [added, retired).
   std::vector<PoolEvent> timeline_;
-  std::vector<std::vector<double>> workload_arrivals_s_;  // Per workload.
+  // One workload's arrival stamps from `floor_s` on: stamps[head..] are
+  // live, and the dead prefix is compacted away once it is half the
+  // buffer, so a window holds about a window's worth of stamps.
+  struct ArrivalWindow {
+    std::vector<double> stamps;
+    std::size_t head = 0;
+    double floor_s = -std::numeric_limits<double>::infinity();
+  };
+  std::vector<ArrivalWindow> workload_arrivals_;  // Per workload.
   // The latest recorded arrival, for RecordArrival's order check.
   double last_arrival_s_ = -std::numeric_limits<double>::infinity();
 

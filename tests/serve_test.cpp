@@ -240,6 +240,54 @@ TEST(ServeStatsTest, SelectedPercentilesMatchSortedPopulations) {
   }
 }
 
+// The autoscaler's rate window: each tick counts [t - min(1, t), t) and
+// that lower edge never falls, so the stamps below it are dropped. Every
+// count must still equal a count over all stamps, and a window reaching
+// below a dropped edge must throw.
+TEST(ServeStatsTest, RateWindowDropsOnlyStampsNoWindowReaches) {
+  Rng rng(5);
+  ServeStats stats(1, 2);
+  std::vector<std::vector<double>> all(2);
+  double t = 0.0;
+  for (double tick = 0.25; tick <= 20.0; tick += 0.25) {
+    // Bursts and lulls, ties on the tick itself included.
+    const double rate = rng.Bernoulli(0.3) ? 4000.0 : 200.0;
+    while (true) {
+      const double next = rng.Bernoulli(0.02)
+                              ? t
+                              : t - std::log(1.0 - rng.Uniform()) / rate;
+      if (next >= tick) {
+        break;
+      }
+      t = next;
+      const auto w = static_cast<WorkloadId>(rng.UniformInt(0, 1));
+      stats.RecordArrival(w, t);
+      all[static_cast<std::size_t>(w)].push_back(t);
+    }
+    t = tick;
+    if (rng.Bernoulli(0.1)) {
+      stats.RecordArrival(0, t);  // A stamp exactly on the window edge.
+      all[0].push_back(t);
+    }
+    const double t0 = tick - std::min(1.0, tick);
+    for (WorkloadId w = 0; w < 2; ++w) {
+      const std::vector<double>& stamps = all[static_cast<std::size_t>(w)];
+      const auto expected =
+          std::lower_bound(stamps.begin(), stamps.end(), tick) -
+          std::lower_bound(stamps.begin(), stamps.end(), t0);
+      // Asked twice: a window edge keeps the stamps on it.
+      ASSERT_EQ(stats.ArrivalsInWindow(w, t0, tick), expected)
+          << "workload " << w << " at " << tick;
+      ASSERT_EQ(stats.ArrivalsInWindow(w, t0, tick), expected)
+          << "workload " << w << " at " << tick << ", asked again";
+    }
+    if (t0 > 0.0) {
+      EXPECT_THROW(stats.ArrivalsInWindow(1, std::nextafter(t0, 0.0), tick),
+                   Error);
+    }
+  }
+}
+
 // ------------------------------------------------------- batched kernels
 
 struct Deployed {
