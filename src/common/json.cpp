@@ -245,7 +245,9 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void EscapeString(std::string& out, const std::string& s) {
+}  // namespace
+
+void EscapeString(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -289,8 +291,6 @@ void FormatNumber(std::string& out, double d) {
                           std::chars_format::general, 17);
   out.append(buf, printed.ptr);
 }
-
-}  // namespace
 
 bool Json::AsBool() const {
   if (!is_bool()) {

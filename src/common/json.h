@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -95,5 +96,13 @@ class Json {
                JsonObject>
       value_;
 };
+
+/// Appends `s` as a quoted JSON string, escaped as Json::Dump escapes it.
+void EscapeString(std::string& out, std::string_view s);
+
+/// Appends `d` as Json::Dump writes a number. A writer that streams a
+/// document without building a Json tree (obs/chrome_trace.cpp) calls
+/// these two, so its bytes are the ones Dump would write.
+void FormatNumber(std::string& out, double d);
 
 }  // namespace nsflow

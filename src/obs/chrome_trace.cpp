@@ -1,18 +1,14 @@
 #include "obs/chrome_trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <utility>
 
 #include "common/error.h"
-
-// GCC 12 issues a spurious -Wrestrict for short string-literal assignments
-// inlined into vector-growth paths (GCC PR105329); the copies here target
-// freshly allocated, provably non-overlapping storage.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
+#include "common/json.h"
 
 namespace nsflow::obs {
 
@@ -38,300 +34,244 @@ const char* CloseName(BatchClose close) {
   return "";
 }
 
-std::string WorkloadName(const TraceMeta& meta, std::int32_t workload) {
-  if (workload >= 0 &&
-      workload < static_cast<std::int32_t>(meta.workload_names.size())) {
-    return meta.workload_names[static_cast<std::size_t>(workload)];
-  }
-  return "workload " + std::to_string(workload);
-}
+/// Where an instant goes: its event name and category, and whether it sits
+/// on its replica's track (pid 2, tid = replica) or on the control loop's
+/// (pid 3, tid 0).
+struct InstantTrack {
+  const char* name;
+  const char* cat;
+  bool on_replica;
+};
 
-ChromeEvent Metadata(const char* what, int pid, int tid, std::string name) {
-  ChromeEvent event;
-  event.name = what;  // "process_name" / "thread_name".
-  event.ph = "M";
-  event.pid = pid;
-  event.tid = tid;
-  event.args["name"] = Json(std::move(name));
-  return event;
-}
+/// Indexed by InstantKind.
+constexpr InstantTrack kInstantTracks[] = {
+    {"decision", "autoscaler", false},      // kAutoscalerDecision
+    {"add deferred", "autoscaler", false},  // kAutoscalerDeferred
+    {"added", "replica", true},             // kReplicaAdded
+    {"draining", "replica", true},          // kReplicaDraining
+    {"retired", "replica", true},           // kReplicaRetired
+    {"refit", "replica", true},             // kReplicaRefit
+    {"failed", "replica", true},            // kReplicaFailed
+    {"recovered", "replica", true},         // kReplicaRecovered
+    {"derated", "replica", true},           // kReplicaDerated
+    {"environment", "adversity", false},    // kEnvironment
+    {"shed", "admission", false},           // kAdmissionShed
+    {"retry", "admission", false},          // kAdmissionRetry
+    {"expired", "admission", false},        // kAdmissionExpired
+    {"route", "cluster", false},            // kClusterRoute
+};
+static_assert(std::size(kInstantTracks) ==
+              static_cast<std::size_t>(InstantKind::kClusterRoute) + 1);
 
-ChromeEvent Instant(const InstantEvent& record, const TraceMeta& meta) {
-  ChromeEvent event;
-  event.ph = "i";
-  event.ts_us = record.t_s * kUsPerSecond;
-  event.scope = "t";
-  switch (record.kind) {
-    case InstantKind::kAutoscalerDecision:
-      event.name = "decision";
-      event.cat = "autoscaler";
-      event.pid = kAutoscalerPid;
-      break;
-    case InstantKind::kAutoscalerDeferred:
-      event.name = "add deferred";
-      event.cat = "autoscaler";
-      event.pid = kAutoscalerPid;
-      break;
-    case InstantKind::kReplicaAdded:
-      event.name = "added";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kReplicaDraining:
-      event.name = "draining";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kReplicaRetired:
-      event.name = "retired";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kReplicaRefit:
-      event.name = "refit";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kReplicaFailed:
-      event.name = "failed";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kReplicaRecovered:
-      event.name = "recovered";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kReplicaDerated:
-      event.name = "derated";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
-    case InstantKind::kEnvironment:
-      event.name = "environment";
-      event.cat = "adversity";
-      event.pid = kAutoscalerPid;
-      break;
-    case InstantKind::kAdmissionShed:
-      event.name = "shed";
-      event.cat = "admission";
-      event.pid = kAutoscalerPid;
-      break;
-    case InstantKind::kAdmissionRetry:
-      event.name = "retry";
-      event.cat = "admission";
-      event.pid = kAutoscalerPid;
-      break;
-    case InstantKind::kAdmissionExpired:
-      event.name = "expired";
-      event.cat = "admission";
-      event.pid = kAutoscalerPid;
-      break;
-    case InstantKind::kClusterRoute:
-      event.name = "route";
-      event.cat = "cluster";
-      event.pid = kAutoscalerPid;
-      break;
-  }
-  if (!record.detail.empty()) {
-    event.args["detail"] = Json(record.detail);
-  }
-  if (record.workload >= 0) {
-    event.args["workload"] = Json(WorkloadName(meta, record.workload));
-  }
-  return event;
-}
+/// An entry's keys after "args", declared in the order Json::Dump sorts
+/// them. An empty `cat` or `id` and a negative `dur_us` are left out;
+/// `scoped` writes an instant's "s":"t".
+struct Keys {
+  std::string_view cat = {};
+  double dur_us = -1.0;
+  std::string_view id = {};
+  std::string_view name = {};
+  char ph = 'M';
+  int pid = 0;
+  bool scoped = false;
+  int tid = 0;
+  double ts_us = 0.0;
+};
 
-ChromeEvent CounterEvent(double t_s, const char* name, const char* key,
-                         Json value) {
-  ChromeEvent event;
-  event.name = name;
-  event.ph = "C";
-  event.cat = "autoscaler";
-  event.ts_us = t_s * kUsPerSecond;
-  event.pid = kAutoscalerPid;
-  event.args[key] = std::move(value);
-  return event;
-}
+/// Appends trace_event entries to one output: an entry's args, if any, in
+/// sorted key order, then End() with its other keys.
+class EntryWriter {
+ public:
+  explicit EntryWriter(std::string& out) : out_(out) {}
+
+  void Arg(std::string_view key, double value) {
+    ArgKey(key);
+    FormatNumber(out_, value);
+  }
+  void Arg(std::string_view key, std::string_view value) {
+    ArgKey(key);
+    EscapeString(out_, value);
+  }
+  void End(const Keys& keys) {
+    if (args_) {
+      out_ += "},";
+      args_ = false;
+    } else {
+      Open();
+    }
+    if (!keys.cat.empty()) {
+      out_ += "\"cat\":";
+      EscapeString(out_, keys.cat);
+      out_ += ',';
+    }
+    if (keys.dur_us >= 0.0) {
+      out_ += "\"dur\":";
+      FormatNumber(out_, keys.dur_us);
+      out_ += ',';
+    }
+    if (!keys.id.empty()) {
+      out_ += "\"id\":";
+      EscapeString(out_, keys.id);
+      out_ += ',';
+    }
+    out_ += "\"name\":";
+    EscapeString(out_, keys.name);
+    out_ += ",\"ph\":\"";
+    out_ += keys.ph;
+    out_ += "\",\"pid\":";
+    FormatNumber(out_, keys.pid);
+    if (keys.scoped) {
+      out_ += ",\"s\":\"t\"";
+    }
+    out_ += ",\"tid\":";
+    FormatNumber(out_, keys.tid);
+    out_ += ",\"ts\":";
+    FormatNumber(out_, keys.ts_us);
+    out_ += '}';
+  }
+
+ private:
+  void Open() { out_ += entries_++ == 0 ? "{" : ",{"; }
+  void ArgKey(std::string_view key) {
+    if (args_) {
+      out_ += ',';
+    } else {
+      Open();
+      out_ += "\"args\":{";
+      args_ = true;
+    }
+    EscapeString(out_, key);
+    out_ += ':';
+  }
+
+  std::string& out_;
+  std::size_t entries_ = 0;
+  bool args_ = false;  // Whether the open entry has args.
+};
 
 }  // namespace
 
-std::vector<ChromeEvent> BuildChromeTrace(const TraceData& data,
-                                          const TraceMeta& meta,
-                                          TraceDetail detail) {
-  std::vector<ChromeEvent> events;
+std::string SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
+                                 TraceDetail detail) {
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  EntryWriter w(out);
+  std::string unnamed;  // "workload <id>" for an id the meta does not name.
+  const auto workload_name = [&](std::int32_t workload) -> std::string_view {
+    if (workload >= 0 &&
+        workload < static_cast<std::int32_t>(meta.workload_names.size())) {
+      return meta.workload_names[static_cast<std::size_t>(workload)];
+    }
+    unnamed = "workload " + std::to_string(workload);
+    return unnamed;
+  };
+
   // Deterministic section order: metadata, counters, instants, batches,
-  // request spans. Each section preserves Drain()'s (time, seq) order.
-  events.push_back(Metadata("process_name", kRequestsPid, 0, "requests"));
-  events.push_back(Metadata("process_name", kReplicasPid, 0, "replicas"));
-  events.push_back(Metadata("process_name", kAutoscalerPid, 0, "autoscaler"));
-  for (std::size_t w = 0; w < meta.workload_names.size(); ++w) {
-    events.push_back(Metadata("thread_name", kRequestsPid, static_cast<int>(w),
-                              meta.workload_names[w]));
+  // request spans. Each section keeps Drain()'s (time, seq) order.
+  const auto metadata = [&w](const char* what, int pid, int tid,
+                             std::string_view name) {
+    w.Arg("name", name);
+    w.End({.name = what, .ph = 'M', .pid = pid, .tid = tid});
+  };
+  metadata("process_name", kRequestsPid, 0, "requests");
+  metadata("process_name", kReplicasPid, 0, "replicas");
+  metadata("process_name", kAutoscalerPid, 0, "autoscaler");
+  for (std::size_t i = 0; i < meta.workload_names.size(); ++i) {
+    metadata("thread_name", kRequestsPid, static_cast<int>(i),
+             meta.workload_names[i]);
   }
   for (int r = 0; r < meta.replicas; ++r) {
-    events.push_back(Metadata("thread_name", kReplicasPid, r,
-                              "replica " + std::to_string(r)));
+    metadata("thread_name", kReplicasPid, r, "replica " + std::to_string(r));
   }
-  events.push_back(Metadata("thread_name", kAutoscalerPid, 0, "control loop"));
+  metadata("thread_name", kAutoscalerPid, 0, "control loop");
 
+  const auto counter = [&w](double t_s, const char* name, const char* key,
+                            double value) {
+    w.Arg(key, value);
+    w.End({.cat = "autoscaler",
+           .name = name,
+           .ph = 'C',
+           .pid = kAutoscalerPid,
+           .ts_us = t_s * kUsPerSecond});
+  };
   for (const CounterSample& sample : data.counters) {
-    events.push_back(CounterEvent(sample.t_s, "window_rate_rps", "rps",
-                                  Json(sample.window_rate_rps)));
-    events.push_back(CounterEvent(sample.t_s, "active_replicas", "replicas",
-                                  Json(sample.active_replicas)));
-    events.push_back(CounterEvent(sample.t_s, "queue_depth", "depth",
-                                  Json(sample.queue_depth)));
+    counter(sample.t_s, "window_rate_rps", "rps", sample.window_rate_rps);
+    counter(sample.t_s, "active_replicas", "replicas",
+            sample.active_replicas);
+    counter(sample.t_s, "queue_depth", "depth",
+            static_cast<double>(sample.queue_depth));
   }
 
   for (const InstantEvent& instant : data.instants) {
-    events.push_back(Instant(instant, meta));
+    const auto kind = static_cast<std::size_t>(instant.kind);
+    NSF_CHECK_MSG(kind < std::size(kInstantTracks),
+                  "unknown instant kind " + std::to_string(kind));
+    const InstantTrack& track = kInstantTracks[kind];
+    if (!instant.detail.empty()) {
+      w.Arg("detail", instant.detail);
+    }
+    if (instant.workload >= 0) {
+      w.Arg("workload", workload_name(instant.workload));
+    }
+    w.End({.cat = track.cat,
+           .name = track.name,
+           .ph = 'i',
+           .pid = track.on_replica ? kReplicasPid : kAutoscalerPid,
+           .scoped = true,
+           .tid = track.on_replica ? instant.replica : 0,
+           .ts_us = instant.t_s * kUsPerSecond});
   }
 
   for (const BatchSpan& batch : data.batches) {
-    ChromeEvent event;
-    event.name = WorkloadName(meta, batch.workload);
-    event.cat = "batch";
-    event.ph = "X";
-    event.ts_us = batch.start_s * kUsPerSecond;
-    event.dur_us = (batch.complete_s - batch.start_s) * kUsPerSecond;
-    event.pid = kReplicasPid;
-    event.tid = batch.replica;
-    event.args["batch"] = Json(batch.batch_index);
-    event.args["size"] = Json(batch.size);
+    w.Arg("batch", static_cast<double>(batch.batch_index));
     if (batch.close != BatchClose::kNone) {
-      event.args["close"] = Json(CloseName(batch.close));
+      w.Arg("close", CloseName(batch.close));
     }
-    events.push_back(std::move(event));
+    w.Arg("size", static_cast<double>(batch.size));
+    w.End({.cat = "batch",
+           .dur_us = (batch.complete_s - batch.start_s) * kUsPerSecond,
+           .name = workload_name(batch.workload),
+           .ph = 'X',
+           .pid = kReplicasPid,
+           .tid = batch.replica,
+           .ts_us = batch.start_s * kUsPerSecond});
   }
 
   for (const RequestSpan& span : data.requests) {
-    const std::string id = std::to_string(span.request_id);
-    ChromeEvent begin;
-    begin.name = WorkloadName(meta, span.workload);
-    begin.cat = "request";
-    begin.ph = "b";
-    begin.ts_us = span.arrival_s * kUsPerSecond;
-    begin.pid = kRequestsPid;
-    begin.tid = span.workload;
-    begin.id = id;
-    events.push_back(std::move(begin));
-
+    char digits[24];
+    const std::string_view id(
+        digits,
+        std::to_chars(digits, digits + sizeof digits, span.request_id).ptr -
+            digits);
+    const std::string_view name = workload_name(span.workload);
+    const auto keys = [&](std::string_view phase, char ph, double t_s) {
+      return Keys{.cat = "request",
+                  .id = id,
+                  .name = phase,
+                  .ph = ph,
+                  .pid = kRequestsPid,
+                  .tid = span.workload,
+                  .ts_us = t_s * kUsPerSecond};
+    };
+    w.End(keys(name, 'b', span.arrival_s));
     if (detail == TraceDetail::kFull) {
       // Nested phase spans under the same async id: forming (arrival ->
       // batch close) and execution (dispatch -> completion); the gap
       // between them is the dispatch wait on a busy replica.
-      ChromeEvent form_b;
-      form_b.name = "form";
-      form_b.cat = "request";
-      form_b.ph = "b";
-      form_b.ts_us = span.arrival_s * kUsPerSecond;
-      form_b.pid = kRequestsPid;
-      form_b.tid = span.workload;
-      form_b.id = id;
-      events.push_back(std::move(form_b));
-      ChromeEvent form_e = events.back();
-      form_e.ph = "e";
-      form_e.ts_us = span.formed_s * kUsPerSecond;
-      form_e.args.clear();
-      events.push_back(std::move(form_e));
-
-      ChromeEvent exec_b;
-      exec_b.name = "execute";
-      exec_b.cat = "request";
-      exec_b.ph = "b";
-      exec_b.ts_us = span.start_s * kUsPerSecond;
-      exec_b.pid = kRequestsPid;
-      exec_b.tid = span.workload;
-      exec_b.id = id;
-      events.push_back(std::move(exec_b));
-      ChromeEvent exec_e = events.back();
-      exec_e.ph = "e";
-      exec_e.ts_us = span.complete_s * kUsPerSecond;
-      events.push_back(std::move(exec_e));
+      w.End(keys("form", 'b', span.arrival_s));
+      w.End(keys("form", 'e', span.formed_s));
+      w.End(keys("execute", 'b', span.start_s));
+      w.End(keys("execute", 'e', span.complete_s));
     }
-
-    ChromeEvent end;
-    end.name = WorkloadName(meta, span.workload);
-    end.cat = "request";
-    end.ph = "e";
-    end.ts_us = span.complete_s * kUsPerSecond;
-    end.pid = kRequestsPid;
-    end.tid = span.workload;
-    end.id = id;
-    end.args["batch"] = Json(span.batch_index);
-    end.args["replica"] = Json(span.replica);
-    end.args["batch_size"] = Json(span.batch_size);
+    w.Arg("batch", static_cast<double>(span.batch_index));
+    w.Arg("batch_size", span.batch_size);
     if (span.close != BatchClose::kNone) {
-      end.args["close"] = Json(CloseName(span.close));
+      w.Arg("close", CloseName(span.close));
     }
-    events.push_back(std::move(end));
+    w.Arg("replica", span.replica);
+    w.End(keys(name, 'e', span.complete_s));
   }
-  return events;
-}
-
-std::string SerializeChromeTrace(const std::vector<ChromeEvent>& events) {
-  JsonArray entries;
-  entries.reserve(events.size());
-  for (const ChromeEvent& event : events) {
-    JsonObject entry;
-    entry["name"] = Json(event.name);
-    entry["ph"] = Json(event.ph);
-    entry["pid"] = Json(event.pid);
-    entry["tid"] = Json(event.tid);
-    entry["ts"] = Json(event.ts_us);
-    if (!event.cat.empty()) {
-      entry["cat"] = Json(event.cat);
-    }
-    if (event.dur_us >= 0.0) {
-      entry["dur"] = Json(event.dur_us);
-    }
-    if (!event.id.empty()) {
-      entry["id"] = Json(event.id);
-    }
-    if (!event.scope.empty()) {
-      entry["s"] = Json(event.scope);
-    }
-    if (!event.args.empty()) {
-      entry["args"] = Json(event.args);
-    }
-    entries.push_back(Json(std::move(entry)));
-  }
-  JsonObject root;
-  root["displayTimeUnit"] = Json("ms");
-  root["traceEvents"] = Json(std::move(entries));
-  return Json(std::move(root)).Dump(0);
-}
-
-std::vector<ChromeEvent> ParseChromeTrace(std::string_view text) {
-  const Json root = Json::Parse(text);
-  const JsonArray& entries = root.At("traceEvents").AsArray();
-  std::vector<ChromeEvent> events;
-  events.reserve(entries.size());
-  for (const Json& entry : entries) {
-    ChromeEvent event;
-    event.name = entry.At("name").AsString();
-    event.ph = entry.At("ph").AsString();
-    event.pid = static_cast<int>(entry.At("pid").AsInt());
-    event.tid = static_cast<int>(entry.At("tid").AsInt());
-    event.ts_us = entry.At("ts").AsDouble();
-    event.cat = entry.GetStringOr("cat", "");
-    event.dur_us = entry.GetNumberOr("dur", -1.0);
-    event.id = entry.GetStringOr("id", "");
-    event.scope = entry.GetStringOr("s", "");
-    if (entry.Contains("args")) {
-      event.args = entry.At("args").AsObject();
-    }
-    events.push_back(std::move(event));
-  }
-  return events;
+  out += "]}";
+  return out;
 }
 
 // --------------------------------------------------------------- binary

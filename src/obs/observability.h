@@ -20,7 +20,8 @@
 // allocates 12 bytes per committed batch for their orders beside copies of
 // the instants and counters, and sorts only an order that is out of
 // (stamp, seq) order; BinaryTrace() allocates its output once at its exact
-// encoded size (tests/allocation_test.cpp pins both). perfbench's
+// encoded size, and ChromeTraceJson() holds nothing but its output
+// (tests/allocation_test.cpp pins all three). perfbench's
 // `obs.marginal_ns_per_request`, `obs.drain_s` and `obs.*_export_s` rows
 // measure them at a realistic size.
 #pragma once
@@ -58,8 +59,7 @@ struct Observability {
 
   /// The Chrome trace_event JSON of everything recorded so far.
   std::string ChromeTraceJson() const {
-    return SerializeChromeTrace(
-        BuildChromeTrace(recorder.Drain(), meta, options.detail));
+    return SerializeChromeTrace(recorder.Drain(), meta, options.detail);
   }
   /// The compact binary encoding of everything recorded so far.
   std::string BinaryTrace() const {

@@ -1153,7 +1153,6 @@ struct PipelineContext {
       stats.PublishMetrics(log);
       obs->metrics.TakeSnapshot(report.summary.horizon_s);
       obs->meta.replicas = pool.size();
-      obs->meta.duration_s = options.duration_s;
       report.obs = std::move(obs);
     }
     return report;

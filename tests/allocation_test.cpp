@@ -176,6 +176,52 @@ TEST(AllocationContract, BinaryTraceExportAllocatesOnce) {
   EXPECT_GT(bytes.size(), 72 * data.requests.size());
 }
 
+TEST(AllocationContract, ChromeTraceExportHoldsOnlyItsOutput) {
+  // The Chrome export appends every entry to the one string it returns, so
+  // it allocates only that string's growth: one allocation per doubling,
+  // never one per request, and capacities that sum to under twice the
+  // last, which is under twice the output. The same 48-replica run as
+  // above, at two lengths, at the fullest detail.
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  std::vector<std::int64_t> allocations;
+  for (const double duration_s : {5.0, 10.0}) {
+    ServeOptions options;
+    options.qps = 8000.0;
+    options.duration_s = duration_s;
+    options.adversity = AdversitySpec::Parse("replica-fail");
+    options.cluster = ClusterSpec::Parse("least-loaded:nodes=2");
+    options.trace.enabled = true;
+    const ServeReport report = RunSyntheticServe(
+        registry, registry.ReplicaSpecs(48, /*partitioned=*/false), mix,
+        options);
+    const obs::TraceData data = report.obs->recorder.Drain();
+    ASSERT_GT(data.instants.size(), 0u);
+
+    const std::int64_t count = g_allocations.load(std::memory_order_relaxed);
+    const std::int64_t bytes =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    const std::string text = obs::SerializeChromeTrace(
+        data, report.obs->meta, obs::TraceDetail::kFull);
+    allocations.push_back(g_allocations.load(std::memory_order_relaxed) -
+                          count);
+    const std::int64_t allocated =
+        g_allocated_bytes.load(std::memory_order_relaxed) - bytes;
+
+    EXPECT_LT(allocations.back(), 64)
+        << duration_s << " s: " << data.requests.size() << " requests";
+    EXPECT_LE(allocated, 4 * static_cast<std::int64_t>(text.size()))
+        << duration_s << " s: " << text.size() << " B written";
+  }
+  // Doubling the run doubles the output: one more doubling of the string.
+  EXPECT_LE(allocations[1] - allocations[0], 2)
+      << allocations[0] << " -> " << allocations[1];
+}
+
 TEST(AllocationContract, DrainAllocatesTwelveBytesPerBatch) {
   // Drain() keeps the spans as views over the completion log: its only
   // span storage is two uint32_t orders and each batch's first request.

@@ -1,9 +1,9 @@
 // Observability tests (docs/OBSERVABILITY.md): pinned histogram bucket
-// boundaries and lookup, bit-exact Chrome/binary trace round trips, the
-// NSFT encoded size, hostile headers and records, NSFT round trips of
-// served runs, spans drained from a completion log in (stamp, seq) order,
-// fixed-seed trace determinism of an autoscaled diurnal run, and
-// request/batch span invariants.
+// boundaries and lookup, pinned Chrome documents, bit-exact binary trace
+// round trips, the NSFT encoded size, hostile headers and records, NSFT
+// round trips of served runs, spans drained from a completion log in
+// (stamp, seq) order, fixed-seed trace determinism of an autoscaled
+// diurnal run, and request/batch span invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,9 +19,11 @@
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "obs/chrome_trace.h"
 #include "obs/completion_log.h"
 #include "obs/metrics.h"
@@ -211,27 +214,147 @@ TraceMeta SampleMeta() {
   TraceMeta meta;
   meta.workload_names = {"mlp", "resnet18"};
   meta.replicas = 6;
-  meta.duration_s = 2.0;
   return meta;
 }
 
-TEST(ObsChromeTraceTest, SerializeParseReserializeIsBitExact) {
-  for (const TraceDetail detail : {TraceDetail::kSpans, TraceDetail::kFull}) {
-    const std::vector<ChromeEvent> events =
-        BuildChromeTrace(SampleTrace(), SampleMeta(), detail);
-    const std::string text = SerializeChromeTrace(events);
-    const std::vector<ChromeEvent> parsed = ParseChromeTrace(text);
-    ASSERT_EQ(parsed.size(), events.size());
-    EXPECT_EQ(SerializeChromeTrace(parsed), text);
+/// The sample trace plus one instant of every InstantKind: details that
+/// need escaping, are empty or are UTF-8, replicas on and off the track,
+/// and a workload the meta does not name. Its own helper, so the NSFT
+/// tests' byte offsets into SampleTrace() hold.
+TraceData EveryInstantTrace() {
+  TraceData data = SampleTrace();
+  const char* const details[] = {
+      "p99 \"above\" band",  "",
+      "pool C:\\r2",         "one\ntwo\tthree\r",
+      "bell \x07 unit \x1f", "caf\xc3\xa9",
+      "node0->node1 bytes=4096",
+  };
+  for (int kind = 0; kind <= static_cast<int>(InstantKind::kClusterRoute);
+       ++kind) {
+    InstantEvent instant;
+    instant.t_s = 0.3 + 0.01 * kind;
+    instant.kind = static_cast<InstantKind>(kind);
+    instant.replica = kind % 3 == 0 ? -1 : kind;
+    instant.workload = kind % 4 - 1;
+    instant.detail = details[kind % 7];
+    instant.seq = 9 + kind;
+    data.instants.push_back(instant);
+  }
+  return data;
+}
+
+// EveryInstantTrace()'s Chrome entries, one per line, as the exporter that
+// built a ChromeEvent list and a Json tree wrote them: the metadata,
+// counters, instants and batches every detail writes, then the request
+// spans of each detail.
+const char* const kSharedEntries[] = {
+    R"({"args":{"name":"requests"},"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0})",
+    R"({"args":{"name":"replicas"},"name":"process_name","ph":"M","pid":2,"tid":0,"ts":0})",
+    R"({"args":{"name":"autoscaler"},"name":"process_name","ph":"M","pid":3,"tid":0,"ts":0})",
+    R"({"args":{"name":"mlp"},"name":"thread_name","ph":"M","pid":1,"tid":0,"ts":0})",
+    R"({"args":{"name":"resnet18"},"name":"thread_name","ph":"M","pid":1,"tid":1,"ts":0})",
+    R"({"args":{"name":"replica 0"},"name":"thread_name","ph":"M","pid":2,"tid":0,"ts":0})",
+    R"({"args":{"name":"replica 1"},"name":"thread_name","ph":"M","pid":2,"tid":1,"ts":0})",
+    R"({"args":{"name":"replica 2"},"name":"thread_name","ph":"M","pid":2,"tid":2,"ts":0})",
+    R"({"args":{"name":"replica 3"},"name":"thread_name","ph":"M","pid":2,"tid":3,"ts":0})",
+    R"({"args":{"name":"replica 4"},"name":"thread_name","ph":"M","pid":2,"tid":4,"ts":0})",
+    R"({"args":{"name":"replica 5"},"name":"thread_name","ph":"M","pid":2,"tid":5,"ts":0})",
+    R"({"args":{"name":"control loop"},"name":"thread_name","ph":"M","pid":3,"tid":0,"ts":0})",
+    R"({"args":{"rps":212.5},"cat":"autoscaler","name":"window_rate_rps","ph":"C","pid":3,"tid":0,"ts":250000})",
+    R"({"args":{"replicas":6},"cat":"autoscaler","name":"active_replicas","ph":"C","pid":3,"tid":0,"ts":250000})",
+    R"({"args":{"depth":11},"cat":"autoscaler","name":"queue_depth","ph":"C","pid":3,"tid":0,"ts":250000})",
+    R"({"args":{"detail":"add replica 5: demand above band","workload":"resnet18"},"cat":"replica","name":"added","ph":"i","pid":2,"s":"t","tid":5,"ts":250000})",
+    R"({"args":{"detail":"p99 \"above\" band"},"cat":"autoscaler","name":"decision","ph":"i","pid":3,"s":"t","tid":0,"ts":300000})",
+    R"({"args":{"workload":"mlp"},"cat":"autoscaler","name":"add deferred","ph":"i","pid":3,"s":"t","tid":0,"ts":310000})",
+    R"({"args":{"detail":"pool C:\\r2","workload":"resnet18"},"cat":"replica","name":"added","ph":"i","pid":2,"s":"t","tid":2,"ts":320000})",
+    R"({"args":{"detail":"one\ntwo\tthree\r","workload":"workload 2"},"cat":"replica","name":"draining","ph":"i","pid":2,"s":"t","tid":-1,"ts":329999.99999999994})",
+    R"({"args":{"detail":"bell \u0007 unit \u001f"},"cat":"replica","name":"retired","ph":"i","pid":2,"s":"t","tid":4,"ts":339999.99999999994})",
+    R"({"args":{"detail":")" "caf\xc3\xa9" R"(","workload":"mlp"},"cat":"replica","name":"refit","ph":"i","pid":2,"s":"t","tid":5,"ts":350000})",
+    R"({"args":{"detail":"node0->node1 bytes=4096","workload":"resnet18"},"cat":"replica","name":"failed","ph":"i","pid":2,"s":"t","tid":-1,"ts":360000})",
+    R"({"args":{"detail":"p99 \"above\" band","workload":"workload 2"},"cat":"replica","name":"recovered","ph":"i","pid":2,"s":"t","tid":7,"ts":370000})",
+    R"({"cat":"replica","name":"derated","ph":"i","pid":2,"s":"t","tid":8,"ts":380000})",
+    R"({"args":{"detail":"pool C:\\r2","workload":"mlp"},"cat":"adversity","name":"environment","ph":"i","pid":3,"s":"t","tid":0,"ts":390000})",
+    R"({"args":{"detail":"one\ntwo\tthree\r","workload":"resnet18"},"cat":"admission","name":"shed","ph":"i","pid":3,"s":"t","tid":0,"ts":400000})",
+    R"({"args":{"detail":"bell \u0007 unit \u001f","workload":"workload 2"},"cat":"admission","name":"retry","ph":"i","pid":3,"s":"t","tid":0,"ts":410000})",
+    R"({"args":{"detail":")" "caf\xc3\xa9" R"("},"cat":"admission","name":"expired","ph":"i","pid":3,"s":"t","tid":0,"ts":420000})",
+    R"({"args":{"detail":"node0->node1 bytes=4096","workload":"mlp"},"cat":"cluster","name":"route","ph":"i","pid":3,"s":"t","tid":0,"ts":430000})",
+    R"({"args":{"batch":4,"close":"deadline","size":1},"cat":"batch","dur":1999.9999999999995,"name":"mlp","ph":"X","pid":2,"tid":3,"ts":2500})",
+    R"({"args":{"batch":3,"close":"size_cap","size":2},"cat":"batch","dur":1000,"name":"resnet18","ph":"X","pid":2,"tid":2,"ts":3000})",
+    R"({"args":{"batch":5,"close":"flush","size":1},"cat":"batch","dur":1000,"name":"resnet18","ph":"X","pid":2,"tid":4,"ts":3000})",
+};
+const char* const kSpansRequests[] = {
+    R"({"cat":"request","id":"7","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":1000})",
+    R"({"args":{"batch":3,"batch_size":2,"close":"size_cap","replica":2},"cat":"request","id":"7","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"cat":"request","id":"8","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":1500})",
+    R"({"args":{"batch":3,"batch_size":2,"close":"size_cap","replica":2},"cat":"request","id":"8","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"cat":"request","id":"10","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":2700})",
+    R"({"args":{"batch":5,"batch_size":1,"close":"flush","replica":4},"cat":"request","id":"10","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"cat":"request","id":"9","name":"mlp","ph":"b","pid":1,"tid":0,"ts":2300})",
+    R"({"args":{"batch":4,"batch_size":1,"close":"deadline","replica":3},"cat":"request","id":"9","name":"mlp","ph":"e","pid":1,"tid":0,"ts":4500})",
+};
+const char* const kFullRequests[] = {
+    R"({"cat":"request","id":"7","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":1000})",
+    R"({"cat":"request","id":"7","name":"form","ph":"b","pid":1,"tid":1,"ts":1000})",
+    R"({"cat":"request","id":"7","name":"form","ph":"e","pid":1,"tid":1,"ts":2000})",
+    R"({"cat":"request","id":"7","name":"execute","ph":"b","pid":1,"tid":1,"ts":3000})",
+    R"({"cat":"request","id":"7","name":"execute","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"args":{"batch":3,"batch_size":2,"close":"size_cap","replica":2},"cat":"request","id":"7","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"cat":"request","id":"8","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":1500})",
+    R"({"cat":"request","id":"8","name":"form","ph":"b","pid":1,"tid":1,"ts":1500})",
+    R"({"cat":"request","id":"8","name":"form","ph":"e","pid":1,"tid":1,"ts":2000})",
+    R"({"cat":"request","id":"8","name":"execute","ph":"b","pid":1,"tid":1,"ts":3000})",
+    R"({"cat":"request","id":"8","name":"execute","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"args":{"batch":3,"batch_size":2,"close":"size_cap","replica":2},"cat":"request","id":"8","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"cat":"request","id":"10","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":2700})",
+    R"({"cat":"request","id":"10","name":"form","ph":"b","pid":1,"tid":1,"ts":2700})",
+    R"({"cat":"request","id":"10","name":"form","ph":"e","pid":1,"tid":1,"ts":2900})",
+    R"({"cat":"request","id":"10","name":"execute","ph":"b","pid":1,"tid":1,"ts":3000})",
+    R"({"cat":"request","id":"10","name":"execute","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"args":{"batch":5,"batch_size":1,"close":"flush","replica":4},"cat":"request","id":"10","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})",
+    R"({"cat":"request","id":"9","name":"mlp","ph":"b","pid":1,"tid":0,"ts":2300})",
+    R"({"cat":"request","id":"9","name":"form","ph":"b","pid":1,"tid":0,"ts":2300})",
+    R"({"cat":"request","id":"9","name":"form","ph":"e","pid":1,"tid":0,"ts":2400})",
+    R"({"cat":"request","id":"9","name":"execute","ph":"b","pid":1,"tid":0,"ts":2500})",
+    R"({"cat":"request","id":"9","name":"execute","ph":"e","pid":1,"tid":0,"ts":4500})",
+    R"({"args":{"batch":4,"batch_size":1,"close":"deadline","replica":3},"cat":"request","id":"9","name":"mlp","ph":"e","pid":1,"tid":0,"ts":4500})",
+};
+
+/// `entries` joined into a trace_event document.
+std::string ChromeDocument(const std::vector<std::string>& entries) {
+  std::string text = R"({"displayTimeUnit":"ms","traceEvents":[)";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0) {
+      text += ',';
+    }
+    text += entries[i];
+  }
+  text += "]}";
+  return text;
+}
+
+TEST(ObsChromeTraceTest, WritesThePinnedDocuments) {
+  std::vector<std::string> spans(std::begin(kSharedEntries),
+                                 std::end(kSharedEntries));
+  std::vector<std::string> full = spans;
+  spans.insert(spans.end(), std::begin(kSpansRequests),
+               std::end(kSpansRequests));
+  full.insert(full.end(), std::begin(kFullRequests), std::end(kFullRequests));
+  for (const auto& [detail, entries] :
+       {std::pair{TraceDetail::kSpans, spans},
+        std::pair{TraceDetail::kFull, full}}) {
+    const std::string text =
+        SerializeChromeTrace(EveryInstantTrace(), SampleMeta(), detail);
+    EXPECT_EQ(text, ChromeDocument(entries));
+    // The reference serializer writes the same bytes.
+    EXPECT_EQ(Json::Parse(text).Dump(0), text);
   }
 }
 
-TEST(ObsChromeTraceTest, FullDetailNestsPhaseSpans) {
-  const auto spans = BuildChromeTrace(SampleTrace(), SampleMeta(),
-                                      TraceDetail::kSpans);
-  const auto full = BuildChromeTrace(SampleTrace(), SampleMeta(),
-                                     TraceDetail::kFull);
-  EXPECT_GT(full.size(), spans.size());
+TEST(ObsChromeTraceTest, UnknownInstantKindThrows) {
+  TraceData data = SampleTrace();
+  data.instants[0].kind = static_cast<InstantKind>(14);
+  EXPECT_THROW(SerializeChromeTrace(data, SampleMeta(), TraceDetail::kSpans),
+               Error);
 }
 
 TEST(ObsBinaryTraceTest, EncodeDecodeReencodeIsByteExact) {
@@ -715,7 +838,9 @@ TEST(ObsServeTest, FixedSeedTraceIsBitIdenticalAcrossRuns) {
   const serve::ServeReport second = TracedDiurnalRun(registry);
   ASSERT_NE(first.obs, nullptr);
   ASSERT_NE(second.obs, nullptr);
-  EXPECT_EQ(first.obs->ChromeTraceJson(), second.obs->ChromeTraceJson());
+  const std::string chrome = first.obs->ChromeTraceJson();
+  EXPECT_EQ(chrome, second.obs->ChromeTraceJson());
+  EXPECT_EQ(Json::Parse(chrome).Dump(0), chrome);
   EXPECT_EQ(first.obs->BinaryTrace(), second.obs->BinaryTrace());
   EXPECT_EQ(first.obs->MetricsJson(), second.obs->MetricsJson());
 }
