@@ -56,10 +56,11 @@ std::string ReadFile(const std::string& path) {
 
 void WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary);
+  out << contents;
+  out.close();
   if (!out) {
     throw Error("cannot write file: " + path);
   }
-  out << contents;
 }
 
 /// Parses `flag`'s value with `parse`. An error that does not name the flag

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Hostile flag values against the real CLI: every one must be refused.
 
-Each case runs `nsflow serve` (or `nsflow plan` for its own numeric flags
-and a PE budget) with one malformed value and must exit 1 within the timeout, with an error
-on stderr that names the flag. The cases are
+Each case runs `nsflow serve` (or `nsflow plan` for its own numeric flags,
+a PE budget and its output) with one malformed value and must exit 1
+within the timeout, with an error on stderr that names the flag (or, for
+an output that cannot be written, the path). The cases are
 
   * numeric flags given a non-number, a fraction where an integer is
     needed, an exponent, an out-of-range or negative integer, or inf/nan —
@@ -16,7 +17,11 @@ on stderr that names the flag. The cases are
     leading space, an unknown name and an unknown key;
   * every integer spec key at 1e12, 1e30 and -1e12 — values past the
     key's type, which a cast would wrap or leave undefined — plus a
-    fractional client count and a replica fan-out past the largest id.
+    fractional client count and a replica fan-out past the largest id;
+  * each output file pointed at /dev/full, which takes no byte: serve's
+    --trace-out and --metrics-out and plan's --out must exit 1 naming the
+    path, not report it written. These run only where /dev/full is a
+    character device; any other name under /dev would create a file there.
 
 One well-formed serve must still exit 0, so a CLI that refuses everything
 fails too.
@@ -29,6 +34,8 @@ Usage:
 """
 
 import argparse
+import os
+import stat
 import subprocess
 import sys
 
@@ -98,6 +105,23 @@ INTEGER_CASES = [
 ]
 
 
+# Outputs that cannot be written: (flag, argv tail). The error must name the
+# path, so FULL stands where the other cases name a flag.
+FULL = "/dev/full"
+WRITE_CASES = [
+    ("--trace-out", SERVE + ["--trace-out", FULL]),
+    ("--metrics-out", SERVE + ["--metrics-out", FULL]),
+    ("plan --out", PLAN + ["--out", FULL]),
+]
+
+
+def is_char_device(path):
+    try:
+        return stat.S_ISCHR(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
 def hostile_shapes(head, key, value, unknown):
     """The malformed inputs of one grammar, as (shape, text) pairs."""
     entry = f"{key}={value}"
@@ -129,6 +153,9 @@ def cases():
                         SERVE + prefix + [flag, text], flag))
     for flag, text in INTEGER_CASES:
         out.append((f"{flag} {text!r}", SERVE + [flag, text], flag))
+    if is_char_device(FULL):
+        for flag, argv in WRITE_CASES:
+            out.append((f"{flag} {FULL}", argv, FULL))
     return out
 
 
@@ -162,7 +189,7 @@ def main():
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     print(f"{len(all_cases) - len(failures)}/{len(all_cases)} hostile values "
-          f"refused with an error naming the flag")
+          f"refused with an error naming the flag or path")
     return 1 if failures else 0
 
 
