@@ -500,7 +500,7 @@ std::vector<PoolDelta> Autoscaler::Tick(MultiBatchFormer& former,
           // next band crossing retries with whatever freed up by then.
           PoolEvent capped;
           capped.t_s = t;
-          capped.kind = PoolEventKind::kDecision;
+          capped.kind = PoolEventKind::kDeferred;
           capped.event = "budget exhausted, add deferred: " + target.trigger;
           capped.active_replicas = pool_.ActiveReplicas(t);
           capped.window_rate_rps = total_rate;

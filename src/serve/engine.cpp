@@ -448,7 +448,7 @@ struct PipelineContext {
   // Mirror new ServeStats PoolEvents into the trace: periodic samples
   // become Chrome counter points, budget deferrals become autoscaler-track
   // instants (applied deltas get richer instants straight from the delta
-  // in the tick handler below).
+  // in the tick handler below, and faults the adversity engine's own).
   void SyncTimeline() {
     if (recorder == nullptr) {
       return;
@@ -456,10 +456,7 @@ struct PipelineContext {
     const std::vector<PoolEvent>& timeline = stats.timeline();
     for (; timeline_seen < timeline.size(); ++timeline_seen) {
       const PoolEvent& event = timeline[timeline_seen];
-      if (event.kind == PoolEventKind::kFault) {
-        continue;  // The adversity engine emitted its own rich instants.
-      }
-      if (event.event.empty()) {
+      if (event.kind == PoolEventKind::kSample) {
         obs::CounterSample sample;
         sample.t_s = event.t_s;
         sample.window_rate_rps = event.window_rate_rps;
@@ -467,7 +464,7 @@ struct PipelineContext {
             static_cast<std::int32_t>(event.active_replicas);
         sample.queue_depth = event.queue_depth;
         recorder->RecordCounter(sample);
-      } else if (event.event.rfind("budget exhausted", 0) == 0) {
+      } else if (event.kind == PoolEventKind::kDeferred) {
         obs::InstantEvent instant;
         instant.t_s = event.t_s;
         instant.kind = obs::InstantKind::kAutoscalerDeferred;

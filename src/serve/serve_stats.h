@@ -65,19 +65,20 @@ struct NodeSummary {
   double network_s = 0.0;         // Modeled transfer time priced here.
 };
 
-/// One point on the pool's reconfiguration/utilization timeline: either a
-/// periodic autoscaler sample (`event` empty) or an applied PoolDelta
-/// (`event` describes it). Recorded in virtual-time order.
 /// What produced a timeline entry — consumers branch on this instead of
-/// sniffing the event text (the trace exporter maps kSample to counter
-/// samples, kDecision to autoscaler instants, kFault to the adversity
-/// engine's own fault instants).
+/// sniffing the event text (the trace recorder turns kSample into counter
+/// samples and kDeferred into deferral instants; decisions and faults
+/// record their own instants).
 enum class PoolEventKind {
   kSample = 0,    // Periodic control-tick sample (event == "").
-  kDecision = 1,  // Applied autoscaler delta or budget deferral.
+  kDecision = 1,  // Applied autoscaler delta or the shutdown drain.
   kFault = 2,     // Environment adversity event (failure/derate/churn).
+  kDeferred = 3,  // Autoscaler add deferred: the device budget is spent.
 };
 
+/// One point on the pool's reconfiguration/utilization timeline: a
+/// periodic autoscaler sample (`event` empty), or an event that `event`
+/// describes and `kind` classifies. Recorded in virtual-time order.
 struct PoolEvent {
   double t_s = 0.0;
   std::string event;            // "" for periodic samples.

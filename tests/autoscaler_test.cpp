@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
+#include "obs/trace_recorder.h"
 #include "serve/autoscaler.h"
 #include "serve/capacity_planner.h"
 #include "serve/engine.h"
@@ -346,13 +349,27 @@ TEST(AutoscalerTest, AggregateBudgetCapsScaleUps) {
   }
   EXPECT_LE(peak, plan.TotalReplicas());
   // The spike wanted more than the budget allows — the deferral is
-  // visible on the timeline.
-  bool deferred = false;
+  // visible on the timeline, as its own kind.
+  std::int64_t deferred = 0;
   for (const PoolEvent& event : report.summary.timeline) {
-    deferred = deferred ||
-               event.event.find("budget exhausted") != std::string::npos;
+    EXPECT_EQ(event.kind == PoolEventKind::kDeferred,
+              event.event.rfind("budget exhausted", 0) == 0)
+        << event.event;
+    deferred += event.kind == PoolEventKind::kDeferred ? 1 : 0;
   }
-  EXPECT_TRUE(deferred);
+  EXPECT_GT(deferred, 0);
+  // A traced run of the same configuration records one deferral instant
+  // per deferred event.
+  options.trace.enabled = true;
+  const ServeReport traced =
+      RunSyntheticServe(registry, plan.Replicas(), StandardMix(), options);
+  const obs::TraceData trace = traced.obs->recorder.Drain();
+  const auto instants = std::count_if(
+      trace.instants.begin(), trace.instants.end(),
+      [](const obs::InstantEvent& instant) {
+        return instant.kind == obs::InstantKind::kAutoscalerDeferred;
+      });
+  EXPECT_EQ(instants, deferred);
 }
 
 TEST(AutoscalerTest, RefitAdoptsFreedReplicaAcrossTenants) {
