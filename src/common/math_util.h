@@ -54,7 +54,4 @@ constexpr std::int64_t Mod(std::int64_t a, std::int64_t m) {
   return r < 0 ? r + m : r;
 }
 
-constexpr std::uint64_t KiB(std::uint64_t n) { return n * 1024ULL; }
-constexpr std::uint64_t MiB(std::uint64_t n) { return n * 1024ULL * 1024ULL; }
-
 }  // namespace nsflow

@@ -126,9 +126,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Random sign in {-1.0, +1.0} — the bipolar draw used for hypervectors.
-  double Sign() { return Bernoulli(0.5) ? 1.0 : -1.0; }
-
   /// Sample `k` distinct indices from [0, n).
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
                                                     std::size_t k);

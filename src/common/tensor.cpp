@@ -1,7 +1,6 @@
 #include "common/tensor.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace nsflow {
 namespace {
@@ -120,19 +119,6 @@ float Tensor::MaxAbs() const {
     m = std::max(m, std::abs(v));
   }
   return m;
-}
-
-std::string Tensor::ShapeString() const {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i > 0) {
-      os << ",";
-    }
-    os << shape_[i];
-  }
-  os << "]";
-  return os.str();
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {

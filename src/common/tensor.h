@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -37,7 +36,6 @@ class Tensor {
   ~Tensor() = default;
 
   static Tensor Full(Shape shape, float value);
-  static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
 
   /// Process-wide count of tensor-buffer materializations (shape/data
   /// constructions and copies; moves and default constructions excluded).
@@ -96,8 +94,6 @@ class Tensor {
   float Dot(const Tensor& other) const;
   float Norm() const;
   float MaxAbs() const;
-
-  std::string ShapeString() const;
 
   friend bool operator==(const Tensor& a, const Tensor& b) {
     return a.shape_ == b.shape_ && a.data_ == b.data_;

@@ -164,26 +164,6 @@ Json MetricsSnapshot::ToJson() const {
   return Json(std::move(out));
 }
 
-Json MetricsRegistry::Snapshot() const {
-  JsonObject counters;
-  for (const auto& [name, counter] : counters_) {
-    counters[name] = Json(counter->value());
-  }
-  JsonObject gauges;
-  for (const auto& [name, gauge] : gauges_) {
-    gauges[name] = Json(gauge->value());
-  }
-  JsonObject histograms;
-  for (const auto& [name, histogram] : histograms_) {
-    histograms[name] = histogram->ToJson();
-  }
-  JsonObject out;
-  out["counters"] = Json(std::move(counters));
-  out["gauges"] = Json(std::move(gauges));
-  out["histograms"] = Json(std::move(histograms));
-  return Json(std::move(out));
-}
-
 void MetricsRegistry::TakeSnapshot(double t_s) {
   MetricsSnapshot snapshot;
   snapshot.t_s = t_s;

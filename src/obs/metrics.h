@@ -122,8 +122,6 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// Current values of every instrument as one deterministic Json object.
-  Json Snapshot() const;
   /// Append a timeline point stamped at virtual time `t_s`. Cheap enough
   /// for the serve loop's snapshot clock: no Json building, no string
   /// copies (see MetricsSnapshot).

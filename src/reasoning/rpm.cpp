@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/error.h"
 #include "common/math_util.h"
 
 namespace nsflow::reasoning {
@@ -56,25 +55,6 @@ RpmSuiteSpec PgmLikeSuite() {
   spec.max_perturbed_attributes = 1;  // All distractors are near misses.
   spec.near_miss_fraction = 1.0;
   return spec;
-}
-
-std::int64_t RpmGenerator::ApplyRule(RuleType rule, std::int64_t first,
-                                     std::int64_t second, std::int64_t modulus,
-                                     std::int64_t step) {
-  switch (rule) {
-    case RuleType::kConstant:
-      return first;
-    case RuleType::kProgression:
-      return Mod(first + 2 * step, modulus);
-    case RuleType::kArithmetic:
-      return Mod(first + second, modulus);
-    case RuleType::kDistributeThree:
-      // Third element is the remaining member of the triple; caller encodes
-      // the triple in (first, second) ordering — here we derive it as the
-      // value distinct from both (generator keeps triples disjoint).
-      return -1;  // Signals "derive from the triple" (handled by caller).
-  }
-  throw Error("unknown rule type");
 }
 
 void RpmGenerator::FillAttribute(RuleType rule, Rng& rng,

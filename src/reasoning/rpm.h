@@ -75,12 +75,6 @@ class RpmGenerator {
 
   RpmTask Generate(Rng& rng) const;
 
-  /// Apply `rule` to produce the third element of a row given the first two
-  /// (used by both the generator and the reasoner's rule executor).
-  static std::int64_t ApplyRule(RuleType rule, std::int64_t first,
-                                std::int64_t second, std::int64_t modulus,
-                                std::int64_t step);
-
  private:
   /// Fill one attribute column of the 3x3 grid under `rule`.
   void FillAttribute(RuleType rule, Rng& rng,
