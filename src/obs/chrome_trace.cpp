@@ -459,11 +459,20 @@ std::string SerializeBinaryTrace(const TraceData& data) {
 
 namespace {
 
+/// A close reason, which takes one of BatchClose's four values.
+BatchClose ReadClose(Reader& r) {
+  const std::uint32_t close = r.U32();
+  NSF_CHECK_MSG(close <= static_cast<std::uint32_t>(BatchClose::kFlush),
+                "binary trace close " + std::to_string(close) +
+                    " is not a BatchClose");
+  return static_cast<BatchClose>(close);
+}
+
 RequestSpan ReadRequest(Reader& r) {
   RequestSpan s;
   s.request_id = r.I64();
   s.workload = static_cast<std::int32_t>(r.U32());
-  s.close = static_cast<BatchClose>(r.U32());
+  s.close = ReadClose(r);
   s.arrival_s = r.F64();
   s.formed_s = r.F64();
   s.start_s = r.F64();
@@ -477,15 +486,15 @@ RequestSpan ReadRequest(Reader& r) {
 
 BatchSpan ReadBatch(Reader& r) {
   BatchSpan b;
-  b.batch_index = r.I64();
+  b.batch_index = LogField<std::uint32_t>(r.I64(), "batch_index");
   b.workload = static_cast<std::int32_t>(r.U32());
   b.replica = static_cast<std::int32_t>(r.U32());
-  b.close = static_cast<BatchClose>(r.U32());
+  b.close = ReadClose(r);
   b.formed_s = r.F64();
   b.start_s = r.F64();
   b.complete_s = r.F64();
-  b.size = r.I64();
-  b.seq = r.I64();
+  b.size = LogField<std::int32_t>(r.I64(), "size");
+  b.seq = LogField<std::uint32_t>(r.I64(), "seq");
   return b;
 }
 
@@ -563,8 +572,9 @@ void JoinRequests(Reader& records, std::size_t count, CompletionLog& log) {
                       static_cast<std::uint64_t>(member) + 1,
                   where("is not member " + std::to_string(member) +
                         " of its batch"));
-    log.requests[slot + static_cast<std::size_t>(member)] = {span.request_id,
-                                                             span.arrival_s};
+    log.requests[slot + static_cast<std::size_t>(member)] = {
+        LogField<std::uint32_t>(span.request_id, "request id"),
+        span.arrival_s};
     ++member;
   }
 }

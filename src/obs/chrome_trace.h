@@ -75,11 +75,14 @@ std::string SerializeBinaryTrace(const TraceData& data);
 ///   - the request section is the batches in strict (complete_s, seq)
 ///     order, each expanded member by member: member i names its batch's
 ///     batch_index, repeats its workload, close, stamps (bit for bit),
-///     replica and size, and takes seq batch.seq + 1 + i.
+///     replica and size, and takes seq batch.seq + 1 + i;
+///   - every value fits its completion log field: a batch_index, batch
+///     seq or request id in [0, 2^32), a batch size below 2^31, and a
+///     close (in either record) of 0 to 3.
 /// Throws nsflow::Error on anything else: a record that breaks these
 /// rules, a bad magic or version, truncation, trailing bytes, or a header
 /// count larger than the remaining bytes could hold. NSFT does not carry
-/// BatchSpan::egress_s or queue_depth; they decode as 0.
+/// BatchSpan::egress_s; it decodes as 0.
 TraceData ParseBinaryTrace(std::string_view bytes);
 
 }  // namespace nsflow::obs

@@ -186,8 +186,8 @@ class RequestSpans {
       span.complete_s = batch.complete_s;
       span.batch_index = batch.batch_index;
       span.replica = batch.replica;
-      span.batch_size = static_cast<std::int32_t>(batch.size);
-      span.seq = batch.seq + 1 + member_;
+      span.batch_size = batch.size;
+      span.seq = std::int64_t{batch.seq} + 1 + member_;
       return span;
     }
     iterator& operator++() {
@@ -270,9 +270,10 @@ class TraceRecorder {
 
   void RecordInstant(InstantEvent event);
   void RecordCounter(CounterSample sample);
-  /// Reserve `n` consecutive seq numbers and return the first.
-  std::int64_t TakeSeq(std::int64_t n) {
-    const std::int64_t first = next_seq_;
+  /// Reserve `n` consecutive seq numbers and return the first, which a
+  /// batch span stores in 32 bits (throws past them).
+  std::uint32_t TakeSeq(std::int64_t n) {
+    const auto first = LogField<std::uint32_t>(next_seq_, "seq");
     next_seq_ += n;
     return first;
   }

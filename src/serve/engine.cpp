@@ -289,6 +289,7 @@ struct PipelineContext {
   bool defer_commits = false;
   struct PendingCommit {
     DispatchRecord record;
+    std::int64_t depth = 0;  // Backlog at the batch's start.
     Batch batch;
     RouteDecision route;  // Cluster runs: tallied at commit.
   };
@@ -626,7 +627,6 @@ struct PipelineContext {
     record.close = static_cast<obs::BatchClose>(batch.close_reason);
     record.formed_s = batch.formed_s;
     record.egress_s = egress_s;
-    record.queue_depth = depth;
     started += batch.size();
     if (admission != nullptr) {
       scheduled_starts.Push(record.start_s, EventClass::kDispatch,
@@ -635,11 +635,11 @@ struct PipelineContext {
     }
     if (defer_commits) {
       pending.push_back(pending_pool.Acquire(
-          PendingCommit{record, std::move(batch), route}));
+          PendingCommit{record, depth, std::move(batch), route}));
       std::push_heap(pending.begin(), pending.end(), SettlesAfter);
       return;
     }
-    Commit(record, batch, route);
+    Commit(record, depth, batch, route);
   }
 
   // The one commit: append a dispatched batch and its members to the
@@ -648,19 +648,22 @@ struct PipelineContext {
   // a pure function of the schedule, so the log, and with it the
   // log-order latency means, stays pinned by the seed. A traced commit
   // takes 1 + size trace seq numbers: the batch span's, then its members'.
-  // The cluster tallies the batch against its node here too, so a batch
-  // that a failure aborted and re-dispatched counts once, where it ran.
-  void Commit(DispatchRecord record, Batch& batch,
+  // The cluster tallies the batch against its node here too, and the stats
+  // the backlog it started with, so a batch that a failure aborted and
+  // re-dispatched counts once, where it ran.
+  void Commit(DispatchRecord record, std::int64_t depth, Batch& batch,
               const RouteDecision& route) {
     if (cluster != nullptr) {
       cluster->RecordDispatch(route);
     }
+    stats.RecordBacklog(depth);
     if (recorder != nullptr) {
       record.seq = recorder->TakeSeq(1 + record.size);
     }
     log.batches.push_back(record);
     for (const Request& r : batch.requests) {
-      log.requests.push_back({r.id, r.arrival_s});
+      log.requests.push_back(
+          {obs::LogField<std::uint32_t>(r.id, "request id"), r.arrival_s});
     }
     former.Recycle(std::move(batch.requests));
   }
@@ -672,7 +675,8 @@ struct PipelineContext {
       std::pop_heap(pending.begin(), pending.end(), SettlesAfter);
       PendingCommit* settled = pending.back();
       pending.pop_back();
-      Commit(settled->record, settled->batch, settled->route);
+      Commit(settled->record, settled->depth, settled->batch,
+             settled->route);
       pending_pool.Release(settled);
     }
   }

@@ -92,6 +92,12 @@ void ServeStats::RecordPoolEvent(PoolEvent event) {
   timeline_.push_back(std::move(event));
 }
 
+void ServeStats::RecordBacklog(std::int64_t depth) {
+  depth = std::max<std::int64_t>(0, depth);
+  backlog_sum_ += depth;
+  backlog_max_ = std::max(backlog_max_, depth);
+}
+
 void ServeStats::AddReplicaSlot() {
   replica_spans_.push_back({0.0, std::numeric_limits<double>::infinity()});
 }
@@ -371,10 +377,9 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
     s.per_workload[w].name = workload_names_[w];
   }
 
-  // Batch pass: slice sizes, backlog samples, busy time and the horizon.
+  // Batch pass: slice sizes, busy time and the horizon.
   std::vector<double> busy_s(replica_spans_.size(), 0.0);
   double last_response_s = 0.0;
-  std::int64_t depth_sum = 0;
   for (const obs::BatchSpan& batch : log.batches) {
     NSF_CHECK_MSG(batch.workload >= 0 &&
                       static_cast<std::size_t>(batch.workload) < workloads,
@@ -383,9 +388,6 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
         s.per_workload[static_cast<std::size_t>(batch.workload)];
     slice.completed += batch.size;
     slice.batches += 1;
-    const std::int64_t depth = std::max<std::int64_t>(0, batch.queue_depth);
-    depth_sum += depth;
-    s.max_queue_depth = std::max(s.max_queue_depth, depth);
     busy_s.at(static_cast<std::size_t>(batch.replica)) +=
         batch.complete_s - batch.start_s;
     last_response_s = std::max(last_response_s, ResponseS(batch));
@@ -397,9 +399,10 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
   if (s.batches > 0) {
     s.mean_batch = static_cast<double>(s.completed) /
                    static_cast<double>(s.batches);
-    s.mean_queue_depth = static_cast<double>(depth_sum) /
+    s.mean_queue_depth = static_cast<double>(backlog_sum_) /
                          static_cast<double>(s.batches);
   }
+  s.max_queue_depth = backlog_max_;
   s.replica_utilization.reserve(busy_s.size());
   for (std::size_t r = 0; r < busy_s.size(); ++r) {
     // Busy share of the replica's *active span* within the horizon: a
@@ -451,13 +454,32 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
   }
 
   // Each workload's range, then each tier's (the union of its workloads'
-  // ranges), then the whole run.
+  // ranges), then the whole run. A range met before, such as a tier that
+  // holds one workload's traffic, reuses its ranks: the keys stay
+  // untouched, so a selection is a function of its range.
   RankSelector selector;
   const std::span<const std::uint64_t> all(keys);
+  struct Selected {
+    std::size_t begin;
+    std::size_t size;
+    Ranks ranks;
+  };
+  std::vector<Selected> selected;
+  selected.reserve(workloads + 4);
+  const auto select = [&](std::size_t from, std::size_t size) {
+    for (const Selected& earlier : selected) {
+      if (earlier.begin == from && earlier.size == size) {
+        return earlier.ranks;
+      }
+    }
+    selected.push_back(
+        {from, size, selector.Select(all.subspan(from, size))});
+    return selected.back().ranks;
+  };
   for (std::size_t w = 0; w < workloads; ++w) {
     WorkloadSummary& slice = s.per_workload[w];
-    const Ranks ranks = selector.Select(all.subspan(
-        begin[w], static_cast<std::size_t>(slice.completed)));
+    const Ranks ranks =
+        select(begin[w], static_cast<std::size_t>(slice.completed));
     slice.p50_ms = ranks.p50 * 1e3;
     slice.p95_ms = ranks.p95 * 1e3;
     slice.p99_ms = ranks.p99 * 1e3;
@@ -487,15 +509,15 @@ StatsSummary ServeStats::Summarize(const obs::CompletionLog& log,
       slice.name = TierName(slice.tier);
       slice.completed =
           static_cast<std::int64_t>(tier_begin[t + 1] - tier_begin[t]);
-      const Ranks ranks = selector.Select(all.subspan(
-          tier_begin[t], tier_begin[t + 1] - tier_begin[t]));
+      const Ranks ranks =
+          select(tier_begin[t], tier_begin[t + 1] - tier_begin[t]);
       slice.p50_ms = ranks.p50 * 1e3;
       slice.p99_ms = ranks.p99 * 1e3;
       s.per_tier.push_back(std::move(slice));
     }
   }
 
-  const Ranks ranks = selector.Select(all);
+  const Ranks ranks = select(0, all.size());
   s.p50_ms = ranks.p50 * 1e3;
   s.p95_ms = ranks.p95 * 1e3;
   s.p99_ms = ranks.p99 * 1e3;

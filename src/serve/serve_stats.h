@@ -6,7 +6,8 @@
 // utilization. Percentiles use the nearest-rank method on the full latency
 // population (no reservoir sampling — runs are bounded). ServeStats itself
 // keeps only what the log does not hold: workload names and tiers, the
-// autoscaler's arrival record and timeline, and replica active spans.
+// autoscaler's arrival record and timeline, replica active spans, and the
+// backlog tally.
 #pragma once
 
 #include <cstdint>
@@ -150,6 +151,11 @@ class ServeStats {
   /// Append one point to the reconfiguration/utilization timeline.
   void RecordPoolEvent(PoolEvent event);
 
+  /// A batch committed after starting with `depth` requests backlogged
+  /// (below 0 counts as 0). Summarize reports the mean over the log's
+  /// batches and the max.
+  void RecordBacklog(std::int64_t depth);
+
   /// A replica was warm-added mid-run: grow the per-replica accounting.
   void AddReplicaSlot();
   /// Clamp replica `index`'s utilization denominator to its active span
@@ -202,6 +208,10 @@ class ServeStats {
   std::vector<ArrivalWindow> workload_arrivals_;  // Per workload.
   // The latest recorded arrival, for RecordArrival's order check.
   double last_arrival_s_ = -std::numeric_limits<double>::infinity();
+
+  // Backlog at the committed batches' starts.
+  std::int64_t backlog_sum_ = 0;
+  std::int64_t backlog_max_ = 0;
 
   std::vector<std::string> workload_names_;
   std::vector<SlaTier> workload_tiers_;  // Meaningful iff tiers_set_.

@@ -655,7 +655,8 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, int node) {
   const int choice = IndexRoot(batch.workload, node);
   NSF_CHECK_MSG(choice >= 0, "no replica serves the batch's workload");
   DispatchRecord record;
-  record.batch_index = dispatched_batches_++;
+  record.batch_index =
+      obs::LogField<std::uint32_t>(dispatched_batches_++, "batch_index");
   record.replica = choice;
   record.workload = batch.workload;
   record.start_s =
@@ -667,7 +668,7 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, int node) {
     service *= DerateAt(choice, record.start_s);
   }
   record.complete_s = record.start_s + service;
-  record.size = batch.size();
+  record.size = obs::LogField<std::int32_t>(batch.size(), "size");
   free_at_[static_cast<std::size_t>(choice)] = record.complete_s;
   Reseat(choice, /*seated=*/true);
   return record;

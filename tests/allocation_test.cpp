@@ -127,8 +127,8 @@ void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
         << doubled.allocations;
     // Each extra request may cost only what outlives the event loop:
     const double kept_bytes =
-        16.0    // its completion-log record (reserved up front),
-        + 80.0  // a batch slot, reserved per expected arrival, since every
+        12.0    // its completion-log record (reserved up front),
+        + 56.0  // a batch slot, reserved per expected arrival, since every
                 // committed batch holds at least one request,
         + 8.0   // and Summarize's latency key,
         + 4.0;  // plus slack for the reservations' four standard

@@ -166,12 +166,12 @@ TEST(ObsMetricsTest, RegistryPointersAreStableAndSnapshotsAccumulate) {
 /// seq breaks the ties. One instant and one counter follow.
 TraceData SampleTrace() {
   auto log = std::make_shared<CompletionLog>();
-  const auto commit = [&log](std::int64_t batch_index, std::int32_t workload,
+  const auto commit = [&log](std::uint32_t batch_index, std::int32_t workload,
                              std::int32_t replica, BatchClose close,
                              double formed_s, double start_s,
                              double complete_s,
                              std::vector<CompletedRequest> members,
-                             std::int64_t seq) {
+                             std::uint32_t seq) {
     BatchSpan b;
     b.batch_index = batch_index;
     b.workload = workload;
@@ -180,7 +180,7 @@ TraceData SampleTrace() {
     b.formed_s = formed_s;
     b.start_s = start_s;
     b.complete_s = complete_s;
-    b.size = static_cast<std::int64_t>(members.size());
+    b.size = static_cast<std::int32_t>(members.size());
     b.seq = seq;
     log->batches.push_back(b);
     log->requests.insert(log->requests.end(), members.begin(), members.end());
@@ -510,6 +510,34 @@ TEST(ObsBinaryTraceTest, HostileRecordsThrowNsflowError) {
          Patch(b, request(3, 40), nan, 8);
        },
        "(complete, seq) order"},
+      // Values past the completion log's field widths: each is rejected,
+      // never truncated into a record that would re-encode differently.
+      {"a batch_index of 2^32",
+       [&](std::string& b) {
+         Patch(b, batch(1, 0), std::uint64_t{1} << 32, 8);
+       },
+       "batch_index 4294967296"},
+      {"a batch seq of 2^32",
+       [&](std::string& b) {
+         Patch(b, batch(1, 52), std::uint64_t{1} << 32, 8);
+       },
+       "seq 4294967296"},
+      {"a request id of 2^32",
+       [&](std::string& b) {
+         Patch(b, request(0, 0), std::uint64_t{1} << 32, 8);
+       },
+       "request id 4294967296"},
+      {"a batch size of 2^31",
+       [&](std::string& b) {
+         Patch(b, batch(0, 44), std::uint64_t{1} << 31, 8);
+       },
+       "size 2147483648"},
+      {"a batch close above 3",
+       [&](std::string& b) { Patch(b, batch(0, 16), 4, 4); },
+       "close 4"},
+      {"a request close whose low byte is its batch's",
+       [&](std::string& b) { Patch(b, request(1, 12), 0x101, 4); },
+       "close 257"},
   };
   for (const Case& c : cases) {
     std::string bytes = valid;
@@ -594,7 +622,7 @@ TEST(ObsRecorderTest, DrainOrdersByTimestampThenSeq) {
     span.size = 1;
     span.seq = recorder.TakeSeq(1 + span.size);
     log->batches.push_back(span);
-    log->requests.push_back({100 + i, 0.25});
+    log->requests.push_back({static_cast<std::uint32_t>(100 + i), 0.25});
   }
   InstantEvent instant;
   instant.t_s = 0.5;
@@ -621,6 +649,33 @@ TEST(ObsRecorderTest, DrainOrdersByTimestampThenSeq) {
   ASSERT_EQ(data.instants.size(), 1u);
   EXPECT_EQ(data.instants[0].seq, 6);
   EXPECT_EQ(data.dropped, 0);
+}
+
+TEST(ObsRecorderTest, LogFieldsThrowInsteadOfTruncating) {
+  // The engine's request ids, the pool's batch indices and sizes, and the
+  // recorder's seqs narrow through LogField; the last value of each width
+  // fits, and one past it throws naming the field.
+  EXPECT_EQ(LogField<std::uint32_t>(0xffffffff, "request id"), 0xffffffffu);
+  EXPECT_EQ(LogField<std::int32_t>(0x7fffffff, "size"), 0x7fffffff);
+  for (const auto& [value, field] :
+       {std::pair<std::int64_t, const char*>{std::int64_t{1} << 32,
+                                             "request id"},
+        {-1, "batch_index"}}) {
+    try {
+      LogField<std::uint32_t>(value, field);
+      ADD_FAILURE() << field << " " << value << ": accepted";
+    } catch (const nsflow::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(LogField<std::int32_t>(std::int64_t{1} << 31, "size"),
+               nsflow::Error);
+
+  TraceRecorder recorder;
+  EXPECT_EQ(recorder.TakeSeq(0xffffffff), 0u);
+  EXPECT_EQ(recorder.TakeSeq(1), 0xffffffffu);
+  EXPECT_THROW(recorder.TakeSeq(1), nsflow::Error);  // Seq 2^32.
 }
 
 template <typename Records>
@@ -707,7 +762,7 @@ TEST(ObsRecorderTest, DrainMatchesABruteForceStableSortOnServedRuns) {
 }
 
 /// Every field of a span that NSFT carries: all of a request span's, and
-/// a batch span's except egress_s and queue_depth.
+/// a batch span's except egress_s.
 auto Fields(const RequestSpan& s) {
   return std::tuple(s.request_id, s.workload, s.close, s.arrival_s,
                     s.formed_s, s.start_s, s.complete_s, s.batch_index,

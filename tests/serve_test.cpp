@@ -41,29 +41,30 @@ TEST(ServeStatsTest, NearestRankPercentiles) {
 
 /// One committed batch of `arrivals` on `replica`, appended to `log`.
 void Commit(obs::CompletionLog* log, WorkloadId workload, int replica,
-            double start_s, double complete_s, std::int64_t queue_depth,
+            double start_s, double complete_s,
             const std::vector<double>& arrivals, double egress_s = 0.0) {
   obs::BatchSpan batch;
-  batch.batch_index = static_cast<std::int64_t>(log->batches.size());
+  batch.batch_index = static_cast<std::uint32_t>(log->batches.size());
   batch.workload = workload;
   batch.replica = replica;
   batch.start_s = start_s;
   batch.complete_s = complete_s;
   batch.egress_s = egress_s;
-  batch.size = static_cast<std::int64_t>(arrivals.size());
-  batch.queue_depth = queue_depth;
+  batch.size = static_cast<std::int32_t>(arrivals.size());
   log->batches.push_back(batch);
   for (const double arrival_s : arrivals) {
     log->requests.push_back(
-        {static_cast<std::int64_t>(log->requests.size()), arrival_s});
+        {static_cast<std::uint32_t>(log->requests.size()), arrival_s});
   }
 }
 
 TEST(ServeStatsTest, SummarizesLatencyAndUtilization) {
   ServeStats stats(2);
   obs::CompletionLog log;
-  Commit(&log, 0, 0, 0.020, 0.040, 6, {0.030, 0.020, 0.010});
-  Commit(&log, 0, 1, 0.030, 0.040, 2, {0.0});
+  Commit(&log, 0, 0, 0.020, 0.040, {0.030, 0.020, 0.010});
+  stats.RecordBacklog(6);
+  Commit(&log, 0, 1, 0.030, 0.040, {0.0});
+  stats.RecordBacklog(2);
 
   const StatsSummary s = stats.Summarize(log, 100.0, 0.04);
   EXPECT_EQ(s.completed, 4);
@@ -150,7 +151,7 @@ TEST(ServeStatsTest, SelectedPercentilesMatchSortedPopulations) {
           // Arriving at 0.0 and completing at the latency is exact.
           any = true;
           Commit(&log, w, static_cast<int>(rng.UniformInt(0, 2)), 0.0,
-                 pending.back(), 0, {0.0});
+                 pending.back(), {0.0});
           by_workload[static_cast<std::size_t>(w)].push_back(pending.back());
           pending.pop_back();
           continue;
@@ -174,7 +175,7 @@ TEST(ServeStatsTest, SelectedPercentilesMatchSortedPopulations) {
               complete_s + egress_s - arrivals.back());
         }
         Commit(&log, w, static_cast<int>(rng.UniformInt(0, 2)), 0.02,
-               complete_s, 0, arrivals, egress_s);
+               complete_s, arrivals, egress_s);
       }
     }
 
