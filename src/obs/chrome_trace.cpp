@@ -82,7 +82,7 @@ struct Keys {
 /// sorted key order, then End() with its other keys.
 class EntryWriter {
  public:
-  explicit EntryWriter(std::string& out) : out_(out) {}
+  explicit EntryWriter(ChunkedOutput& out) : chunks_(out), out_(out.text()) {}
 
   void Arg(std::string_view key, double value) {
     ArgKey(key);
@@ -128,6 +128,7 @@ class EntryWriter {
     out_ += ",\"ts\":";
     FormatNumber(out_, keys.ts_us);
     out_ += '}';
+    chunks_.EntryDone();
   }
 
  private:
@@ -144,16 +145,15 @@ class EntryWriter {
     out_ += ':';
   }
 
+  ChunkedOutput& chunks_;
   std::string& out_;
   std::size_t entries_ = 0;
   bool args_ = false;  // Whether the open entry has args.
 };
 
-}  // namespace
-
-std::string SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
-                                 TraceDetail detail) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+void WriteChromeTrace(const TraceData& data, const TraceMeta& meta,
+                      TraceDetail detail, ChunkedOutput& out) {
+  out.text() += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   EntryWriter w(out);
   std::string unnamed;  // "workload <id>" for an id the meta does not name.
   const auto workload_name = [&](std::int32_t workload) -> std::string_view {
@@ -270,8 +270,23 @@ std::string SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
     w.Arg("replica", span.replica);
     w.End(keys(name, 'e', span.complete_s));
   }
-  out += "]}";
-  return out;
+  out.text() += "]}";
+  out.Finish();
+}
+
+}  // namespace
+
+std::string SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
+                                 TraceDetail detail) {
+  ChunkedOutput out;
+  WriteChromeTrace(data, meta, detail, out);
+  return std::move(out.text());
+}
+
+void SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
+                          TraceDetail detail, const ChunkSink& sink) {
+  ChunkedOutput out(sink);
+  WriteChromeTrace(data, meta, detail, out);
 }
 
 // --------------------------------------------------------------- binary

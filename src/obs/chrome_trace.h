@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/chunked_output.h"
 #include "obs/trace_recorder.h"
 
 namespace nsflow::obs {
@@ -55,6 +56,10 @@ struct TraceMeta {
 /// that output; throws on an instant of unknown kind.
 std::string SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
                                  TraceDetail detail);
+/// The same document, handed to `sink` in chunks (chunked_output.h): holds
+/// one chunk, not the document.
+void SerializeChromeTrace(const TraceData& data, const TraceMeta& meta,
+                          TraceDetail detail, const ChunkSink& sink);
 
 // ---- Compact binary encoding ("NSFT"): fixed-size little-endian records,
 // doubles bit-copied, strings length-prefixed, at a fraction of the JSON

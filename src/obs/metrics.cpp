@@ -1,44 +1,103 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string_view>
 
 #include "common/error.h"
+#include "common/json.h"
 
 namespace nsflow::obs {
 
+namespace {
+
+constexpr int kOctaves = Histogram::kBucketCount / Histogram::kBucketsPerOctave;
+static_assert(Histogram::kBucketCount % Histogram::kBucketsPerOctave == 0);
+
+/// Boundary(0..3): kBase * std::exp2(j / 4.0) as glibc rounds it, the
+/// formula the boundaries were first computed with. A boundary one octave
+/// up is exactly twice its double, so the table needs no libm.
+constexpr double kFirstOctave[Histogram::kBucketsPerOctave] = {
+    1e-6, 1.1892071150027209e-06, 1.4142135623730952e-06,
+    1.681792830507429e-06};
+
+constexpr std::array<double, Histogram::kBucketCount + 1> kBoundaries = [] {
+  std::array<double, Histogram::kBucketCount + 1> boundaries{};
+  for (int i = 0; i <= Histogram::kBucketCount; ++i) {
+    boundaries[static_cast<std::size_t>(i)] =
+        kFirstOctave[i % Histogram::kBucketsPerOctave] *
+        static_cast<double>(std::uint64_t{1}
+                            << (i / Histogram::kBucketsPerOctave));
+  }
+  return boundaries;
+}();
+static_assert(kBoundaries[0] == Histogram::kBase);
+
+// BucketFor's cells: a positive double's bits shifted right by
+// kCellShift are its exponent and top kCellBits mantissa bits, so each
+// cell is 1/64 of an octave, and those keys rise with the value. The
+// boundaries are 2^(1/4) apart, so a cell holds at most one of them.
+// Cell 0 holds kBase, and the last cell Boundary(kBucketCount).
+constexpr int kCellBits = 6;
+constexpr int kCellShift = 52 - kCellBits;
+constexpr std::uint64_t kFirstCellKey =
+    std::bit_cast<std::uint64_t>(Histogram::kBase) >> kCellShift;
+constexpr std::size_t kCells = (std::size_t{kOctaves} << kCellBits) + 1;
+static_assert((std::bit_cast<std::uint64_t>(
+                   kBoundaries[Histogram::kBucketCount]) >>
+               kCellShift) -
+                  kFirstCellKey ==
+              kCells - 1);
+
+/// Each cell's bucket at its lowest value (kBase for cell 0): a value in
+/// the cell is in that bucket or, at or past the next boundary, the one
+/// after it.
+constexpr std::array<std::uint8_t, kCells> kCellBuckets = [] {
+  std::array<std::uint8_t, kCells> cells{};
+  int bucket = 0;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const double lowest =
+        c == 0 ? Histogram::kBase
+               : std::bit_cast<double>((kFirstCellKey + c) << kCellShift);
+    while (bucket + 1 < Histogram::kBucketCount &&
+           lowest >= kBoundaries[static_cast<std::size_t>(bucket + 1)]) {
+      ++bucket;
+    }
+    cells[c] = static_cast<std::uint8_t>(bucket);
+  }
+  return cells;
+}();
+static_assert(
+    [] {
+      for (std::size_t c = 0; c + 1 < kCells; ++c) {
+        if (kCellBuckets[c + 1] > kCellBuckets[c] + 1) {
+          return false;  // Cell c would hold two boundaries.
+        }
+      }
+      return true;
+    }(),
+    "a cell must hold at most one boundary");
+
+}  // namespace
+
 double Histogram::Boundary(int i) {
   NSF_CHECK_MSG(i >= 0 && i <= kBucketCount, "bucket index out of range");
-  return kBase * std::exp2(static_cast<double>(i) /
-                           static_cast<double>(kBucketsPerOctave));
+  return kBoundaries[static_cast<std::size_t>(i)];
 }
 
 int Histogram::BucketFor(double value_s) {
   if (value_s < kBase) {
     return -1;
   }
-  static const std::array<double, kBucketCount + 1> kBoundaries = [] {
-    std::array<double, kBucketCount + 1> boundaries{};
-    for (int i = 0; i <= kBucketCount; ++i) {
-      boundaries[static_cast<std::size_t>(i)] = Boundary(i);
-    }
-    return boundaries;
-  }();
-  // Start at the first bucket of v's octave (v / base in [2^(e-1), 2^e)),
-  // then nudge to the unique i with Boundary(i) <= v < Boundary(i + 1):
-  // the table holds the boundaries themselves, so the bucket is the same
-  // wherever the search starts.
-  int exponent = 0;
-  std::frexp(value_s / kBase, &exponent);
-  int i = std::clamp((exponent - 1) * kBucketsPerOctave, 0, kBucketCount - 1);
-  while (i > 0 && value_s < kBoundaries[static_cast<std::size_t>(i)]) {
-    --i;
-  }
-  while (i + 1 < kBucketCount &&
-         value_s >= kBoundaries[static_cast<std::size_t>(i + 1)]) {
-    ++i;
-  }
-  return i;
+  // Past the last cell (overflow, +inf, a NaN's bits) reads the last one.
+  const std::uint64_t cell = std::min<std::uint64_t>(
+      (std::bit_cast<std::uint64_t>(value_s) >> kCellShift) - kFirstCellKey,
+      kCells - 1);
+  const int bucket = kCellBuckets[cell];
+  const bool past_next =
+      value_s >= kBoundaries[static_cast<std::size_t>(bucket + 1)];
+  return std::min(bucket + (past_next ? 1 : 0), kBucketCount - 1);
 }
 
 void Histogram::Observe(double value_s) {
@@ -93,33 +152,6 @@ double Histogram::ValueAtPercentile(double p) const {
   return max_s_;
 }
 
-Json Histogram::ToJson() const {
-  JsonObject schema;
-  schema["base_s"] = Json(kBase);
-  schema["buckets_per_octave"] = Json(kBucketsPerOctave);
-  schema["bucket_count"] = Json(kBucketCount);
-  schema["version"] = Json(kSchemaVersion);
-
-  // Sparse: [bucket index, count] pairs, ascending index.
-  JsonArray nonzero;
-  for (int i = 0; i < kBucketCount; ++i) {
-    if (buckets_[static_cast<std::size_t>(i)] != 0) {
-      nonzero.push_back(Json(JsonArray{
-          Json(i), Json(buckets_[static_cast<std::size_t>(i)])}));
-    }
-  }
-
-  JsonObject out;
-  out["schema"] = Json(std::move(schema));
-  out["count"] = Json(count_);
-  out["underflow"] = Json(underflow_);
-  out["sum_s"] = Json(sum_s_);
-  out["min_s"] = Json(min_s());
-  out["max_s"] = Json(max_s());
-  out["buckets"] = Json(std::move(nonzero));
-  return Json(std::move(out));
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   auto& slot = counters_[name];
   if (!slot) {
@@ -144,26 +176,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return slot.get();
 }
 
-Json MetricsSnapshot::ToJson() const {
-  JsonObject counter_values;
-  for (const auto& [name, value] : counters) {
-    counter_values[*name] = Json(value);
-  }
-  JsonObject gauge_values;
-  for (const auto& [name, value] : gauges) {
-    gauge_values[*name] = Json(value);
-  }
-  JsonObject histogram_values;
-  for (const auto& [name, histogram] : histograms) {
-    histogram_values[*name] = histogram.ToJson();
-  }
-  JsonObject out;
-  out["counters"] = Json(std::move(counter_values));
-  out["gauges"] = Json(std::move(gauge_values));
-  out["histograms"] = Json(std::move(histogram_values));
-  return Json(std::move(out));
-}
-
 void MetricsRegistry::TakeSnapshot(double t_s) {
   MetricsSnapshot snapshot;
   snapshot.t_s = t_s;
@@ -182,19 +194,157 @@ void MetricsRegistry::TakeSnapshot(double t_s) {
   timeline_.push_back(std::move(snapshot));
 }
 
-Json MetricsRegistry::TimelineJson() const {
-  JsonArray points;
-  for (const MetricsSnapshot& snapshot : timeline_) {
-    JsonObject point;
-    point["t_s"] = Json(snapshot.t_s);
-    point["values"] = snapshot.ToJson();
-    points.push_back(Json(std::move(point)));
+namespace {
+
+/// Writes a JSON document's structure as Json::Dump(2) lays it out: a
+/// member or element on its own line, indented two spaces per level, and
+/// an empty object or array as "{}" or "[]".
+class IndentedJson {
+ public:
+  explicit IndentedJson(std::string& out) : out_(out) {}
+
+  void Open(char bracket) {
+    out_ += bracket;
+    ++depth_;
+    empty_ = true;
   }
-  JsonObject out;
-  out["format"] = Json("nsflow-metrics");
-  out["version"] = Json(1);
-  out["snapshots"] = Json(std::move(points));
-  return Json(std::move(out));
+  void Close(char bracket) {
+    --depth_;
+    if (!empty_) {
+      NewLine();
+    }
+    out_ += bracket;
+    empty_ = false;  // The closed container is its parent's member.
+  }
+  /// Starts an array element.
+  void Element() {
+    if (!empty_) {
+      out_ += ',';
+    }
+    empty_ = false;
+    NewLine();
+  }
+  /// Starts an object member; its value follows.
+  void Key(std::string_view key) {
+    Element();
+    EscapeString(out_, key);
+    out_ += ": ";
+  }
+  void Number(double value) { FormatNumber(out_, value); }
+  void String(std::string_view value) { EscapeString(out_, value); }
+
+ private:
+  void NewLine() {
+    out_ += '\n';
+    out_.append(2 * depth_, ' ');
+  }
+
+  std::string& out_;
+  std::size_t depth_ = 0;
+  bool empty_ = true;  // The open container has no member yet.
+};
+
+/// A histogram's object: the schema header, the totals and only the
+/// non-zero buckets, as [bucket index, count] pairs in ascending index.
+void WriteHistogram(IndentedJson& w, const Histogram& h) {
+  w.Open('{');
+  w.Key("buckets");
+  w.Open('[');
+  for (int i = 0; i < Histogram::kBucketCount; ++i) {
+    if (h.bucket(i) != 0) {
+      w.Element();
+      w.Open('[');
+      w.Element();
+      w.Number(i);
+      w.Element();
+      w.Number(static_cast<double>(h.bucket(i)));
+      w.Close(']');
+    }
+  }
+  w.Close(']');
+  w.Key("count");
+  w.Number(static_cast<double>(h.count()));
+  w.Key("max_s");
+  w.Number(h.max_s());
+  w.Key("min_s");
+  w.Number(h.min_s());
+  w.Key("schema");
+  w.Open('{');
+  w.Key("base_s");
+  w.Number(Histogram::kBase);
+  w.Key("bucket_count");
+  w.Number(Histogram::kBucketCount);
+  w.Key("buckets_per_octave");
+  w.Number(Histogram::kBucketsPerOctave);
+  w.Key("version");
+  w.Number(Histogram::kSchemaVersion);
+  w.Close('}');
+  w.Key("sum_s");
+  w.Number(h.sum_s());
+  w.Key("underflow");
+  w.Number(static_cast<double>(h.underflow()));
+  w.Close('}');
+}
+
+}  // namespace
+
+void MetricsRegistry::WriteTimeline(ChunkedOutput& out) const {
+  // Each snapshot's instruments are in their maps' key order, the order
+  // Json::Dump sorts an object's keys in.
+  IndentedJson w(out.text());
+  w.Open('{');
+  w.Key("format");
+  w.String("nsflow-metrics");
+  w.Key("snapshots");
+  w.Open('[');
+  for (const MetricsSnapshot& snapshot : timeline_) {
+    w.Element();
+    w.Open('{');
+    w.Key("t_s");
+    w.Number(snapshot.t_s);
+    w.Key("values");
+    w.Open('{');
+    w.Key("counters");
+    w.Open('{');
+    for (const auto& [name, value] : snapshot.counters) {
+      w.Key(*name);
+      w.Number(static_cast<double>(value));
+    }
+    w.Close('}');
+    w.Key("gauges");
+    w.Open('{');
+    for (const auto& [name, value] : snapshot.gauges) {
+      w.Key(*name);
+      w.Number(value);
+    }
+    w.Close('}');
+    w.Key("histograms");
+    w.Open('{');
+    for (const auto& [name, histogram] : snapshot.histograms) {
+      w.Key(*name);
+      WriteHistogram(w, histogram);
+    }
+    w.Close('}');
+    w.Close('}');
+    w.Close('}');
+    out.EntryDone();
+  }
+  w.Close(']');
+  w.Key("version");
+  w.Number(1);
+  w.Close('}');
+  out.Finish();
+}
+
+std::string MetricsRegistry::TimelineJson() const {
+  ChunkedOutput out;
+  WriteTimeline(out);
+  return std::move(out.text());
+}
+
+void MetricsRegistry::WriteTimelineJson(const ChunkSink& sink) const {
+  ChunkedOutput out(sink);
+  WriteTimeline(out);
 }
 
 }  // namespace nsflow::obs

@@ -23,9 +23,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/json.h"
+#include "obs/chunked_output.h"
 
 namespace nsflow::obs {
 
@@ -63,12 +64,14 @@ class Histogram {
   static constexpr int kBucketCount = 112;  // Through kBase * 2^28 = 268 s.
   static constexpr int kSchemaVersion = 1;
 
-  /// Lower edge of bucket `i` (i == 0 -> kBase). Exact for whole octaves:
-  /// Boundary(4) == 2e-6, Boundary(8) == 4e-6, ...
+  /// Lower edge of bucket `i` (i == 0 -> kBase), read from a literal
+  /// table: the first octave's four boundaries, each doubled exactly once
+  /// per octave, so Boundary(i + 4) == 2 * Boundary(i).
   static double Boundary(int i);
   /// Bucket index for `value_s` (underflow -> -1 maps to the underflow
-  /// slot; overflow clamps into the last bucket). A table lookup: no log
-  /// or exp per call.
+  /// slot; overflow clamps into the last bucket). One byte-table lookup by
+  /// the value's exponent and top mantissa bits and one compare: no log,
+  /// exp or division per call.
   static int BucketFor(double value_s);
 
   void Observe(double value_s);
@@ -87,9 +90,6 @@ class Histogram {
   /// bucket counts) — a <=19%-wide bracket of the true value.
   double ValueAtPercentile(double p) const;
 
-  /// Sparse serialization: schema header + only the non-zero buckets.
-  Json ToJson() const;
-
  private:
   std::array<std::int64_t, kBucketCount> buckets_{};
   std::int64_t underflow_ = 0;
@@ -102,16 +102,12 @@ class Histogram {
 /// One virtual-time point of every instrument's value. Stored *typed* —
 /// name pointers into the registry's maps (stable; a snapshot never
 /// outlives its registry) plus plain value copies — so taking a snapshot
-/// on the serve path costs three vector fills, not a Json tree build;
-/// ToJson renders at export time.
+/// on the serve path costs three vector fills; the export writes the text.
 struct MetricsSnapshot {
   double t_s = 0.0;
   std::vector<std::pair<const std::string*, std::int64_t>> counters;
   std::vector<std::pair<const std::string*, double>> gauges;
   std::vector<std::pair<const std::string*, Histogram>> histograms;
-
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}
-  Json ToJson() const;
 };
 
 class MetricsRegistry {
@@ -129,14 +125,21 @@ class MetricsRegistry {
   const std::vector<MetricsSnapshot>& timeline() const { return timeline_; }
 
   /// The metrics.json document: schema header + the snapshot timeline
-  /// (callers append a final snapshot before serializing).
-  Json TimelineJson() const;
+  /// (callers append a final snapshot before serializing). Written in one
+  /// pass, keys in the order Json::Dump sorts them and values through
+  /// common/json's EscapeString and FormatNumber, at Dump(2)'s
+  /// indentation: the bytes Json::Dump(2) writes for the same document.
+  std::string TimelineJson() const;
+  /// The same document, handed to `sink` in chunks (chunked_output.h).
+  void WriteTimelineJson(const ChunkSink& sink) const;
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::vector<MetricsSnapshot> timeline_;
+
+  void WriteTimeline(ChunkedOutput& out) const;
 };
 
 }  // namespace nsflow::obs

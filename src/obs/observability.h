@@ -18,10 +18,13 @@
 // seed must serialize bit-identical traces. Exports cost what they write:
 // Drain() copies no span (the spans are views over the completion log),
 // allocates 12 bytes per committed batch for their orders beside copies of
-// the instants and counters, and sorts only an order that is out of
-// (stamp, seq) order; BinaryTrace() allocates its output once at its exact
-// encoded size, and ChromeTraceJson() holds nothing but its output
-// (tests/allocation_test.cpp pins all three). perfbench's
+// the instants and counters, and orders spans that are out of (stamp, seq)
+// order by spreading them over stamp buckets whose counts live on the
+// stack; BinaryTrace() allocates its output once at its exact encoded
+// size, and ChromeTraceJson() and MetricsJson() hold nothing but their
+// output (tests/allocation_test.cpp pins all four). WriteChromeTraceJson()
+// and WriteMetricsJson() hand the same documents to a sink in chunks of
+// about 1 MiB, so a file export holds one chunk. perfbench's
 // `obs.marginal_ns_per_request`, `obs.drain_s` and `obs.*_export_s` rows
 // measure them at a realistic size.
 #pragma once
@@ -61,12 +64,20 @@ struct Observability {
   std::string ChromeTraceJson() const {
     return SerializeChromeTrace(recorder.Drain(), meta, options.detail);
   }
+  /// The same document, handed to `sink` in chunks.
+  void WriteChromeTraceJson(const ChunkSink& sink) const {
+    SerializeChromeTrace(recorder.Drain(), meta, options.detail, sink);
+  }
   /// The compact binary encoding of everything recorded so far.
   std::string BinaryTrace() const {
     return SerializeBinaryTrace(recorder.Drain());
   }
   /// The metrics.json timeline document.
-  std::string MetricsJson() const { return metrics.TimelineJson().Dump(2); }
+  std::string MetricsJson() const { return metrics.TimelineJson(); }
+  /// The same document, handed to `sink` in chunks.
+  void WriteMetricsJson(const ChunkSink& sink) const {
+    metrics.WriteTimelineJson(sink);
+  }
 };
 
 }  // namespace nsflow::obs

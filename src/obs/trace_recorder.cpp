@@ -1,6 +1,8 @@
 #include "obs/trace_recorder.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -35,23 +37,78 @@ void SortByTime(std::vector<Record>& records, double Record::* stamp) {
   }
 }
 
+/// Most buckets StampOrder spreads a log over. Their counts live on the
+/// stack (32 KB), so an order costs its own 4 bytes per batch and nothing
+/// more.
+constexpr std::size_t kMaxStampBuckets = 8192;
+
 /// The indices of `batches` in (stamp, seq) order. Seq breaks stamp ties,
 /// not the index: a decoded log is stored in start order, so its seqs do
 /// not rise with the index. A log already in order is only checked; a
 /// replica-fail log commits in (completion, dispatch order), which is its
-/// request spans' order.
+/// request spans' order. Any other log is spread over equal-width stamp
+/// buckets on [min, max], one counting pass, a prefix sum and one scatter
+/// into the order, and each bucket is then sorted on its own.
 std::vector<std::uint32_t> StampOrder(const std::vector<BatchSpan>& batches,
                                       double BatchSpan::* stamp) {
   NSF_CHECK_MSG(batches.size() <= kMaxIndexed,
                 "a completion log holds more batches than a span order "
                 "indexes");
-  std::vector<std::uint32_t> order(batches.size());
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  const auto by_time = [&batches, stamp](std::uint32_t a, std::uint32_t b) {
-    return EarlierInTrace(batches[a], batches[b], stamp);
+  const auto n = static_cast<std::uint32_t>(batches.size());
+  std::vector<std::uint32_t> order(n);
+  const auto earlier = [stamp](const BatchSpan& a, const BatchSpan& b) {
+    return EarlierInTrace(a, b, stamp);
   };
-  if (!std::is_sorted(order.begin(), order.end(), by_time)) {
-    std::sort(order.begin(), order.end(), by_time);
+  const auto by_time = [&batches, &earlier](std::uint32_t a,
+                                            std::uint32_t b) {
+    return earlier(batches[a], batches[b]);
+  };
+  if (std::is_sorted(batches.begin(), batches.end(), earlier)) {
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    return order;
+  }
+
+  // A stamp's bucket: (stamp - lo) * scale, truncated, never decreases as
+  // the stamp grows, and -0.0 and +0.0 share one. A range that is not
+  // finite and positive (all stamps equal, an infinite end) or too narrow
+  // to scale takes one bucket; a NaN is never cast (it takes the last).
+  const auto [lo_span, hi_span] =
+      std::minmax_element(batches.begin(), batches.end(),
+                          [stamp](const BatchSpan& a, const BatchSpan& b) {
+                            return a.*stamp < b.*stamp;
+                          });
+  const double lo = (*lo_span).*stamp;
+  const double range = (*hi_span).*stamp - lo;
+  std::uint32_t buckets = static_cast<std::uint32_t>(
+      std::min<std::size_t>(kMaxStampBuckets, n));
+  double scale = static_cast<double>(buckets) / range;
+  if (!(range > 0.0 && std::isfinite(range) && std::isfinite(scale))) {
+    buckets = 1;
+    scale = 0.0;
+  }
+  const double last = static_cast<double>(buckets - 1);
+  const auto bucket_of = [&](std::uint32_t b) -> std::uint32_t {
+    const double x = (batches[b].*stamp - lo) * scale;
+    return x < last ? static_cast<std::uint32_t>(x) : buckets - 1;
+  };
+
+  std::array<std::uint32_t, kMaxStampBuckets> ends{};
+  for (std::uint32_t b = 0; b < n; ++b) {
+    ++ends[bucket_of(b)];
+  }
+  std::uint32_t start = 0;  // Each count becomes its bucket's start.
+  for (std::uint32_t k = 0; k < buckets; ++k) {
+    start += std::exchange(ends[k], start);
+  }
+  for (std::uint32_t b = 0; b < n; ++b) {
+    order[ends[bucket_of(b)]++] = b;  // Now each bucket's end.
+  }
+  std::uint32_t begin = 0;
+  for (std::uint32_t k = 0; k < buckets; ++k) {
+    if (ends[k] - begin > 1) {
+      std::sort(order.begin() + begin, order.begin() + ends[k], by_time);
+    }
+    begin = ends[k];
   }
   return order;
 }

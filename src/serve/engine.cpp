@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -564,11 +565,21 @@ struct PipelineContext {
     instant.t_s = t;
     instant.kind = obs::InstantKind::kClusterRoute;
     instant.workload = workload;
-    instant.detail =
-        "node" + std::to_string(route.home) + "->node" +
-        std::to_string(route.node) + " bytes=" +
-        std::to_string(static_cast<long long>(
-            std::llround(route.request_bytes + route.response_bytes)));
+    // "node<home>->node<node> bytes=<n>", formatted once on the stack,
+    // each number given room for its widest text: at most 59 characters.
+    constexpr int kIntChars = 11;       // "-2147483648"
+    constexpr int kLongLongChars = 20;  // "-9223372036854775808"
+    char text[64];
+    char* end = std::copy_n("node", 4, text);
+    end = std::to_chars(end, end + kIntChars, route.home).ptr;
+    end = std::copy_n("->node", 6, end);
+    end = std::to_chars(end, end + kIntChars, route.node).ptr;
+    end = std::copy_n(" bytes=", 7, end);
+    end = std::to_chars(end, end + kLongLongChars,
+                        std::llround(route.request_bytes +
+                                     route.response_bytes))
+              .ptr;
+    instant.detail.assign(text, end);
     recorder->RecordInstant(std::move(instant));
   }
 

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -57,6 +58,22 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary);
   out << contents;
+  out.close();
+  if (!out) {
+    throw Error("cannot write file: " + path);
+  }
+}
+
+/// Writes the chunks `write` hands its sink to `path`, then a newline, so
+/// the document is never held whole. Throws as WriteFile does.
+void WriteFileInChunks(const std::string& path,
+                       const std::function<void(const obs::ChunkSink&)>&
+                           write) {
+  std::ofstream out(path, std::ios::binary);
+  write([&out](std::string_view chunk) {
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+  });
+  out << '\n';
   out.close();
   if (!out) {
     throw Error("cannot write file: " + path);
@@ -805,7 +822,9 @@ void ExportObservability(const CliArgs& args,
       std::printf("Trace written to %s (compact binary, NSFT v1)\n",
                   args.trace_out.c_str());
     } else {
-      WriteFile(args.trace_out, report.obs->ChromeTraceJson() + "\n");
+      WriteFileInChunks(args.trace_out, [&report](const obs::ChunkSink& sink) {
+        report.obs->WriteChromeTraceJson(sink);
+      });
       std::printf(
           "Trace written to %s (Chrome trace_event JSON — load in Perfetto "
           "or chrome://tracing)\n",
@@ -813,7 +832,9 @@ void ExportObservability(const CliArgs& args,
     }
   }
   if (!args.metrics_out.empty()) {
-    WriteFile(args.metrics_out, report.obs->MetricsJson() + "\n");
+    WriteFileInChunks(args.metrics_out, [&report](const obs::ChunkSink& sink) {
+      report.obs->WriteMetricsJson(sink);
+    });
     std::printf("Metrics timeline written to %s\n", args.metrics_out.c_str());
   }
 }

@@ -5,8 +5,10 @@
 // (arrivals, stats samples, dispatch records), not one per batch. Fault
 // runs keep the contract too: settlement at the watermark holds only the
 // batches in flight. The NSFT export allocates its output once, at its
-// exact size, and Drain() allocates 12 bytes per committed batch beside
-// its copies of the instants and counters, never a byte per request.
+// exact size, the JSON exports only their output (one chunk of it when
+// written through a sink), and Drain() allocates 12 bytes per committed
+// batch beside its copies of the instants and counters, never a byte per
+// request.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/chrome_trace.h"
@@ -220,6 +223,90 @@ TEST(AllocationContract, ChromeTraceExportHoldsOnlyItsOutput) {
   // Doubling the run doubles the output: one more doubling of the string.
   EXPECT_LE(allocations[1] - allocations[0], 2)
       << allocations[0] << " -> " << allocations[1];
+}
+
+TEST(AllocationContract, MetricsExportHoldsOnlyItsOutput) {
+  // metrics.json is written straight onto the string returned, so it
+  // allocates only that string's growth, as the Chrome export does. The
+  // same 48-replica run as above, at two lengths.
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  std::vector<std::int64_t> allocations;
+  for (const double duration_s : {5.0, 10.0}) {
+    ServeOptions options;
+    options.qps = 8000.0;
+    options.duration_s = duration_s;
+    options.adversity = AdversitySpec::Parse("replica-fail");
+    options.cluster = ClusterSpec::Parse("least-loaded:nodes=2");
+    options.trace.enabled = true;
+    const ServeReport report = RunSyntheticServe(
+        registry, registry.ReplicaSpecs(48, /*partitioned=*/false), mix,
+        options);
+
+    const std::int64_t count = g_allocations.load(std::memory_order_relaxed);
+    const std::int64_t bytes =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    const std::string text = report.obs->MetricsJson();
+    allocations.push_back(g_allocations.load(std::memory_order_relaxed) -
+                          count);
+    const std::int64_t allocated =
+        g_allocated_bytes.load(std::memory_order_relaxed) - bytes;
+
+    EXPECT_LT(allocations.back(), 64)
+        << duration_s << " s: " << report.obs->metrics.timeline().size()
+        << " snapshots";
+    EXPECT_LE(allocated, 4 * static_cast<std::int64_t>(text.size()))
+        << duration_s << " s: " << text.size() << " B written";
+  }
+  EXPECT_LE(allocations[1] - allocations[0], 2)
+      << allocations[0] << " -> " << allocations[1];
+}
+
+TEST(AllocationContract, ChunkedJsonExportsHoldOneChunk) {
+  // Written through a sink, the Chrome and metrics exports hold one chunk
+  // of text, not the document: at most two chunks' bytes allocated beyond
+  // the drained trace, whatever the document's size.
+  WorkloadRegistry registry;
+  const std::vector<WorkloadShare> mix =
+      ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
+  for (const WorkloadShare& entry : mix) {
+    registry.RegisterBuiltin(entry.workload);
+  }
+  ServeOptions options;
+  options.qps = 8000.0;
+  options.duration_s = 5.0;
+  options.adversity = AdversitySpec::Parse("replica-fail");
+  options.cluster = ClusterSpec::Parse("least-loaded:nodes=2");
+  options.trace.enabled = true;
+  const ServeReport report = RunSyntheticServe(
+      registry, registry.ReplicaSpecs(48, /*partitioned=*/false), mix,
+      options);
+  const obs::TraceData data = report.obs->recorder.Drain();
+  std::int64_t written = 0;
+  const obs::ChunkSink sink = [&written](std::string_view chunk) {
+    written += static_cast<std::int64_t>(chunk.size());
+  };
+  constexpr auto kTwoChunks =
+      static_cast<std::int64_t>(2 * obs::ChunkedOutput::kChunkBytes);
+
+  std::int64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  obs::SerializeChromeTrace(data, report.obs->meta, obs::TraceDetail::kFull,
+                            sink);
+  EXPECT_LE(g_allocated_bytes.load(std::memory_order_relaxed) - before,
+            kTwoChunks);
+  EXPECT_GT(written, 10 * kTwoChunks);
+
+  written = 0;
+  before = g_allocated_bytes.load(std::memory_order_relaxed);
+  report.obs->WriteMetricsJson(sink);
+  EXPECT_LE(g_allocated_bytes.load(std::memory_order_relaxed) - before,
+            kTwoChunks);
+  EXPECT_EQ(written,
+            static_cast<std::int64_t>(report.obs->MetricsJson().size()));
 }
 
 TEST(AllocationContract, DrainAllocatesTwelveBytesPerBatch) {

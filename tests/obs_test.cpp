@@ -18,6 +18,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -45,11 +46,33 @@ TEST(ObsHistogramTest, BucketBoundariesArePinned) {
   EXPECT_EQ(Histogram::kSchemaVersion, 1);
   EXPECT_EQ(Histogram::kBucketsPerOctave, 4);
   EXPECT_EQ(Histogram::kBucketCount, 112);
-  EXPECT_DOUBLE_EQ(Histogram::Boundary(0), 1e-6);
-  // Whole octaves are exact powers of two of the base.
-  EXPECT_DOUBLE_EQ(Histogram::Boundary(4), 2e-6);
-  EXPECT_DOUBLE_EQ(Histogram::Boundary(8), 4e-6);
-  EXPECT_DOUBLE_EQ(Histogram::Boundary(40), 1024e-6);
+  EXPECT_EQ(Histogram::Boundary(0), 1e-6);
+  // The first octave, bit for bit: 1e-6 * 2^(j/4) as glibc's exp2 and a
+  // double multiply round it.
+  EXPECT_EQ(Histogram::Boundary(1), 1.1892071150027209e-06);
+  EXPECT_EQ(Histogram::Boundary(2), 1.4142135623730952e-06);
+  EXPECT_EQ(Histogram::Boundary(3), 1.681792830507429e-06);
+  // Whole octaves are exact powers of two of the base, and every boundary
+  // is exactly twice the one an octave down.
+  EXPECT_EQ(Histogram::Boundary(4), 2e-6);
+  EXPECT_EQ(Histogram::Boundary(8), 4e-6);
+  EXPECT_EQ(Histogram::Boundary(40), 1024e-6);
+  for (int i = 0; i + 4 <= Histogram::kBucketCount; ++i) {
+    EXPECT_EQ(Histogram::Boundary(i + 4), 2.0 * Histogram::Boundary(i))
+        << "boundary " << i;
+  }
+  // Each boundary is within one ULP of 1e-6 * 2^(i/4) in long double.
+  for (int i = 0; i <= Histogram::kBucketCount; ++i) {
+    const double boundary = Histogram::Boundary(i);
+    const long double exact =
+        1e-6L * std::exp2(static_cast<long double>(i) / 4.0L);
+    const double ulp =
+        std::nextafter(boundary, std::numeric_limits<double>::infinity()) -
+        boundary;
+    EXPECT_LE(std::fabs(static_cast<long double>(boundary) - exact),
+              static_cast<long double>(ulp))
+        << "boundary " << i;
+  }
   // Quarter-octave steps are monotone with ~19% relative width.
   for (int i = 1; i < Histogram::kBucketCount; ++i) {
     const double ratio =
@@ -64,16 +87,39 @@ TEST(ObsHistogramTest, BucketBoundariesArePinned) {
   EXPECT_EQ(Histogram::BucketFor(1e9), Histogram::kBucketCount - 1);
 }
 
-/// The bucket search BucketFor replaced: floor(log2(v / base)) quarter
-/// octaves, then nudged against freshly computed boundaries.
+/// A bucket search from floor(log2(v / base)) quarter octaves, nudged
+/// against the boundaries. The log is clamped before the cast, so +inf
+/// is defined.
 int LogSearchBucketFor(double value_s) {
   if (value_s < Histogram::kBase) {
     return -1;
   }
-  int i = static_cast<int>(
-      std::floor(std::log2(value_s / Histogram::kBase) *
-                 static_cast<double>(Histogram::kBucketsPerOctave)));
-  i = std::clamp(i, 0, Histogram::kBucketCount - 1);
+  const double octaves = std::floor(
+      std::log2(value_s / Histogram::kBase) *
+      static_cast<double>(Histogram::kBucketsPerOctave));
+  int i = static_cast<int>(std::clamp(
+      octaves, 0.0, static_cast<double>(Histogram::kBucketCount - 1)));
+  while (i > 0 && value_s < Histogram::Boundary(i)) {
+    --i;
+  }
+  while (i + 1 < Histogram::kBucketCount &&
+         value_s >= Histogram::Boundary(i + 1)) {
+    ++i;
+  }
+  return i;
+}
+
+/// The search BucketFor's cell table replaced: the first bucket of the
+/// octave std::frexp(v / base) gives, then a walk to the unique i with
+/// Boundary(i) <= v < Boundary(i + 1).
+int FrexpWalkBucketFor(double value_s) {
+  if (value_s < Histogram::kBase) {
+    return -1;
+  }
+  int exponent = 0;
+  std::frexp(value_s / Histogram::kBase, &exponent);
+  int i = std::clamp((exponent - 1) * Histogram::kBucketsPerOctave, 0,
+                     Histogram::kBucketCount - 1);
   while (i > 0 && value_s < Histogram::Boundary(i)) {
     --i;
   }
@@ -85,15 +131,38 @@ int LogSearchBucketFor(double value_s) {
 }
 
 TEST(ObsHistogramTest, BucketTableMatchesTheLogSearch) {
-  // Every boundary and both its float neighbours, underflow, overflow
-  // past the last boundary, and a million latencies spanning 1e-10..1e3 s.
-  std::vector<double> values = {0.0, 0.5e-6, 1e3, 1e9};
+  // Every boundary and every 1/64-octave cell edge of the table with
+  // their float neighbours, zeros, denormals, negatives, infinities,
+  // underflow, overflow past the last boundary, and a million latencies
+  // spanning 1e-10..1e3 s.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, 0.5e-6, 1e3, 1e9, kInf, -kInf,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 2,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), -1e-3, -1.0};
+  const auto with_neighbours = [&values](double value) {
+    values.push_back(std::nextafter(value, -kInf));
+    values.push_back(value);
+    values.push_back(std::nextafter(value, kInf));
+  };
   for (int i = 0; i <= Histogram::kBucketCount; ++i) {
-    const double boundary = Histogram::Boundary(i);
-    values.push_back(std::nextafter(boundary, 0.0));
-    values.push_back(boundary);
-    values.push_back(
-        std::nextafter(boundary, std::numeric_limits<double>::infinity()));
+    with_neighbours(Histogram::Boundary(i));
+  }
+  // A cell edge: the base's exponent and top six mantissa bits, then
+  // zeros; the cells run one past the last boundary's.
+  std::uint64_t base_bits = 0;
+  std::memcpy(&base_bits, &Histogram::kBase, sizeof base_bits);
+  const std::uint64_t first_cell = base_bits >> 46;
+  for (std::uint64_t cell = 0;
+       cell <= (Histogram::kBucketCount / 4) * 64 + 2; ++cell) {
+    const std::uint64_t bits = (first_cell + cell) << 46;
+    double edge = 0.0;
+    std::memcpy(&edge, &bits, sizeof edge);
+    with_neighbours(edge);
   }
   std::mt19937_64 rng(20261017);
   std::lognormal_distribution<double> latency(std::log(1e-3), 3.0);
@@ -102,15 +171,24 @@ TEST(ObsHistogramTest, BucketTableMatchesTheLogSearch) {
   }
   std::int64_t mismatches = 0;
   for (const double value : values) {
-    if (Histogram::BucketFor(value) != LogSearchBucketFor(value)) {
+    const int want = FrexpWalkBucketFor(value);
+    if (Histogram::BucketFor(value) != want ||
+        LogSearchBucketFor(value) != want) {
       if (mismatches++ == 0) {
         ADD_FAILURE() << "first mismatch at " << value << ": "
-                      << Histogram::BucketFor(value) << " vs "
+                      << Histogram::BucketFor(value) << " vs frexp walk "
+                      << want << " and log search "
                       << LogSearchBucketFor(value);
       }
     }
   }
   EXPECT_EQ(mismatches, 0);
+  // A NaN never reaches Observe (a latency is a difference of finite
+  // stamps); the lookup still reads a bucket without undefined behaviour.
+  const int nan_bucket =
+      Histogram::BucketFor(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_GE(nan_bucket, -1);
+  EXPECT_LT(nan_bucket, Histogram::kBucketCount);
 }
 
 TEST(ObsHistogramTest, ObserveMergeAndPercentileBracket) {
@@ -153,9 +231,235 @@ TEST(ObsMetricsTest, RegistryPointersAreStableAndSnapshotsAccumulate) {
   registry.TakeSnapshot(0.5);
   ASSERT_EQ(registry.timeline().size(), 2u);
   EXPECT_DOUBLE_EQ(registry.timeline()[0].t_s, 0.25);
-  const std::string doc = registry.TimelineJson().Dump(0);
-  EXPECT_NE(doc.find("\"nsflow-metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("serve.completed"), std::string::npos);
+  const Json doc = Json::Parse(registry.TimelineJson());
+  EXPECT_EQ(doc.At("format").AsString(), "nsflow-metrics");
+  const Json& first = doc.At("snapshots").At(0);
+  EXPECT_EQ(first.At("t_s").AsDouble(), 0.25);
+  EXPECT_EQ(
+      first.At("values").At("counters").At("serve.completed").AsInt(), 3);
+  EXPECT_EQ(doc.At("snapshots")
+                .At(1)
+                .At("values")
+                .At("counters")
+                .At("serve.completed")
+                .AsInt(),
+            4);
+}
+
+/// A registry with an unset counter, a histogram that is empty at the
+/// first snapshot and a gauge that only the second has, a histogram with
+/// underflow and overflow, and a name that needs escaping.
+MetricsRegistry SampleRegistry() {
+  MetricsRegistry registry;
+  registry.GetCounter("serve.completed")->Increment(3);
+  registry.GetCounter("autoscaler.ticks");
+  registry.GetHistogram("serve.latency_s");
+  registry.TakeSnapshot(0.25);
+  registry.GetGauge("pool.rate")->Set(-0.125);
+  Histogram* latency = registry.GetHistogram("serve.latency_s");
+  latency->Observe(2e-3);
+  latency->Observe(2e-3);
+  latency->Observe(0.1e-6);
+  latency->Observe(1e9);
+  registry.GetHistogram("cluster.transfer_s\"x\"");
+  registry.TakeSnapshot(0.5);
+  return registry;
+}
+
+// SampleRegistry()'s metrics.json as the exporter that built a Json tree
+// and dumped it at indent 2 wrote it.
+constexpr const char* kSampleTimeline = R"({
+  "format": "nsflow-metrics",
+  "snapshots": [
+    {
+      "t_s": 0.25,
+      "values": {
+        "counters": {
+          "autoscaler.ticks": 0,
+          "serve.completed": 3
+        },
+        "gauges": {},
+        "histograms": {
+          "serve.latency_s": {
+            "buckets": [],
+            "count": 0,
+            "max_s": 0,
+            "min_s": 0,
+            "schema": {
+              "base_s": 9.9999999999999995e-07,
+              "bucket_count": 112,
+              "buckets_per_octave": 4,
+              "version": 1
+            },
+            "sum_s": 0,
+            "underflow": 0
+          }
+        }
+      }
+    },
+    {
+      "t_s": 0.5,
+      "values": {
+        "counters": {
+          "autoscaler.ticks": 0,
+          "serve.completed": 3
+        },
+        "gauges": {
+          "pool.rate": -0.125
+        },
+        "histograms": {
+          "cluster.transfer_s\"x\"": {
+            "buckets": [],
+            "count": 0,
+            "max_s": 0,
+            "min_s": 0,
+            "schema": {
+              "base_s": 9.9999999999999995e-07,
+              "bucket_count": 112,
+              "buckets_per_octave": 4,
+              "version": 1
+            },
+            "sum_s": 0,
+            "underflow": 0
+          },
+          "serve.latency_s": {
+            "buckets": [
+              [
+                43,
+                2
+              ],
+              [
+                111,
+                1
+              ]
+            ],
+            "count": 4,
+            "max_s": 1000000000,
+            "min_s": 9.9999999999999995e-08,
+            "schema": {
+              "base_s": 9.9999999999999995e-07,
+              "bucket_count": 112,
+              "buckets_per_octave": 4,
+              "version": 1
+            },
+            "sum_s": 1000000000.0040001,
+            "underflow": 1
+          }
+        }
+      }
+    }
+  ],
+  "version": 1
+})";
+
+TEST(ObsMetricsTest, WritesThePinnedTimeline) {
+  const MetricsRegistry registry = SampleRegistry();
+  const std::string text = registry.TimelineJson();
+  EXPECT_EQ(text, kSampleTimeline);
+  EXPECT_EQ(Json::Parse(text).Dump(2), text);
+  // No snapshot: an empty array.
+  const std::string empty = MetricsRegistry().TimelineJson();
+  EXPECT_EQ(empty,
+            "{\n  \"format\": \"nsflow-metrics\",\n  \"snapshots\": [],\n"
+            "  \"version\": 1\n}");
+  EXPECT_EQ(Json::Parse(empty).Dump(2), empty);
+}
+
+/// What `write` hands its sink, chunk by chunk.
+std::vector<std::string> Chunks(
+    const std::function<void(const ChunkSink&)>& write) {
+  std::vector<std::string> chunks;
+  write([&chunks](std::string_view chunk) { chunks.emplace_back(chunk); });
+  return chunks;
+}
+
+std::string Joined(const std::vector<std::string>& chunks) {
+  std::string text;
+  for (const std::string& chunk : chunks) {
+    text += chunk;
+  }
+  return text;
+}
+
+TEST(ObsMetricsTest, ChunkedTimelineIsTheWholeDocument) {
+  // Two thousand snapshots of a populated histogram: several chunks, each
+  // cut at a snapshot's end once it reached kChunkBytes.
+  MetricsRegistry registry;
+  Histogram* latency = registry.GetHistogram("serve.latency_s");
+  Counter* completed = registry.GetCounter("serve.completed");
+  for (int i = 0; i < 2000; ++i) {
+    latency->Observe(1e-6 * (1 + i % 997));
+    completed->Increment();
+    registry.TakeSnapshot(0.25 * (i + 1));
+  }
+  const std::string text = registry.TimelineJson();
+  const std::vector<std::string> chunks =
+      Chunks([&registry](const ChunkSink& sink) {
+        registry.WriteTimelineJson(sink);
+      });
+  EXPECT_EQ(Joined(chunks), text);
+  ASSERT_GT(chunks.size(), 2u) << text.size() << " B";
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_GE(chunks[i].size(), ChunkedOutput::kChunkBytes);
+    EXPECT_LT(chunks[i].size(), ChunkedOutput::kChunkBytes + 64 * 1024);
+  }
+  EXPECT_EQ(Chunks([](const ChunkSink& sink) {
+              MetricsRegistry().WriteTimelineJson(sink);
+            }),
+            std::vector<std::string>{MetricsRegistry().TimelineJson()});
+}
+
+TEST(ObsMetricsTest, ServedTimelinesAreTheDocumentsJsonDumpWrites) {
+  // metrics.json of an autoscaled run, a guard admission run with tiers
+  // and a 2-node cluster run, each reread and redumped to its own bytes,
+  // and written in chunks to the same bytes.
+  struct Case {
+    const char* name;
+    std::function<void(serve::ServeOptions*)> configure;
+  };
+  const std::vector<Case> cases = {
+      {"autoscaled",
+       [](serve::ServeOptions* o) {
+         o->scenario = serve::ScenarioSpec::Parse("spike");
+         o->autoscale = true;
+         o->autoscale_opts.max_replicas = 12;
+       }},
+      {"guard admission",
+       [](serve::ServeOptions* o) {
+         o->qps = 1500.0;
+         o->admission =
+             serve::AdmissionSpec::Parse("guard:depth=16,deadline=0.03");
+         o->tiers = {serve::SlaTier::kCritical, serve::SlaTier::kStandard};
+       }},
+      {"least-loaded:nodes=2",
+       [](serve::ServeOptions* o) {
+         o->cluster = serve::ClusterSpec::Parse("least-loaded:nodes=2");
+       }},
+  };
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    serve::ServeOptions options;
+    options.qps = 400.0;
+    options.duration_s = 2.0;
+    options.seed = 7;
+    options.trace.enabled = true;
+    c.configure(&options);
+    const serve::ServeReport report = serve::RunSyntheticServe(
+        registry, registry.ReplicaSpecs(4, /*partition=*/true),
+        {{"mlp", 0.5}, {"resnet18", 0.5}}, options);
+    ASSERT_NE(report.obs, nullptr);
+    const std::string text = report.obs->MetricsJson();
+    const Json doc = Json::Parse(text);
+    EXPECT_GT(doc.At("snapshots").size(), 4u);
+    EXPECT_EQ(doc.Dump(2), text);
+    EXPECT_EQ(Joined(Chunks([&report](const ChunkSink& sink) {
+                report.obs->WriteMetricsJson(sink);
+              })),
+              text);
+  }
 }
 
 // ------------------------------------------------------------- round trips
@@ -347,6 +651,37 @@ TEST(ObsChromeTraceTest, WritesThePinnedDocuments) {
     EXPECT_EQ(text, ChromeDocument(entries));
     // The reference serializer writes the same bytes.
     EXPECT_EQ(Json::Parse(text).Dump(0), text);
+  }
+}
+
+TEST(ObsChromeTraceTest, ChunkedTraceIsTheWholeDocument) {
+  // A served run's kFull document, several MB: handed to a sink in
+  // chunks cut at an entry's end once they reach kChunkBytes, which join
+  // to the string SerializeChromeTrace returns.
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  serve::ServeOptions options;
+  options.qps = 2000.0;
+  options.duration_s = 3.0;
+  options.seed = 7;
+  options.trace.enabled = true;
+  options.trace.detail = TraceDetail::kFull;
+  const serve::ServeReport report = serve::RunSyntheticServe(
+      registry, registry.ReplicaSpecs(4, /*partition=*/false),
+      {{"mlp", 0.5}, {"resnet18", 0.5}}, options);
+  ASSERT_NE(report.obs, nullptr);
+  const std::string text = report.obs->ChromeTraceJson();
+  const std::vector<std::string> chunks =
+      Chunks([&report](const ChunkSink& sink) {
+        report.obs->WriteChromeTraceJson(sink);
+      });
+  EXPECT_EQ(Joined(chunks), text);
+  ASSERT_GT(chunks.size(), 2u) << text.size() << " B";
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_GE(chunks[i].size(), ChunkedOutput::kChunkBytes);
+    EXPECT_LT(chunks[i].size(), ChunkedOutput::kChunkBytes + 1024);
+    EXPECT_EQ(chunks[i].back(), '}');  // An entry's end.
   }
 }
 
@@ -704,23 +1039,43 @@ std::vector<std::int64_t> StampOrderSeqs(std::vector<Record> records,
 TEST(ObsRecorderTest, DrainMatchesABruteForceStableSortOnServedRuns) {
   // A replica-fail log commits in completion order, so its request spans
   // are already in order and Drain leaves them; a fault-free log commits
-  // at dispatch, so Drain sorts them. Both must give the brute-force order.
+  // at dispatch, so Drain orders them. Every order must be the brute-force
+  // one, on a 768-replica pool and a 2-node cluster too.
+  struct Case {
+    const char* name;
+    int replicas;
+    double qps;
+    const char* adversity;
+    const char* cluster;
+    bool requests_in_order;  // The log's commit order is (complete, seq).
+  };
+  const Case cases[] = {
+      {"replica-fail", 4, 400.0, "replica-fail", "", true},
+      {"none", 4, 400.0, "none", "", false},
+      {"768 replicas", 768, 64000.0, "none", "", false},
+      {"2-node replica-fail cluster", 8, 800.0, "replica-fail",
+       "least-loaded:nodes=2", true},
+  };
   serve::WorkloadRegistry registry;
   registry.RegisterBuiltin("mlp");
   registry.RegisterBuiltin("resnet18");
-  for (const char* adversity : {"replica-fail", "none"}) {
-    SCOPED_TRACE(adversity);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
     serve::ServeOptions options;
-    options.qps = 400.0;
-    options.duration_s = 2.0;
+    options.qps = c.qps;
+    options.duration_s = c.replicas > 100 ? 0.25 : 2.0;
     options.seed = 7;
-    options.adversity = serve::AdversitySpec::Parse(adversity);
+    options.adversity = serve::AdversitySpec::Parse(c.adversity);
+    if (*c.cluster != '\0') {
+      options.cluster = serve::ClusterSpec::Parse(c.cluster);
+    }
     options.trace.enabled = true;
     const serve::ServeReport report = serve::RunSyntheticServe(
-        registry, registry.ReplicaSpecs(4, /*partition=*/false),
+        registry, registry.ReplicaSpecs(c.replicas, /*partition=*/false),
         {{"mlp", 0.5}, {"resnet18", 0.5}}, options);
     ASSERT_NE(report.obs, nullptr);
     const TraceData data = report.obs->recorder.Drain();
+    ASSERT_GT(data.batches.size(), 100u);
 
     // Request spans straight from the log, in commit order.
     std::vector<RequestSpan> committed;
@@ -741,7 +1096,7 @@ TEST(ObsRecorderTest, DrainMatchesABruteForceStableSortOnServedRuns) {
                                 (a.complete_s == b.complete_s &&
                                  a.seq < b.seq);
                        });
-    EXPECT_EQ(in_order, std::string(adversity) == "replica-fail");
+    EXPECT_EQ(in_order, c.requests_in_order);
 
     EXPECT_EQ(Seqs(data.requests),
               StampOrderSeqs(committed, &RequestSpan::complete_s));
@@ -759,6 +1114,127 @@ TEST(ObsRecorderTest, DrainMatchesABruteForceStableSortOnServedRuns) {
       EXPECT_EQ(span.request_id, id_of_seq.at(span.seq));
     }
   }
+}
+
+/// A log of one-member batches with these start and completion stamps,
+/// whose seqs are a fixed shuffle of 0, 2, 4, ..., so they do not rise
+/// with the log index.
+std::shared_ptr<CompletionLog> StampedLog(const std::vector<double>& starts,
+                                          const std::vector<double>&
+                                              completes) {
+  std::vector<std::uint32_t> seqs(starts.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    seqs[i] = static_cast<std::uint32_t>(2 * i);
+  }
+  std::shuffle(seqs.begin(), seqs.end(), std::mt19937(20261020));
+  auto log = std::make_shared<CompletionLog>();
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    BatchSpan batch;
+    batch.batch_index = static_cast<std::uint32_t>(i);
+    batch.start_s = starts[i];
+    batch.complete_s = completes[i];
+    batch.size = 1;
+    batch.seq = seqs[i];
+    log->batches.push_back(batch);
+    log->requests.push_back({static_cast<std::uint32_t>(i), 0.0});
+  }
+  return log;
+}
+
+/// `batches`' seqs after a std::sort by EarlierInTrace on `stamp`.
+std::vector<std::int64_t> SortedSeqs(std::vector<BatchSpan> batches,
+                                     double BatchSpan::* stamp) {
+  std::sort(batches.begin(), batches.end(),
+            [stamp](const BatchSpan& a, const BatchSpan& b) {
+              return EarlierInTrace(a, b, stamp);
+            });
+  return Seqs(batches);
+}
+
+/// Both of `data`'s span orders are a full sort of `log`'s batches.
+void ExpectFullSortOrders(const TraceData& data, const CompletionLog& log) {
+  EXPECT_EQ(Seqs(data.batches), SortedSeqs(log.batches, &BatchSpan::start_s));
+  std::vector<std::int64_t> request_seqs;  // Each batch's one member.
+  for (const std::int64_t seq :
+       SortedSeqs(log.batches, &BatchSpan::complete_s)) {
+    request_seqs.push_back(seq + 1);
+  }
+  EXPECT_EQ(Seqs(data.requests), request_seqs);
+}
+
+TEST(ObsRecorderTest, DrainOrdersHandBuiltLogsAsAFullSort) {
+  // Logs that stress the stamp buckets: equal stamps, signed zeros, an
+  // outlier that leaves every other batch in one bucket, a range too
+  // narrow to scale or too wide to subtract, and more batches than there
+  // are buckets. Each order must be what a std::sort by (stamp, seq)
+  // gives.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto random_stamps = [&rng, &unit](std::size_t n, double scale) {
+    std::vector<double> stamps(n);
+    for (double& stamp : stamps) {
+      stamp = scale * unit(rng);
+    }
+    return stamps;
+  };
+  struct Case {
+    const char* name;
+    std::vector<double> starts;
+    std::vector<double> completes;
+  };
+  std::vector<Case> cases = {
+      {"one batch", {0.5}, {0.5}},
+      {"two batches in order", {0.25, 0.5}, {0.25, 0.5}},
+      {"two batches out of order", {0.5, 0.25}, {0.5, 0.25}},
+      {"two batches, one stamp", {0.5, 0.5}, {0.5, 0.5}},
+      {"all stamps equal", std::vector<double>(500, 1.5),
+       std::vector<double>(500, -2.0)},
+      {"signed zeros",
+       {0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0},
+       {-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0}},
+      {"tiny range", {5e-324, 0.0, 1e-323, 0.0, 5e-324},
+       {0.0, 5e-324, 0.0, 1e-323, 5e-324}},
+      {"range past the largest double",
+       {1e308, -1e308, 0.0, 1e308, -1e308},
+       {-1e308, 1e308, 1e308, 0.0, -1e308}},
+  };
+  std::vector<double> outlier = random_stamps(2000, 1.0);
+  outlier[1234] = 1e9;
+  std::vector<double> low_outlier = random_stamps(2000, 1.0);
+  low_outlier[17] = -1e12;
+  cases.push_back({"one far outlier", outlier, low_outlier});
+  std::vector<double> infinite = random_stamps(1000, 10.0);
+  infinite[3] = kInf;
+  infinite[700] = -kInf;
+  cases.push_back({"infinite ends", infinite, random_stamps(1000, 10.0)});
+  // More batches than buckets, with repeated stamps.
+  std::vector<double> many = random_stamps(30000, 20.0);
+  for (std::size_t i = 0; i < many.size(); i += 7) {
+    many[i] = std::floor(many[i]);
+  }
+  cases.push_back({"30k batches", many, random_stamps(30000, 20.0)});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto log = StampedLog(c.starts, c.completes);
+    const TraceData data = TraceRecorder(log).Drain();
+    ExpectFullSortOrders(data, *log);
+  }
+}
+
+TEST(ObsRecorderTest, DecodedInfiniteStampsOrderAsAFullSort) {
+  // The decoder accepts -inf and +inf at the ends of a span order. A
+  // decoded log is stored in start order, so its start order is only
+  // checked and its completion order, out of order with infinite ends,
+  // takes one bucket.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto log = StampedLog({-kInf, 0.5, 0.0, 2.0, kInf, 0.0, -0.0},
+                              {1.0, kInf, -kInf, 0.25, -0.0, 0.0, 3.0});
+  const std::string bytes = SerializeBinaryTrace(TraceRecorder(log).Drain());
+  const TraceData decoded = ParseBinaryTrace(bytes);
+  ExpectFullSortOrders(decoded, *log);
+  EXPECT_EQ(SerializeBinaryTrace(decoded), bytes);
 }
 
 /// Every field of a span that NSFT carries: all of a request span's, and
