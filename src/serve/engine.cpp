@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <queue>
 #include <sstream>
 #include <utility>
 
@@ -15,7 +17,6 @@
 #include "common/spec.h"
 #include "serve/autoscaler.h"
 #include "serve/batch_former.h"
-#include "serve/event_core.h"
 
 namespace nsflow::serve {
 
@@ -220,25 +221,42 @@ std::vector<WorkloadShare> ParseMix(const std::string& spec) {
 
 namespace {
 
-using event_core::EventClass;
+/// The timeline's sources in same-instant firing priority, smallest first
+/// (docs/ENGINE.md): the environment changes (adversity faults land), the
+/// control loop observes the changed world (autoscaler tick), shed
+/// requests re-offer (admission retry), new arrivals enter, and shutdown
+/// runs strictly last.
+enum class EventClass : std::uint8_t {
+  kAdversity = 0,
+  kAutoscalerTick = 1,
+  kAdmissionRetry = 2,
+  kArrival = 3,
+  kDrain = 4,
+};
+
+/// The next timeline event: when it fires and which source it comes from.
+struct TimelineEvent {
+  double t_s = 0.0;
+  EventClass cls = EventClass::kDrain;
+};
 
 /// Pipeline state + event handlers (docs/ENGINE.md).
 ///
-/// One driver advances the virtual clock: RunEventLoop pops the
-/// discrete-event core's binary min-heap (serve/event_core.h), keyed
-/// (time, class, seq), which schedules adversity faults, autoscaler
-/// ticks, admission retries, and the drain, and merges the arrival stream
-/// in beside it; handlers fire in (time, class) order. The
-/// same-instant ordering contract (adversity < tick < retry < arrival <
-/// drain) is explicit in EventClass; the golden digests in tests/golden/
-/// pin it against the polling interleave it replaced.
+/// One driver advances the virtual clock. Each source keeps its own next
+/// instant: the adversity timeline's cursor, the autoscaler's next tick,
+/// the admission controller's earliest retry, the drain at the horizon,
+/// and the arrival stream's cursor. RunEventLoop fires whichever sorts
+/// first by (time, EventClass), so the same-instant ordering contract
+/// (adversity < tick < retry < arrival < drain) is explicit in
+/// EventClass; the golden digests in tests/golden/ pin it against the
+/// polling interleave it replaced.
 /// Lane closes, dispatches, batch completions, admission sweeps, and
-/// metric snapshots are *not* heap events: the eager scheduler books
+/// metric snapshots are *not* timeline events: the eager scheduler books
 /// batches onto replicas ahead of the clock (a dispatch at virtual time t
 /// is decided when forming closes the batch, which can be earlier than
 /// t), so those stay consequences inside the handlers — docs/ENGINE.md
-/// walks through why hoisting them into the heap would change observable
-/// ordering.
+/// walks through why hoisting them onto the timeline would change
+/// observable ordering.
 struct PipelineContext {
   // ---- wiring (fixed for the run)
   ServerPool& pool;
@@ -270,11 +288,13 @@ struct PipelineContext {
   // batches without deleting their old entries; the stale entries expire
   // on their own as the clock passes, so the signal briefly over-counts
   // during the outage — conservative shedding, still seed-deterministic.
-  // The tracker is an event_core min-heap of kDispatch-class records
-  // (start time, batch size): pop order for equal starts differs from the
-  // old pair heap only within a same-instant drain whose sum is all that
-  // is observed.
-  event_core::EventList scheduled_starts;
+  // The tracker is a min-heap of (start time, batch size) pairs: the order
+  // among equal starts only matters within a same-instant drain, whose sum
+  // is all that is observed.
+  std::priority_queue<std::pair<double, std::int64_t>,
+                      std::vector<std::pair<double, std::int64_t>>,
+                      std::greater<>>
+      scheduled_starts;
   std::int64_t scheduled_backlog = 0;
 
   // Environment-event timeline (adversity.h). Replica failures need commit
@@ -294,17 +314,23 @@ struct PipelineContext {
     Batch batch;
     RouteDecision route;  // Cluster runs: tallied at commit.
   };
-  // Deferred commits ride pooled intrusive nodes (event_core::NodePool), so
-  // the churn of pending records stays allocation-free once the arena holds
-  // the peak in flight (the zero-allocation contract, docs/ENGINE.md).
-  // `pending` is a min-heap of pointers on (completion, dispatch order) —
-  // the settlement order; the records never move.
-  event_core::NodePool<PendingCommit> pending_pool;
-  std::vector<PendingCommit*> pending;
-  static bool SettlesAfter(const PendingCommit* a, const PendingCommit* b) {
-    return a->record.complete_s != b->record.complete_s
-               ? a->record.complete_s > b->record.complete_s
-               : a->record.batch_index > b->record.batch_index;
+  // Deferred commits sit in `pending_slots`, and a settled slot goes on
+  // `free_slots` for the next dispatch to reuse, so the churn of pending
+  // records stays allocation-free once the slots hold the peak in flight
+  // (the zero-allocation contract, docs/ENGINE.md). `pending` is a
+  // min-heap of small keys on (completion, dispatch order) — the
+  // settlement order; the records never move.
+  struct PendingKey {
+    double complete_s = 0.0;
+    std::uint32_t batch_index = 0;
+    std::size_t slot = 0;
+  };
+  std::vector<PendingCommit> pending_slots;
+  std::vector<std::size_t> free_slots;
+  std::vector<PendingKey> pending;
+  static bool SettlesAfter(const PendingKey& a, const PendingKey& b) {
+    return a.complete_s != b.complete_s ? a.complete_s > b.complete_s
+                                        : a.batch_index > b.batch_index;
   }
 
   std::size_t timeline_seen = 0;
@@ -315,13 +341,6 @@ struct PipelineContext {
   // arrival closed.
   std::vector<double> busy_until;
   std::vector<Batch> closed;
-
-  // The timeline heap RunEventLoop drains. `retry_event_t` is the
-  // earliest outstanding kAdmissionRetry event (+inf when none) — the
-  // dedupe that keeps one live retry event per deadline; stale events
-  // no-op through the NextRetryAt guard.
-  event_core::EventList events;
-  double retry_event_t = std::numeric_limits<double>::infinity();
 
   PipelineContext(ServerPool& pool_in, ServeStats& stats_in,
                   obs::CompletionLog& log_in, ArrivalStream& arrivals_in,
@@ -389,22 +408,12 @@ struct PipelineContext {
       for (int w = 0; w < pool.workloads(); ++w) {
         former.SetLanePriority(w, static_cast<int>(admission->TierOf(w)));
       }
-      scheduled_starts.Reserve(256);
     }
 
     env = BuildAdversityTimeline(options.adversity, options.duration_s);
     defer_commits = options.adversity.kind == AdversityKind::kReplicaFail;
 
     busy_until.assign(static_cast<std::size_t>(pool.workloads()), 0.0);
-  }
-
-  ~PipelineContext() {
-    // Normal runs settle every deferred commit (CommitUntil(+inf) in
-    // FinishRun); this covers exception unwinds, where the pool requires
-    // live nodes released before it dies.
-    for (PendingCommit* p : pending) {
-      pending_pool.Release(p);
-    }
   }
 
   // Per-lane batching policies: `per_workload_max_batch` overrides the
@@ -640,13 +649,20 @@ struct PipelineContext {
     record.egress_s = egress_s;
     started += batch.size();
     if (admission != nullptr) {
-      scheduled_starts.Push(record.start_s, EventClass::kDispatch,
-                            batch.size());
+      scheduled_starts.emplace(record.start_s, batch.size());
       scheduled_backlog += batch.size();
     }
     if (defer_commits) {
-      pending.push_back(pending_pool.Acquire(
-          PendingCommit{record, depth, std::move(batch), route}));
+      PendingCommit commit{record, depth, std::move(batch), route};
+      std::size_t slot = pending_slots.size();
+      if (free_slots.empty()) {
+        pending_slots.push_back(std::move(commit));
+      } else {
+        slot = free_slots.back();
+        free_slots.pop_back();
+        pending_slots[slot] = std::move(commit);
+      }
+      pending.push_back({record.complete_s, record.batch_index, slot});
       std::push_heap(pending.begin(), pending.end(), SettlesAfter);
       return;
     }
@@ -682,13 +698,13 @@ struct PipelineContext {
   // Commit every pending batch that completes at or before `t`, in
   // settlement order.
   void CommitUntil(double t) {
-    while (!pending.empty() && pending.front()->record.complete_s <= t) {
+    while (!pending.empty() && pending.front().complete_s <= t) {
       std::pop_heap(pending.begin(), pending.end(), SettlesAfter);
-      PendingCommit* settled = pending.back();
+      const std::size_t slot = pending.back().slot;
       pending.pop_back();
-      Commit(settled->record, settled->depth, settled->batch,
-             settled->route);
-      pending_pool.Release(settled);
+      PendingCommit& settled = pending_slots[slot];
+      Commit(settled.record, settled.depth, settled.batch, settled.route);
+      free_slots.push_back(slot);
     }
   }
 
@@ -711,9 +727,8 @@ struct PipelineContext {
 
   // End events paired to a start resolved at fire time (recovery, derate
   // end) are spliced into the not-yet-fired suffix of the timeline. The
-  // event driver schedules at most one kAdversity heap event at a time —
-  // pushed for env[env_next] only after the previous handler (and any
-  // splice it did) finished — so the heap never holds a stale env time.
+  // driver reads env[env_next] only after the previous handler (and any
+  // splice it did) finished, so it never fires a stale env time.
   void ScheduleEnv(AdversityEvent e) {
     std::size_t at = env_next;
     while (at < env.size() && env[at].t_s <= e.t_s) {
@@ -739,10 +754,10 @@ struct PipelineContext {
     // the dead replica past the failure instant.
     CommitUntil(e.t_s);
     const auto survivors_end = std::partition(
-        pending.begin(), pending.end(), [target](const PendingCommit* p) {
-          return p->record.replica != target;
+        pending.begin(), pending.end(), [&](const PendingKey& key) {
+          return pending_slots[key.slot].record.replica != target;
         });
-    std::vector<PendingCommit*> aborted(survivors_end, pending.end());
+    std::vector<PendingKey> aborted(survivors_end, pending.end());
     pending.erase(survivors_end, pending.end());
     std::make_heap(pending.begin(), pending.end(), SettlesAfter);
     pool.FailReplica(target, e.t_s, e.until_s, e.warmup_s);
@@ -756,13 +771,13 @@ struct PipelineContext {
     // pipeline at the failure instant and reroute to survivors (FIFO
     // within each batch is untouched — composition is preserved).
     std::sort(aborted.begin(), aborted.end(),
-              [](const PendingCommit* a, const PendingCommit* b) {
-                return a->record.batch_index < b->record.batch_index;
+              [](const PendingKey& a, const PendingKey& b) {
+                return a.batch_index < b.batch_index;
               });
-    for (PendingCommit* p : aborted) {
-      started -= p->batch.size();
-      Batch batch = std::move(p->batch);
-      pending_pool.Release(p);
+    for (const PendingKey& key : aborted) {
+      Batch batch = std::move(pending_slots[key.slot].batch);
+      free_slots.push_back(key.slot);
+      started -= batch.size();
       batch.formed_s = e.t_s;
       Dispatch(std::move(batch));
     }
@@ -907,8 +922,9 @@ struct PipelineContext {
       return;
     }
     const double t = r.arrival_s;
-    while (!scheduled_starts.empty() && scheduled_starts.Top().t_s <= t) {
-      scheduled_backlog -= scheduled_starts.Pop().payload;
+    while (!scheduled_starts.empty() && scheduled_starts.top().first <= t) {
+      scheduled_backlog -= scheduled_starts.top().second;
+      scheduled_starts.pop();
     }
     const std::int64_t removed_before = admission->removed();
     if (!admission->Offer(&r, former.total_pending() + scheduled_backlog,
@@ -918,38 +934,17 @@ struct PipelineContext {
                        final_shed ? obs::InstantKind::kAdmissionShed
                                   : obs::InstantKind::kAdmissionRetry,
                        r.workload, TierName(r.tier));
-      MaybeScheduleRetryEvent();
       return;
     }
     AddToFormer(r);
-    MaybeScheduleRetryEvent();
-  }
-
-  // Keep one live kAdmissionRetry heap event at the earliest pending retry
-  // deadline. A shed during an offer can only schedule retries at or
-  // after the current instant, so pushing here (after every offer) covers
-  // every way the retry heap can gain an earlier head.
-  void MaybeScheduleRetryEvent() {
-    if (admission == nullptr) {
-      return;
-    }
-    const double next = admission->NextRetryAt();
-    if (next < retry_event_t) {
-      events.Push(next, EventClass::kAdmissionRetry);
-      retry_event_t = next;
-    }
   }
 
   // The kAdmissionRetry handler: re-offer every retry due at or before
-  // `t`. Earlier-deadline retries always had their own event (see
-  // MaybeScheduleRetryEvent), so everything processed here is due exactly
-  // now; a re-shed can chain another same-instant attempt — the loop
-  // re-checks. Stale events (their retry already consumed by an earlier
-  // event at the same deadline) fall through the guard and no-op.
+  // `t`. The driver fires it at the controller's earliest retry, so
+  // everything processed here is due exactly now, however many retries
+  // share the instant; a re-shed can chain another same-instant attempt —
+  // the loop re-checks.
   void ProcessRetriesAt(double t) {
-    if (admission == nullptr) {
-      return;
-    }
     while (admission->NextRetryAt() <= t) {
       const double retry_t = admission->NextRetryAt();
       Request retry = admission->PopRetry();
@@ -987,73 +982,76 @@ struct PipelineContext {
 
   // ----------------------------------------------------------- the driver
 
-  // One min-heap orders adversity faults, autoscaler ticks, admission
-  // retries and the drain on the virtual timeline; same-instant ties
-  // resolve by EventClass then push seq. Arrivals ride a cursor beside the
-  // heap: the next one fires first when (t, kArrival) sorts before the
-  // top's (t, class), the order it would take inside the heap, where it
-  // never met another arrival. The env timeline and the ticks ride
-  // cursors too — one outstanding heap event each — so the heap stays
-  // shallow and, past the initial Reserve, steady-state scheduling never
-  // allocates.
-  void RunEventLoop() {
-    events.Reserve(64);
+  // The earliest event the timeline's sources hold, by (time, class):
+  // the adversity timeline's cursor, the autoscaler's next tick, the
+  // admission controller's earliest retry, and the drain at the horizon.
+  // Absent layers hold nothing; a source with nothing left reads +inf and
+  // never beats the drain.
+  TimelineEvent NextTimelineEvent() const {
+    TimelineEvent next{options.duration_s, EventClass::kDrain};
+    const auto consider = [&next](double t_s, EventClass cls) {
+      if (t_s < next.t_s || (t_s == next.t_s && cls < next.cls)) {
+        next = {t_s, cls};
+      }
+    };
     if (env_next < env.size()) {
-      events.Push(env[env_next].t_s, EventClass::kAdversity);
+      consider(env[env_next].t_s, EventClass::kAdversity);
     }
-    if (autoscaler != nullptr && std::isfinite(autoscaler->next_tick_s())) {
-      events.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
+    if (autoscaler != nullptr) {
+      consider(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
     }
+    if (admission != nullptr) {
+      consider(admission->NextRetryAt(), EventClass::kAdmissionRetry);
+    }
+    return next;
+  }
+
+  // Arrivals ride a cursor beside the timeline's other sources: the next
+  // one fires first when (t, kArrival) sorts before the next timeline
+  // event's (t, class). That event is read again only when a source can
+  // have changed: after each timeline event, and after each arrival when
+  // an offer can schedule a retry.
+  void RunEventLoop() {
     // Every arrival is stamped before the horizon (ArrivalStream), so all
     // of them fire before the drain.
-    events.Push(options.duration_s, EventClass::kDrain);
+    TimelineEvent next = NextTimelineEvent();
     while (true) {
-      // The drain sentinel stays in the heap until the loop ends, so Top()
-      // is always valid.
-      if (const Request* next = arrivals.Peek()) {
-        const double t = next->arrival_s;
-        const event_core::Event& top = events.Top();
-        if (t < top.t_s || (t == top.t_s && top.cls > EventClass::kArrival)) {
+      if (const Request* arrival = arrivals.Peek()) {
+        const double t = arrival->arrival_s;
+        if (t < next.t_s ||
+            (t == next.t_s && next.cls > EventClass::kArrival)) {
           // A copy: handling it draws ahead, which may move the buffer.
-          const Request request = *next;
+          const Request request = *arrival;
           arrivals.Pop();
           HandleArrival(request);
+          if (admission != nullptr) {
+            next = NextTimelineEvent();
+          }
           continue;
         }
       }
-      const event_core::Event e = events.Pop();
-      switch (e.cls) {
+      switch (next.cls) {
         case EventClass::kAdversity: {
           const AdversityEvent env_event = env[env_next++];
           FireEnv(env_event);  // May splice paired end events.
-          if (env_next < env.size()) {
-            events.Push(env[env_next].t_s, EventClass::kAdversity);
-          }
           break;
         }
-        case EventClass::kAutoscalerTick: {
+        case EventClass::kAutoscalerTick:
           FireTick();
-          const double next_tick = autoscaler->next_tick_s();
-          if (std::isfinite(next_tick)) {
-            events.Push(next_tick, EventClass::kAutoscalerTick);
-          }
           break;
-        }
-        case EventClass::kAdmissionRetry: {
-          if (e.t_s >= retry_event_t) {
-            retry_event_t = std::numeric_limits<double>::infinity();
-          }
-          ProcessRetriesAt(e.t_s);
+        case EventClass::kAdmissionRetry:
+          ProcessRetriesAt(next.t_s);
           break;
-        }
+        case EventClass::kArrival:
+          NSF_CHECK_MSG(false, "arrivals ride the stream's cursor");
+          break;
         case EventClass::kDrain:
           // Everything at or before the horizon has fired (kDrain is the
           // highest class value, so same-instant work went first); the
           // shutdown sequence runs back in Run().
           return;
-        default:
-          NSF_CHECK_MSG(false, "folded event class on the timeline heap");
       }
+      next = NextTimelineEvent();
     }
   }
 

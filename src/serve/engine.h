@@ -2,9 +2,9 @@
 //
 //   Arrival generator (scenario patterns, virtual timestamps, per-workload
 //   mix sampling)
-//     └─> discrete-event core (serve/event_core.h: one min-heap orders
-//         faults, autoscaler ticks, retries, and the drain; the sorted
-//         arrivals merge in beside it)
+//     └─> timeline (engine.cpp: each source keeps its own next instant —
+//         the next fault, autoscaler tick, admission retry and arrival,
+//         and the drain — and the earliest by (time, class) fires)
 //           └─> MultiBatchFormer (max-batch / max-wait coalescing, one
 //               lane per workload — batches never mix workloads)
 //                 └─> ServerPool (N accelerator replicas, per-replica

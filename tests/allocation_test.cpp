@@ -4,11 +4,12 @@
 // only the handful of allocations that amortized vector growth needs
 // (arrivals, stats samples, dispatch records), not one per batch. Fault
 // runs keep the contract too: settlement at the watermark holds only the
-// batches in flight. The NSFT export allocates its output once, at its
-// exact size, the JSON exports only their output (one chunk of it when
-// written through a sink), and Drain() allocates 12 bytes per committed
-// batch beside its copies of the instants and counters, never a byte per
-// request.
+// batches in flight, and admission's backlog of dispatched starts only
+// the starts still ahead of the clock. The NSFT export allocates its
+// output once, at its exact size, the JSON exports only their output (one
+// chunk of it when written through a sink), and Drain() allocates 12
+// bytes per committed batch beside its copies of the instants and
+// counters, never a byte per request.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "obs/chrome_trace.h"
+#include "serve/admission.h"
 #include "serve/adversity.h"
 #include "serve/cluster.h"
 #include "serve/engine.h"
@@ -101,7 +103,9 @@ ServeCost MeasureServe(const WorkloadRegistry& registry,
 /// Serves the 48-replica, 8,000 qps run for 25 s and for 50 s, plainly and
 /// under `least-loaded:nodes=2`, and checks that doubling the run adds
 /// fewer than 64 allocations and only the bytes a completed request keeps.
-void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
+/// `admission`, when given, must shed nothing on these runs.
+void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity,
+                                           const std::string& admission = "") {
   WorkloadRegistry registry;
   const std::vector<WorkloadShare> mix =
       ParseMix("mlp=0.6,resnet18=0.3,nvsa=0.1");
@@ -114,6 +118,9 @@ void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
     ServeOptions options;
     options.qps = 8000.0;
     options.adversity = AdversitySpec::Parse(adversity);
+    if (!admission.empty()) {
+      options.admission = AdmissionSpec::Parse(admission);
+    }
     if (!cluster.empty()) {
       options.cluster = ClusterSpec::Parse(cluster);
     }
@@ -121,8 +128,9 @@ void ExpectDoublingAddsAlmostNoAllocations(const std::string& adversity) {
     const ServeCost base = MeasureServe(registry, replicas, mix, options);
     options.duration_s = 50.0;
     const ServeCost doubled = MeasureServe(registry, replicas, mix, options);
-    const std::string label =
-        adversity + (cluster.empty() ? " plain" : " " + cluster);
+    const std::string label = adversity +
+                              (admission.empty() ? "" : " " + admission) +
+                              (cluster.empty() ? " plain" : " " + cluster);
     // 200k more requests (~25k more batches) may cost a few vector
     // doublings, never an allocation per batch or per request.
     EXPECT_LT(doubled.allocations - base.allocations, 64)
@@ -152,6 +160,12 @@ TEST(AllocationContract, DoublingAFaultFreeRunAddsAlmostNoAllocations) {
 
 TEST(AllocationContract, DoublingAReplicaFailRunAddsAlmostNoAllocations) {
   ExpectDoublingAddsAlmostNoAllocations("replica-fail");
+}
+
+// Admission keeps a backlog heap of dispatched starts beside the pending
+// commits, and both hold only what is in flight.
+TEST(AllocationContract, DoublingAnAdmissionRunAddsAlmostNoAllocations) {
+  ExpectDoublingAddsAlmostNoAllocations("replica-fail", "overload");
 }
 
 TEST(AllocationContract, BinaryTraceExportAllocatesOnce) {

@@ -1,19 +1,18 @@
-// Discrete-event serve core: differential equivalence + primitive tests
+// Serve-engine timeline: differential equivalence + same-instant ordering
 // (docs/ENGINE.md).
 //
-// Three layers:
+// Two layers:
 //
 //   1. The differential matrix — golden digests recorded from the
 //      pre-rewrite polling build, which every matrix row must reproduce
 //      byte-for-byte (compared where the platform fingerprint matches),
 //      plus a trace-replay slice whose digests compare on any toolchain.
-//   2. Unit/property tests for the event-core primitives: (time, class,
-//      seq) tie-break stability, randomized equal-timestamp drain order,
-//      pooled-node reuse and the generation (ABA) guard.
-//   3. The allocation contract: a reserved EventList / grown NodePool
-//      never allocates in steady state (exact zero over a million-event
-//      window), and a whole engine serve run performs O(1) counted
-//      allocations regardless of request count.
+//   2. The same-instant ordering contract, served end to end: the engine
+//      takes its next event from the timeline's sources (the adversity
+//      cursor, the autoscaler tick, the earliest admission retry, the
+//      drain) and the arrival stream's cursor, by (time, class). Replayed
+//      arrivals stamped exactly on a tick, a failure or a retry pin which
+//      fires first, and that every retry due at one instant re-offers.
 //
 // Regenerate a golden file (only intentionally, and for the matrix only
 // on a toolchain whose fingerprint matches) by running its test with
@@ -22,27 +21,19 @@
 //   NSFLOW_REGEN_GOLDEN=1 ./build/test_event_core_test
 //       --gtest_filter='EventCoreDifferential.TraceSliceMatchesGolden'
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "serve/event_core.h"
 #include "serve_differential.h"
 
 namespace nsflow::serve {
 namespace {
-
-using event_core::Event;
-using event_core::EventClass;
-using event_core::EventList;
-using event_core::NodePool;
 
 std::string GoldenPath(const std::string& name) {
   return diff::GoldenDir() + "/" + name;
@@ -217,12 +208,12 @@ TEST(EventCoreDifferential, SameInstantAdversityFiresBeforeTick) {
       << "same-instant adversity must fire before the autoscaler tick";
 }
 
-// ------------------------------------------- arrivals beside the heap
+// ------------------------------------------ arrivals beside the sources
 //
-// Arrivals ride a cursor beside the timeline heap and keep the order they
-// would take inside it: at one instant a fault, a tick and a retry fire
-// before an arrival. Poisson stamps and the checked-in traces never land
-// exactly on a tick or a fault instant, so no golden pins this; these
+// Arrivals ride a cursor beside the timeline's other sources, in class
+// order: at one instant a fault, a tick and a retry fire before an
+// arrival. Poisson stamps and the checked-in traces never land exactly on
+// a tick, a fault instant or a retry, so no golden pins this; these
 // replayed traces put an arrival there on purpose.
 
 /// Serves one mlp arrival per stamp, replayed from a trace file.
@@ -293,188 +284,74 @@ TEST(EventCoreDifferential, ArrivalAtAFailureSeesTheFailedReplica) {
   EXPECT_TRUE(failed) << "replica 0 never failed";
 }
 
-// --------------------------------------------------- EventList ordering
+// ------------------------------------------------ retries on the timeline
 
-TEST(EventListTest, SameInstantClassPriorityOrder) {
-  EventList list;
-  // Pushed in reverse priority: the pop order must be the class order,
-  // not the push order.
-  list.Push(1.0, EventClass::kDrain);
-  list.Push(1.0, EventClass::kArrival);
-  list.Push(1.0, EventClass::kAdmissionRetry);
-  list.Push(1.0, EventClass::kAutoscalerTick);
-  list.Push(1.0, EventClass::kAdversity);
-  EXPECT_EQ(list.Pop().cls, EventClass::kAdversity);
-  EXPECT_EQ(list.Pop().cls, EventClass::kAutoscalerTick);
-  EXPECT_EQ(list.Pop().cls, EventClass::kAdmissionRetry);
-  EXPECT_EQ(list.Pop().cls, EventClass::kArrival);
-  EXPECT_EQ(list.Pop().cls, EventClass::kDrain);
-  EXPECT_TRUE(list.empty());
+/// The mlp tenant's admission row of a run.
+const AdmissionTenantSummary& MlpRow(const ServeReport& report) {
+  EXPECT_FALSE(report.admission.empty());
+  EXPECT_EQ(report.admission.front().tenant, "mlp");
+  return report.admission.front();
 }
 
-TEST(EventListTest, TimeOrdersBeforeClass) {
-  EventList list;
-  list.Push(2.0, EventClass::kAdversity);
-  list.Push(1.0, EventClass::kDrain);
-  EXPECT_EQ(list.Pop().cls, EventClass::kDrain);
-  EXPECT_EQ(list.Pop().cls, EventClass::kAdversity);
-}
-
-TEST(EventListTest, EqualKeyDrainsInPushOrder) {
-  EventList list;
-  for (std::int64_t i = 0; i < 64; ++i) {
-    list.Push(3.5, EventClass::kArrival, /*payload=*/i);
-  }
-  for (std::int64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(list.Pop().payload, i) << "FIFO violated at position " << i;
-  }
-}
-
-// Property: over a randomized schedule with heavy (time, class)
-// collisions, the drain order is exactly the sorted (t, class, seq)
-// order — in particular, equal-key events leave in scheduling order.
-TEST(EventListTest, RandomizedDrainIsTotallyOrdered) {
-  std::mt19937 rng(20250808);
-  std::uniform_int_distribution<int> time_draw(0, 7);    // Few distinct
-  std::uniform_int_distribution<int> class_draw(0, 3);   // values force
-  EventList list;                                        // collisions.
-  const int kEvents = 4096;
-  for (int i = 0; i < kEvents; ++i) {
-    list.Push(0.125 * time_draw(rng),
-              static_cast<EventClass>(class_draw(rng)));
-  }
-  std::vector<Event> drained;
-  drained.reserve(kEvents);
-  while (!list.empty()) {
-    drained.push_back(list.Pop());
-  }
-  ASSERT_EQ(drained.size(), static_cast<std::size_t>(kEvents));
-  for (std::size_t i = 1; i < drained.size(); ++i) {
-    const Event& a = drained[i - 1];
-    const Event& b = drained[i];
-    const bool ordered =
-        a.t_s < b.t_s ||
-        (a.t_s == b.t_s &&
-         (static_cast<int>(a.cls) < static_cast<int>(b.cls) ||
-          (a.cls == b.cls && a.seq < b.seq)));
-    ASSERT_TRUE(ordered) << "drain order violated at position " << i;
-  }
-}
-
-// ------------------------------------------------------------- NodePool
-
-struct TestNode {
-  std::int64_t value = 0;
-  explicit TestNode(std::int64_t v) : value(v) {}
-};
-
-TEST(NodePoolTest, ReleasedSlotIsReusedFirst) {
-  NodePool<TestNode> pool(/*block_nodes=*/4);
-  TestNode* a = pool.Acquire(1);
-  TestNode* b = pool.Acquire(2);
-  EXPECT_TRUE(pool.Owns(a));
-  EXPECT_TRUE(pool.Owns(b));
-  EXPECT_EQ(pool.live(), 2u);
-  pool.Release(a);
-  // LIFO freelist: the very next acquire reoccupies a's slot (same arena,
-  // same address), not a fresh bump slot.
-  TestNode* c = pool.Acquire(3);
-  EXPECT_EQ(static_cast<void*>(c), static_cast<void*>(a));
-  EXPECT_EQ(c->value, 3);
-  EXPECT_EQ(pool.live(), 2u);
-  pool.Release(b);
-  pool.Release(c);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(NodePoolTest, GenerationGuardsAgainstAba) {
-  NodePool<TestNode> pool(/*block_nodes=*/4);
-  TestNode* node = pool.Acquire(7);
-  const std::uint64_t born = pool.Generation(node);
-  EXPECT_EQ(born, 0u);  // Never-released slot.
-  pool.Release(node);
-  TestNode* reused = pool.Acquire(8);
-  ASSERT_EQ(static_cast<void*>(reused), static_cast<void*>(node));
-  // The slot address repeats (the A-B-A shape) but the generation moved:
-  // a handle that remembered `born` can detect its node was recycled.
-  EXPECT_EQ(pool.Generation(reused), born + 1);
-  pool.Release(reused);
-  TestNode* again = pool.Acquire(9);
-  EXPECT_EQ(pool.Generation(again), born + 2);
-  pool.Release(again);
-}
-
-TEST(NodePoolTest, GrowsInCountedBlocks) {
-  const std::int64_t before = event_core::allocation_count();
-  NodePool<TestNode> pool(/*block_nodes=*/8);
-  std::vector<TestNode*> nodes;
-  for (std::int64_t i = 0; i < 24; ++i) {
-    nodes.push_back(pool.Acquire(i));
-  }
-  EXPECT_EQ(pool.capacity(), 24u);  // Three 8-node arena blocks.
-  EXPECT_EQ(event_core::allocation_count() - before, 3);
-  for (TestNode* node : nodes) {
-    pool.Release(node);
-  }
-}
-
-// -------------------------------------------------- allocation contract
-
-// The steady-state gate: once the spine is reserved and the arena has
-// grown, a million push/pop + acquire/release cycles perform exactly zero
-// counted allocations.
-TEST(AllocationContract, MillionEventSteadyStateIsAllocationFree) {
-  EventList list;
-  list.Reserve(1024);
-  NodePool<TestNode> pool(/*block_nodes=*/256);
-  std::vector<TestNode*> warm;
-  for (std::int64_t i = 0; i < 256; ++i) {
-    warm.push_back(pool.Acquire(i));  // Grow the first arena block.
-  }
-  for (TestNode* node : warm) {
-    pool.Release(node);
-  }
-  std::mt19937 rng(42);
-  std::uniform_real_distribution<double> jitter(0.0, 1.0);
-
-  const std::int64_t before = event_core::allocation_count();
-  double clock = 0.0;
-  std::size_t depth = 0;
-  for (std::int64_t i = 0; i < 1'000'000; ++i) {
-    if (depth < 512 && (depth == 0 || (i & 1) == 0)) {
-      list.Push(clock + jitter(rng), EventClass::kArrival, i);
-      ++depth;
-    } else {
-      TestNode* node = pool.Acquire(list.Pop().payload);  // Churn a node
-      pool.Release(node);                                 // per pop.
-      --depth;
-      clock += 1e-6;
-    }
-  }
-  while (!list.empty()) {
-    list.Pop();
-  }
-  EXPECT_EQ(event_core::allocation_count() - before, 0)
-      << "steady-state event scheduling allocated";
-}
-
-// Engine-level gate: a full event-driven serve run performs O(1) counted
-// allocations — one heap reserve — no matter how many requests flow
-// through (a million here). Anything per-request would show up as a
-// request-count-scaled delta.
-TEST(AllocationContract, EventEngineRunAllocationsAreConstant) {
+// Two retries due at one instant, each re-shed to a later one: both must
+// re-offer there, so three equal stamps serve exactly as three stamps
+// 100 ns apart. One token per second admits the first arrival; the other
+// two shed to 0.2 s, shed again to 0.4 s, and shed for good there.
+TEST(EventCoreDifferential, EveryRetryDueAtOneInstantReoffers) {
   const diff::DiffFixture fixture;
-  ServeOptions options;
-  options.qps = 500000.0;
-  options.duration_s = 2.0;
-  options.max_batch = 8;
-  options.seed = 42;
-  const std::int64_t before = event_core::allocation_count();
-  const ServeReport report = RunSyntheticServe(
-      fixture.registry, fixture.replicas, fixture.mix, options);
-  const std::int64_t delta = event_core::allocation_count() - before;
-  EXPECT_GE(report.generated_requests, 900000);
-  EXPECT_LE(delta, 2) << "event-core allocations scaled with the run";
+  ServeOptions options = diff::OptionsFor(diff::DiffConfig{});
+  options.admission =
+      AdmissionSpec::Parse("quota:rate=1,burst=1,retry=2,backoff=0.1");
+  const ServeReport equal =
+      ServeStamps(fixture, fixture.replicas, {0.1, 0.1, 0.1}, options,
+                  "retries_at_one_instant.json");
+  const ServeReport spread =
+      ServeStamps(fixture, fixture.replicas, {0.1, 0.1 + 1e-7, 0.1 + 2e-7},
+                  options, "retries_spread.json");
+  for (const ServeReport* report : {&equal, &spread}) {
+    const AdmissionTenantSummary& row = MlpRow(*report);
+    EXPECT_EQ(row.offered, 7);  // Three arrivals and four re-offers.
+    EXPECT_EQ(row.admitted, 1);
+    EXPECT_EQ(row.retried, 4);
+    EXPECT_EQ(row.shed_quota, 2);
+    // A retry left pending at the drain would shed here instead.
+    EXPECT_EQ(row.shed_overload, 0);
+    EXPECT_EQ(report->summary.completed, 1);
+  }
+  ASSERT_EQ(equal.admission.size(), spread.admission.size());
+  for (std::size_t w = 0; w < equal.admission.size(); ++w) {
+    const AdmissionTenantSummary& a = equal.admission[w];
+    const AdmissionTenantSummary& b = spread.admission[w];
+    EXPECT_EQ(a.offered, b.offered) << a.tenant;
+    EXPECT_EQ(a.admitted, b.admitted) << a.tenant;
+    EXPECT_EQ(a.shed_quota, b.shed_quota) << a.tenant;
+    EXPECT_EQ(a.shed_overload, b.shed_overload) << a.tenant;
+    EXPECT_EQ(a.expired, b.expired) << a.tenant;
+    EXPECT_EQ(a.retried, b.retried) << a.tenant;
+  }
+}
+
+// A retry and an arrival due at one instant: the retry re-offers first.
+// Ten tokens per second with a burst of one: the first 0.1 s arrival
+// takes the token and the second sheds to 0.2 s (0.1 + 0.1 and 10 x 0.1
+// are exact). At 0.2 s one token has refilled; the retry takes it and the
+// 0.2 s arrival sheds to 0.3 s, where the next token admits it. Had the
+// arrival gone first, the retry would find no token and, its one retry
+// spent, shed for good.
+TEST(EventCoreDifferential, RetryAtAnArrivalReoffersFirst) {
+  const diff::DiffFixture fixture;
+  ServeOptions options = diff::OptionsFor(diff::DiffConfig{});
+  options.admission =
+      AdmissionSpec::Parse("quota:rate=10,burst=1,retry=1,backoff=0.1");
+  const ServeReport report =
+      ServeStamps(fixture, fixture.replicas, {0.1, 0.1, 0.2}, options,
+                  "retry_at_arrival.json");
+  const AdmissionTenantSummary& row = MlpRow(report);
+  EXPECT_EQ(row.offered, 5);
+  EXPECT_EQ(row.admitted, 3);
+  EXPECT_EQ(row.shed(), 0);
+  EXPECT_EQ(row.retried, 2);
+  EXPECT_EQ(report.summary.completed, 3);
 }
 
 }  // namespace

@@ -113,8 +113,6 @@ def collect_metrics(serve_report, plan_report):
         event_core = serve_report.get("event_core")
         if event_core is not None:
             metrics += [
-                ("event_core.heap_events_per_s",
-                 event_core["heap_events_per_s"], "higher", "wall"),
                 ("event_core.event_wall_ms", event_core["event_wall_ms"],
                  "lower", "wall"),
             ]
@@ -318,16 +316,9 @@ def main():
               f"{obs['gate_ratio']:.2f}x + {obs['gate_epsilon_ms']:.1f} ms)")
     event_core = report.get("event_core")
     if event_core is not None:
-        if not event_core["ok"]:
-            print("error: event-core events/s gate recorded a breach in "
-                  "the artifact", file=sys.stderr)
-            return 1
-        gate = ("" if event_core["gate_enforced"]
-                else ", informational on this build")
-        print(f"event core: {event_core['heap_events_per_s'] / 1e6:.1f}M "
-              f"events/s (gate "
-              f"{event_core['gate_events_per_s'] / 1e6:.0f}M{gate}), "
-              f"run wall {event_core['event_wall_ms']:.2f} ms")
+        print(f"event loop: run wall {event_core['event_wall_ms']:.2f} ms, "
+              f"{event_core['run_events_per_s'] / 1e3:.0f}k arrival "
+              f"events/s")
 
     # Planner/scenario smoke: plan once, validate predicted vs measured
     # p99 under each arrival pattern, then the autoscale elastic-vs-static
