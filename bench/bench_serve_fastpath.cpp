@@ -18,8 +18,8 @@
 // evaluate; any divergence makes the bench exit non-zero, which is what
 // the CI bench-smoke job keys on.
 //
-// A fourth section times the event loop (docs/ENGINE.md): the driver's
-// end-to-end wall and arrival events/s on the same fixed-seed run.
+// A fourth section times the event loop (docs/ENGINE.md): its end-to-end
+// wall and arrival events/s on the same fixed-seed run.
 //
 // A fifth section gates the observability overhead contract
 // (docs/OBSERVABILITY.md): the same fixed-seed mix run is timed with
@@ -172,9 +172,9 @@ int main(int argc, char** argv) {
 
   // --------------------------------------------------- pool cold vs warm
   // The headline cold-cache metric: filling a fresh pool's latency cache
-  // end to end, on one thread each. The functional protocol pays a
-  // scratch deployment plus a cycle-level simulation per (kind, workload,
-  // batch size) entry. The fast path is today's WarmBatchSizes: loop
+  // end to end, on one thread each. The functional protocol pays a fresh
+  // deployment plus a cycle-level simulation per (kind, workload, batch
+  // size) entry. The fast path is today's WarmBatchSizes: loop
   // equations once per (kind, workload), every batch size derived from the
   // memoized ServingModel. Best of several rounds each (steady_clock
   // granularity makes single cold runs noisy).

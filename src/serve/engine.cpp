@@ -242,12 +242,12 @@ struct TimelineEvent {
 
 /// Pipeline state + event handlers (docs/ENGINE.md).
 ///
-/// One driver advances the virtual clock. Each source keeps its own next
-/// instant: the adversity timeline's cursor, the autoscaler's next tick,
-/// the admission controller's earliest retry, the drain at the horizon,
-/// and the arrival stream's cursor. RunEventLoop fires whichever sorts
-/// first by (time, EventClass), so the same-instant ordering contract
-/// (adversity < tick < retry < arrival < drain) is explicit in
+/// One event loop advances the virtual clock. Each source keeps its own
+/// next instant: the adversity timeline's cursor, the autoscaler's next
+/// tick, the admission controller's earliest retry, the drain at the
+/// horizon, and the arrival stream's cursor. RunEventLoop fires whichever
+/// sorts first by (time, EventClass), so the same-instant ordering
+/// contract (adversity < tick < retry < arrival < drain) is explicit in
 /// EventClass; the golden digests in tests/golden/ pin it against the
 /// polling interleave it replaced.
 /// Lane closes, dispatches, batch completions, admission sweeps, and
@@ -727,8 +727,8 @@ struct PipelineContext {
 
   // End events paired to a start resolved at fire time (recovery, derate
   // end) are spliced into the not-yet-fired suffix of the timeline. The
-  // driver reads env[env_next] only after the previous handler (and any
-  // splice it did) finished, so it never fires a stale env time.
+  // event loop reads env[env_next] only after the previous handler (and
+  // any splice it did) finished, so it never fires a stale env time.
   void ScheduleEnv(AdversityEvent e) {
     std::size_t at = env_next;
     while (at < env.size() && env[at].t_s <= e.t_s) {
@@ -940,7 +940,7 @@ struct PipelineContext {
   }
 
   // The kAdmissionRetry handler: re-offer every retry due at or before
-  // `t`. The driver fires it at the controller's earliest retry, so
+  // `t`. The event loop fires it at the controller's earliest retry, so
   // everything processed here is due exactly now, however many retries
   // share the instant; a re-shed can chain another same-instant attempt —
   // the loop re-checks.
