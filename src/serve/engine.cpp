@@ -985,8 +985,8 @@ struct PipelineContext {
   // The earliest event the timeline's sources hold, by (time, class):
   // the adversity timeline's cursor, the autoscaler's next tick, the
   // admission controller's earliest retry, and the drain at the horizon.
-  // Absent layers hold nothing; a source with nothing left reads +inf and
-  // never beats the drain.
+  // Absent layers and a spent adversity timeline are skipped; an empty
+  // retry heap reads +inf, which never beats the drain.
   TimelineEvent NextTimelineEvent() const {
     TimelineEvent next{options.duration_s, EventClass::kDrain};
     const auto consider = [&next](double t_s, EventClass cls) {
